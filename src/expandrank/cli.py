@@ -274,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="expandrank",
         description="BM25 retrieval with reranked query expansions",
     )
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build and persist a BM25 index")

@@ -11,9 +11,12 @@ Determinism rules that the rest of the pipeline leans on:
 from __future__ import annotations
 
 import json
+import os
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -168,20 +171,72 @@ class Index:
 
     @classmethod
     def load(cls, path) -> "Index":
+        """Read a file written by ``save``.
+
+        A damaged file raises ``IndexError_`` naming the path and the check
+        it failed; nothing is loaded from it.
+        """
+        def fail(what: str) -> NoReturn:
+            raise IndexError_(f"{path}: corrupt index: {what}")
+
         with open(path, "rb") as fh:
             if fh.read(len(MAGIC)) != MAGIC:
                 raise IndexError_(f"{path}: not an index file (bad magic)")
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen))
-            n_terms = len(header["terms"])
-            n_docs = len(header["pids"])
-            n_post = header["postings"]
-            offsets = np.frombuffer(fh.read(8 * (n_terms + 1)), dtype="<i8")
-            docs = np.frombuffer(fh.read(4 * n_post), dtype="<i4")
-            tfs = np.frombuffer(fh.read(4 * n_post), dtype="<i4")
-            dls = np.frombuffer(fh.read(4 * n_docs), dtype="<i4")
-        params = Bm25Params(**header["params"])
-        return cls(header["pids"], header["terms"], offsets.astype(np.int64),
+
+            file_size = os.fstat(fh.fileno()).st_size
+
+            def section(name: str, size: int) -> bytes:
+                # Sizes come from the file, so check them before reading:
+                # read(size) allocates size bytes up front.
+                have = file_size - fh.tell()
+                if size > have:
+                    fail(f"{name} truncated ({have} of {size} bytes)")
+                return fh.read(size)
+
+            (hlen,) = struct.unpack("<Q", section("header length", 8))
+            try:
+                header = json.loads(section("header", hlen))
+                pids, terms = header["pids"], header["terms"]
+                n_post = header["postings"]
+                params = Bm25Params(**header["params"])
+            except (ValueError, KeyError, TypeError) as exc:
+                fail(f"bad header ({exc})")
+            if not (isinstance(pids, list) and isinstance(terms, list)
+                    and set(map(type, pids)) | set(map(type, terms)) <= {str}):
+                fail("pids and terms must be lists of strings")
+            if type(n_post) is not int or n_post < 0:
+                fail(f"postings must be a non-negative int, got {n_post!r}")
+            n_terms, n_docs = len(terms), len(pids)
+            offsets = np.frombuffer(section("offsets", 8 * (n_terms + 1)),
+                                    dtype="<i8")
+            docs = np.frombuffer(section("doc ids", 4 * n_post), dtype="<i4")
+            tfs = np.frombuffer(section("tfs", 4 * n_post), dtype="<i4")
+            dls = np.frombuffer(section("doc lengths", 4 * n_docs), dtype="<i4")
+            if fh.read(1):
+                fail("trailing bytes after the last section")
+
+        if len(set(pids)) != n_docs:
+            fail("duplicate pids")
+        if len(set(terms)) != n_terms:
+            fail("duplicate terms")
+        if offsets[0] != 0:
+            fail(f"offsets start at {offsets[0]}, not 0")
+        if np.any(np.diff(offsets) < 0):
+            fail("offsets decrease")
+        if offsets[-1] != n_post:
+            fail(f"offsets end at {offsets[-1]}, not at postings={n_post}")
+        if n_post and (docs.min() < 0 or docs.max() >= n_docs):
+            fail(f"doc id outside [0, {n_docs})")
+        rising = np.diff(docs) > 0
+        heads = offsets[1:-1]
+        rising[heads[(heads > 0) & (heads < n_post)] - 1] = True
+        if not rising.all():
+            fail("doc ids not strictly increasing within a posting list")
+        if np.any(tfs < 1):
+            fail("tf below 1")
+        if np.any(np.bincount(docs, weights=tfs, minlength=n_docs) != dls):
+            fail("doc lengths differ from the per-doc tf sums")
+        return cls(pids, terms, offsets.astype(np.int64),
                    docs.astype(np.int32), tfs.astype(np.int32),
                    dls.astype(np.int32), params)
 
@@ -192,25 +247,48 @@ def build_index(store: PassageStore, params: Bm25Params | None = None) -> Index:
     params = params or Bm25Params()
     analyzer = params.analyzer()
 
+    # Python work is per document and per distinct token: the memo stems each
+    # surface form once, and every token becomes one int in a typed buffer.
+    # Provisional term ids follow set iteration order, which varies from run
+    # to run; they are mapped to sorted-vocabulary ids before anything else
+    # sees them.
     pids = sorted(p.id for p in store)
-    doc_lengths = np.zeros(len(pids), dtype=np.int32)
-    term_postings: dict[str, list[tuple[int, int]]] = {}
-    for doc, pid in enumerate(pids):
+    memo: dict[str, str] = {}
+    provisional: dict[str, int] = {}
+    token_ids = array("i")  # every token's provisional term id, in doc order
+    lengths = array("i")
+    for pid in pids:
         p = store.get(pid)
         body = f"{p.title} {p.text}" if params.index_titles and p.title else p.text
-        tokens = analyzer(body)
-        doc_lengths[doc] = len(tokens)
-        for term, tf in sorted(Counter(tokens).items()):
-            term_postings.setdefault(term, []).append((doc, tf))
+        tokens = analyzer(body, memo)
+        for term in set(tokens).difference(provisional):
+            provisional[term] = len(provisional)
+        token_ids.extend(map(provisional.__getitem__, tokens))
+        lengths.append(len(tokens))
+    del memo
 
-    terms = sorted(term_postings)
+    terms = sorted(provisional)
+    to_sorted = np.empty(len(terms), dtype=np.int32)
+    to_sorted[np.fromiter((provisional[t] for t in terms), dtype=np.int64,
+                          count=len(terms))] = np.arange(len(terms))
+    doc_lengths = np.frombuffer(lengths, dtype=np.intc).astype(np.int32)
+    tok_terms = to_sorted[np.frombuffer(token_ids, dtype=np.intc)]
+    del token_ids
+
+    # A stable sort by term keeps each term's tokens in doc order, so every
+    # run of one (term, doc) pair is one posting, its length the tf, and doc
+    # ids ascend within each posting list.
+    order = np.argsort(tok_terms, kind="stable")
+    tok_terms = tok_terms[order]
+    tok_docs = np.repeat(np.arange(len(pids), dtype=np.int32), doc_lengths)[order]
+    del order
+    run_start = np.ones(len(tok_terms), dtype=bool)
+    run_start[1:] = ((tok_terms[1:] != tok_terms[:-1])
+                     | (tok_docs[1:] != tok_docs[:-1]))
+    starts = np.flatnonzero(run_start)
+    post_docs = tok_docs[starts]
+    post_tfs = np.diff(starts, append=len(tok_terms)).astype(np.int32)
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    docs, tfs = [], []
-    for i, term in enumerate(terms):
-        plist = term_postings[term]  # doc ids already ascending by construction
-        offsets[i + 1] = offsets[i] + len(plist)
-        docs.extend(d for d, _ in plist)
-        tfs.extend(t for _, t in plist)
-    return Index(pids, terms, offsets,
-                 np.array(docs, dtype=np.int32), np.array(tfs, dtype=np.int32),
-                 doc_lengths, params)
+    np.cumsum(np.bincount(tok_terms[starts], minlength=len(terms)),
+              out=offsets[1:])
+    return Index(pids, terms, offsets, post_docs, post_tfs, doc_lengths, params)

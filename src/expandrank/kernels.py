@@ -1,9 +1,10 @@
 """Scoring kernels for the inverted index.
 
 The posting-list accumulation loop dominates retrieval time, so it is JIT
-compiled with numba by default.  Setting ``EXPANDRANK_NO_NUMBA=1`` (or numba
-being unavailable) selects a pure-numpy fallback that computes the identical
-expression term by term.  ``benchmarks/bench_kernels.py`` compares the two.
+compiled with numba when the optional ``numba`` extra is installed.  Setting
+``EXPANDRANK_NO_NUMBA=1`` (or numba being unavailable) selects a pure-numpy
+fallback that computes the identical expression term by term.
+``benchmarks/bench_kernels.py`` compares the two.
 """
 
 from __future__ import annotations

@@ -21,6 +21,15 @@ log = logging.getLogger(__name__)
 
 PR_SCHEMA = "pr-v1"  # [retrieval score, q-overlap, mean idf, length, bias]
 PR_DIM = 5
+BIAS = PR_DIM - 1
+
+
+def _sigmoid(t: float) -> float:
+    """Logistic function without overflow: exp is only taken of -|t|."""
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
 
 
 def passage_features(index: Index, store: PassageStore, question: str,
@@ -60,7 +69,7 @@ class PassageScorer:
 
     def probability(self, f: np.ndarray) -> float:
         z = (np.asarray(f, dtype=np.float64) - self.feature_mean) / self.feature_std
-        return 1.0 / (1.0 + math.exp(-float(self.weights @ z)))
+        return _sigmoid(float(self.weights @ z))
 
     def save(self, path) -> None:
         doc = {
@@ -102,11 +111,13 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
     x = np.stack(feats)
     y = np.array(labels)
 
+    # A constant feature column standardizes to 0, so it carries no weight;
+    # left at its raw value (passage length on a fixed-length corpus) it
+    # would act as a second, badly scaled bias.  The bias column stays 1.
     mean = x.mean(axis=0)
     std = x.std(axis=0)
-    const = std < 1e-12
-    mean[const] = 0.0
-    std[const] = 1.0
+    std[std < 1e-12] = 1.0
+    mean[BIAS], std[BIAS] = 0.0, 1.0
     z = (x - mean) / std
 
     w = np.zeros(PR_DIM)
@@ -114,7 +125,7 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y))
         for i in order:
-            p = 1.0 / (1.0 + math.exp(-float(w @ z[i])))
+            p = _sigmoid(float(w @ z[i]))
             w -= cfg.learning_rate * (p - y[i]) * z[i]
     return PassageScorer(w, mean, std)
 

@@ -189,10 +189,21 @@ class Analyzer:
     stemming: bool = True
     stopwords: bool = True
 
-    def __call__(self, raw: str) -> list[str]:
+    def __call__(self, raw: str, memo: dict[str, str] | None = None) -> list[str]:
+        """Analyzed tokens of ``raw``.
+
+        ``memo`` is a surface -> stem dict owned by the caller.  Passing the
+        same one across calls stems each distinct surface token once; the
+        output is identical to a call without it.
+        """
         tokens = normalize(raw)
         if self.stopwords:
             tokens = [t for t in tokens if t not in STOPWORDS]
         if self.stemming:
-            tokens = [porter_stem(t) for t in tokens]
+            if memo is None:
+                tokens = [porter_stem(t) for t in tokens]
+            else:
+                for t in set(tokens).difference(memo):
+                    memo[t] = porter_stem(t)
+                tokens = list(map(memo.__getitem__, tokens))
         return tokens

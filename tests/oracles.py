@@ -3,6 +3,9 @@
 import math
 from collections import Counter
 
+import numpy as np
+
+from expandrank.index import Bm25Params, Index, IndexError_
 from expandrank.text import normalize
 
 
@@ -65,6 +68,39 @@ def brute_search(store, params, query_text, k):
         key=lambda e: (-e[1], e[0]),
     )
     return ranked[:k]
+
+
+def reference_build_index(store, params=None):
+    """The dict-of-lists index builder: every token analyzed on its own, each
+    posting a (doc, tf) tuple.  ``build_index`` must match it array for array
+    and byte for byte."""
+    if len(store) == 0:
+        raise IndexError_("cannot index an empty store")
+    params = params or Bm25Params()
+    analyzer = params.analyzer()
+
+    pids = sorted(p.id for p in store)
+    doc_lengths = np.zeros(len(pids), dtype=np.int32)
+    term_postings = {}
+    for doc, pid in enumerate(pids):
+        p = store.get(pid)
+        body = f"{p.title} {p.text}" if params.index_titles and p.title else p.text
+        tokens = analyzer(body)
+        doc_lengths[doc] = len(tokens)
+        for term, tf in sorted(Counter(tokens).items()):
+            term_postings.setdefault(term, []).append((doc, tf))
+
+    terms = sorted(term_postings)
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    docs, tfs = [], []
+    for i, term in enumerate(terms):
+        plist = term_postings[term]  # doc ids already ascending by construction
+        offsets[i + 1] = offsets[i] + len(plist)
+        docs.extend(d for d, _ in plist)
+        tfs.extend(t for _, t in plist)
+    return Index(pids, terms, offsets,
+                 np.array(docs, dtype=np.int32), np.array(tfs, dtype=np.int32),
+                 doc_lengths, params)
 
 
 def brute_term_counts(store, params):

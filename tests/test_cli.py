@@ -49,6 +49,19 @@ class TestIndexCmd:
             "--out", workdir / "idx_b.bin")
         assert sha(workdir / "idx_a.bin") == sha(workdir / "idx_b.bin")
 
+    def test_damaged_index_exit_1(self, workdir, capsys):
+        run("index", "--corpus", workdir / "corpus.jsonl",
+            "--out", workdir / "whole.bin")
+        cut = workdir / "cut.bin"
+        cut.write_bytes((workdir / "whole.bin").read_bytes()[:-100])
+        rc = run("retrieve", "--index", cut,
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--questions", workdir / "questions.jsonl",
+                 "--strategy", "bm25", "--out", workdir / "cut.trec")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cut) in err and "truncated" in err
+
 
 class TestMakeTrainCmd:
     def test_bad_sentinel_exit_2(self, workdir):

@@ -1,13 +1,44 @@
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expandrank import kernels
 from expandrank.corpus import Passage, PassageStore
 from expandrank.index import Bm25Params, Index, IndexError_, RankedList, build_index
 from expandrank.synth import make_random_corpus, make_random_queries
-from oracles import brute_bm25_scores, brute_search, brute_term_counts
+from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
+                     reference_build_index)
 
 PARAMS = Bm25Params()
+
+# Stopwords, repeated and inflected forms, upper case, NFKC-folded forms
+# (ligature, fullwidth), digits and punctuation-joined tokens.
+_WORDS = ("the", "of", "and", "is", "a", "The", "OF", "running", "Runs",
+          "RUN", "ran", "caresses", "ponies", "relational", "sky", "hopping",
+          "\ufb01ve", "\uff15", "\uff26\uff55\uff4c\uff4c", "2018", "x1",
+          "Deadpool-2", "(ok)")
+_text = st.lists(
+    st.one_of(st.sampled_from(_WORDS),
+              st.text(alphabet="abeinrstAE19-\u00e9", min_size=1, max_size=7)),
+    min_size=1, max_size=12,
+).map(" ".join)
+_corpora = st.lists(st.tuples(st.one_of(st.just(""), _text), _text),
+                    min_size=1, max_size=8)
+_params = st.builds(Bm25Params, stemming=st.booleans(),
+                    stopwords=st.booleans(), index_titles=st.booleans())
+
+
+def _saved_bytes(index) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "idx.bin"
+        index.save(path)
+        return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +101,21 @@ class TestBuild:
         titled = build_index(store, Bm25Params(index_titles=True))
         assert "zebra" not in plain.vocab
         assert "zebra" in titled.vocab
+
+    @given(_corpora, _params)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_builder(self, docs, params):
+        store = PassageStore([Passage(id=f"p{i}", title=title, text=text)
+                              for i, (title, text) in enumerate(docs)])
+        got = build_index(store, params)
+        want = reference_build_index(store, params)
+        assert got.pids == want.pids
+        assert got.terms == want.terms
+        for name in ("post_offsets", "post_docs", "post_tfs", "doc_lengths"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert _saved_bytes(got) == _saved_bytes(want)
 
 
 class TestScore:
@@ -197,8 +243,104 @@ class TestPersistence:
             Index.load(path)
 
 
+def _layout(raw: bytes) -> dict:
+    """Byte offset of each array section of a saved index, plus the header."""
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    n_terms, n_post = len(header["terms"]), header["postings"]
+    offsets = 16 + hlen
+    docs = offsets + 8 * (n_terms + 1)
+    tfs = docs + 4 * n_post
+    return {"header": header, "offsets": offsets, "docs": docs, "tfs": tfs,
+            "dls": tfs + 4 * n_post}
+
+
+def _put(raw: bytes, pos: int, fmt: str, value) -> bytes:
+    return raw[:pos] + struct.pack(fmt, value) + raw[pos + struct.calcsize(fmt):]
+
+
+def _get(raw: bytes, pos: int, fmt: str):
+    return struct.unpack_from(fmt, raw, pos)[0]
+
+
+def _swap_first_pair(raw, at):
+    """Swap the first two doc ids of the first posting list with df >= 2."""
+    offsets = np.frombuffer(raw[at["offsets"]:at["docs"]], dtype="<i8")
+    tid = int(np.flatnonzero(np.diff(offsets) >= 2)[0])
+    p = at["docs"] + 4 * int(offsets[tid])
+    a, b = _get(raw, p, "<i"), _get(raw, p + 4, "<i")
+    return _put(_put(raw, p, "<i", b), p + 4, "<i", a)
+
+
+def _duplicate_pid(raw, at):
+    hlen = _get(raw, 8, "<Q")
+    pids = at["header"]["pids"]
+    head = raw[16:16 + hlen].replace(
+        json.dumps(pids[1]).encode(), json.dumps(pids[0]).encode(), 1)
+    return raw[:16] + head + raw[16 + hlen:]
+
+
+# (damage, words the error must contain).  Each damage breaks one check.
+_DAMAGE = {
+    "truncated": (lambda raw, at: raw[:-100], "truncated"),
+    "huge_header_length": (lambda raw, at: _put(raw, 8, "<Q", 2 ** 62),
+                           "header truncated"),
+    "trailing_bytes": (lambda raw, at: raw + b"\0", "trailing bytes"),
+    "header_not_json": (lambda raw, at: raw[:16] + b"x" + raw[17:],
+                        "bad header"),
+    "offset_decreases": (
+        lambda raw, at: _put(raw, at["offsets"] + 8, "<q",
+                             _get(raw, at["offsets"] + 16, "<q") + 1),
+        "offsets decrease"),
+    "offset_not_zero": (lambda raw, at: _put(raw, at["offsets"], "<q", 1),
+                        "offsets start"),
+    "offset_end": (
+        lambda raw, at: _put(raw, at["docs"] - 8, "<q",
+                             at["header"]["postings"] - 1),
+        "offsets end"),
+    "doc_id_out_of_range": (
+        lambda raw, at: _put(raw, at["docs"], "<i",
+                             len(at["header"]["pids"])),
+        "doc id outside"),
+    "doc_ids_not_increasing": (_swap_first_pair, "strictly increasing"),
+    "zero_tf": (lambda raw, at: _put(raw, at["tfs"], "<i", 0), "tf below 1"),
+    "doc_length": (
+        lambda raw, at: _put(raw, at["dls"], "<i",
+                             _get(raw, at["dls"], "<i") + 1),
+        "doc lengths"),
+    "duplicate_pid": (_duplicate_pid, "duplicate pids"),
+}
+
+
+class TestDamagedIndex:
+    @pytest.fixture(scope="class")
+    def saved(self, small_corpus, tmp_path_factory):
+        _, index = small_corpus
+        path = tmp_path_factory.mktemp("idx") / "good.bin"
+        index.save(path)
+        return path.read_bytes()
+
+    def test_intact_file_loads(self, saved, tmp_path):
+        path = tmp_path / "good.bin"
+        path.write_bytes(saved)
+        Index.load(path)
+
+    @pytest.mark.parametrize("kind", sorted(_DAMAGE))
+    def test_rejected_with_path_and_check(self, saved, tmp_path, kind):
+        damage, words = _DAMAGE[kind]
+        raw = damage(saved, _layout(saved))
+        assert raw != saved
+        path = tmp_path / f"{kind}.bin"
+        path.write_bytes(raw)
+        with pytest.raises(IndexError_, match=words) as exc:
+            Index.load(path)
+        assert str(path) in str(exc.value)
+
+
 class TestKernelParity:
-    def test_numpy_fallback_matches_active_kernel(self, small_corpus):
+    def test_active_kernel_matches_python_loop(self, small_corpus):
+        """Whichever kernel is active (numba or numpy), its scores equal the
+        uncompiled scalar loop bit for bit."""
         store, index = small_corpus
         for q in make_random_queries(10, list(store), seed=11):
             tokens = index.analyzer(q)
@@ -206,12 +348,13 @@ class TestKernelParity:
             fast = index.score_all(tokens)
             slow = np.zeros(index.doc_count)
             if len(tids):
-                kernels._accumulate_np(
+                kernels._accumulate_py(
                     tids, weights, index.post_offsets, index.post_docs,
                     index._tfs_f64, index.len_norm, index.params.k1 + 1.0,
                     index.idf, slow,
                 )
-            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+            assert np.any(slow > 0)
+            np.testing.assert_array_equal(fast, slow)
 
 
 class TestRankedList:

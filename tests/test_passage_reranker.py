@@ -1,11 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 
 from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.index import Bm25Params, build_index
-from expandrank.passage_reranker import (PassageScorer, PRTrainConfig,
+from expandrank.passage_reranker import (BIAS, PassageScorer, PRTrainConfig,
                                          passage_features, rerank_passages,
                                          train_passage_reranker)
+from expandrank.synth import make_random_corpus
+
+LENGTH = 3  # column of the passage-length feature
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +74,41 @@ class TestTraining:
                                        answers=("nothing",))]
         train_passage_reranker(index, store, mixed)
         assert any("void" in rec.message for rec in caplog.records)
+
+
+class TestConstantFeature:
+    @pytest.fixture(scope="class")
+    def fixed_length(self):
+        """Every passage has 40 tokens, so the length feature is constant;
+        each question is a 4-token span of a passage, its answer the first 3
+        tokens of that span."""
+        passages = make_random_corpus(100, seed=3, vocab_size=2000, doc_len=40)
+        rng = random.Random(0)
+        questions = []
+        for i in range(30):
+            tokens = passages[rng.randrange(len(passages))].text.split()
+            s = rng.randrange(len(tokens) - 3)
+            questions.append(QAExample(
+                qid=f"q{i}", question=" ".join(tokens[s:s + 4]),
+                answers=(" ".join(tokens[s:s + 3]),)))
+        store = PassageStore(passages)
+        return store, build_index(store, Bm25Params()), questions
+
+    def test_trains_and_reranks(self, fixed_length):
+        store, index, questions = fixed_length
+        scorer = train_passage_reranker(index, store, questions)
+        assert scorer.weights[LENGTH] == 0.0
+        assert scorer.weights[BIAS] != 0.0
+        for qa in questions:
+            rl = index.search(qa.question, 10, qid=qa.qid)
+            out = rerank_passages(scorer, index, store, qa.question, rl, 10)
+            assert all(0.0 <= p <= 1.0 for _, p in out.entries)
+
+    def test_probability_saturates_without_overflow(self):
+        scorer = PassageScorer(np.array([1000.0, 0, 0, 0, 0]), np.zeros(5),
+                               np.ones(5))
+        assert scorer.probability(np.array([-5.0, 0, 0, 0, 1])) == 0.0
+        assert scorer.probability(np.array([5.0, 0, 0, 0, 1])) == 1.0
 
 
 class TestRerank:

@@ -64,5 +64,14 @@ class TestAnalyzer:
     def test_stopword_only_text_empties(self):
         assert Analyzer()("the of and is") == []
 
+    @given(st.lists(st.text(max_size=40), max_size=6), st.booleans(),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_memo_leaves_output_unchanged(self, texts, stemming, stopwords):
+        analyzer = Analyzer(stemming=stemming, stopwords=stopwords)
+        memo = {"hops": "hop"}
+        texts = texts + ["The hops are growing", "growing hops"]
+        assert [analyzer(t, memo) for t in texts] == [analyzer(t) for t in texts]
+
     def test_stopwords_are_normal_tokens(self):
         assert "the" in STOPWORDS and "is" in STOPWORDS
