@@ -12,7 +12,7 @@ import sys
 import time
 from collections import Counter
 
-from . import evalbench, expansion, pipeline, synth
+from . import evalbench, expansion, pipeline
 from .corpus import CorpusError, load_corpus, load_questions
 from .evalbench import DEFAULT_KS
 from .index import Bm25Params, Index, build_index
@@ -40,6 +40,24 @@ def _bm25_params(args) -> Bm25Params:
     return Bm25Params(k1=args.k1, b=args.b, stemming=not args.no_stemming,
                       stopwords=not args.no_stopwords,
                       index_titles=args.index_titles)
+
+
+def _load_inputs(args, require_answers: bool = True):
+    """Corpus, index and questions named by ``--corpus/--index/--questions``."""
+    _require_file(args.index, "index")
+    _require_file(args.corpus, "corpus")
+    _require_file(args.questions, "questions")
+    return (load_corpus(args.corpus), Index.load(args.index),
+            load_questions(args.questions, require_answers=require_answers))
+
+
+def _load_model(args) -> ScorerModel | None:
+    """The expansion scorer an EAR strategy needs; None for the others."""
+    if args.strategy not in ("ear_ri", "ear_rd"):
+        return None
+    if not args.model:
+        raise UsageError(f"strategy {args.strategy} needs --model")
+    return ScorerModel.load(_require_file(args.model, "model"))
 
 
 def _load_candidates(args, index, store, questions):
@@ -72,19 +90,14 @@ def cmd_index(args) -> int:
 
 
 def cmd_make_train(args) -> int:
-    _require_file(args.index, "index")
-    _require_file(args.corpus, "corpus")
-    _require_file(args.questions, "questions")
     try:
         cfg = expansion.ConstructionConfig(
-            n_samples=args.n_samples, k_retrieve=args.k_retrieve,
-            max_rank=args.max_rank, folds=args.folds, seed=args.seed,
+            k_retrieve=args.k_retrieve, max_rank=args.max_rank,
+            folds=args.folds, seed=args.seed,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    store = load_corpus(args.corpus)
-    index = Index.load(args.index)
-    questions = load_questions(args.questions)
+    store, index, questions = _load_inputs(args)
     if len(questions) < cfg.folds:
         raise UsageError(
             f"{len(questions)} questions cannot fill {cfg.folds} folds"
@@ -117,8 +130,7 @@ def cmd_train(args) -> int:
     index = Index.load(args.index)
     cfg = TrainConfig(alpha=args.alpha, epochs=args.epochs,
                       group_batch=args.group_batch,
-                      learning_rate=args.learning_rate,
-                      hidden_width=args.hidden_width, seed=args.seed)
+                      learning_rate=args.learning_rate, seed=args.seed)
     model = train(examples, cfg, args.variant, Featurizer(index, store))
     model.save(args.out)
     print(f"trained {args.variant} model on {len(examples)} questions -> {args.out}")
@@ -126,12 +138,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_train_pr(args) -> int:
-    _require_file(args.index, "index")
-    _require_file(args.corpus, "corpus")
-    _require_file(args.questions, "questions")
-    store = load_corpus(args.corpus)
-    index = Index.load(args.index)
-    questions = load_questions(args.questions)
+    store, index, questions = _load_inputs(args)
     cfg = PRTrainConfig(train_depth=args.train_depth, epochs=args.epochs,
                         learning_rate=args.learning_rate, seed=args.seed)
     scorer = train_passage_reranker(index, store, questions, cfg)
@@ -141,30 +148,20 @@ def cmd_train_pr(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    _require_file(args.index, "index")
-    _require_file(args.corpus, "corpus")
-    _require_file(args.questions, "questions")
-    store = load_corpus(args.corpus)
-    index = Index.load(args.index)
-    questions = load_questions(args.questions, require_answers=False)
+    store, index, questions = _load_inputs(args, require_answers=False)
     if args.strategy == "oracle" and any(not qa.answers for qa in questions):
         raise UsageError("oracle strategy needs questions with answers")
     spec = StrategySpec(kind=args.strategy, n_samples=args.n_samples,
                         cap_n=args.cap_n, k_retrieve=args.k,
                         pr_depth=args.pr_depth)
-    model = featurizer = scorer = None
-    if args.strategy in ("ear_ri", "ear_rd"):
-        if not args.model:
-            raise UsageError(f"strategy {args.strategy} needs --model")
-        model = ScorerModel.load(_require_file(args.model, "model"))
-        featurizer = Featurizer(index, store)
+    model, scorer = _load_model(args), None
     if args.pr_model:
         scorer = PassageScorer.load(_require_file(args.pr_model, "pr model"))
     candidates = None
-    if args.strategy != "bm25":
+    if spec.expands:
         candidates = _load_candidates(args, index, store, questions)
     runs = pipeline.run_dataset(spec, index, store, questions, candidates,
-                                model, featurizer, scorer)
+                                model, Featurizer(index, store), scorer)
     evalbench.write_run(runs, args.out)
     print(f"wrote {sum(len(rl) for rl in runs.values())} entries for "
           f"{len(runs)} questions -> {args.out}")
@@ -196,37 +193,24 @@ def cmd_bench(args) -> int:
     questions = load_questions(args.questions, require_answers=False)
     spec = StrategySpec(kind=args.strategy, n_samples=args.n_samples,
                         k_retrieve=args.k)
-    model = None
-    if args.strategy in ("ear_ri", "ear_rd"):
-        if not args.model:
-            raise UsageError(f"strategy {args.strategy} needs --model")
-        model = ScorerModel.load(_require_file(args.model, "model"))
     report = evalbench.bench_latency(store, _bm25_params(args), spec, questions,
-                                     repetitions=args.repetitions, model=model,
+                                     repetitions=args.repetitions,
+                                     model=_load_model(args),
                                      stub_seed=args.seed)
     print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
     return 0
 
 
 def cmd_ablate(args) -> int:
-    _require_file(args.index, "index")
-    _require_file(args.corpus, "corpus")
-    _require_file(args.questions, "questions")
-    store = load_corpus(args.corpus)
-    index = Index.load(args.index)
-    questions = load_questions(args.questions)
+    store, index, questions = _load_inputs(args)
     ns = sorted(int(n) for n in args.ns.split(","))
     spec = StrategySpec(kind=args.strategy, n_samples=args.n_samples,
                         k_retrieve=args.k)
-    model = featurizer = None
-    if args.strategy in ("ear_ri", "ear_rd"):
-        if not args.model:
-            raise UsageError(f"strategy {args.strategy} needs --model")
-        model = ScorerModel.load(_require_file(args.model, "model"))
-        featurizer = Featurizer(index, store)
+    model = _load_model(args)
     candidates = _load_candidates(args, index, store, questions)
     reports = evalbench.ablate_candidate_size(spec, index, store, questions,
-                                              candidates, ns, model, featurizer)
+                                              candidates, ns, model,
+                                              Featurizer(index, store))
     csv_text = evalbench.report_csv(reports)
     print(csv_text, end="")
     if args.out:
@@ -238,11 +222,9 @@ def cmd_ablate(args) -> int:
 def cmd_fuse(args) -> int:
     loaded = [evalbench.read_run(_require_file(p, "run file"))
               for p in args.runs]
-    qids = list(loaded[0])
-    fused = {}
-    for qid in qids:
-        lists = [runs[qid] for runs in loaded if qid in runs]
-        fused[qid] = pipeline.fuse(lists, args.k)
+    qids = dict.fromkeys(qid for runs in loaded for qid in runs)  # first seen
+    fused = {qid: pipeline.fuse([runs[qid] for runs in loaded if qid in runs],
+                                args.k) for qid in qids}
     evalbench.write_run(fused, args.out)
     print(f"fused {len(args.runs)} runs over {len(fused)} questions -> {args.out}")
     return 0
@@ -305,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default 2 for RI, 3 for RD")
     p.add_argument("--group-batch", type=int, default=8)
     p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--hidden-width", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from .corpus import PassageStore, QAExample, contains_answer
-from .expansion import expanded_query, sample_expansions_stub, truncate, dedup
+from .corpus import PassageStore
+from .expansion import min_answer_rank, sample_expansions_stub, truncate, dedup
 from .index import Bm25Params, Index, RankedList, build_index
-from .pipeline import StrategySpec, run_strategy
-from .reranker import Featurizer, select_best
+from .pipeline import StrategySpec, run_strategy, strategy_query
+from .reranker import Featurizer
 
 DEFAULT_KS = (1, 5, 20, 100)
 
@@ -61,24 +60,7 @@ class LatencyReport:
     queries_measured: int
 
     def as_dict(self) -> dict:
-        return {
-            "index_build_s": self.index_build_s,
-            "query_expand_s": self.query_expand_s,
-            "query_rerank_s": self.query_rerank_s,
-            "retrieval_s": self.retrieval_s,
-            "index_bytes": self.index_bytes,
-            "queries_measured": self.queries_measured,
-        }
-
-
-def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
-    """1-based rank of the first answer-containing passage, or None."""
-    if not answers:
-        raise ValueError("answers must be nonempty")
-    for rank, (pid, _) in enumerate(rl.entries, start=1):
-        if contains_answer(store.get(pid), answers):
-            return rank
-    return None
+        return asdict(self)
 
 
 def topk_accuracy(runs: dict[str, RankedList], qa_list, store: PassageStore,
@@ -131,7 +113,11 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
                   qa_list, repetitions: int = 1, model=None,
                   n_samples: int | None = None, stub_seed: int = 0,
                   ) -> LatencyReport:
-    """Batch-size-1 per-query stage timings, plus index build time and size."""
+    """Batch-size-1 per-query stage timings, plus index build time and size.
+
+    Expand is sampling the candidates, rerank is choosing the query the
+    strategy issues (both 0 for ``bm25``), retrieval is searching it.
+    """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     t0 = time.perf_counter()
@@ -144,31 +130,26 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
 
     featurizer = Featurizer(index, store)
     n = n_samples or spec.n_samples
-    expands = spec.kind in ("greedy", "concat", "oracle", "ear_ri", "ear_rd")
-    reranks = spec.kind in ("ear_ri", "ear_rd")
 
     expand_t = rerank_t = retrieve_t = 0.0
     measured = 0
     for _ in range(repetitions):
         for qa in qa_list:
             measured += 1
-            query = qa.question
             cs = None
-            if expands:
+            if spec.expands:
                 t0 = time.perf_counter()
                 cs = dedup(sample_expansions_stub(qa.question, n, stub_seed,
                                                   index, store))
                 expand_t += time.perf_counter() - t0
-            if reranks:
-                t0 = time.perf_counter()
-                chosen = select_best(model, qa.question, cs, featurizer)
-                rerank_t += time.perf_counter() - t0
-                query = expanded_query(qa.question, chosen.text)
-            elif spec.kind == "greedy":
-                query = expanded_query(qa.question, cs.candidates[0].text)
             t0 = time.perf_counter()
+            query = strategy_query(spec, index, store, qa, cs, model,
+                                   featurizer)
+            t1 = time.perf_counter()
             index.search(query, spec.k_retrieve, qid=qa.qid)
-            retrieve_t += time.perf_counter() - t0
+            retrieve_t += time.perf_counter() - t1
+            if spec.expands:
+                rerank_t += t1 - t0
 
     denom = max(1, measured)
     return LatencyReport(
@@ -212,6 +193,11 @@ def read_run(path) -> dict[str, RankedList]:
                     f"contiguous order for qid {qid}"
                 )
             rl.entries.append((pid, score))
+    for qid, rl in runs.items():
+        try:
+            rl.validate()
+        except ValueError as exc:
+            raise RunFormatError(f"{path}: qid {qid}: {exc}") from None
     return runs
 
 

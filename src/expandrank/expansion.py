@@ -10,10 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 from .corpus import PassageStore, QAExample, contains_answer
-from .index import Index
+from .index import Index, RankedList
 from .text import normalize
 
 log = logging.getLogger(__name__)
@@ -25,7 +26,6 @@ GENERATOR_TAGS = ("answer", "sentence", "title", "stub", "external")
 class ExpansionCandidate:
     text: str
     generator_tag: str = "stub"
-    sample_seed: int = 0
 
     def __post_init__(self):
         if not self.text.strip():
@@ -38,12 +38,6 @@ class ExpansionCandidate:
 class CandidateSet:
     qid: str
     candidates: list[ExpansionCandidate]
-    requested_n: int = 0
-    cap_n: int | None = None
-
-    def __post_init__(self):
-        if not self.requested_n:
-            self.requested_n = len(self.candidates)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -66,12 +60,12 @@ class TrainingExample:
     question: str
     candidates: CandidateSet
     labels: list[RankLabel]
-    top1: list[str | None] | None = None
+    # first two (pid, score) entries of each candidate's labeling retrieval
+    top2: list[list[tuple[str, float]]]
 
 
 @dataclass(frozen=True)
 class ConstructionConfig:
-    n_samples: int = 50
     k_retrieve: int = 100
     max_rank: int = 101
     folds: int = 5
@@ -83,20 +77,13 @@ class ConstructionConfig:
                 f"max_rank ({self.max_rank}) must exceed k_retrieve "
                 f"({self.k_retrieve})"
             )
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
 
 
-def expanded_query(question: str, expansion_text: str) -> str:
-    """Concatenate question and expansion with a single space."""
-    return f"{question} {expansion_text}"
-
-
-def concat_query(question: str, candidates) -> str:
-    parts = [question] + [c.text for c in candidates]
-    return " ".join(parts)
+def expanded_query(question: str, *expansions: str) -> str:
+    """The question followed by each expansion, single-space separated."""
+    return " ".join((question, *expansions))
 
 
 def _norm_key(text: str) -> str:
@@ -117,7 +104,7 @@ def dedup(cs: CandidateSet) -> CandidateSet:
 def truncate(cs: CandidateSet, n: int) -> CandidateSet:
     if n < 1:
         raise ValueError("truncation size must be >= 1")
-    return replace(cs, candidates=cs.candidates[:n], cap_n=n)
+    return replace(cs, candidates=cs.candidates[:n])
 
 
 def sample_expansions_stub(question: str, n: int, seed: int,
@@ -154,10 +141,9 @@ def sample_expansions_stub(question: str, n: int, seed: int,
         key = _norm_key(text)
         if key and key not in seen_keys:
             seen_keys.add(key)
-            candidates.append(ExpansionCandidate(text=text, generator_tag="stub",
-                                                 sample_seed=seed))
+            candidates.append(ExpansionCandidate(text=text, generator_tag="stub"))
     qid = hashlib.sha256(question.encode()).hexdigest()[:12]
-    return CandidateSet(qid=qid, candidates=candidates, requested_n=n)
+    return CandidateSet(qid=qid, candidates=candidates)
 
 
 def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
@@ -185,25 +171,46 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
             for qid, cands in groups.items()}
 
 
+def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
+    """1-based rank of the first answer-containing passage, or None."""
+    if not answers:
+        raise ValueError("answers must be nonempty")
+    for rank, (pid, _) in enumerate(rl.entries, start=1):
+        if contains_answer(store.get(pid), answers):
+            return rank
+    return None
+
+
+def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
+                      qid: str) -> list[RankedList]:
+    """Top-``k`` retrieval of "question + candidate" for every candidate.
+
+    The one place that searches a question's candidate expansions.
+    """
+    return [index.search(expanded_query(question, c.text), k, qid=qid)
+            for c in cs.candidates]
+
+
 def label_candidates(index: Index, store: PassageStore, qa: QAExample,
                      cs: CandidateSet, cfg: ConstructionConfig,
-                     ) -> tuple[list[RankLabel], list[str | None]]:
-    """Rank label and top-1 pid for every candidate of one question."""
+                     ) -> tuple[list[RankLabel], list[list[tuple[str, float]]]]:
+    """Rank label and the first two (pid, score) entries of every
+    candidate's retrieval.
+
+    The search runs at ``max(k_retrieve, 2)`` so the stored pair is what a
+    k=2 search returns; the rank is taken within the first ``k_retrieve``.
+    """
     if not cs.candidates:
         raise ValueError(f"empty candidate set for {qa.qid}")
-    labels: list[RankLabel] = []
-    top1: list[str | None] = []
-    for i, cand in enumerate(cs.candidates):
-        rl = index.search(expanded_query(qa.question, cand.text),
-                          k=cfg.k_retrieve, qid=qa.qid)
-        r = cfg.max_rank
-        for rank, (pid, _) in enumerate(rl.entries, start=1):
-            if contains_answer(store.get(pid), qa.answers):
-                r = rank
-                break
+    labels, top2 = [], []
+    lists = search_candidates(index, qa.question, cs, max(cfg.k_retrieve, 2),
+                              qa.qid)
+    for i, rl in enumerate(lists):
+        rank = min_answer_rank(rl, qa.answers, store)
+        r = rank if rank is not None and rank <= cfg.k_retrieve else cfg.max_rank
         labels.append(RankLabel(index=i, r=r, hit=r != cfg.max_rank))
-        top1.append(rl.entries[0][0] if rl.entries else None)
-    return labels, top1
+        top2.append(rl.entries[:2])
+    return labels, top2
 
 
 def assign_folds(qids, folds: int, seed: int) -> dict[str, int]:
@@ -230,9 +237,9 @@ def build_training_set(store: PassageStore, index: Index, qa_train,
     out = []
     for qa in qa_train:
         cs = dedup(generator(qa, fold_of[qa.qid]))
-        labels, top1 = label_candidates(index, store, qa, cs, cfg)
+        labels, top2 = label_candidates(index, store, qa, cs, cfg)
         out.append(TrainingExample(qid=qa.qid, question=qa.question,
-                                   candidates=cs, labels=labels, top1=top1))
+                                   candidates=cs, labels=labels, top2=top2))
     return out
 
 
@@ -243,31 +250,64 @@ def save_training_set(examples, path) -> None:
                 "qid": ex.qid,
                 "question": ex.question,
                 "candidates": [
-                    {"text": c.text, "generator_tag": c.generator_tag,
-                     "sample_seed": c.sample_seed}
+                    {"text": c.text, "generator_tag": c.generator_tag}
                     for c in ex.candidates.candidates
                 ],
                 "labels": [{"index": l.index, "r": l.r, "hit": l.hit}
                            for l in ex.labels],
-                "top1": ex.top1,
+                "top2": ex.top2,
             }
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
 
 
+def finite_number(v) -> bool:
+    """True for a finite int or float parsed from JSON (bools excluded)."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _parse_example(obj) -> TrainingExample:
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    if "top1" in obj and "top2" not in obj:
+        raise ValueError("old format with top-1 pids only; re-run make-train")
+    missing = [k for k in ("qid", "question", "candidates", "labels", "top2")
+               if k not in obj]
+    if missing:
+        raise ValueError(f"missing keys {missing}")
+    cands = [ExpansionCandidate(**c) for c in obj["candidates"]]
+    labels = [RankLabel(**l) for l in obj["labels"]]
+    top2 = obj["top2"]
+    if not len(cands) == len(labels) == len(top2):
+        raise ValueError(f"{len(cands)} candidates, {len(labels)} labels and "
+                         f"{len(top2)} top-2 lists do not agree")
+    if [l.index for l in labels] != list(range(len(labels))):
+        raise ValueError("label indexes are not 0, 1, 2, ... in order")
+    for i, entries in enumerate(top2):
+        if not isinstance(entries, list) or len(entries) > 2 or not all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and finite_number(e[1]) for e in entries):
+            raise ValueError(f"top2[{i}] is not a list of at most 2 "
+                             f"[pid, finite score] entries")
+    qid = str(obj["qid"])
+    return TrainingExample(
+        qid=qid, question=str(obj["question"]),
+        candidates=CandidateSet(qid=qid, candidates=cands), labels=labels,
+        top2=[[(pid, float(score)) for pid, score in e] for e in top2],
+    )
+
+
 def load_training_set(path) -> list[TrainingExample]:
+    """Read a training set written by ``save_training_set``; a malformed row
+    raises ValueError naming ``path:line``."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            cands = [ExpansionCandidate(**c) for c in obj["candidates"]]
-            labels = [RankLabel(**l) for l in obj["labels"]]
-            out.append(TrainingExample(
-                qid=obj["qid"], question=obj["question"],
-                candidates=CandidateSet(qid=obj["qid"], candidates=cands),
-                labels=labels, top1=obj.get("top1"),
-            ))
+            try:
+                out.append(_parse_example(json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

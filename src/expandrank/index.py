@@ -141,10 +141,6 @@ class Index:
         entries = [(self.pids[pos[i]], float(scores[pos[i]])) for i in order]
         return RankedList(qid=qid, entries=entries, tag=tag)
 
-    def batch_search(self, queries, k: int, tag: str = "run") -> list[RankedList]:
-        """Sequential-equivalent search over (qid, query_text) pairs."""
-        return [self.search(text, k, qid=qid, tag=tag) for qid, text in queries]
-
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PassageStore, QAExample, contains_answer
+from .corpus import PassageStore, contains_answer
 from .index import Index, RankedList
+from .reranker import read_model_file
 from .text import normalize
 
 log = logging.getLogger(__name__)
@@ -86,10 +87,7 @@ class PassageScorer:
 
     @classmethod
     def load(cls, path) -> "PassageScorer":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("kind") != "passage_scorer":
-            raise ValueError(f"{path}: not a passage scorer model")
+        doc = read_model_file(path, "passage_scorer", {PR_SCHEMA: PR_DIM})
         return cls(np.array(doc["weights"]), np.array(doc["feature_mean"]),
                    np.array(doc["feature_std"]))
 
@@ -134,15 +132,19 @@ def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
                     question: str, rl: RankedList, depth: int) -> RankedList:
     """Reorder the first ``depth`` entries by descending scorer probability.
 
-    Ties keep original rank order; entries past the depth are untouched.
+    Ties keep original rank order; entries past the depth keep their place
+    and score.  A reranked entry's score is its probability plus the score
+    of the first entry past the depth (0 when there is none), so scores
+    never increase down the list.
     """
     depth = min(depth, len(rl.entries))
-    head = rl.entries[:depth]
+    head, tail = rl.entries[:depth], rl.entries[depth:]
     probs = [
         scorer.probability(passage_features(index, store, question, pid, score))
         for pid, score in head
     ]
+    floor = tail[0][1] if tail else 0.0
     order = sorted(range(depth), key=lambda i: (-probs[i], i))
-    reordered = [(head[i][0], probs[i]) for i in order]
-    return RankedList(qid=rl.qid, entries=reordered + rl.entries[depth:],
+    reordered = [(head[i][0], floor + probs[i]) for i in order]
+    return RankedList(qid=rl.qid, entries=reordered + tail,
                       tag=f"{rl.tag}+pr")

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import PassageStore, QAExample
-from .expansion import (CandidateSet, ConstructionConfig, concat_query, dedup,
+from .expansion import (CandidateSet, ConstructionConfig, dedup,
                         expanded_query, label_candidates, truncate)
 from .index import Index, RankedList
 from .passage_reranker import PassageScorer, rerank_passages
@@ -32,48 +32,50 @@ class StrategySpec:
         if self.cap_n is not None and self.cap_n > self.n_samples:
             raise ValueError("cap_n cannot exceed n_samples")
 
+    @property
+    def expands(self) -> bool:
+        """Whether the strategy reads a candidate set."""
+        return self.kind != "bm25"
 
-def _prepare(cs: CandidateSet | None, spec: StrategySpec) -> CandidateSet | None:
-    if cs is None:
-        return None
-    cs = dedup(cs)
-    if spec.cap_n is not None:
-        cs = truncate(cs, spec.cap_n)
-    return cs
+
+def strategy_query(spec: StrategySpec, index: Index, store: PassageStore,
+                   qa: QAExample, cs: CandidateSet | None,
+                   model: ScorerModel | None,
+                   featurizer: Featurizer | None) -> str:
+    """The query text ``spec``'s strategy issues for one question."""
+    q = qa.question
+    if spec.kind == "bm25" or (spec.kind == "concat" and not cs):
+        return q
+    if cs is None or not cs.candidates:
+        raise ValueError(f"strategy {spec.kind} needs candidates for {qa.qid}")
+    if spec.kind == "concat":
+        return expanded_query(q, *(c.text for c in cs.candidates))
+    if spec.kind == "greedy":
+        chosen = cs.candidates[0]
+    elif spec.kind == "oracle":
+        if not qa.answers:
+            raise ValueError("oracle strategy needs answer labels")
+        k = spec.k_retrieve
+        cfg = ConstructionConfig(k_retrieve=k, max_rank=k + 1)
+        labels, _ = label_candidates(index, store, qa, cs, cfg)
+        chosen = cs.candidates[min(labels, key=lambda l: (l.r, l.index)).index]
+    else:  # ear_ri / ear_rd
+        if model is None or featurizer is None:
+            raise ValueError(f"strategy {spec.kind} needs a trained model")
+        chosen = select_best(model, q, cs, featurizer)
+    return expanded_query(q, chosen.text)
 
 
 def _single_list(spec: StrategySpec, index: Index, store: PassageStore,
                  qa: QAExample, cs: CandidateSet | None,
                  model: ScorerModel | None,
                  featurizer: Featurizer | None) -> RankedList:
-    k = spec.k_retrieve
-    q = qa.question
-    if spec.kind == "bm25" or (spec.kind == "concat" and not cs):
-        return index.search(q, k, qid=qa.qid, tag=spec.kind)
-    if cs is None or not cs.candidates:
-        raise ValueError(f"strategy {spec.kind} needs candidates for {qa.qid}")
-    if spec.kind == "greedy":
-        return index.search(expanded_query(q, cs.candidates[0].text), k,
-                            qid=qa.qid, tag=spec.kind)
-    if spec.kind == "concat":
-        return index.search(concat_query(q, cs.candidates), k,
-                            qid=qa.qid, tag=spec.kind)
-    if spec.kind == "oracle":
-        if not qa.answers:
-            raise ValueError("oracle strategy needs answer labels")
-        cfg = ConstructionConfig(k_retrieve=k, max_rank=k + 1)
-        labels, _ = label_candidates(index, store, qa, cs, cfg)
-        best = min(labels, key=lambda l: (l.r, l.index))
-        return index.search(
-            expanded_query(q, cs.candidates[best.index].text), k,
-            qid=qa.qid, tag=spec.kind,
-        )
-    # ear_ri / ear_rd
-    if model is None or featurizer is None:
-        raise ValueError(f"strategy {spec.kind} needs a trained model")
-    chosen = select_best(model, q, cs, featurizer)
-    return index.search(expanded_query(q, chosen.text), k,
-                        qid=qa.qid, tag=spec.kind)
+    if cs is not None:
+        cs = dedup(cs)
+        if spec.cap_n is not None:
+            cs = truncate(cs, spec.cap_n)
+    query = strategy_query(spec, index, store, qa, cs, model, featurizer)
+    return index.search(query, spec.k_retrieve, qid=qa.qid, tag=spec.kind)
 
 
 def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
@@ -92,13 +94,13 @@ def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
         for tag in spec.fuse_order:
             cs = candidates.get(tag) if isinstance(candidates, dict) else candidates
             m = model.get(tag) if isinstance(model, dict) else model
-            lists.append(_single_list(spec, index, store, qa,
-                                      _prepare(cs, spec), m, featurizer))
+            lists.append(_single_list(spec, index, store, qa, cs, m,
+                                      featurizer))
         rl = fuse(lists, spec.k_retrieve)
         rl.qid = qa.qid
     else:
-        rl = _single_list(spec, index, store, qa, _prepare(candidates, spec),
-                          model, featurizer)
+        rl = _single_list(spec, index, store, qa, candidates, model,
+                          featurizer)
     if passage_scorer is not None:
         rl = rerank_passages(passage_scorer, index, store, qa.question, rl,
                              spec.pr_depth)

@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PassageStore, QAExample
-from .expansion import CandidateSet, ExpansionCandidate, RankLabel, expanded_query
+from .corpus import PassageStore
+from .expansion import (CandidateSet, ExpansionCandidate, RankLabel,
+                        TrainingExample, finite_number, search_candidates)
 from .index import Index, RankedList
 from .text import normalize
 
 RI_SCHEMA = "ri-v1"   # 9 features
 RD_SCHEMA = "rd-v1"   # RI block + 5 retrieval-dependent features
 SCHEMA_DIMS = {RI_SCHEMA: 9, RD_SCHEMA: 14}
+VARIANT_SCHEMA = {"RI": RI_SCHEMA, "RD": RD_SCHEMA}
 
 
 def _char3(tokens) -> set[str]:
@@ -38,7 +40,7 @@ def _char3(tokens) -> set[str]:
 
 
 class Featurizer:
-    """Builds feature vectors for (question, expansion[, top-1 passage])."""
+    """Builds feature vectors for (question, expansion[, top-2 retrieval])."""
 
     def __init__(self, index: Index, store: PassageStore):
         self.index = index
@@ -99,10 +101,11 @@ class Featurizer:
 
     def features(self, variant: str, question: str, cand: ExpansionCandidate,
                  rl: RankedList | None = None) -> np.ndarray:
+        """RD needs ``rl``, the expanded query's top-2 retrieval."""
         if variant == "RI":
             return self.ri(question, cand.text)
         if rl is None:
-            rl = self.index.search(expanded_query(question, cand.text), k=2)
+            raise ValueError("RD features need the expanded query's retrieval")
         return self.rd(question, cand.text, rl)
 
 
@@ -112,7 +115,6 @@ class TrainConfig:
     epochs: int | None = None  # None -> 2 for RI, 3 for RD
     group_batch: int = 8
     learning_rate: float = 0.5
-    hidden_width: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -127,25 +129,52 @@ class TrainConfig:
         return 2 if variant == "RI" else 3
 
 
+def read_model_file(path, kind: str, dims: dict[str, int]) -> dict:
+    """A model file of ``kind`` whose schema is one of ``dims`` (schema id ->
+    feature count), with weights and standardization checked against it.
+
+    Raises ValueError naming the path and the field that is wrong.
+    """
+    def fail(field: str, why: str):
+        raise ValueError(f"{path}: {field}: {why}")
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            fail("json", str(exc))
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        fail("kind", f"not a {kind} model")
+    if doc.get("format_version") != 1:
+        fail("format_version", f"{doc.get('format_version')!r} is not 1")
+    schema = doc.get("schema_id")
+    if schema not in dims:
+        fail("schema_id", f"unknown schema {schema!r}")
+    for field in ("weights", "feature_mean", "feature_std"):
+        values = doc.get(field)
+        if not isinstance(values, list) or len(values) != dims[schema]:
+            fail(field, f"expected {dims[schema]} values for {schema}")
+        if not all(finite_number(v) for v in values):
+            fail(field, "values must be finite numbers")
+    if min(doc["feature_std"]) <= 0:
+        fail("feature_std", "values must be positive")
+    return doc
+
+
 class ScorerModel:
     def __init__(self, variant: str, schema_id: str, weights: np.ndarray,
                  feature_mean: np.ndarray, feature_std: np.ndarray,
-                 hidden: tuple[np.ndarray, np.ndarray] | None = None,
                  generator_tag: str = "stub"):
-        if variant not in ("RI", "RD"):
+        if variant not in VARIANT_SCHEMA:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self.schema_id = schema_id
         self.weights = np.asarray(weights, dtype=np.float64)
         self.feature_mean = np.asarray(feature_mean, dtype=np.float64)
         self.feature_std = np.asarray(feature_std, dtype=np.float64)
-        self.hidden = hidden
         self.generator_tag = generator_tag
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite model weights")
-
-    def _standardize(self, f: np.ndarray) -> np.ndarray:
-        return (f - self.feature_mean) / self.feature_std
 
     def score(self, f: np.ndarray) -> float:
         if f.shape[0] != SCHEMA_DIMS[self.schema_id]:
@@ -153,11 +182,8 @@ class ScorerModel:
                 f"feature length {f.shape[0]} does not match schema "
                 f"{self.schema_id}"
             )
-        z = self._standardize(np.asarray(f, dtype=np.float64))
-        if self.hidden is None:
-            return float(self.weights @ z)
-        w1, b1 = self.hidden
-        return float(self.weights @ np.tanh(w1 @ z + b1))
+        z = (np.asarray(f, dtype=np.float64) - self.feature_mean) / self.feature_std
+        return float(self.weights @ z)
 
     def save(self, path) -> None:
         doc = {
@@ -169,9 +195,6 @@ class ScorerModel:
             "weights": self.weights.tolist(),
             "feature_mean": self.feature_mean.tolist(),
             "feature_std": self.feature_std.tolist(),
-            "hidden": None if self.hidden is None else {
-                "w": self.hidden[0].tolist(), "b": self.hidden[1].tolist(),
-            },
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -179,16 +202,17 @@ class ScorerModel:
 
     @classmethod
     def load(cls, path) -> "ScorerModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("kind") != "expansion_scorer":
-            raise ValueError(f"{path}: not an expansion scorer model")
-        hidden = None
-        if doc.get("hidden"):
-            hidden = (np.array(doc["hidden"]["w"]), np.array(doc["hidden"]["b"]))
-        return cls(doc["variant"], doc["schema_id"], np.array(doc["weights"]),
+        doc = read_model_file(path, "expansion_scorer", SCHEMA_DIMS)
+        variant = doc.get("variant")
+        if VARIANT_SCHEMA.get(variant) != doc["schema_id"]:
+            raise ValueError(f"{path}: variant: {variant!r} does not match "
+                             f"schema {doc['schema_id']}")
+        # files from before hidden layers were removed carry "hidden": null
+        if doc.get("hidden") is not None:
+            raise ValueError(f"{path}: hidden: hidden layers are not supported")
+        return cls(variant, doc["schema_id"], np.array(doc["weights"]),
                    np.array(doc["feature_mean"]), np.array(doc["feature_std"]),
-                   hidden=hidden, generator_tag=doc.get("generator_tag", "stub"))
+                   generator_tag=doc.get("generator_tag", "stub"))
 
 
 def rank_loss(scores, labels, alpha: float) -> tuple[float, np.ndarray]:
@@ -200,18 +224,11 @@ def rank_loss(scores, labels, alpha: float) -> tuple[float, np.ndarray]:
     ranks = np.array([l.r for l in labels], dtype=np.float64)
     if s.shape[0] != ranks.shape[0]:
         raise ValueError("scores and labels must align")
-    loss = 0.0
-    grad = np.zeros_like(s)
-    n = s.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if ranks[i] < ranks[j]:
-                h = s[i] - s[j] + (ranks[j] - ranks[i]) * alpha
-                if h > 0:
-                    loss += h
-                    grad[i] += 1.0
-                    grad[j] -= 1.0
-    return loss, grad
+    gap = ranks[None, :] - ranks[:, None]  # [i, j] = r_j - r_i
+    hinge = s[:, None] - s[None, :] + gap * alpha
+    active = (gap > 0) & (hinge > 0)
+    grad = (active.sum(axis=1) - active.sum(axis=0)).astype(np.float64)
+    return float(hinge[active].sum()), grad
 
 
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +240,20 @@ def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def example_features(featurizer: Featurizer, variant: str,
+                     ex: TrainingExample) -> np.ndarray:
+    """Feature rows of one training question's candidates.  RD rows read the
+    top-2 entries stored with the example, so no search is issued."""
+    if ex.top2 is None:
+        raise ValueError(f"training needs the stored top-2 entries "
+                         f"({ex.qid}); re-run make-train")
+    return np.stack([
+        featurizer.features(variant, ex.question, cand,
+                            RankedList(qid=ex.qid, entries=list(top)))
+        for cand, top in zip(ex.candidates.candidates, ex.top2)
+    ])
+
+
 def train(examples, cfg: TrainConfig, variant: str,
           featurizer: Featurizer) -> ScorerModel:
     """Mini-batch subgradient descent on the pairwise ranking loss.
@@ -230,41 +261,19 @@ def train(examples, cfg: TrainConfig, variant: str,
     A batch is ``group_batch`` whole questions; each contributes its complete
     candidate group to the loss.
     """
-    if variant not in ("RI", "RD"):
+    if variant not in VARIANT_SCHEMA:
         raise ValueError(f"unknown variant {variant!r}")
-    schema = RI_SCHEMA if variant == "RI" else RD_SCHEMA
+    schema = VARIANT_SCHEMA[variant]
     groups = []
     for ex in examples:
         if len(ex.candidates) < 2:
             raise ValueError(f"question {ex.qid} has fewer than 2 candidates")
-        if variant == "RD" and not ex.top1:
-            raise ValueError(f"RD training needs top-1 passages ({ex.qid})")
-        feats = np.stack([
-            featurizer.features(variant, ex.question, cand)
-            for cand in ex.candidates.candidates
-        ])
-        groups.append((feats, ex.labels))
+        groups.append((example_features(featurizer, variant, ex), ex.labels))
 
     all_feats = np.concatenate([f for f, _ in groups])
     mean, std = _standardizer(all_feats)
-    dim = SCHEMA_DIMS[schema]
     rng = np.random.default_rng(cfg.seed)
-
-    use_hidden = cfg.hidden_width > 0
-    if use_hidden:
-        w1 = rng.normal(scale=0.3, size=(cfg.hidden_width, dim))
-        b1 = np.zeros(cfg.hidden_width)
-        w = rng.normal(scale=0.3, size=cfg.hidden_width)
-    else:
-        w = np.zeros(dim)
-
-    def group_score_and_grads(feats):
-        z = (feats - mean) / std
-        if not use_hidden:
-            return z @ w, z, None
-        pre = z @ w1.T + b1
-        hid = np.tanh(pre)
-        return hid @ w, z, (pre, hid)
+    w = np.zeros(SCHEMA_DIMS[schema])
 
     epochs = cfg.epochs_for(variant)
     for epoch in range(epochs):
@@ -273,43 +282,26 @@ def train(examples, cfg: TrainConfig, variant: str,
         for start in range(0, len(order), cfg.group_batch):
             batch = order[start : start + cfg.group_batch]
             gw = np.zeros_like(w)
-            gw1 = np.zeros_like(w1) if use_hidden else None
-            gb1 = np.zeros_like(b1) if use_hidden else None
             pairs = 0
             for gi in batch:
                 feats, labels = groups[gi]
-                scores, z, cache = group_score_and_grads(feats)
-                _, gscores = rank_loss(scores, labels, cfg.alpha)
+                z = (feats - mean) / std
+                _, gscores = rank_loss(z @ w, labels, cfg.alpha)
                 pairs += max(1, len(labels) * (len(labels) - 1) // 2)
-                if not use_hidden:
-                    gw += gscores @ z
-                else:
-                    pre, hid = cache
-                    gw += gscores @ hid
-                    dhid = np.outer(gscores, w) * (1.0 - hid**2)
-                    gw1 += dhid.T @ z
-                    gb1 += dhid.sum(axis=0)
-            scale = lr / pairs
-            w -= scale * gw
-            if use_hidden:
-                w1 -= scale * gw1
-                b1 -= scale * gb1
+                gw += gscores @ z
+            w -= (lr / pairs) * gw
 
-    hidden = (w1, b1) if use_hidden else None
     tags = {c.generator_tag for ex in examples for c in ex.candidates.candidates}
     tag = tags.pop() if len(tags) == 1 else "external"
-    return ScorerModel(variant, schema, w, mean, std, hidden=hidden,
-                       generator_tag=tag)
+    return ScorerModel(variant, schema, w, mean, std, generator_tag=tag)
 
 
 def training_loss(model: ScorerModel, examples, featurizer: Featurizer,
                   alpha: float) -> float:
     total = 0.0
     for ex in examples:
-        scores = [
-            model.score(featurizer.features(model.variant, ex.question, c))
-            for c in ex.candidates.candidates
-        ]
+        feats = example_features(featurizer, model.variant, ex)
+        scores = [model.score(f) for f in feats]
         total += rank_loss(scores, ex.labels, alpha)[0]
     return total
 
@@ -320,10 +312,7 @@ def select_best(model: ScorerModel, question: str, cs: CandidateSet,
     if not cs.candidates:
         raise ValueError("cannot select from an empty candidate set")
     if model.variant == "RD":
-        lists = featurizer.index.batch_search(
-            [(cs.qid, expanded_query(question, c.text)) for c in cs.candidates],
-            k=2,
-        )
+        lists = search_candidates(featurizer.index, question, cs, 2, cs.qid)
     else:
         lists = [None] * len(cs.candidates)
     best_i, best_score = 0, math.inf

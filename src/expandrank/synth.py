@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Passage, PassageStore, QAExample
 from .expansion import CandidateSet, ExpansionCandidate
@@ -125,8 +125,7 @@ def make_planted(n_questions: int = 200, seed: int = 0) -> PlantedFixture:
                 cands[slot] = ExpansionCandidate(
                     text=" ".join(next(noise_iter)), generator_tag="stub"
                 )
-        candidates[qid] = CandidateSet(qid=qid, candidates=cands,
-                                       requested_n=N_CANDIDATES)
+        candidates[qid] = CandidateSet(qid=qid, candidates=cands)
 
     return PlantedFixture(passages=passages, questions=questions,
                           candidates=candidates, easy_qids=easy,

@@ -33,7 +33,7 @@ def planted_index(planted_store):
 
 @pytest.fixture(scope="session")
 def planted_cfg():
-    return ConstructionConfig(n_samples=10)
+    return ConstructionConfig()
 
 
 @pytest.fixture(scope="session")

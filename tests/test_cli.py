@@ -94,8 +94,9 @@ class TestMakeTrainCmd:
         assert "rank histogram" in capsys.readouterr().out
         for line in (workdir / "train_a.jsonl").read_text().splitlines():
             obj = json.loads(line)
-            assert set(obj) == {"qid", "question", "candidates", "labels", "top1"}
+            assert set(obj) == {"qid", "question", "candidates", "labels", "top2"}
             assert len(obj["labels"]) == len(obj["candidates"])
+            assert len(obj["top2"]) == len(obj["candidates"])
 
 
 class TestPipelineCmds:
@@ -164,6 +165,38 @@ class TestPipelineCmds:
                  "--out", workdir / "fused.trec", "--k", 50)
         assert rc == 0
         assert (workdir / "fused.trec").exists()
+
+    def test_fuse_keeps_qids_missing_from_first_run(self, workdir):
+        (workdir / "one.trec").write_text("q1 Q0 a 1 2.0 t\n")
+        (workdir / "two.trec").write_text("q1 Q0 b 1 2.0 t\n"
+                                          "q2 Q0 c 1 1.0 t\n")
+        rc = run("fuse", "--runs", workdir / "one.trec", workdir / "two.trec",
+                 "--out", workdir / "union.trec")
+        assert rc == 0
+        lines = (workdir / "union.trec").read_text().splitlines()
+        assert [l.split()[:3] for l in lines] == [
+            ["q1", "Q0", "a"], ["q1", "Q0", "b"], ["q2", "Q0", "c"]]
+
+    def test_damaged_model_exit_1(self, workdir, capsys):
+        rc = run("train", "--train", workdir / "train_a.jsonl",
+                 "--index", workdir / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--variant", "RI", "--out", workdir / "ri.json")
+        assert rc == 0
+        doc = json.loads((workdir / "ri.json").read_text())
+        doc["weights"] = doc["weights"][:5]
+        bad = workdir / "ri_short.json"
+        bad.write_text(json.dumps(doc))
+        rc = run("retrieve", "--index", workdir / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--questions", workdir / "questions.jsonl",
+                 "--expansions", workdir / "expansions.jsonl",
+                 "--strategy", "ear_ri", "--model", bad,
+                 "--out", workdir / "short.trec")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "weights" in err
+        assert not (workdir / "short.trec").exists()
 
     def test_bench_cmd(self, workdir, capsys):
         rc = run("bench", "--corpus", workdir / "corpus.jsonl",

@@ -5,8 +5,9 @@ from expandrank.evalbench import (AccuracyReport, RunFormatError,
                                   ablate_candidate_size, bench_latency,
                                   min_answer_rank, read_run, report_csv,
                                   topk_accuracy, write_run)
-from expandrank.index import Bm25Params, RankedList
-from expandrank.pipeline import StrategySpec
+from expandrank.expansion import dedup, sample_expansions_stub
+from expandrank.index import Bm25Params, Index, RankedList, build_index
+from expandrank.pipeline import StrategySpec, run_strategy
 
 
 def rl(qid, pids, tag="t"):
@@ -160,6 +161,38 @@ class TestBenchLatency:
                            questions, model=rd_model, n_samples=10)
         assert rd.query_rerank_s > ri.query_rerank_s
 
+    @pytest.mark.parametrize("kind", ["concat", "oracle"])
+    def test_times_the_query_the_strategy_issues(self, planted, planted_store,
+                                                 monkeypatch, kind):
+        searched = []
+        search = Index.search
+
+        def spy(self, query_text, k, qid="q", tag="run"):
+            searched.append((qid, query_text))
+            return search(self, query_text, k, qid=qid, tag=tag)
+
+        def last_query_per_qid():
+            last = dict(searched)
+            searched.clear()
+            return last
+
+        monkeypatch.setattr(Index, "search", spy)
+        questions = planted.questions[:4]
+        spec = StrategySpec(kind=kind, n_samples=10)
+        report = bench_latency(planted_store, Bm25Params(), spec, questions,
+                               n_samples=10)
+        assert report.query_expand_s > 0.0 and report.query_rerank_s > 0.0
+        timed = last_query_per_qid()
+
+        index = build_index(planted_store, Bm25Params())
+        for qa in questions:
+            cs = dedup(sample_expansions_stub(qa.question, 10, 0, index,
+                                              planted_store))
+            run_strategy(spec, index, planted_store, qa, cs)
+        issued = last_query_per_qid()
+        for qa in questions:
+            assert timed[qa.qid] == issued[qa.qid] != qa.question
+
     def test_repetitions_validated(self, planted, planted_store):
         with pytest.raises(ValueError):
             bench_latency(planted_store, Bm25Params(),
@@ -186,6 +219,18 @@ class TestRunFiles:
         path.write_text("q1 Q0 a 1 2.0\n")
         with pytest.raises(RunFormatError, match="6 columns"):
             read_run(path)
+
+    @pytest.mark.parametrize("rows", [
+        "q1 Q0 a 1 1.0 t\nq1 Q0 a 2 2.0 t\n",
+        "q1 Q0 a 1 1.0 t\nq1 Q0 b 2 1.5 t\n",
+        "q1 Q0 a 1 2.0 t\nq1 Q0 a 2 1.0 t\n",
+    ], ids=["duplicate-pid-rising-score", "rising-score", "duplicate-pid"])
+    def test_malformed_ranking_rejected(self, tmp_path, rows):
+        path = tmp_path / "bad.trec"
+        path.write_text("q0 Q0 z 1 1.0 t\n" + rows)
+        with pytest.raises(RunFormatError, match="qid q1") as exc:
+            read_run(path)
+        assert str(path) in str(exc.value)
 
     def test_imported_run_fusable(self, tmp_path):
         from expandrank.pipeline import fuse

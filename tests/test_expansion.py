@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -8,8 +9,10 @@ from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   build_training_set, dedup, expanded_query,
                                   label_candidates, load_expansions,
                                   load_training_set, sample_expansions_stub,
-                                  save_training_set, truncate)
+                                  save_training_set, search_candidates,
+                                  truncate)
 from expandrank.index import Bm25Params, build_index
+from expandrank.synth import make_random_corpus, make_random_queries
 
 
 def cs(texts, qid="q1"):
@@ -25,8 +28,6 @@ class TestConfig:
         assert ConstructionConfig().max_rank == 101
 
     def test_minimums(self):
-        with pytest.raises(ValueError):
-            ConstructionConfig(n_samples=1)
         with pytest.raises(ValueError):
             ConstructionConfig(folds=1)
 
@@ -160,17 +161,17 @@ class TestLabelCandidates:
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("goldtoken",))
         cands = cs(["goldtoken", "blue", "absentterm"])
-        cfg = ConstructionConfig(n_samples=3, k_retrieve=100, max_rank=101)
-        labels, top1 = label_candidates(index, store, qa, cands, cfg)
+        cfg = ConstructionConfig(k_retrieve=100, max_rank=101)
+        labels, top2 = label_candidates(index, store, qa, cands, cfg)
         assert labels[0].r == 1            # answer passage pulled to the top
         assert labels[1].r == 15           # tie-broken pid order
         assert labels[2].r == 15           # unknown term adds nothing
-        assert top1[0] == "p15"
+        assert [pid for pid, _ in top2[0]] == ["p15", "p01"]
 
     def test_sentinel_for_miss(self, rank_fixture):
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("neverthere",))
-        cfg = ConstructionConfig(n_samples=2, k_retrieve=10, max_rank=50)
+        cfg = ConstructionConfig(k_retrieve=10, max_rank=50)
         labels, _ = label_candidates(index, store, qa, cs(["blue", "x"]), cfg)
         assert all(l.r == 50 and not l.hit for l in labels)
 
@@ -182,6 +183,115 @@ class TestLabelCandidates:
         again = label_candidates(planted_index, planted_store, qa,
                                  planted.candidates[qa.qid], planted_cfg)
         assert once == again
+
+
+class TestSearchCandidates:
+    @pytest.fixture(scope="class")
+    def small_corpus(self):
+        passages = make_random_corpus(100, seed=7, vocab_size=300, doc_len=30)
+        store = PassageStore(passages)
+        return store, build_index(store, Bm25Params())
+
+    def test_singleton_equals_search(self, small_corpus):
+        store, index = small_corpus
+        q, e = make_random_queries(2, list(store), seed=4)
+        got = search_candidates(index, q, cs([e]), 10, "q0")
+        assert got[0].entries == \
+            index.search(expanded_query(q, e), 10, qid="q0").entries
+
+    def test_matches_sequential(self, small_corpus):
+        store, index = small_corpus
+        q, *texts = make_random_queries(50, list(store), seed=6)
+        lists = search_candidates(index, q, cs(texts), 20, "q0")
+        assert len(lists) == len(texts)
+        for text, rl in zip(texts, lists):
+            assert rl.qid == "q0"
+            assert rl.entries == index.search(expanded_query(q, text), 20).entries
+
+    def test_empty_set(self, small_corpus):
+        _, index = small_corpus
+        assert search_candidates(index, "q", cs([]), 10, "q0") == []
+
+
+class TestStoredPair:
+    @pytest.mark.parametrize("k_retrieve", [1, 2, 100])
+    def test_equals_k2_search(self, planted, planted_store, planted_index,
+                              k_retrieve):
+        cfg = ConstructionConfig(k_retrieve=k_retrieve,
+                                 max_rank=k_retrieve + 1)
+        for qa in planted.questions[:10]:
+            cands = planted.candidates[qa.qid]
+            _, top2 = label_candidates(planted_index, planted_store, qa,
+                                       cands, cfg)
+            for c, pair in zip(cands.candidates, top2):
+                assert pair == planted_index.search(
+                    expanded_query(qa.question, c.text), 2).entries
+
+    def test_rank_counts_only_first_k_retrieve(self, rank_fixture):
+        store, index = rank_fixture
+        qa = QAExample(qid="q", question="blue", answers=("goldtoken",))
+        cfg = ConstructionConfig(k_retrieve=1, max_rank=2)
+        labels, top2 = label_candidates(index, store, qa, cs(["blue"]), cfg)
+        assert labels[0].r == 2 and not labels[0].hit  # answer at rank 15
+        assert len(top2[0]) == 2
+
+
+class TestLoadTrainingSet:
+    @pytest.fixture()
+    def row(self):
+        return {
+            "qid": "q1", "question": "who",
+            "candidates": [{"text": "a b", "generator_tag": "stub"},
+                           {"text": "c d", "generator_tag": "stub"}],
+            "labels": [{"index": 0, "r": 1, "hit": True},
+                       {"index": 1, "r": 101, "hit": False}],
+            "top2": [[["p1", 2.5], ["p2", 1.0]], []],
+        }
+
+    def write(self, tmp_path, rows):
+        path = tmp_path / "train.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return path
+
+    def test_valid_row_loads(self, row, tmp_path):
+        ex, = load_training_set(self.write(tmp_path, [row]))
+        assert ex.top2 == [[("p1", 2.5), ("p2", 1.0)], []]
+
+    def test_old_top1_format_asks_for_make_train(self, row, tmp_path):
+        del row["top2"]
+        row["top1"] = ["p1", None]
+        path = self.write(tmp_path, [row])
+        with pytest.raises(ValueError, match="re-run make-train") as exc:
+            load_training_set(path)
+        assert f"{path}:1" in str(exc.value)
+
+    @pytest.mark.parametrize("damage", [
+        lambda r: r.pop("labels"),
+        lambda r: r["labels"].pop(),
+        lambda r: r["top2"].pop(),
+        lambda r: r["labels"][1].update(index=0),
+        lambda r: r["labels"][0].update(r=0),
+        lambda r: r["candidates"][0].update(extra=1),
+        lambda r: r["top2"][1].extend([["p1", 2.0]] * 3),
+        lambda r: r["top2"][0][1].__setitem__(1, float("nan")),
+        lambda r: r["top2"][0][1].__setitem__(1, "1.0"),
+        lambda r: r["top2"][0][1].__setitem__(0, 7),
+        lambda r: r["top2"].__setitem__(1, "p1"),
+    ], ids=["missing-key", "labels-short", "top2-short", "label-index",
+            "rank-zero", "unknown-candidate-key", "three-entries",
+            "nan-score", "string-score", "int-pid", "not-a-list"])
+    def test_damage_rejected_with_line(self, row, tmp_path, damage):
+        intact = copy.deepcopy(row)
+        damage(row)
+        path = self.write(tmp_path, [intact, row])
+        with pytest.raises(ValueError, match=f"{path.name}:2: "):
+            load_training_set(path)
+
+    def test_bad_json_names_line(self, row, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text(json.dumps(row) + "\n{not json\n")
+        with pytest.raises(ValueError, match=f"{path.name}:2: "):
+            load_training_set(path)
 
 
 class TestFolds:
@@ -201,7 +311,7 @@ class TestFolds:
 
 class TestBuildTrainingSet:
     def test_too_few_questions(self, planted, planted_store, planted_index):
-        cfg = ConstructionConfig(n_samples=10, folds=5)
+        cfg = ConstructionConfig(folds=5)
         with pytest.raises(ValueError):
             build_training_set(planted_store, planted_index,
                                planted.questions[:3], cfg,
@@ -238,7 +348,7 @@ class TestBuildTrainingSet:
         for a, b in zip(planted_train_set[:5], loaded):
             assert a.qid == b.qid
             assert [l.r for l in a.labels] == [l.r for l in b.labels]
-            assert a.top1 == b.top1
+            assert a.top2 == b.top2
 
 
 class TestExpandedQuery:

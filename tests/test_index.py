@@ -200,26 +200,6 @@ class TestSearch:
         assert index.search(q, 50).entries == again.search(q, 50).entries
 
 
-class TestBatchSearch:
-    def test_singleton_equals_search(self, small_corpus):
-        store, index = small_corpus
-        q = make_random_queries(1, list(store), seed=4)[0]
-        assert index.batch_search([("q0", q)], 10)[0].entries == \
-            index.search(q, 10, qid="q0").entries
-
-    def test_matches_sequential(self, small_corpus):
-        store, index = small_corpus
-        queries = [(f"q{i}", q) for i, q in
-                   enumerate(make_random_queries(50, list(store), seed=6))]
-        batch = index.batch_search(queries, 20)
-        for (qid, q), rl in zip(queries, batch):
-            assert rl.entries == index.search(q, 20, qid=qid).entries
-
-    def test_empty_batch(self, small_corpus):
-        _, index = small_corpus
-        assert index.batch_search([], 10) == []
-
-
 class TestPersistence:
     def test_round_trip(self, small_corpus, tmp_path):
         store, index = small_corpus

@@ -129,6 +129,28 @@ class TestRerank:
                               depth=len(rl))
         assert out.pids() == rl.pids()
 
+    @pytest.mark.parametrize("depth", [1, 5, 20, 39])
+    def test_scores_never_increase(self, deep_fixture, pr_scorer, depth):
+        store, index, questions = deep_fixture
+        for qa in questions:
+            rl = index.search(qa.question, 40, qid=qa.qid)
+            out = rerank_passages(pr_scorer, index, store, qa.question, rl,
+                                  depth)
+            out.validate()
+            assert out.entries[depth:] == rl.entries[depth:]
+
+    def test_full_depth_scores_are_probabilities(self, deep_fixture,
+                                                 pr_scorer):
+        store, index, questions = deep_fixture
+        qa = questions[3]
+        rl = index.search(qa.question, 40, qid=qa.qid)
+        out = rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
+        by_pid = dict(rl.entries)
+        assert [s for _, s in out.entries] == [
+            pr_scorer.probability(passage_features(index, store, qa.question,
+                                                   pid, by_pid[pid]))
+            for pid, _ in out.entries]
+
     def test_permutation_of_prefix_only(self, deep_fixture):
         store, index, questions = deep_fixture
         scorer = train_passage_reranker(index, store, questions,

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,12 @@ from hypothesis import strategies as st
 
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   ExpansionCandidate, RankLabel,
-                                  label_candidates)
+                                  expanded_query, label_candidates)
+from expandrank.index import Index
+from expandrank.passage_reranker import PassageScorer
 from expandrank.reranker import (RD_SCHEMA, RI_SCHEMA, Featurizer, ScorerModel,
-                                 TrainConfig, rank_loss, select_best, train,
-                                 training_loss)
+                                 TrainConfig, example_features, rank_loss,
+                                 select_best, train, training_loss)
 
 
 def labels_of(ranks):
@@ -69,6 +74,20 @@ class TestFeaturizeRD:
         assert f[12] == 12.0            # fixed passage length
         assert f[13] == 1.0             # clear top-1 margin
 
+    def test_rd_needs_retrieval(self, featurizer):
+        with pytest.raises(ValueError, match="retrieval"):
+            featurizer.features("RD", "q", ExpansionCandidate(text="e"))
+
+    def test_stored_pairs_match_search(self, planted_train_set, featurizer):
+        for ex in planted_train_set[:20]:
+            searched = np.stack([
+                featurizer.rd(ex.question, c.text, featurizer.index.search(
+                    expanded_query(ex.question, c.text), 2))
+                for c in ex.candidates.candidates
+            ])
+            np.testing.assert_array_equal(
+                example_features(featurizer, "RD", ex), searched)
+
     def test_ri_block_shared(self, planted, featurizer):
         qa = planted.questions[0]
         e = "keyaabbb"
@@ -100,6 +119,68 @@ class TestScore:
         f = np.linspace(0.0, 1.0, 9)
         assert loaded.score(f) == ri_model.score(f)
         assert loaded.variant == "RI"
+
+
+def _damage(doc, field, value):
+    doc[field] = value
+
+
+_SCORER_DAMAGES = {
+    "kind": lambda d: _damage(d, "kind", "passage_scorer"),
+    "format_version": lambda d: _damage(d, "format_version", 2),
+    "schema_id": lambda d: _damage(d, "schema_id", "ri-v9"),
+    "variant": lambda d: _damage(d, "variant", "RD"),
+    "weights": lambda d: _damage(d, "weights", d["weights"][:5]),
+    "feature_mean": lambda d: d["feature_mean"].__setitem__(2, float("nan")),
+    "feature_std": lambda d: d["feature_std"].__setitem__(0, 0.0),
+    "hidden": lambda d: _damage(d, "hidden", {"w": [[0.0] * 9], "b": [0.0]}),
+}
+
+
+class TestModelFiles:
+    def test_old_file_with_null_hidden_loads(self, ri_model, tmp_path):
+        path = tmp_path / "m.json"
+        ri_model.save(path)
+        doc = json.loads(path.read_text())
+        assert "hidden" not in doc
+        path.write_text(json.dumps(dict(doc, hidden=None)))
+        np.testing.assert_array_equal(ScorerModel.load(path).weights,
+                                      ri_model.weights)
+
+    @pytest.mark.parametrize("field", sorted(_SCORER_DAMAGES))
+    def test_damaged_scorer_rejected(self, ri_model, tmp_path, field):
+        path = tmp_path / "m.json"
+        ri_model.save(path)
+        doc = json.loads(path.read_text())
+        _SCORER_DAMAGES[field](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {field}: ")):
+            ScorerModel.load(path)
+
+    @pytest.mark.parametrize("field, damage", [
+        ("kind", lambda d: _damage(d, "kind", "expansion_scorer")),
+        ("format_version", lambda d: d.pop("format_version")),
+        ("schema_id", lambda d: _damage(d, "schema_id", RI_SCHEMA)),
+        ("weights", lambda d: d["weights"].append(1.0)),
+        ("feature_mean", lambda d: _damage(d, "feature_mean", "0")),
+        ("feature_std", lambda d: d["feature_std"].__setitem__(1, -1.0)),
+        ("feature_std", lambda d: d["feature_std"].__setitem__(1, True)),
+    ])
+    def test_damaged_passage_scorer_rejected(self, pr_scorer, tmp_path, field,
+                                             damage):
+        path = tmp_path / "pr.json"
+        pr_scorer.save(path)
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {field}: ")):
+            PassageScorer.load(path)
+
+    def test_not_json_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("{")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: json: ")):
+            ScorerModel.load(path)
 
 
 class TestRankLoss:
@@ -222,13 +303,23 @@ class TestTrain:
         b = train(planted_train_set[:20], TrainConfig(seed=5), "RI", featurizer)
         np.testing.assert_array_equal(a.weights, b.weights)
 
-    def test_rd_without_top1_rejected(self, planted_train_set, featurizer):
+    def test_rd_without_stored_pairs_rejected(self, planted_train_set,
+                                              featurizer):
         import copy
         broken = [copy.copy(ex) for ex in planted_train_set[:5]]
         for ex in broken:
-            ex.top1 = None
-        with pytest.raises(ValueError, match="top-1"):
+            ex.top2 = None
+        with pytest.raises(ValueError, match="top-2"):
             train(broken, TrainConfig(), "RD", featurizer)
+
+    def test_rd_training_issues_no_search(self, planted_train_set, featurizer,
+                                          monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("RD training searched the index")
+
+        monkeypatch.setattr(Index, "search", no_search)
+        model = train(planted_train_set[:20], TrainConfig(), "RD", featurizer)
+        assert model.variant == "RD"
 
     def test_single_candidate_rejected(self, planted_train_set, featurizer):
         import copy
