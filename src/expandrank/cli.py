@@ -165,6 +165,10 @@ def cmd_retrieve(args) -> int:
     evalbench.write_run(runs, args.out)
     print(f"wrote {sum(len(rl) for rl in runs.values())} entries for "
           f"{len(runs)} questions -> {args.out}")
+    if runs.failures:
+        print(f"error: {len(runs.failures)}/{len(questions)} questions failed",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -167,12 +167,15 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
 def write_run(runs: dict[str, RankedList], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for qid, rl in runs.items():
-            for rank, (pid, score) in enumerate(rl.entries, start=1):
-                fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} {rl.tag}\n")
+            fh.writelines(
+                f"{qid} Q0 {pid} {rank} {score:.6f} {rl.tag}\n"
+                for rank, (pid, score) in enumerate(
+                    zip(rl.pids(), rl.scores.tolist()), start=1))
 
 
 def read_run(path) -> dict[str, RankedList]:
-    runs: dict[str, RankedList] = {}
+    # qid -> (tag, pids, scores), in first-seen order
+    columns: dict[str, tuple[str, list[str], list[float]]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -186,14 +189,17 @@ def read_run(path) -> dict[str, RankedList]:
                 rank, score = int(rank_s), float(score_s)
             except ValueError as exc:
                 raise RunFormatError(f"{path}:{lineno}: {exc}") from exc
-            rl = runs.setdefault(qid, RankedList(qid=qid, entries=[], tag=tag))
-            if rank != len(rl.entries) + 1:
+            _, pids, scores = columns.setdefault(qid, (tag, [], []))
+            if rank != len(pids) + 1:
                 raise RunFormatError(
                     f"{path}:{lineno}: rank {rank} breaks the 1-based "
                     f"contiguous order for qid {qid}"
                 )
-            rl.entries.append((pid, score))
-    for qid, rl in runs.items():
+            pids.append(pid)
+            scores.append(score)
+    runs: dict[str, RankedList] = {}
+    for qid, (tag, pids, scores) in columns.items():
+        rl = runs[qid] = RankedList.from_columns(qid, pids, scores, tag)
         try:
             rl.validate()
         except ValueError as exc:

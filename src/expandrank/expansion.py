@@ -124,7 +124,7 @@ def sample_expansions_stub(question: str, n: int, seed: int,
     # Terms from passages that match the question, as the co-occurrence pool.
     pool: list[str] = []
     head = index.search(question, k=5, qid="stub")
-    for pid, _ in head.entries:
+    for pid in head.pids():
         pool.extend(normalize(store.get(pid).text))
     vocab = index.terms
     seen_keys: set[str] = set()
@@ -175,7 +175,7 @@ def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
     """1-based rank of the first answer-containing passage, or None."""
     if not answers:
         raise ValueError("answers must be nonempty")
-    for rank, (pid, _) in enumerate(rl.entries, start=1):
+    for rank, pid in enumerate(rl.pids(), start=1):
         if contains_answer(store.get(pid), answers):
             return rank
     return None
@@ -209,7 +209,7 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
         rank = min_answer_rank(rl, qa.answers, store)
         r = rank if rank is not None and rank <= cfg.k_retrieve else cfg.max_rank
         labels.append(RankLabel(index=i, r=r, hit=r != cfg.max_rank))
-        top2.append(rl.entries[:2])
+        top2.append(list(zip(rl.pids(), rl.scores[:2].tolist())))
     return labels, top2
 
 

@@ -15,7 +15,7 @@ import os
 import struct
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -49,26 +49,62 @@ class Bm25Params:
         return Analyzer(stemming=self.stemming, stopwords=self.stopwords)
 
 
-@dataclass
 class RankedList:
-    """Ordered (pid, score) pairs; the common currency of retrieval and fusion."""
+    """Ordered (pid, score) pairs; the common currency of retrieval and fusion.
 
-    qid: str
-    entries: list[tuple[str, float]] = field(default_factory=list)
-    tag: str = "run"
+    Stored as two columns: a list of pid strings (for search results, the
+    strings of ``Index.pids`` themselves) and one float64 per entry.
+    ``entries`` builds the pairs on demand; readers on a hot path take
+    ``pids()`` and ``scores`` instead.
+    """
+
+    __slots__ = ("qid", "tag", "_pids", "scores")
+
+    def __init__(self, qid: str, entries=(), tag: str = "run"):
+        self.qid = qid
+        self.tag = tag
+        self._pids: list[str] = [pid for pid, _ in entries]
+        self.scores: np.ndarray = np.array([s for _, s in entries],
+                                           dtype=np.float64)
+
+    @classmethod
+    def from_columns(cls, qid: str, pids: list[str], scores,
+                     tag: str = "run") -> "RankedList":
+        """A list that takes ``pids`` as is; ``scores`` aligns with it."""
+        scores = np.asarray(scores, dtype=np.float64)
+        if len(pids) != len(scores):
+            raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
+        rl = cls.__new__(cls)
+        rl.qid, rl.tag, rl._pids, rl.scores = qid, tag, pids, scores
+        return rl
+
+    @property
+    def entries(self) -> list[tuple[str, float]]:
+        return list(zip(self._pids, self.scores.tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._pids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return (self.qid == other.qid and self.tag == other.tag
+                and self._pids == other._pids
+                and self.scores.tolist() == other.scores.tolist())
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"RankedList(qid={self.qid!r}, entries={self.entries!r}, "
+                f"tag={self.tag!r})")
 
     def pids(self) -> list[str]:
-        return [pid for pid, _ in self.entries]
+        return list(self._pids)
 
     def validate(self) -> None:
-        scores = [s for _, s in self.entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
+        if np.any(self.scores[:-1] < self.scores[1:]):
             raise ValueError(f"scores not non-increasing in list {self.qid!r}")
-        pids = self.pids()
-        if len(set(pids)) != len(pids):
+        if len(set(self._pids)) != len(self._pids):
             raise ValueError(f"duplicate pids in list {self.qid!r}")
 
 
@@ -137,9 +173,9 @@ class Index:
             raise ValueError("k must be >= 1")
         scores = self.score_all(self.analyzer(query_text))
         pos = np.flatnonzero(scores > 0.0)
-        order = np.lexsort((pos, -scores[pos]))[:k]
-        entries = [(self.pids[pos[i]], float(scores[pos[i]])) for i in order]
-        return RankedList(qid=qid, entries=entries, tag=tag)
+        docs = pos[np.lexsort((pos, -scores[pos]))[:k]]
+        pids = [self.pids[d] for d in docs.tolist()]
+        return RankedList.from_columns(qid, pids, scores[docs], tag)
 
     # -- persistence --------------------------------------------------------
 

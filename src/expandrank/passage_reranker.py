@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +34,66 @@ def _sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
+class _PassageStats:
+    """What ``passage_features`` reuses across calls on one index: each
+    passage's mean idf over its distinct normalized tokens and its token
+    count, filled on first use; the idf of each surface token, so each is
+    analyzed once; and the token set of the last question, which all the
+    passages of one reranked list share.
+
+    It holds no reference to its index, which is its key in ``_STATS``.
+    """
+
+    def __init__(self, index: Index):
+        self._row = index._pid_to_doc
+        self._stats = np.full((index.doc_count, 2), np.nan)
+        self._idf: dict[str, float | None] = {}  # surface token -> idf
+        self._question: str | None = None
+        self._question_tokens: frozenset[str] = frozenset()
+
+    def question_tokens(self, question: str) -> frozenset[str]:
+        if question != self._question:
+            self._question = question
+            self._question_tokens = frozenset(normalize(question))
+        return self._question_tokens
+
+    def mean_idf_and_length(self, index: Index, store: PassageStore,
+                            pid: str) -> np.ndarray:
+        stats = self._stats[self._row[pid]]
+        if np.isnan(stats[0]):
+            tokens = normalize(store.get(pid).text)
+            idfs = []
+            for t in sorted(set(tokens)):  # a fixed summation order
+                if t not in self._idf:
+                    stemmed = index.analyzer(t)
+                    tid = index.vocab.get(stemmed[0]) if stemmed else None
+                    self._idf[t] = (None if tid is None
+                                    else float(index.idf[tid]))
+                if self._idf[t] is not None:
+                    idfs.append(self._idf[t])
+            stats[:] = (sum(idfs) / len(idfs) if idfs else 0.0, len(tokens))
+        return stats
+
+
+_STATS: weakref.WeakKeyDictionary[Index, _PassageStats] = \
+    weakref.WeakKeyDictionary()
+
+
 def passage_features(index: Index, store: PassageStore, question: str,
                      pid: str, retrieval_score: float) -> np.ndarray:
+    """[retrieval score, question-token overlap, mean idf, length, bias].
+
+    Mean idf and length are computed once per passage and index; ``store``
+    must hold the passages ``index`` was built from.
+    """
+    stats = _STATS.get(index)
+    if stats is None:
+        stats = _STATS[index] = _PassageStats(index)
+    mean_idf, length = stats.mean_idf_and_length(index, store, pid)
+    qt = stats.question_tokens(question)
     tokens = normalize(store.get(pid).text)
-    qt = set(normalize(question))
-    overlap = len(qt & set(tokens)) / len(qt) if qt else 0.0
-    idfs = []
-    for t in set(tokens):
-        stemmed = index.analyzer(t)
-        if stemmed and stemmed[0] in index.vocab:
-            idfs.append(float(index.idf[index.vocab[stemmed[0]]]))
-    mean_idf = sum(idfs) / len(idfs) if idfs else 0.0
-    return np.array([retrieval_score, overlap, mean_idf, float(len(tokens)), 1.0])
+    overlap = len(qt.intersection(tokens)) / len(qt) if qt else 0.0
+    return np.array([retrieval_score, overlap, mean_idf, length, 1.0])
 
 
 @dataclass(frozen=True)
@@ -98,7 +147,7 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
     feats, labels = [], []
     for qa in qa_train:
         rl = index.search(qa.question, k=cfg.train_depth, qid=qa.qid)
-        if not rl.entries:
+        if not len(rl):
             log.warning("question %s retrieved no passages; skipped", qa.qid)
             continue
         for pid, score in rl.entries:
@@ -137,14 +186,15 @@ def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
     of the first entry past the depth (0 when there is none), so scores
     never increase down the list.
     """
-    depth = min(depth, len(rl.entries))
-    head, tail = rl.entries[:depth], rl.entries[depth:]
+    depth = min(depth, len(rl))
+    pids, scores = rl.pids(), rl.scores.tolist()
     probs = [
         scorer.probability(passage_features(index, store, question, pid, score))
-        for pid, score in head
+        for pid, score in zip(pids[:depth], scores)
     ]
-    floor = tail[0][1] if tail else 0.0
+    floor = scores[depth] if depth < len(scores) else 0.0
     order = sorted(range(depth), key=lambda i: (-probs[i], i))
-    reordered = [(head[i][0], floor + probs[i]) for i in order]
-    return RankedList(qid=rl.qid, entries=reordered + tail,
-                      tag=f"{rl.tag}+pr")
+    reranked = rl.scores.copy()
+    reranked[:depth] = [floor + probs[i] for i in order]
+    pids[:depth] = [pids[i] for i in order]
+    return RankedList.from_columns(rl.qid, pids, reranked, f"{rl.tag}+pr")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import PassageStore, QAExample
 from .expansion import (CandidateSet, ConstructionConfig, dedup,
                         expanded_query, label_candidates, truncate)
@@ -117,36 +119,32 @@ def fuse(lists, k: int) -> RankedList:
         raise ValueError("fuse needs at least one list")
     if k < 1:
         raise ValueError("k must be >= 1")
-    seen: set[str] = set()
-    out: list[tuple[str, float]] = []
-    cursors = [0] * len(lists)
-    while len(out) < k and any(
-        cursors[li] < len(rl.entries) for li, rl in enumerate(lists)
-    ):
-        for li, rl in enumerate(lists):
-            if len(out) >= k:
-                break
-            i = cursors[li]
-            if i >= len(rl.entries):
-                continue
-            cursors[li] = i + 1
-            pid = rl.entries[i][0]
-            # a duplicate costs this donor its turn in the round
-            if pid not in seen:
-                seen.add(pid)
-                out.append((pid, 1.0 / (len(out) + 1)))
-    return RankedList(qid=lists[0].qid, entries=out, tag="fusion")
+    # each round offers every list's next pid; a duplicate costs its donor
+    # the turn
+    columns = [rl.pids() for rl in lists]
+    offers = (pids[i] for i in range(max(map(len, columns)))
+              for pids in columns if i < len(pids))
+    out = list(dict.fromkeys(offers))[:k]
+    scores = 1.0 / np.arange(1, len(out) + 1, dtype=np.float64)
+    return RankedList.from_columns(lists[0].qid, out, scores, "fusion")
+
+
+class Runs(dict):
+    """qid -> RankedList in input order, plus ``failures``: qid -> error of
+    each question whose strategy raised and so has no list."""
+
+    def __init__(self):
+        super().__init__()
+        self.failures: dict[str, str] = {}
 
 
 def run_dataset(spec: StrategySpec, index: Index, store: PassageStore,
                 qa_list, candidates_map=None, model=None,
                 featurizer: Featurizer | None = None,
-                passage_scorer: PassageScorer | None = None,
-                ) -> dict[str, RankedList]:
-    """Per-question results in input order; per-question failures are logged
-    and the run continues."""
-    runs: dict[str, RankedList] = {}
-    errors = 0
+                passage_scorer: PassageScorer | None = None) -> Runs:
+    """Per-question results in input order.  A question that fails is logged
+    and recorded in ``failures``, and the run continues."""
+    runs = Runs()
     for qa in qa_list:
         if spec.fuse_order:
             cands = candidates_map.get(qa.qid, {}) if candidates_map else {}
@@ -156,8 +154,8 @@ def run_dataset(spec: StrategySpec, index: Index, store: PassageStore,
             runs[qa.qid] = run_strategy(spec, index, store, qa, cands, model,
                                         featurizer, passage_scorer)
         except Exception as exc:
-            errors += 1
+            runs.failures[qa.qid] = f"{type(exc).__name__}: {exc}"
             log.error("question %s failed: %s", qa.qid, exc)
-    if errors:
-        log.error("%d/%d questions failed", errors, len(qa_list))
+    if runs.failures:
+        log.error("%d/%d questions failed", len(runs.failures), len(qa_list))
     return runs

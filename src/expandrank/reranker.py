@@ -78,24 +78,26 @@ class Featurizer:
 
     def rd(self, question: str, expansion: str, rl: RankedList) -> np.ndarray:
         base = self.ri(question, expansion)
-        if not rl.entries:
+        if not len(rl):
             return np.concatenate([base, np.zeros(5)])
-        pid, top_score = rl.entries[0]
-        dt = set(normalize(self.store.get(pid).text))
+        scores = rl.scores[:2].tolist()
+        top_score = scores[0]
+        d_tokens = normalize(self.store.get(rl.pids()[0]).text)
+        dt = set(d_tokens)
         qt = set(normalize(question))
         et_set = set(normalize(expansion))
         novel = et_set - qt
         novel_overlap = len(novel & dt) / len(novel) if novel else 0.0
         q_overlap = len(qt & dt) / len(qt) if qt else 0.0
-        if len(rl.entries) > 1:
-            margin_pos = 1.0 if top_score - rl.entries[1][1] > 0 else 0.0
+        if len(scores) > 1:
+            margin_pos = 1.0 if top_score - scores[1] > 0 else 0.0
         else:
             margin_pos = 1.0
         return np.concatenate([base, [
             top_score,
             novel_overlap,
             q_overlap,
-            float(len(normalize(self.store.get(pid).text))),
+            float(len(d_tokens)),
             margin_pos,
         ]])
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 
-from expandrank.index import Bm25Params, Index, IndexError_
+from expandrank.index import Bm25Params, Index, IndexError_, RankedList
 from expandrank.text import normalize
 
 
@@ -121,3 +121,41 @@ def brute_contains(passage_text, answer):
     if not needle:
         return False
     return f" {needle} " in f" {doc} "
+
+
+def reference_passage_features(index, store, question, pid, retrieval_score):
+    """Passage-reranker features computed from scratch on every call, the
+    mean idf summed over the passage's distinct tokens in sorted order."""
+    tokens = normalize(store.get(pid).text)
+    qt = set(normalize(question))
+    overlap = len(qt & set(tokens)) / len(qt) if qt else 0.0
+    idfs = []
+    for t in sorted(set(tokens)):
+        stemmed = index.analyzer(t)
+        if stemmed and stemmed[0] in index.vocab:
+            idfs.append(float(index.idf[index.vocab[stemmed[0]]]))
+    mean_idf = sum(idfs) / len(idfs) if idfs else 0.0
+    return np.array([retrieval_score, overlap, mean_idf, float(len(tokens)),
+                     1.0])
+
+
+def reference_fuse(lists, k):
+    """Round-robin fusion over (pid, score) tuples, one cursor per list."""
+    seen = set()
+    out = []
+    cursors = [0] * len(lists)
+    while len(out) < k and any(
+        cursors[li] < len(rl.entries) for li, rl in enumerate(lists)
+    ):
+        for li, rl in enumerate(lists):
+            if len(out) >= k:
+                break
+            i = cursors[li]
+            if i >= len(rl.entries):
+                continue
+            cursors[li] = i + 1
+            pid = rl.entries[i][0]
+            if pid not in seen:
+                seen.add(pid)
+                out.append((pid, 1.0 / (len(out) + 1)))
+    return RankedList(qid=lists[0].qid, entries=out, tag="fusion")

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,23 @@ class TestPipelineCmds:
         assert str(bad) in err and "weights" in err
         assert not (workdir / "short.trec").exists()
 
+    def test_failed_questions_exit_1(self, workdir, capsys):
+        rows = (workdir / "expansions.jsonl").read_text().splitlines()
+        dropped = json.loads(rows[0])["qid"]
+        partial = workdir / "partial_expansions.jsonl"
+        partial.write_text("".join(
+            row + "\n" for row in rows if json.loads(row)["qid"] != dropped))
+        rc = run("retrieve", "--index", workdir / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--questions", workdir / "questions.jsonl",
+                 "--expansions", partial, "--strategy", "greedy",
+                 "--out", workdir / "partial.trec")
+        assert rc == 1
+        assert "1/40 questions failed" in capsys.readouterr().err
+        qids = {line.split()[0] for line in
+                (workdir / "partial.trec").read_text().splitlines()}
+        assert len(qids) == 39 and dropped not in qids
+
     def test_bench_cmd(self, workdir, capsys):
         rc = run("bench", "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
@@ -213,6 +234,33 @@ class TestPipelineCmds:
                  "--questions", workdir / "questions.jsonl",
                  "--out", workdir / "pr.json")
         assert rc == 0
+
+
+class TestTrainPrDeterminism:
+    def test_bytes_independent_of_hash_seed(self, tmp_path):
+        """String hashing is salted per process; the passage scorer must not
+        depend on it."""
+        fx = make_planted(200, seed=0)
+        write_corpus(fx.passages, tmp_path / "corpus.jsonl")
+        write_questions(fx.questions, tmp_path / "questions.jsonl")
+        assert run("index", "--corpus", tmp_path / "corpus.jsonl",
+                   "--out", tmp_path / "idx.bin") == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"pr-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "expandrank.cli", "train-pr",
+                 "--index", str(tmp_path / "idx.bin"),
+                 "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--questions", str(tmp_path / "questions.jsonl"),
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestHelp:

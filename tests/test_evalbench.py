@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expandrank.corpus import QAExample
 from expandrank.evalbench import (AccuracyReport, RunFormatError,
@@ -207,6 +209,29 @@ class TestRunFiles:
         loaded = read_run(path)
         assert {q: r.pids() for q, r in loaded.items()} == \
             {q: r.pids() for q, r in runs.items()}
+
+    @given(st.dictionaries(
+        st.text(alphabet="qQ0-9", min_size=1, max_size=4),
+        st.tuples(
+            st.lists(st.text(alphabet="abcp0123", min_size=1, max_size=4),
+                     min_size=1, max_size=20, unique=True),
+            st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                     min_size=20, max_size=20),
+            st.sampled_from(["t", "bm25", "ear_rd+pr"])),
+        max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_keeps_six_decimals(self, tmp_path_factory, lists):
+        runs = {qid: RankedList(qid, list(zip(pids, sorted(scores,
+                                                           reverse=True))),
+                                tag)
+                for qid, (pids, scores, tag) in lists.items()}
+        path = tmp_path_factory.mktemp("runs") / "run.trec"
+        write_run(runs, path)
+        loaded = read_run(path)
+        assert list(loaded) == list(runs)
+        for qid, rl in runs.items():
+            assert loaded[qid] == RankedList(
+                qid, [(pid, round(s, 6)) for pid, s in rl.entries], rl.tag)
 
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "bad.trec"

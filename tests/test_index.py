@@ -1,6 +1,7 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -337,7 +338,76 @@ class TestKernelParity:
             np.testing.assert_array_equal(fast, slow)
 
 
+_pid_lists = st.lists(st.text(alphabet="abcp0123", min_size=1, max_size=4),
+                     max_size=30)
+_scores = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+
+
+@st.composite
+def _entries(draw):
+    pids = draw(_pid_lists)
+    return [(pid, draw(_scores)) for pid in pids]
+
+
 class TestRankedList:
+    @given(_entries())
+    def test_entries_round_trip(self, entries):
+        rl = RankedList("q", entries, "t")
+        assert rl.entries == entries
+        assert rl.pids() == [pid for pid, _ in entries]
+        assert len(rl) == len(entries)
+        cols = RankedList.from_columns("q", rl.pids(), rl.scores, "t")
+        assert cols.entries == entries
+        assert cols == rl
+
+    @given(_entries(), _entries())
+    def test_equality_matches_tuples(self, a, b):
+        assert (RankedList("q", a) == RankedList("q", b)) == (a == b)
+        assert RankedList("q", a) != RankedList("r", a)
+        assert RankedList("q", a, "t") != RankedList("q", a, "u")
+
+    @given(_entries())
+    def test_validate_matches_tuples(self, entries):
+        scores = [s for _, s in entries]
+        pids = [pid for pid, _ in entries]
+        ok = (all(a >= b for a, b in zip(scores, scores[1:]))
+              and len(set(pids)) == len(pids))
+        try:
+            RankedList("q", entries).validate()
+            assert ok
+        except ValueError:
+            assert not ok
+
+    def test_columns_must_align(self):
+        with pytest.raises(ValueError, match="2 pids but 1 scores"):
+            RankedList.from_columns("q", ["a", "b"], [1.0])
+
+    def test_search_result_holds_no_per_entry_objects(self):
+        """Entries cost their pid reference and one float64: no tuple or
+        float object per entry."""
+        store = PassageStore([Passage(id=f"p{i:03d}", title="",
+                                      text=f"common word{i}")
+                              for i in range(200)])
+        index = build_index(store, PARAMS)
+        index.search("common", 100)  # warm up caches outside the measure
+
+        def retained(k):
+            # Live tuples and floats empty their free lists, so a tuple or
+            # float the search makes is a traced allocation.
+            drain = [(None, float(i)) for i in range(5000)]  # noqa: F841
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                rl = index.search("common", k)
+                size = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(rl) == k
+            return size
+
+        per_entry = (retained(100) - retained(1)) / 99
+        assert per_entry <= 24
+
     def test_validate(self):
         RankedList(qid="q", entries=[("a", 2.0), ("b", 1.0)]).validate()
         with pytest.raises(ValueError):

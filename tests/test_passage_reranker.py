@@ -1,7 +1,13 @@
+import gc
+import itertools
 import random
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.index import Bm25Params, build_index
@@ -9,8 +15,34 @@ from expandrank.passage_reranker import (BIAS, PassageScorer, PRTrainConfig,
                                          passage_features, rerank_passages,
                                          train_passage_reranker)
 from expandrank.synth import make_random_corpus
+from expandrank.text import Analyzer, normalize
+from oracles import reference_passage_features
 
 LENGTH = 3  # column of the passage-length feature
+
+# Stopwords, inflected and repeated forms, upper case, an NFKC ligature,
+# digits and punctuation-joined tokens.
+_WORDS = ("the", "of", "is", "Running", "runs", "ran", "ponies", "sky",
+          "hopping", "2018", "\ufb01ve", "x1", "Deadpool-2")
+_text = st.lists(
+    st.one_of(st.sampled_from(_WORDS),
+              st.text(alphabet="abeinrst19", min_size=1, max_size=6)),
+    min_size=1, max_size=10,
+).map(" ".join)
+
+
+def reference_rerank(scorer, index, store, question, rl, depth):
+    """``rerank_passages`` over (pid, score) tuples, with features computed
+    from scratch."""
+    entries = rl.entries
+    depth = min(depth, len(entries))
+    head, tail = entries[:depth], entries[depth:]
+    probs = [scorer.probability(
+        reference_passage_features(index, store, question, pid, score))
+        for pid, score in head]
+    floor = tail[0][1] if tail else 0.0
+    order = sorted(range(depth), key=lambda i: (-probs[i], i))
+    return [(head[i][0], floor + probs[i]) for i in order] + tail
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +106,62 @@ class TestTraining:
                                        answers=("nothing",))]
         train_passage_reranker(index, store, mixed)
         assert any("void" in rec.message for rec in caplog.records)
+
+
+class TestPassageFeatures:
+    @given(passages=st.lists(st.tuples(st.one_of(st.just(""), _text), _text),
+                             min_size=1, max_size=6),
+           questions=st.lists(_text, min_size=1, max_size=4),
+           params=st.builds(Bm25Params, stemming=st.booleans(),
+                            stopwords=st.booleans(),
+                            index_titles=st.booleans()))
+    @settings(max_examples=100, deadline=None)
+    def test_cached_equal_reference(self, passages, questions, params):
+        store = PassageStore([Passage(id=f"p{i}", title=title, text=text)
+                              for i, (title, text) in enumerate(passages)])
+        index = build_index(store, params)
+        # question-major, then passage-major: the question changes between
+        # consecutive calls in the second sweep
+        sweep = list(itertools.product(questions, index.pids))
+        sweep += [(q, pid) for pid, q in
+                  itertools.product(index.pids, questions)]
+        for i, (q, pid) in enumerate(sweep):
+            np.testing.assert_array_equal(
+                passage_features(index, store, q, pid, float(i)),
+                reference_passage_features(index, store, q, pid, float(i)))
+
+    def test_each_surface_token_analyzed_once(self, deep_fixture, pr_scorer,
+                                              monkeypatch):
+        store, _, questions = deep_fixture
+        index = build_index(store, Bm25Params())  # nothing cached yet
+        calls = Counter()
+        analyze = Analyzer.__call__
+
+        def counting(self, raw, memo=None):
+            calls[raw] += 1
+            return analyze(self, raw, memo)
+
+        monkeypatch.setattr(Analyzer, "__call__", counting)
+        reranked = set()
+        for _ in range(2):
+            for qa in questions:
+                rl = index.search(qa.question, 40, qid=qa.qid)
+                rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
+                reranked.update(rl.pids())
+        surface = {t for pid in reranked for t in normalize(store.get(pid).text)}
+        searched = {qa.question for qa in questions}
+        assert set(calls) - searched == surface
+        assert all(calls[t] == 1 for t in surface)
+
+    def test_cache_dies_with_its_index(self, deep_fixture):
+        store, _, questions = deep_fixture
+        index = build_index(store, Bm25Params())
+        passage_features(index, store, questions[0].question, index.pids[0],
+                         1.0)
+        ref = weakref.ref(index)
+        del index
+        gc.collect()
+        assert ref() is None
 
 
 class TestConstantFeature:
@@ -150,6 +238,17 @@ class TestRerank:
             pr_scorer.probability(passage_features(index, store, qa.question,
                                                    pid, by_pid[pid]))
             for pid, _ in out.entries]
+
+    @pytest.mark.parametrize("depth", [1, 7, 40, 100])
+    def test_equals_reranking_with_reference_features(
+            self, planted, planted_store, planted_index, pr_scorer, depth):
+        for qa in planted.questions[:40]:
+            rl = planted_index.search(qa.question, 60, qid=qa.qid)
+            out = rerank_passages(pr_scorer, planted_index, planted_store,
+                                  qa.question, rl, depth)
+            assert out.entries == reference_rerank(
+                pr_scorer, planted_index, planted_store, qa.question, rl,
+                depth)
 
     def test_permutation_of_prefix_only(self, deep_fixture):
         store, index, questions = deep_fixture

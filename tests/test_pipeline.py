@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expandrank.corpus import QAExample
 from expandrank.evalbench import min_answer_rank, read_run, topk_accuracy, write_run
 from expandrank.expansion import CandidateSet, ExpansionCandidate
 from expandrank.index import RankedList
 from expandrank.pipeline import StrategySpec, fuse, run_dataset, run_strategy
+from oracles import reference_fuse
 
 
 def rl(qid, pids, tag="t"):
@@ -41,6 +44,13 @@ class TestFuse:
     def test_scores_descend(self):
         out = fuse([rl("q", ["a", "b"]), rl("q", ["c"])], k=10)
         out.validate()
+
+    @given(st.lists(st.lists(st.sampled_from("abcdefghij"), max_size=8,
+                             unique=True), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=25))
+    def test_matches_tuple_reference(self, pid_lists, k):
+        lists = [rl("q", pids, tag=f"t{i}") for i, pids in enumerate(pid_lists)]
+        assert fuse(lists, k) == reference_fuse(lists, k)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -189,3 +199,15 @@ class TestRunDataset:
                            partial)
         assert set(runs) == {questions[0].qid}
         assert any("failed" in rec.message for rec in caplog.records)
+
+    def test_failures_reported_to_caller(self, planted, planted_store,
+                                         planted_index):
+        spec = StrategySpec(kind="greedy")
+        questions = planted.questions[:3]
+        partial = {questions[1].qid: planted.candidates[questions[1].qid]}
+        runs = run_dataset(spec, planted_index, planted_store, questions,
+                           partial)
+        assert list(runs) == [questions[1].qid]
+        assert list(runs.failures) == [questions[0].qid, questions[2].qid]
+        assert all("needs candidates" in why
+                   for why in runs.failures.values())
