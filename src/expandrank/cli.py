@@ -165,8 +165,9 @@ def cmd_retrieve(args) -> int:
     evalbench.write_run(runs, args.out)
     print(f"wrote {sum(len(rl) for rl in runs.values())} entries for "
           f"{len(runs)} questions -> {args.out}")
-    if runs.failures:
-        print(f"error: {len(runs.failures)}/{len(questions)} questions failed",
+    failed = len(questions) - len(runs)  # qids are unique, see load_questions
+    if failed:
+        print(f"error: {failed}/{len(questions)} questions failed",
               file=sys.stderr)
         return 1
     return 0

@@ -63,6 +63,7 @@ class RankedList:
     def __init__(self, qid: str, entries=(), tag: str = "run"):
         self.qid = qid
         self.tag = tag
+        entries = list(entries)  # read once: it may be an iterator
         self._pids: list[str] = [pid for pid, _ in entries]
         self.scores: np.ndarray = np.array([s for _, s in entries],
                                            dtype=np.float64)

@@ -35,16 +35,17 @@ def _sigmoid(t: float) -> float:
 
 
 class _PassageStats:
-    """What ``passage_features`` reuses across calls on one index: each
-    passage's mean idf over its distinct normalized tokens and its token
-    count, filled on first use; the idf of each surface token, so each is
-    analyzed once; and the token set of the last question, which all the
-    passages of one reranked list share.
+    """What ``passage_features`` reuses across calls on one index and the
+    store it reads passages from: each passage's mean idf over its distinct
+    normalized tokens and its token count, filled on first use; the idf of
+    each surface token, so each is analyzed once; and the token set of the
+    last question, which all the passages of one reranked list share.
 
     It holds no reference to its index, which is its key in ``_STATS``.
     """
 
-    def __init__(self, index: Index):
+    def __init__(self, index: Index, store: PassageStore):
+        self.store = store
         self._row = index._pid_to_doc
         self._stats = np.full((index.doc_count, 2), np.nan)
         self._idf: dict[str, float | None] = {}  # surface token -> idf
@@ -57,11 +58,10 @@ class _PassageStats:
             self._question_tokens = frozenset(normalize(question))
         return self._question_tokens
 
-    def mean_idf_and_length(self, index: Index, store: PassageStore,
-                            pid: str) -> np.ndarray:
+    def mean_idf_and_length(self, index: Index, pid: str) -> np.ndarray:
         stats = self._stats[self._row[pid]]
         if np.isnan(stats[0]):
-            tokens = normalize(store.get(pid).text)
+            tokens = normalize(self.store.get(pid).text)
             idfs = []
             for t in sorted(set(tokens)):  # a fixed summation order
                 if t not in self._idf:
@@ -83,13 +83,14 @@ def passage_features(index: Index, store: PassageStore, question: str,
                      pid: str, retrieval_score: float) -> np.ndarray:
     """[retrieval score, question-token overlap, mean idf, length, bias].
 
-    Mean idf and length are computed once per passage and index; ``store``
-    must hold the passages ``index`` was built from.
+    Mean idf and length are computed once per passage for an (index, store)
+    pair; a call with another store than the last one on ``index`` starts
+    that index's cache afresh.
     """
     stats = _STATS.get(index)
-    if stats is None:
-        stats = _STATS[index] = _PassageStats(index)
-    mean_idf, length = stats.mean_idf_and_length(index, store, pid)
+    if stats is None or stats.store is not store:
+        stats = _STATS[index] = _PassageStats(index, store)
+    mean_idf, length = stats.mean_idf_and_length(index, pid)
     qt = stats.question_tokens(question)
     tokens = normalize(store.get(pid).text)
     overlap = len(qt.intersection(tokens)) / len(qt) if qt else 0.0

@@ -129,22 +129,15 @@ def fuse(lists, k: int) -> RankedList:
     return RankedList.from_columns(lists[0].qid, out, scores, "fusion")
 
 
-class Runs(dict):
-    """qid -> RankedList in input order, plus ``failures``: qid -> error of
-    each question whose strategy raised and so has no list."""
-
-    def __init__(self):
-        super().__init__()
-        self.failures: dict[str, str] = {}
-
-
 def run_dataset(spec: StrategySpec, index: Index, store: PassageStore,
                 qa_list, candidates_map=None, model=None,
                 featurizer: Featurizer | None = None,
-                passage_scorer: PassageScorer | None = None) -> Runs:
-    """Per-question results in input order.  A question that fails is logged
-    and recorded in ``failures``, and the run continues."""
-    runs = Runs()
+                passage_scorer: PassageScorer | None = None,
+                ) -> dict[str, RankedList]:
+    """Per-question results in input order; per-question failures are logged
+    and the run continues."""
+    runs: dict[str, RankedList] = {}
+    errors = 0
     for qa in qa_list:
         if spec.fuse_order:
             cands = candidates_map.get(qa.qid, {}) if candidates_map else {}
@@ -154,8 +147,8 @@ def run_dataset(spec: StrategySpec, index: Index, store: PassageStore,
             runs[qa.qid] = run_strategy(spec, index, store, qa, cands, model,
                                         featurizer, passage_scorer)
         except Exception as exc:
-            runs.failures[qa.qid] = f"{type(exc).__name__}: {exc}"
+            errors += 1
             log.error("question %s failed: %s", qa.qid, exc)
-    if runs.failures:
-        log.error("%d/%d questions failed", len(runs.failures), len(qa_list))
+    if errors:
+        log.error("%d/%d questions failed", errors, len(qa_list))
     return runs

@@ -360,6 +360,12 @@ class TestRankedList:
         assert cols.entries == entries
         assert cols == rl
 
+    @given(_entries())
+    def test_entries_from_an_iterator(self, entries):
+        rl = RankedList("q", iter(entries), "t")
+        assert rl.entries == entries
+        assert len(rl) == len(rl.scores) == len(entries)
+
     @given(_entries(), _entries())
     def test_equality_matches_tuples(self, a, b):
         assert (RankedList("q", a) == RankedList("q", b)) == (a == b)

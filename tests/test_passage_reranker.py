@@ -153,6 +153,19 @@ class TestPassageFeatures:
         assert set(calls) - searched == surface
         assert all(calls[t] == 1 for t in surface)
 
+    def test_another_store_is_read_not_the_cached_one(self):
+        params = Bm25Params()
+        first = PassageStore([Passage(id="p0", title="", text="alpha beta"),
+                              Passage(id="p1", title="", text="gamma")])
+        index = build_index(first, params)
+        edited = PassageStore([Passage(id="p0", title="",
+                                       text="gamma gamma delta alpha"),
+                               Passage(id="p1", title="", text="gamma")])
+        for store in (first, edited, first):
+            np.testing.assert_array_equal(
+                passage_features(index, store, "alpha", "p0", 1.0),
+                reference_passage_features(index, store, "alpha", "p0", 1.0))
+
     def test_cache_dies_with_its_index(self, deep_fixture):
         store, _, questions = deep_fixture
         index = build_index(store, Bm25Params())

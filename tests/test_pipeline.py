@@ -199,15 +199,3 @@ class TestRunDataset:
                            partial)
         assert set(runs) == {questions[0].qid}
         assert any("failed" in rec.message for rec in caplog.records)
-
-    def test_failures_reported_to_caller(self, planted, planted_store,
-                                         planted_index):
-        spec = StrategySpec(kind="greedy")
-        questions = planted.questions[:3]
-        partial = {questions[1].qid: planted.candidates[questions[1].qid]}
-        runs = run_dataset(spec, planted_index, planted_store, questions,
-                           partial)
-        assert list(runs) == [questions[1].qid]
-        assert list(runs.failures) == [questions[0].qid, questions[2].qid]
-        assert all("needs candidates" in why
-                   for why in runs.failures.values())
