@@ -12,7 +12,7 @@ class CorpusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     id: str
     title: str
@@ -25,7 +25,7 @@ class Passage:
             raise CorpusError(f"passage {self.id!r} has empty text")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAExample:
     qid: str
     question: str

@@ -7,6 +7,7 @@ import io
 import os
 import tempfile
 import time
+from array import array
 from dataclasses import asdict, dataclass
 
 from .corpus import PassageStore
@@ -174,8 +175,10 @@ def write_run(runs: dict[str, RankedList], path) -> None:
 
 
 def read_run(path) -> dict[str, RankedList]:
-    # qid -> (tag, pids, scores), in first-seen order
-    columns: dict[str, tuple[str, list[str], list[float]]] = {}
+    # qid -> (tag, pids, scores), in first-seen order.  Lists share one str
+    # per distinct pid, and scores are unboxed doubles.
+    columns: dict[str, tuple[str, list[str], array]] = {}
+    names: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -189,13 +192,13 @@ def read_run(path) -> dict[str, RankedList]:
                 rank, score = int(rank_s), float(score_s)
             except ValueError as exc:
                 raise RunFormatError(f"{path}:{lineno}: {exc}") from exc
-            _, pids, scores = columns.setdefault(qid, (tag, [], []))
+            _, pids, scores = columns.setdefault(qid, (tag, [], array("d")))
             if rank != len(pids) + 1:
                 raise RunFormatError(
                     f"{path}:{lineno}: rank {rank} breaks the 1-based "
                     f"contiguous order for qid {qid}"
                 )
-            pids.append(pid)
+            pids.append(names.setdefault(pid, pid))
             scores.append(score)
     runs: dict[str, RankedList] = {}
     for qid, (tag, pids, scores) in columns.items():

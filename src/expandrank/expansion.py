@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .corpus import PassageStore, QAExample, contains_answer
@@ -22,7 +23,7 @@ log = logging.getLogger(__name__)
 GENERATOR_TAGS = ("answer", "sentence", "title", "stub", "external")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionCandidate:
     text: str
     generator_tag: str = "stub"
@@ -43,7 +44,7 @@ class CandidateSet:
         return len(self.candidates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankLabel:
     index: int
     r: int
@@ -64,7 +65,7 @@ class TrainingExample:
     top2: list[list[tuple[str, float]]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstructionConfig:
     k_retrieve: int = 100
     max_rank: int = 101
@@ -160,6 +161,7 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
             tag = str(obj.get("generator_tag", "external"))
             if tag not in GENERATOR_TAGS:
                 raise ValueError(f"{path}:{lineno}: unknown generator_tag {tag!r}")
+            tag = sys.intern(tag)  # one str per tag, not one per row
             if known_qids is not None and qid not in known_qids and qid not in warned:
                 log.warning("%s:%d: qid %s not in QA set; keeping row",
                             path, lineno, qid)
@@ -185,9 +187,12 @@ def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
                       qid: str) -> list[RankedList]:
     """Top-``k`` retrieval of "question + candidate" for every candidate.
 
-    The one place that searches a question's candidate expansions.
+    The one place that searches a question's candidate expansions.  One
+    stem memo serves all of them, so the question is stemmed once.
     """
-    return [index.search(expanded_query(question, c.text), k, qid=qid)
+    memo: dict[str, str] = {}
+    return [index.search(expanded_query(question, c.text), k, qid=qid,
+                         memo=memo)
             for c in cs.candidates]
 
 

@@ -125,6 +125,9 @@ class Index:
         self.doc_count = len(pids)
         self.avg_doc_length = float(doc_lengths.mean()) if len(pids) else 0.0
         self._pid_to_doc = {pid: i for i, pid in enumerate(pids)}
+        # the same strs as ``pids``; ``tolist`` of a slice is an exact-size
+        # list, where a comprehension leaves growth slack in every result
+        self._pid_objs = np.array(pids, dtype=object)
 
         n = float(self.doc_count)
         df = np.diff(post_offsets).astype(np.float64)
@@ -132,7 +135,13 @@ class Index:
         avgdl = self.avg_doc_length if self.avg_doc_length > 0 else 1.0
         dl = doc_lengths.astype(np.float64)
         self.len_norm = params.k1 * (1.0 - params.b + params.b * dl / avgdl)
-        self._tfs_f64 = post_tfs.astype(np.float64)
+        # Each posting's BM25 impact tf·(k1+1)/(tf+len_norm[doc]), computed
+        # in place so set-up holds one temporary of the postings' size.
+        self._impact = post_tfs.astype(np.float64)
+        denom = self.len_norm[post_docs]
+        denom += self._impact
+        self._impact *= params.k1 + 1.0
+        self._impact /= denom
 
     # -- scoring ------------------------------------------------------------
 
@@ -146,37 +155,43 @@ class Index:
     def score_all(self, tokens) -> np.ndarray:
         """Dense score vector over internal doc ids for an analyzed query."""
         tids, weights = self._query_terms(tokens)
-        return kernels.score_query(
-            tids, weights, self.post_offsets, self.post_docs, self._tfs_f64,
-            self.len_norm, self.params.k1 + 1.0, self.idf, self.doc_count
-        )
+        return kernels.score_query(tids, weights, self.post_offsets,
+                                   self.post_docs, self._impact, self.idf,
+                                   self.doc_count)
 
     def bm25_score(self, tokens, pid: str) -> float:
         """Score of a single passage for an analyzed query."""
         if pid not in self._pid_to_doc:
             raise KeyError(f"unknown passage id {pid!r}")
         doc = self._pid_to_doc[pid]
-        k1p1 = self.params.k1 + 1.0
         total = 0.0
         for tid, weight in zip(*self._query_terms(tokens)):
             start, end = self.post_offsets[tid], self.post_offsets[tid + 1]
             pos = np.searchsorted(self.post_docs[start:end], doc)
             if pos < end - start and self.post_docs[start + pos] == doc:
-                tf = self._tfs_f64[start + pos]
-                total += weight * self.idf[tid] * (
-                    (tf * k1p1) / (tf + self.len_norm[doc])
-                )
+                total += weight * self.idf[tid] * self._impact[start + pos]
         return float(total)
 
     def search(self, query_text: str, k: int, qid: str = "q",
-               tag: str = "run") -> RankedList:
+               tag: str = "run", memo: dict[str, str] | None = None,
+               ) -> RankedList:
+        """Top-``k`` positively scoring passages, ties to the smaller pid.
+
+        ``memo`` is passed to the analyzer (see ``Analyzer.__call__``).
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        scores = self.score_all(self.analyzer(query_text))
+        scores = self.score_all(self.analyzer(query_text, memo))
         pos = np.flatnonzero(scores > 0.0)
-        docs = pos[np.lexsort((pos, -scores[pos]))[:k]]
-        pids = [self.pids[d] for d in docs.tolist()]
-        return RankedList.from_columns(qid, pids, scores[docs], tag)
+        top = scores[pos]
+        if len(pos) > k:
+            # Only documents scoring at least the k-th largest score can
+            # rank in the top k; the tie-stable sort below orders just those.
+            keep = top >= np.partition(top, len(top) - k)[len(top) - k]
+            pos, top = pos[keep], top[keep]
+        docs = pos[np.lexsort((pos, -top))[:k]]
+        return RankedList.from_columns(qid, self._pid_objs[docs].tolist(),
+                                       scores[docs], tag)
 
     # -- persistence --------------------------------------------------------
 

@@ -37,8 +37,9 @@ def _sigmoid(t: float) -> float:
 class _PassageStats:
     """What ``passage_features`` reuses across calls on one index and the
     store it reads passages from: each passage's mean idf over its distinct
-    normalized tokens and its token count, filled on first use; the idf of
-    each surface token, so each is analyzed once; and the token set of the
+    normalized tokens and its token count, filled on first use; the term id
+    of each surface token (the int object of ``index.vocab``, so an entry
+    costs no new value), so each is analyzed once; and the token set of the
     last question, which all the passages of one reranked list share.
 
     It holds no reference to its index, which is its key in ``_STATS``.
@@ -48,7 +49,7 @@ class _PassageStats:
         self.store = store
         self._row = index._pid_to_doc
         self._stats = np.full((index.doc_count, 2), np.nan)
-        self._idf: dict[str, float | None] = {}  # surface token -> idf
+        self._tid: dict[str, int | None] = {}  # surface token -> term id
         self._question: str | None = None
         self._question_tokens: frozenset[str] = frozenset()
 
@@ -62,15 +63,15 @@ class _PassageStats:
         stats = self._stats[self._row[pid]]
         if np.isnan(stats[0]):
             tokens = normalize(self.store.get(pid).text)
-            idfs = []
+            tids = []
             for t in sorted(set(tokens)):  # a fixed summation order
-                if t not in self._idf:
+                if t not in self._tid:
                     stemmed = index.analyzer(t)
-                    tid = index.vocab.get(stemmed[0]) if stemmed else None
-                    self._idf[t] = (None if tid is None
-                                    else float(index.idf[tid]))
-                if self._idf[t] is not None:
-                    idfs.append(self._idf[t])
+                    self._tid[t] = (index.vocab.get(stemmed[0]) if stemmed
+                                    else None)
+                if self._tid[t] is not None:
+                    tids.append(self._tid[t])
+            idfs = index.idf[tids].tolist()
             stats[:] = (sum(idfs) / len(idfs) if idfs else 0.0, len(tokens))
         return stats
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,9 +171,9 @@ class TestBenchLatency:
         searched = []
         search = Index.search
 
-        def spy(self, query_text, k, qid="q", tag="run"):
+        def spy(self, query_text, k, qid="q", **kwargs):
             searched.append((qid, query_text))
-            return search(self, query_text, k, qid=qid, tag=tag)
+            return search(self, query_text, k, qid=qid, **kwargs)
 
         def last_query_per_qid():
             last = dict(searched)
@@ -256,6 +258,31 @@ class TestRunFiles:
         with pytest.raises(RunFormatError, match="qid q1") as exc:
             read_run(path)
         assert str(path) in str(exc.value)
+
+    def test_read_run_holds_no_per_entry_objects(self, tmp_path):
+        """Entries cost a reference to one shared str per distinct pid and
+        one double: no str per repeated pid, no float object per entry."""
+        def retained(n_pids):
+            path = tmp_path / f"run{n_pids}.trec"
+            path.write_text("".join(
+                f"q{q} Q0 passage{j:05d} {j + 1} {1000 - j}.25 t\n"
+                for q in range(100) for j in range(n_pids)))
+            # Live floats empty the float free list, so a float object that
+            # read_run keeps is a traced allocation.
+            drain = [float(i) for i in range(5000)]  # noqa: F841
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                runs = read_run(path)
+                size = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert runs["q7"].pids()[n_pids - 1] == f"passage{n_pids - 1:05d}"
+            assert runs["q7"].scores[0] == 1000.25
+            return size
+
+        per_entry = (retained(200) - retained(100)) / (100 * 100)
+        assert per_entry <= 24
 
     def test_imported_run_fusable(self, tmp_path):
         from expandrank.pipeline import fuse

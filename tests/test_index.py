@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expandrank import kernels
 from expandrank.corpus import Passage, PassageStore
 from expandrank.index import Bm25Params, Index, IndexError_, RankedList, build_index
 from expandrank.synth import make_random_corpus, make_random_queries
 from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
-                     reference_build_index)
+                     reference_build_index, reference_score_all,
+                     reference_search)
 
 PARAMS = Bm25Params()
 
@@ -320,22 +320,68 @@ class TestDamagedIndex:
 
 class TestKernelParity:
     def test_active_kernel_matches_python_loop(self, small_corpus):
-        """Whichever kernel is active (numba or numpy), its scores equal the
-        uncompiled scalar loop bit for bit."""
+        """Impacts plus one bincount equal the term-at-a-time loop bit for
+        bit."""
         store, index = small_corpus
         for q in make_random_queries(10, list(store), seed=11):
             tokens = index.analyzer(q)
-            tids, weights = index._query_terms(tokens)
-            fast = index.score_all(tokens)
-            slow = np.zeros(index.doc_count)
-            if len(tids):
-                kernels._accumulate_py(
-                    tids, weights, index.post_offsets, index.post_docs,
-                    index._tfs_f64, index.len_norm, index.params.k1 + 1.0,
-                    index.idf, slow,
-                )
+            slow = reference_score_all(index, tokens)
             assert np.any(slow > 0)
-            np.testing.assert_array_equal(fast, slow)
+            np.testing.assert_array_equal(index.score_all(tokens), slow)
+
+    def test_repeated_and_unknown_terms(self, small_corpus):
+        _, index = small_corpus
+        a, b, c = index.terms[3], index.terms[40], index.terms[7]
+        for tokens in ([a, b, a, "zzunknown", c, a, b],
+                       ["zzunknown", "zzother"], [], [c, c, c]):
+            np.testing.assert_array_equal(index.score_all(tokens),
+                                          reference_score_all(index, tokens))
+
+    def test_empty_posting_list(self):
+        # "y" is in the vocabulary with no postings: a file may hold that.
+        index = Index(["a", "b"], ["x", "y", "z"],
+                      np.array([0, 2, 2, 3], dtype=np.int64),
+                      np.array([0, 1, 1], dtype=np.int32),
+                      np.array([1, 2, 1], dtype=np.int32),
+                      np.array([1, 3], dtype=np.int32), PARAMS)
+        for tokens in (["y"], ["y", "x", "y", "z"], ["z", "y"]):
+            np.testing.assert_array_equal(index.score_all(tokens),
+                                          reference_score_all(index, tokens))
+        assert index.score_all(["y"]).tolist() == [0.0, 0.0]
+
+
+# Few distinct words and duplicated passages, so scores tie often.
+_tie_texts = st.lists(st.sampled_from(("red", "blue", "green", "gold")),
+                      min_size=1, max_size=5).map(" ".join)
+
+
+class TestPartialTopK:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_tie_texts, st.integers(1, 3)), min_size=1,
+                    max_size=8),
+           _tie_texts)
+    def test_search_matches_full_sort(self, texts, query):
+        passages = [Passage(id=f"p{i:02d}.{j}", title="", text=text)
+                    for i, (text, copies) in enumerate(texts)
+                    for j in range(copies)]
+        index = build_index(PassageStore(passages), PARAMS)
+        n_pos = len(reference_search(index, query, len(passages)))
+        # every cut, through ties or not, and k past the positive docs
+        for k in range(1, n_pos + 3):
+            assert index.search(query, k).entries == \
+                reference_search(index, query, k)
+
+    def test_boundary_cuts_through_ties(self):
+        # Three copies of one passage tie; k=2 and k=3 cut through them.
+        passages = [Passage(id="a", title="", text="gold gold red"),
+                    *(Passage(id=f"t{i}", title="", text="gold red blue")
+                      for i in (2, 0, 1)),
+                    Passage(id="z", title="", text="gold green blue blue")]
+        index = build_index(PassageStore(passages), PARAMS)
+        for k in (1, 2, 3, 4, 5, 9):
+            expected = reference_search(index, "gold", k)
+            assert index.search("gold", k).entries == expected
+        assert index.search("gold", 3).pids() == ["a", "t0", "t1"]
 
 
 _pid_lists = st.lists(st.text(alphabet="abcp0123", min_size=1, max_size=4),
