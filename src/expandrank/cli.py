@@ -42,6 +42,13 @@ def _bm25_params(args) -> Bm25Params:
                       index_titles=args.index_titles)
 
 
+def _strategy_spec(**fields) -> StrategySpec:
+    try:
+        return StrategySpec(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_inputs(args, require_answers: bool = True):
     """Corpus, index and questions named by ``--corpus/--index/--questions``."""
     _require_file(args.index, "index")
@@ -148,12 +155,11 @@ def cmd_train_pr(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    spec = _strategy_spec(kind=args.strategy, cap_n=args.cap_n,
+                          k_retrieve=args.k, pr_depth=args.pr_depth)
     store, index, questions = _load_inputs(args, require_answers=False)
     if args.strategy == "oracle" and any(not qa.answers for qa in questions):
         raise UsageError("oracle strategy needs questions with answers")
-    spec = StrategySpec(kind=args.strategy, n_samples=args.n_samples,
-                        cap_n=args.cap_n, k_retrieve=args.k,
-                        pr_depth=args.pr_depth)
     model, scorer = _load_model(args), None
     if args.pr_model:
         scorer = PassageScorer.load(_require_file(args.pr_model, "pr model"))
@@ -192,25 +198,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    spec = _strategy_spec(kind=args.strategy, k_retrieve=args.k)
     _require_file(args.corpus, "corpus")
     _require_file(args.questions, "questions")
     store = load_corpus(args.corpus)
     questions = load_questions(args.questions, require_answers=False)
-    spec = StrategySpec(kind=args.strategy, n_samples=args.n_samples,
-                        k_retrieve=args.k)
     report = evalbench.bench_latency(store, _bm25_params(args), spec, questions,
                                      repetitions=args.repetitions,
                                      model=_load_model(args),
+                                     n_samples=args.n_samples,
                                      stub_seed=args.seed)
     print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
     return 0
 
 
 def cmd_ablate(args) -> int:
-    store, index, questions = _load_inputs(args)
     ns = sorted(int(n) for n in args.ns.split(","))
-    spec = StrategySpec(kind=args.strategy, n_samples=args.n_samples,
-                        k_retrieve=args.k)
+    spec = _strategy_spec(kind=args.strategy, k_retrieve=args.k)
+    for n in ns:  # each cap becomes a spec inside the ablation
+        _strategy_spec(kind=args.strategy, cap_n=n, k_retrieve=args.k)
+    store, index, questions = _load_inputs(args)
     model = _load_model(args)
     candidates = _load_candidates(args, index, store, questions)
     reports = evalbench.ablate_candidate_size(spec, index, store, questions,

@@ -11,7 +11,7 @@ from array import array
 from dataclasses import asdict, dataclass
 
 from .corpus import PassageStore
-from .expansion import min_answer_rank, sample_expansions_stub, truncate, dedup
+from .expansion import dedup, min_answer_rank, sample_expansions_stub
 from .index import Bm25Params, Index, RankedList, build_index
 from .pipeline import StrategySpec, run_strategy, strategy_query
 from .reranker import Featurizer
@@ -96,15 +96,12 @@ def ablate_candidate_size(spec: StrategySpec, index: Index, store: PassageStore,
         raise ValueError("Ns must be sorted ascending")
     out = {}
     for n in ns:
-        capped = {
-            qid: truncate(dedup(cs), n) for qid, cs in candidates_map.items()
-        }
-        sub = StrategySpec(kind=spec.kind, n_samples=spec.n_samples,
-                           k_retrieve=spec.k_retrieve)
+        sub = StrategySpec(kind=spec.kind, cap_n=n, k_retrieve=spec.k_retrieve)
         runs = {}
         for qa in qa_list:
             runs[qa.qid] = run_strategy(sub, index, store, qa,
-                                        capped.get(qa.qid), model, featurizer)
+                                        candidates_map.get(qa.qid), model,
+                                        featurizer)
         out[n] = topk_accuracy(runs, qa_list, store, ks=ks,
                                tag=f"{spec.kind}@N={n}")
     return out
@@ -112,12 +109,13 @@ def ablate_candidate_size(spec: StrategySpec, index: Index, store: PassageStore,
 
 def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
                   qa_list, repetitions: int = 1, model=None,
-                  n_samples: int | None = None, stub_seed: int = 0,
+                  n_samples: int = 50, stub_seed: int = 0,
                   ) -> LatencyReport:
     """Batch-size-1 per-query stage timings, plus index build time and size.
 
-    Expand is sampling the candidates, rerank is choosing the query the
-    strategy issues (both 0 for ``bm25``), retrieval is searching it.
+    Expand is sampling ``n_samples`` stub candidates, rerank is choosing the
+    query the strategy issues (both 0 for ``bm25``), retrieval is searching
+    it.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -130,7 +128,6 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
     os.unlink(tmp.name)
 
     featurizer = Featurizer(index, store)
-    n = n_samples or spec.n_samples
 
     expand_t = rerank_t = retrieve_t = 0.0
     measured = 0
@@ -140,8 +137,8 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
             cs = None
             if spec.expands:
                 t0 = time.perf_counter()
-                cs = dedup(sample_expansions_stub(qa.question, n, stub_seed,
-                                                  index, store))
+                cs = dedup(sample_expansions_stub(qa.question, n_samples,
+                                                  stub_seed, index, store))
                 expand_t += time.perf_counter() - t0
             t0 = time.perf_counter()
             query = strategy_query(spec, index, store, qa, cs, model,

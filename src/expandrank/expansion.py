@@ -14,7 +14,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .corpus import PassageStore, QAExample, contains_answer
+from .corpus import (CorpusError, PassageStore, QAExample, _iter_jsonl,
+                     contains_answer)
 from .index import Index, RankedList
 from .text import normalize
 
@@ -148,27 +149,28 @@ def sample_expansions_stub(question: str, n: int, seed: int,
 
 
 def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
-    """Load expansions JSONL of {qid, generator_tag, text}; grouped by qid."""
+    """Load expansions JSONL of {qid, generator_tag, text}; grouped by qid.
+
+    A malformed row raises CorpusError naming ``path:line``.
+    """
     groups: dict[str, list[ExpansionCandidate]] = {}
     warned: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
+    for lineno, obj in _iter_jsonl(path):
+        try:
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
             qid = str(obj["qid"])
-            tag = str(obj.get("generator_tag", "external"))
-            if tag not in GENERATOR_TAGS:
-                raise ValueError(f"{path}:{lineno}: unknown generator_tag {tag!r}")
-            tag = sys.intern(tag)  # one str per tag, not one per row
-            if known_qids is not None and qid not in known_qids and qid not in warned:
-                log.warning("%s:%d: qid %s not in QA set; keeping row",
-                            path, lineno, qid)
-                warned.add(qid)
-            groups.setdefault(qid, []).append(
-                ExpansionCandidate(text=str(obj["text"]), generator_tag=tag)
-            )
+            tag = sys.intern(str(obj.get("generator_tag", "external")))
+            cand = ExpansionCandidate(text=str(obj["text"]), generator_tag=tag)
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: missing field {exc}") from None
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
+        if known_qids is not None and qid not in known_qids and qid not in warned:
+            log.warning("%s:%d: qid %s not in QA set; keeping row",
+                        path, lineno, qid)
+            warned.add(qid)
+        groups.setdefault(qid, []).append(cand)
     return {qid: CandidateSet(qid=qid, candidates=cands)
             for qid, cands in groups.items()}
 

@@ -159,19 +159,6 @@ class Index:
                                    self.post_docs, self._impact, self.idf,
                                    self.doc_count)
 
-    def bm25_score(self, tokens, pid: str) -> float:
-        """Score of a single passage for an analyzed query."""
-        if pid not in self._pid_to_doc:
-            raise KeyError(f"unknown passage id {pid!r}")
-        doc = self._pid_to_doc[pid]
-        total = 0.0
-        for tid, weight in zip(*self._query_terms(tokens)):
-            start, end = self.post_offsets[tid], self.post_offsets[tid + 1]
-            pos = np.searchsorted(self.post_docs[start:end], doc)
-            if pos < end - start and self.post_docs[start + pos] == doc:
-                total += weight * self.idf[tid] * self._impact[start + pos]
-        return float(total)
-
     def search(self, query_text: str, k: int, qid: str = "q",
                tag: str = "run", memo: dict[str, str] | None = None,
                ) -> RankedList:
@@ -284,9 +271,12 @@ class Index:
             fail("tf below 1")
         if np.any(np.bincount(docs, weights=tfs, minlength=n_docs) != dls):
             fail("doc lengths differ from the per-doc tf sums")
-        return cls(pids, terms, offsets.astype(np.int64),
-                   docs.astype(np.int32), tfs.astype(np.int32),
-                   dls.astype(np.int32), params)
+        # On a little-endian host the dtypes already match, so the arrays
+        # stay read-only views over the bytes read, not second copies.
+        return cls(pids, terms, offsets.astype(np.int64, copy=False),
+                   docs.astype(np.int32, copy=False),
+                   tfs.astype(np.int32, copy=False),
+                   dls.astype(np.int32, copy=False), params)
 
 
 def build_index(store: PassageStore, params: Bm25Params | None = None) -> Index:

@@ -6,7 +6,6 @@ question, labeled positive iff they contain an answer.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import weakref
@@ -16,7 +15,7 @@ import numpy as np
 
 from .corpus import PassageStore, contains_answer
 from .index import Index, RankedList
-from .reranker import read_model_file
+from .reranker import read_model_file, write_model_file
 from .text import normalize
 
 log = logging.getLogger(__name__)
@@ -124,17 +123,8 @@ class PassageScorer:
         return _sigmoid(float(self.weights @ z))
 
     def save(self, path) -> None:
-        doc = {
-            "format_version": 1,
-            "kind": "passage_scorer",
-            "schema_id": PR_SCHEMA,
-            "weights": self.weights.tolist(),
-            "feature_mean": self.feature_mean.tolist(),
-            "feature_std": self.feature_std.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_model_file(path, "passage_scorer", PR_SCHEMA, self.weights,
+                         self.feature_mean, self.feature_std)
 
     @classmethod
     def load(cls, path) -> "PassageScorer":

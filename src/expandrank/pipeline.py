@@ -22,17 +22,17 @@ STRATEGY_KINDS = ("bm25", "greedy", "concat", "oracle", "ear_ri", "ear_rd")
 @dataclass
 class StrategySpec:
     kind: str
-    n_samples: int = 50
     cap_n: int | None = None
     k_retrieve: int = 100
     pr_depth: int = 100
-    fuse_order: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.cap_n is not None and self.cap_n > self.n_samples:
-            raise ValueError("cap_n cannot exceed n_samples")
+        if self.cap_n is not None and self.cap_n < 1:
+            raise ValueError(f"cap_n must be >= 1, got {self.cap_n}")
+        if self.k_retrieve < 1:
+            raise ValueError(f"k_retrieve must be >= 1, got {self.k_retrieve}")
 
     @property
     def expands(self) -> bool:
@@ -68,41 +68,22 @@ def strategy_query(spec: StrategySpec, index: Index, store: PassageStore,
     return expanded_query(q, chosen.text)
 
 
-def _single_list(spec: StrategySpec, index: Index, store: PassageStore,
-                 qa: QAExample, cs: CandidateSet | None,
-                 model: ScorerModel | None,
-                 featurizer: Featurizer | None) -> RankedList:
-    if cs is not None:
-        cs = dedup(cs)
-        if spec.cap_n is not None:
-            cs = truncate(cs, spec.cap_n)
-    query = strategy_query(spec, index, store, qa, cs, model, featurizer)
-    return index.search(query, spec.k_retrieve, qid=qa.qid, tag=spec.kind)
-
-
 def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
-                 qa: QAExample, candidates: CandidateSet | dict | None = None,
-                 model: ScorerModel | dict | None = None,
+                 qa: QAExample, candidates: CandidateSet | None = None,
+                 model: ScorerModel | None = None,
                  featurizer: Featurizer | None = None,
                  passage_scorer: PassageScorer | None = None) -> RankedList:
-    """One question through one strategy, optional fusion and reranking.
+    """One question through one strategy, then optional passage reranking.
 
-    With ``spec.fuse_order`` set, ``candidates`` is a mapping tag ->
-    CandidateSet and ``model`` may be a mapping tag -> ScorerModel; per-tag
-    lists are retrieved independently and fused in the given order.
+    ``candidates`` are deduplicated and capped at ``spec.cap_n`` first.
     """
-    if spec.fuse_order:
-        lists = []
-        for tag in spec.fuse_order:
-            cs = candidates.get(tag) if isinstance(candidates, dict) else candidates
-            m = model.get(tag) if isinstance(model, dict) else model
-            lists.append(_single_list(spec, index, store, qa, cs, m,
-                                      featurizer))
-        rl = fuse(lists, spec.k_retrieve)
-        rl.qid = qa.qid
-    else:
-        rl = _single_list(spec, index, store, qa, candidates, model,
-                          featurizer)
+    if candidates is not None:
+        candidates = dedup(candidates)
+        if spec.cap_n is not None:
+            candidates = truncate(candidates, spec.cap_n)
+    query = strategy_query(spec, index, store, qa, candidates, model,
+                           featurizer)
+    rl = index.search(query, spec.k_retrieve, qid=qa.qid, tag=spec.kind)
     if passage_scorer is not None:
         rl = rerank_passages(passage_scorer, index, store, qa.question, rl,
                              spec.pr_depth)
@@ -112,6 +93,7 @@ def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
 def fuse(lists, k: int) -> RankedList:
     """Positional round-robin interleave, skipping already-emitted passages.
 
+    This is GAR-style fusion of per-generator runs (``expandrank fuse``).
     Source scores are incomparable across lists, so emitted scores are the
     synthetic 1/position sequence.
     """
@@ -139,10 +121,7 @@ def run_dataset(spec: StrategySpec, index: Index, store: PassageStore,
     runs: dict[str, RankedList] = {}
     errors = 0
     for qa in qa_list:
-        if spec.fuse_order:
-            cands = candidates_map.get(qa.qid, {}) if candidates_map else {}
-        else:
-            cands = candidates_map.get(qa.qid) if candidates_map else None
+        cands = candidates_map.get(qa.qid) if candidates_map else None
         try:
             runs[qa.qid] = run_strategy(spec, index, store, qa, cands, model,
                                         featurizer, passage_scorer)

@@ -131,6 +131,29 @@ class TrainConfig:
         return 2 if variant == "RI" else 3
 
 
+MODEL_FORMAT_VERSION = 1
+
+
+def write_model_file(path, kind: str, schema_id: str, weights: np.ndarray,
+                     feature_mean: np.ndarray, feature_std: np.ndarray,
+                     **fields) -> None:
+    """Write the model file that ``read_model_file`` reads: a linear model of
+    ``kind`` over schema ``schema_id``, plus any kind-specific ``fields``.
+    Keys are sorted, so equal models give equal bytes."""
+    doc = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "kind": kind,
+        "schema_id": schema_id,
+        "weights": weights.tolist(),
+        "feature_mean": feature_mean.tolist(),
+        "feature_std": feature_std.tolist(),
+        **fields,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+
+
 def read_model_file(path, kind: str, dims: dict[str, int]) -> dict:
     """A model file of ``kind`` whose schema is one of ``dims`` (schema id ->
     feature count), with weights and standardization checked against it.
@@ -147,8 +170,9 @@ def read_model_file(path, kind: str, dims: dict[str, int]) -> dict:
             fail("json", str(exc))
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         fail("kind", f"not a {kind} model")
-    if doc.get("format_version") != 1:
-        fail("format_version", f"{doc.get('format_version')!r} is not 1")
+    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+        fail("format_version", f"{doc.get('format_version')!r} is not "
+                               f"{MODEL_FORMAT_VERSION}")
     schema = doc.get("schema_id")
     if schema not in dims:
         fail("schema_id", f"unknown schema {schema!r}")
@@ -188,19 +212,10 @@ class ScorerModel:
         return float(self.weights @ z)
 
     def save(self, path) -> None:
-        doc = {
-            "format_version": 1,
-            "kind": "expansion_scorer",
-            "variant": self.variant,
-            "schema_id": self.schema_id,
-            "generator_tag": self.generator_tag,
-            "weights": self.weights.tolist(),
-            "feature_mean": self.feature_mean.tolist(),
-            "feature_std": self.feature_std.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_model_file(path, "expansion_scorer", self.schema_id,
+                         self.weights, self.feature_mean, self.feature_std,
+                         variant=self.variant,
+                         generator_tag=self.generator_tag)
 
     @classmethod
     def load(cls, path) -> "ScorerModel":
@@ -296,16 +311,6 @@ def train(examples, cfg: TrainConfig, variant: str,
     tags = {c.generator_tag for ex in examples for c in ex.candidates.candidates}
     tag = tags.pop() if len(tags) == 1 else "external"
     return ScorerModel(variant, schema, w, mean, std, generator_tag=tag)
-
-
-def training_loss(model: ScorerModel, examples, featurizer: Featurizer,
-                  alpha: float) -> float:
-    total = 0.0
-    for ex in examples:
-        feats = example_features(featurizer, model.variant, ex)
-        scores = [model.score(f) for f in feats]
-        total += rank_loss(scores, ex.labels, alpha)[0]
-    return total
 
 
 def select_best(model: ScorerModel, question: str, cs: CandidateSet,

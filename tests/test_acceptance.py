@@ -108,7 +108,7 @@ def test_c3_oracle_gap(planted, planted_store, planted_index):
     questions = planted.questions
     accs = {}
     for kind in ("greedy", "oracle", "concat"):
-        runs = run_dataset(StrategySpec(kind=kind, n_samples=10),
+        runs = run_dataset(StrategySpec(kind=kind),
                            planted_index, planted_store, questions,
                            planted.candidates)
         accs[kind] = top5(runs, questions, planted_store)
@@ -125,7 +125,7 @@ def test_c4_ordering(planted, planted_store, planted_index, planted_split,
     for kind, model in (("greedy", None), ("ear_ri", ri_model),
                         ("ear_rd", rd_model), ("oracle", None)):
         runs[kind] = run_dataset(
-            StrategySpec(kind=kind, n_samples=10), planted_index,
+            StrategySpec(kind=kind), planted_index,
             planted_store, qa_test, planted.candidates, model,
             featurizer if model else None,
         )
@@ -147,7 +147,7 @@ def test_c5_candidate_size(planted, planted_store, planted_index,
     ns = (1, 5, 10, 20, 30, 50)
 
     def accuracy(kind, n, model=None, feat=None):
-        spec = StrategySpec(kind=kind, n_samples=50, cap_n=n)
+        spec = StrategySpec(kind=kind, cap_n=n)
         runs = run_dataset(spec, planted_index, planted_store, qa_test,
                            planted.candidates, model, feat)
         return top5(runs, qa_test, planted_store)
@@ -164,7 +164,7 @@ def test_c6_passage_rerank(planted, planted_store, planted_index,
     _, qa_test = planted_split
 
     def run_all(kind, model=None, feat=None, pr=None):
-        return run_dataset(StrategySpec(kind=kind, n_samples=10, pr_depth=100),
+        return run_dataset(StrategySpec(kind=kind, pr_depth=100),
                            planted_index, planted_store, qa_test,
                            planted.candidates, model, feat, pr)
 
@@ -260,7 +260,7 @@ def test_c9_latency(planted, planted_store, ri_model, rd_model, tmp_path):
     reports = {}
     for kind, model in (("ear_ri", ri_model), ("ear_rd", rd_model)):
         reports[kind] = bench_latency(
-            planted_store, Bm25Params(), StrategySpec(kind=kind, n_samples=10),
+            planted_store, Bm25Params(), StrategySpec(kind=kind),
             questions, model=model, n_samples=10,
         )
     for rep in reports.values():

@@ -151,6 +151,40 @@ class TestPipelineCmds:
                  "--out", workdir / "x.trec")
         assert rc == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("retrieve", "--cap-n", 0), "cap_n must be >= 1"),
+        (("retrieve", "--k", 0), "k_retrieve must be >= 1"),
+        (("bench", "--k", 0), "k_retrieve must be >= 1"),
+        (("ablate", "--ns", "0,5"), "cap_n must be >= 1"),
+    ])
+    def test_bad_strategy_spec_exit_2(self, workdir, capsys, argv, message):
+        inputs = {
+            "--index": workdir / "idx.bin",
+            "--corpus": workdir / "corpus.jsonl",
+            "--questions": workdir / "questions.jsonl",
+            "--out": workdir / "spec.out",
+        }
+        if argv[0] == "bench":
+            del inputs["--index"], inputs["--out"]
+        rc = run(*argv, "--strategy", "greedy",
+                 *(a for item in inputs.items() for a in item))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}, got 0\n"
+        assert not (workdir / "spec.out").exists()
+
+    def test_bad_expansions_row_exit_1(self, workdir, capsys):
+        bad = workdir / "bad_expansions.jsonl"
+        bad.write_text('{"qid": "q0", "generator_tag": "stub", "text": "x"}\n'
+                       '{"generator_tag": "stub", "text": "y"}\n')
+        rc = run("retrieve", "--index", workdir / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--questions", workdir / "questions.jsonl",
+                 "--expansions", bad, "--strategy", "greedy",
+                 "--out", workdir / "bad.trec")
+        assert rc == 1
+        assert f"{bad}:2: missing field 'qid'" in capsys.readouterr().err
+
     def test_ablate_csv(self, workdir, capsys):
         rc = run("ablate", "--index", workdir / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",

@@ -106,11 +106,11 @@ class TestAblate:
         _, qa_test = planted_split
         questions = qa_test[:30]
         oracle_n1 = ablate_candidate_size(
-            StrategySpec(kind="oracle", n_samples=10), planted_index,
+            StrategySpec(kind="oracle"), planted_index,
             planted_store, questions, planted.candidates, [1],
         )[1]
         greedy = ablate_candidate_size(
-            StrategySpec(kind="greedy", n_samples=10), planted_index,
+            StrategySpec(kind="greedy"), planted_index,
             planted_store, questions, planted.candidates, [1],
         )[1]
         assert oracle_n1.accuracies == greedy.accuracies
@@ -119,7 +119,7 @@ class TestAblate:
                                   planted_split):
         _, qa_test = planted_split
         reports = ablate_candidate_size(
-            StrategySpec(kind="oracle", n_samples=10), planted_index,
+            StrategySpec(kind="oracle"), planted_index,
             planted_store, qa_test[:40], planted.candidates, [1, 2, 5, 10],
         )
         for k in (1, 5, 20, 100):
@@ -135,7 +135,7 @@ class TestAblate:
                         planted_split):
         _, qa_test = planted_split
         reports = ablate_candidate_size(
-            StrategySpec(kind="oracle", n_samples=10), planted_index,
+            StrategySpec(kind="oracle"), planted_index,
             planted_store, qa_test[:10], planted.candidates, [1, 5],
         )
         text = report_csv(reports)
@@ -158,10 +158,10 @@ class TestBenchLatency:
                                       rd_model):
         questions = planted.questions[:8]
         ri = bench_latency(planted_store, Bm25Params(),
-                           StrategySpec(kind="ear_ri", n_samples=10),
+                           StrategySpec(kind="ear_ri"),
                            questions, model=ri_model, n_samples=10)
         rd = bench_latency(planted_store, Bm25Params(),
-                           StrategySpec(kind="ear_rd", n_samples=10),
+                           StrategySpec(kind="ear_rd"),
                            questions, model=rd_model, n_samples=10)
         assert rd.query_rerank_s > ri.query_rerank_s
 
@@ -182,7 +182,7 @@ class TestBenchLatency:
 
         monkeypatch.setattr(Index, "search", spy)
         questions = planted.questions[:4]
-        spec = StrategySpec(kind=kind, n_samples=10)
+        spec = StrategySpec(kind=kind)
         report = bench_latency(planted_store, Bm25Params(), spec, questions,
                                n_samples=10)
         assert report.query_expand_s > 0.0 and report.query_rerank_s > 0.0

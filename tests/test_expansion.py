@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from expandrank.corpus import Passage, PassageStore, QAExample
+from expandrank.corpus import CorpusError, Passage, PassageStore, QAExample
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   ExpansionCandidate, assign_folds,
                                   build_training_set, dedup, expanded_query,
@@ -134,6 +134,22 @@ class TestLoadExpansions:
         self.write(path, [{"qid": "q1", "generator_tag": "bogus", "text": "x"}])
         with pytest.raises(ValueError, match="generator_tag"):
             load_expansions(path)
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"generator_tag": "stub", "text": "x"}', "missing field 'qid'"),
+        ('{"qid": "q1", "generator_tag": "stub"}', "missing field 'text'"),
+        ('{"qid": "q1", "text": ', "malformed JSON"),
+        ('["q1", "stub", "x"]', "expected a JSON object"),
+        ('{"qid": "q1", "generator_tag": "stub", "text": "  "}',
+         "expansion text is empty after trimming"),
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"qid": "q0", "generator_tag": "stub", "text": "ok"}'
+                        f"\n\n{line}\n")
+        with pytest.raises(CorpusError) as info:
+            load_expansions(path)
+        assert str(info.value).startswith(f"{path}:3: {message}")
 
     def test_unknown_qid_warns_but_keeps(self, tmp_path, caplog):
         path = tmp_path / "e.jsonl"

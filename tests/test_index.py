@@ -1,5 +1,6 @@
 import json
 import struct
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -119,10 +120,14 @@ class TestBuild:
         assert _saved_bytes(got) == _saved_bytes(want)
 
 
+def _score(index, tokens, pid):
+    return index.score_all(tokens)[index.pids.index(pid)]
+
+
 class TestScore:
     def test_no_overlap_is_zero(self, small_corpus):
         store, index = small_corpus
-        assert index.bm25_score(["notaterm"], index.pids[0]) == 0.0
+        assert _score(index, ["notaterm"], index.pids[0]) == 0.0
 
     def test_single_doc_hand_formula(self):
         store = PassageStore([Passage(id="a", title="", text="red red green")])
@@ -131,7 +136,7 @@ class TestScore:
         # df=1, N=1 -> idf = ln(1 + 0.5/1.5); dl = avgdl -> len part = k1
         idf = np.log(1 + 0.5 / 1.5)
         expected = idf * (2 * 2.2) / (2 + 1.2) + idf * (1 * 2.2) / (1 + 1.2)
-        got = index.bm25_score(["red", "green"], "a")
+        got = _score(index, ["red", "green"], "a")
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force(self, small_corpus):
@@ -140,14 +145,9 @@ class TestScore:
         for q in queries:
             expected = brute_bm25_scores(store, PARAMS, q)
             for pid in index.pids[::7]:
-                assert index.bm25_score(index.analyzer(q), pid) == pytest.approx(
+                assert _score(index, index.analyzer(q), pid) == pytest.approx(
                     expected[pid], abs=1e-9
                 )
-
-    def test_unknown_pid(self, small_corpus):
-        _, index = small_corpus
-        with pytest.raises(KeyError):
-            index.bm25_score(["red"], "nope")
 
     def test_monotone_tf(self):
         base = "alpha beta " + "pad " * 10
@@ -156,7 +156,7 @@ class TestScore:
             Passage(id="b", title="", text=base + " alpha"),
         ])
         index = build_index(store, Bm25Params(stemming=False, stopwords=False))
-        assert index.bm25_score(["alpha"], "b") > index.bm25_score(["alpha"], "a")
+        assert _score(index, ["alpha"], "b") > _score(index, ["alpha"], "a")
 
 
 class TestSearch:
@@ -209,6 +209,21 @@ class TestPersistence:
         loaded = Index.load(path)
         q = make_random_queries(1, list(store), seed=8)[0]
         assert loaded.search(q, 50).entries == index.search(q, 50).entries
+
+    @pytest.mark.skipif(sys.byteorder != "little",
+                        reason="the file is little-endian; a big-endian "
+                               "host must convert, so it copies")
+    def test_loaded_arrays_are_views_of_the_file_bytes(self, small_corpus,
+                                                       tmp_path):
+        _, index = small_corpus
+        path = tmp_path / "idx.bin"
+        index.save(path)
+        loaded = Index.load(path)
+        for name in ("post_offsets", "post_docs", "post_tfs", "doc_lengths"):
+            arr = getattr(loaded, name)
+            assert not arr.flags.owndata, name
+            assert isinstance(arr.base, bytes), name
+            np.testing.assert_array_equal(arr, getattr(index, name))
 
     def test_byte_identical_rebuild(self, small_corpus, tmp_path):
         store, _ = small_corpus

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +61,32 @@ class TestFuse:
             fuse([rl("q", ["a"])], k=0)
 
 
+class TestStrategySpec:
+    def test_four_fields(self):
+        assert [f.name for f in fields(StrategySpec)] == [
+            "kind", "cap_n", "k_retrieve", "pr_depth"]
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"kind": "nope"}, "unknown strategy"),
+        ({"kind": "greedy", "cap_n": 0}, "cap_n must be >= 1"),
+        ({"kind": "greedy", "cap_n": -3}, "cap_n must be >= 1"),
+        ({"kind": "bm25", "k_retrieve": 0}, "k_retrieve must be >= 1"),
+    ])
+    def test_rejects_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            StrategySpec(**kwargs)
+
+    def test_cap_above_the_pool_keeps_every_candidate(
+            self, planted, planted_store, planted_index):
+        qa = planted.questions[0]
+        cands = planted.candidates[qa.qid]
+        capped = run_strategy(StrategySpec(kind="oracle", cap_n=10_000),
+                              planted_index, planted_store, qa, cands)
+        plain = run_strategy(StrategySpec(kind="oracle"), planted_index,
+                             planted_store, qa, cands)
+        assert capped == plain
+
+
 class TestRunStrategy:
     def test_oracle_single_candidate_equals_greedy(self, planted, planted_store,
                                                    planted_index):
@@ -99,7 +127,7 @@ class TestRunStrategy:
                                 planted_split, rd_model, featurizer):
         _, qa_test = planted_split
         def mean_rank(kind, model=None, feat=None):
-            spec = StrategySpec(kind=kind, n_samples=10)
+            spec = StrategySpec(kind=kind)
             total = 0
             for qa in qa_test:
                 out = run_strategy(spec, planted_index, planted_store, qa,
@@ -123,23 +151,6 @@ class TestRunStrategy:
                                 passage_scorer=pr_scorer)
         assert sorted(reranked.pids()[:5]) == sorted(plain.pids()[:5])
         assert reranked.pids()[5:] == plain.pids()[5:]
-
-    def test_fused_tags(self, planted, planted_store, planted_index):
-        # three per-tag candidate pools; greedy selection per tag, then fusion
-        qa = planted.questions[0]
-        pools = {
-            tag: CandidateSet(qid=qa.qid, candidates=[
-                ExpansionCandidate(text=text, generator_tag=tag)
-            ])
-            for tag, text in [("sentence", "keyaa" + "bbb"),
-                              ("answer", "answa" + "bbb"),
-                              ("title", "topika" + "bbb")]
-        }
-        spec = StrategySpec(kind="greedy",
-                            fuse_order=("sentence", "answer", "title"))
-        out = run_strategy(spec, planted_index, planted_store, qa, pools)
-        assert out.tag == "fusion"
-        assert len(out.pids()) == len(set(out.pids()))
 
 
 class TestOracleDominance:
@@ -167,7 +178,7 @@ class TestRunDataset:
 
     def test_deterministic_run_files(self, planted, planted_store,
                                      planted_index, tmp_path):
-        spec = StrategySpec(kind="oracle", n_samples=10)
+        spec = StrategySpec(kind="oracle")
         questions = planted.questions[:30]
         paths = []
         for name in ("a.trec", "b.trec"):
@@ -180,7 +191,7 @@ class TestRunDataset:
 
     def test_writes_valid_trec(self, planted, planted_store, planted_index,
                                tmp_path):
-        spec = StrategySpec(kind="greedy", n_samples=10)
+        spec = StrategySpec(kind="greedy")
         runs = run_dataset(spec, planted_index, planted_store,
                            planted.questions, planted.candidates)
         path = tmp_path / "run.trec"

@@ -13,7 +13,7 @@ from expandrank.index import Index
 from expandrank.passage_reranker import PassageScorer
 from expandrank.reranker import (RD_SCHEMA, RI_SCHEMA, Featurizer, ScorerModel,
                                  TrainConfig, example_features, rank_loss,
-                                 select_best, train, training_loss)
+                                 select_best, train)
 
 
 def labels_of(ranks):
@@ -290,12 +290,17 @@ class TestTrain:
 
     def test_loss_decreases(self, planted_train_set, featurizer):
         subset = planted_train_set[:40]
-        start = training_loss(
-            ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9), np.ones(9)),
-            subset, featurizer, alpha=0.01,
-        )
-        model = train(subset, TrainConfig(), "RI", featurizer)
-        end = training_loss(model, subset, featurizer, alpha=0.01)
+
+        def loss(model):
+            return sum(
+                rank_loss([model.score(f) for f in
+                           example_features(featurizer, "RI", ex)],
+                          ex.labels, 0.01)[0]
+                for ex in subset)
+
+        start = loss(ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9),
+                                 np.ones(9)))
+        end = loss(train(subset, TrainConfig(), "RI", featurizer))
         assert end <= start + 1e-9
 
     def test_deterministic(self, planted_train_set, featurizer):
