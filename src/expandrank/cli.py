@@ -36,26 +36,38 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _bm25_params(args) -> Bm25Params:
-    return Bm25Params(k1=args.k1, b=args.b, stemming=not args.no_stemming,
-                      stopwords=not args.no_stopwords,
-                      index_titles=args.index_titles)
-
-
-def _strategy_spec(**fields) -> StrategySpec:
+def _config(cls, **fields):
+    """``cls(**fields)`` from flag values; a value it rejects is a usage error."""
     try:
-        return StrategySpec(**fields)
+        return cls(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
+def _positive_ints(name: str, text: str) -> list[int]:
+    """The values of a comma-separated list flag, each an integer >= 1."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{name} must be integers, got {text!r}") from None
+    if min(values) < 1:
+        raise UsageError(f"{name} must be >= 1, got {min(values)}")
+    return values
+
+
+def _bm25_params(args) -> Bm25Params:
+    return _config(Bm25Params, k1=args.k1, b=args.b,
+                   stemming=not args.no_stemming,
+                   stopwords=not args.no_stopwords,
+                   index_titles=args.index_titles)
+
+
 def _load_inputs(args, require_answers: bool = True):
     """Corpus, index and questions named by ``--corpus/--index/--questions``."""
-    _require_file(args.index, "index")
-    _require_file(args.corpus, "corpus")
-    _require_file(args.questions, "questions")
-    return (load_corpus(args.corpus), Index.load(args.index),
-            load_questions(args.questions, require_answers=require_answers))
+    return (load_corpus(_require_file(args.corpus, "corpus")),
+            Index.load(_require_file(args.index, "index")),
+            load_questions(_require_file(args.questions, "questions"),
+                           require_answers=require_answers))
 
 
 def _load_model(args) -> ScorerModel | None:
@@ -69,10 +81,9 @@ def _load_model(args) -> ScorerModel | None:
 
 def _load_candidates(args, index, store, questions):
     if args.expansions:
-        _require_file(args.expansions, "expansions file")
         return expansion.load_expansions(
-            args.expansions, known_qids={qa.qid for qa in questions}
-        )
+            _require_file(args.expansions, "expansions file"),
+            known_qids={qa.qid for qa in questions})
     return {
         qa.qid: expansion.sample_expansions_stub(
             qa.question, args.n_samples, args.seed, index, store
@@ -84,10 +95,10 @@ def _load_candidates(args, index, store, questions):
 # -- subcommands ------------------------------------------------------------
 
 def cmd_index(args) -> int:
-    _require_file(args.corpus, "corpus")
-    store = load_corpus(args.corpus)
+    params = _bm25_params(args)
+    store = load_corpus(_require_file(args.corpus, "corpus"))
     t0 = time.perf_counter()
-    index = build_index(store, _bm25_params(args))
+    index = build_index(store, params)
     build_s = time.perf_counter() - t0
     index.save(args.out)
     print(f"documents: {index.doc_count}")
@@ -97,13 +108,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_make_train(args) -> int:
-    try:
-        cfg = expansion.ConstructionConfig(
-            k_retrieve=args.k_retrieve, max_rank=args.max_rank,
-            folds=args.folds, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _config(expansion.ConstructionConfig, k_retrieve=args.k_retrieve,
+                  max_rank=args.max_rank, folds=args.folds, seed=args.seed)
     store, index, questions = _load_inputs(args)
     if len(questions) < cfg.folds:
         raise UsageError(
@@ -129,15 +135,13 @@ def cmd_make_train(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_file(args.train, "training set")
-    _require_file(args.index, "index")
-    _require_file(args.corpus, "corpus")
-    examples = expansion.load_training_set(args.train)
-    store = load_corpus(args.corpus)
-    index = Index.load(args.index)
-    cfg = TrainConfig(alpha=args.alpha, epochs=args.epochs,
-                      group_batch=args.group_batch,
-                      learning_rate=args.learning_rate, seed=args.seed)
+    cfg = _config(TrainConfig, alpha=args.alpha, epochs=args.epochs,
+                  group_batch=args.group_batch,
+                  learning_rate=args.learning_rate, seed=args.seed)
+    examples = expansion.load_training_set(
+        _require_file(args.train, "training set"))
+    store = load_corpus(_require_file(args.corpus, "corpus"))
+    index = Index.load(_require_file(args.index, "index"))
     model = train(examples, cfg, args.variant, Featurizer(index, store))
     model.save(args.out)
     print(f"trained {args.variant} model on {len(examples)} questions -> {args.out}")
@@ -145,9 +149,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_train_pr(args) -> int:
+    cfg = _config(PRTrainConfig, train_depth=args.train_depth,
+                  epochs=args.epochs, learning_rate=args.learning_rate,
+                  seed=args.seed)
     store, index, questions = _load_inputs(args)
-    cfg = PRTrainConfig(train_depth=args.train_depth, epochs=args.epochs,
-                        learning_rate=args.learning_rate, seed=args.seed)
     scorer = train_passage_reranker(index, store, questions, cfg)
     scorer.save(args.out)
     print(f"trained passage scorer on {len(questions)} questions -> {args.out}")
@@ -155,8 +160,8 @@ def cmd_train_pr(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    spec = _strategy_spec(kind=args.strategy, cap_n=args.cap_n,
-                          k_retrieve=args.k, pr_depth=args.pr_depth)
+    spec = _config(StrategySpec, kind=args.strategy, cap_n=args.cap_n,
+                   k_retrieve=args.k, pr_depth=args.pr_depth)
     store, index, questions = _load_inputs(args, require_answers=False)
     if args.strategy == "oracle" and any(not qa.answers for qa in questions):
         raise UsageError("oracle strategy needs questions with answers")
@@ -180,13 +185,10 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_file(args.run, "run file")
-    _require_file(args.questions, "questions")
-    _require_file(args.corpus, "corpus")
-    store = load_corpus(args.corpus)
-    questions = load_questions(args.questions)
-    runs = evalbench.read_run(args.run)
-    ks = tuple(int(k) for k in args.ks.split(","))
+    ks = tuple(_positive_ints("ks", args.ks))
+    store = load_corpus(_require_file(args.corpus, "corpus"))
+    questions = load_questions(_require_file(args.questions, "questions"))
+    runs = evalbench.read_run(_require_file(args.run, "run file"))
     report = evalbench.topk_accuracy(runs, questions, store, ks=ks,
                                      tag=os.path.basename(args.run))
     print(report.format_text())
@@ -198,12 +200,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = _strategy_spec(kind=args.strategy, k_retrieve=args.k)
-    _require_file(args.corpus, "corpus")
-    _require_file(args.questions, "questions")
-    store = load_corpus(args.corpus)
-    questions = load_questions(args.questions, require_answers=False)
-    report = evalbench.bench_latency(store, _bm25_params(args), spec, questions,
+    spec = _config(StrategySpec, kind=args.strategy, k_retrieve=args.k)
+    params = _bm25_params(args)
+    store = load_corpus(_require_file(args.corpus, "corpus"))
+    questions = load_questions(_require_file(args.questions, "questions"),
+                               require_answers=False)
+    report = evalbench.bench_latency(store, params, spec, questions,
                                      repetitions=args.repetitions,
                                      model=_load_model(args),
                                      n_samples=args.n_samples,
@@ -213,10 +215,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    ns = sorted(int(n) for n in args.ns.split(","))
-    spec = _strategy_spec(kind=args.strategy, k_retrieve=args.k)
-    for n in ns:  # each cap becomes a spec inside the ablation
-        _strategy_spec(kind=args.strategy, cap_n=n, k_retrieve=args.k)
+    spec = _config(StrategySpec, kind=args.strategy, k_retrieve=args.k)
+    ns = sorted(_positive_ints("cap_n", args.ns))  # each a spec's cap_n
     store, index, questions = _load_inputs(args)
     model = _load_model(args)
     candidates = _load_candidates(args, index, store, questions)
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,30 +63,41 @@ class PassageStore:
             raise KeyError(f"unknown passage id {pid!r}") from None
 
 
-def _iter_jsonl(path):
+def read_jsonl(path, parse):
+    """Yield ``(line number, parse(row))`` for each non-blank line of a JSONL
+    file of objects; any fault in a row, including a KeyError, TypeError or
+    ValueError raised by ``parse``, raises ``CorpusError("path:line: ...")``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise CorpusError("expected a JSON object")
+                value = parse(row)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+            except KeyError as exc:
+                raise CorpusError(f"{path}:{lineno}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, value
+
+
+def typed_field(row: dict, key: str, kind: type, default=None):
+    """``row[key]`` (``default`` if given and the key is absent), a ``kind``."""
+    value = row[key] if default is None else row.get(key, default)
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def load_corpus(path) -> PassageStore:
     """Load a JSONL corpus of {id, title, text} objects."""
-    passages = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            passages.append(
-                Passage(id=str(obj["id"]), title=str(obj.get("title", "")),
-                        text=str(obj["text"]))
-            )
-        except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: missing field {exc}") from exc
-    return PassageStore(passages)
+    return PassageStore([p for _, p in read_jsonl(path, lambda row: Passage(
+        id=str(row["id"]), title=typed_field(row, "title", str, ""),
+        text=typed_field(row, "text", str)))])
 
 
 def load_questions(path, require_answers: bool = True) -> list[QAExample]:
@@ -96,22 +107,20 @@ def load_questions(path, require_answers: bool = True) -> list[QAExample]:
     (bare-question inference files); answer-dependent operations will reject
     such examples themselves.
     """
-    out = []
     seen = set()
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            qid = str(obj["qid"])
-            if qid in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate qid {qid}")
-            seen.add(qid)
-            answers = tuple(str(a) for a in obj.get("answers", ()))
-            if require_answers and not answers:
-                raise CorpusError(f"{path}:{lineno}: question {qid} has no answers")
-            out.append(QAExample(qid=qid, question=str(obj["question"]),
-                                 answers=answers))
-        except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: missing field {exc}") from exc
-    return out
+
+    def parse(row) -> QAExample:
+        qid = str(row["qid"])
+        if qid in seen:
+            raise CorpusError(f"duplicate qid {qid}")
+        seen.add(qid)
+        answers = tuple(str(a) for a in typed_field(row, "answers", list, []))
+        if require_answers and not answers:
+            raise CorpusError(f"question {qid} has no answers")
+        return QAExample(qid=qid, question=typed_field(row, "question", str),
+                         answers=answers)
+
+    return [qa for _, qa in read_jsonl(path, parse)]
 
 
 def contains_answer(passage: Passage, answers) -> bool:

@@ -14,8 +14,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .corpus import (CorpusError, PassageStore, QAExample, _iter_jsonl,
-                     contains_answer)
+from .corpus import (PassageStore, QAExample, contains_answer, read_jsonl,
+                     typed_field)
 from .index import Index, RankedList
 from .text import normalize
 
@@ -30,6 +30,8 @@ class ExpansionCandidate:
     generator_tag: str = "stub"
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise TypeError(f"text must be a str, got {type(self.text).__name__}")
         if not self.text.strip():
             raise ValueError("expansion text is empty after trimming")
         if self.generator_tag not in GENERATOR_TAGS:
@@ -155,17 +157,13 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
     """
     groups: dict[str, list[ExpansionCandidate]] = {}
     warned: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            if not isinstance(obj, dict):
-                raise ValueError("expected a JSON object")
-            qid = str(obj["qid"])
-            tag = sys.intern(str(obj.get("generator_tag", "external")))
-            cand = ExpansionCandidate(text=str(obj["text"]), generator_tag=tag)
-        except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: missing field {exc}") from None
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from None
+
+    def parse(row) -> tuple[str, ExpansionCandidate]:
+        tag = sys.intern(str(row.get("generator_tag", "external")))
+        return str(row["qid"]), ExpansionCandidate(text=row["text"],
+                                                   generator_tag=tag)
+
+    for lineno, (qid, cand) in read_jsonl(path, parse):
         if known_qids is not None and qid not in known_qids and qid not in warned:
             log.warning("%s:%d: qid %s not in QA set; keeping row",
                         path, lineno, qid)
@@ -274,14 +272,8 @@ def finite_number(v) -> bool:
 
 
 def _parse_example(obj) -> TrainingExample:
-    if not isinstance(obj, dict):
-        raise ValueError("expected a JSON object")
     if "top1" in obj and "top2" not in obj:
         raise ValueError("old format with top-1 pids only; re-run make-train")
-    missing = [k for k in ("qid", "question", "candidates", "labels", "top2")
-               if k not in obj]
-    if missing:
-        raise ValueError(f"missing keys {missing}")
     cands = [ExpansionCandidate(**c) for c in obj["candidates"]]
     labels = [RankLabel(**l) for l in obj["labels"]]
     top2 = obj["top2"]
@@ -298,7 +290,7 @@ def _parse_example(obj) -> TrainingExample:
                              f"[pid, finite score] entries")
     qid = str(obj["qid"])
     return TrainingExample(
-        qid=qid, question=str(obj["question"]),
+        qid=qid, question=typed_field(obj, "question", str),
         candidates=CandidateSet(qid=qid, candidates=cands), labels=labels,
         top2=[[(pid, float(score)) for pid, score in e] for e in top2],
     )
@@ -306,15 +298,5 @@ def _parse_example(obj) -> TrainingExample:
 
 def load_training_set(path) -> list[TrainingExample]:
     """Read a training set written by ``save_training_set``; a malformed row
-    raises ValueError naming ``path:line``."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(_parse_example(json.loads(line)))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    raises CorpusError naming ``path:line``."""
+    return [ex for _, ex in read_jsonl(path, _parse_example)]

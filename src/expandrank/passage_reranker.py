@@ -107,6 +107,10 @@ class PRTrainConfig:
     def __post_init__(self):
         if self.train_depth < 1:
             raise ValueError("train_depth must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 class PassageScorer:

@@ -33,6 +33,8 @@ class StrategySpec:
             raise ValueError(f"cap_n must be >= 1, got {self.cap_n}")
         if self.k_retrieve < 1:
             raise ValueError(f"k_retrieve must be >= 1, got {self.k_retrieve}")
+        if self.pr_depth < 1:
+            raise ValueError(f"pr_depth must be >= 1, got {self.pr_depth}")
 
     @property
     def expands(self) -> bool:

@@ -124,6 +124,10 @@ class TrainConfig:
             raise ValueError("alpha must be positive")
         if self.epochs is not None and self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.group_batch < 1:
+            raise ValueError(f"group_batch must be >= 1, got {self.group_batch}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
     def epochs_for(self, variant: str) -> int:
         if self.epochs is not None:
@@ -261,9 +265,6 @@ def example_features(featurizer: Featurizer, variant: str,
                      ex: TrainingExample) -> np.ndarray:
     """Feature rows of one training question's candidates.  RD rows read the
     top-2 entries stored with the example, so no search is issued."""
-    if ex.top2 is None:
-        raise ValueError(f"training needs the stored top-2 entries "
-                         f"({ex.qid}); re-run make-train")
     return np.stack([
         featurizer.features(variant, ex.question, cand,
                             RankedList(qid=ex.qid, entries=list(top)))

@@ -156,6 +156,7 @@ class TestPipelineCmds:
         (("retrieve", "--k", 0), "k_retrieve must be >= 1"),
         (("bench", "--k", 0), "k_retrieve must be >= 1"),
         (("ablate", "--ns", "0,5"), "cap_n must be >= 1"),
+        (("retrieve", "--pr-depth", 0), "pr_depth must be >= 1"),
     ])
     def test_bad_strategy_spec_exit_2(self, workdir, capsys, argv, message):
         inputs = {
@@ -172,6 +173,48 @@ class TestPipelineCmds:
         err = capsys.readouterr().err
         assert err == f"error: {message}, got 0\n"
         assert not (workdir / "spec.out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("index", "--k1", 0), "k1 must be positive, got 0.0"),
+        (("train", "--group-batch", 0), "group_batch must be >= 1, got 0"),
+        (("train", "--learning-rate", -1),
+         "learning_rate must be > 0, got -1.0"),
+        (("train-pr", "--epochs", 0), "epochs must be >= 1, got 0"),
+        (("train-pr", "--learning-rate", 0),
+         "learning_rate must be > 0, got 0.0"),
+        (("eval", "--ks", "5,x"), "ks must be integers, got '5,x'"),
+        (("eval", "--ks", "0,5"), "ks must be >= 1, got 0"),
+        (("ablate", "--ns", "5,x"), "cap_n must be integers, got '5,x'"),
+    ])
+    def test_bad_flag_exit_2(self, workdir, capsys, argv, message):
+        """A flag value is checked before any input is read or output
+        written."""
+        inputs = {
+            "index": ("--corpus",),
+            "train": ("--train", "--index", "--corpus"),
+            "train-pr": ("--index", "--corpus", "--questions"),
+            "retrieve": ("--index", "--corpus", "--questions"),
+            "eval": ("--run", "--questions", "--corpus"),
+            "ablate": ("--index", "--corpus", "--questions"),
+        }[argv[0]]
+        files = {"--index": "idx.bin", "--corpus": "corpus.jsonl",
+                 "--questions": "questions.jsonl", "--train": "train_a.jsonl",
+                 "--run": "rd.trec"}
+        rc = run(*argv, "--out", workdir / "flag.out",
+                 *(a for flag in inputs for a in (flag, workdir / files[flag])))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "flag.out").exists()
+
+    def test_non_object_corpus_row_exit_1(self, workdir, capsys):
+        bad = workdir / "bad_corpus.jsonl"
+        bad.write_text('{"id": "p0", "title": "", "text": "ok"}\n'
+                       '["p1", "t", "x"]\n')
+        rc = run("index", "--corpus", bad, "--out", workdir / "bad.bin")
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == f"error: {bad}:2: expected a JSON object\n")
+        assert not (workdir / "bad.bin").exists()
 
     def test_bad_expansions_row_exit_1(self, workdir, capsys):
         bad = workdir / "bad_expansions.jsonl"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from expandrank.corpus import (CorpusError, Passage, PassageStore,
                                contains_answer, load_corpus, load_questions)
+from expandrank.expansion import load_expansions, load_training_set
 from oracles import brute_contains
 
 
@@ -59,6 +60,82 @@ class TestLoadQuestions:
         with pytest.raises(CorpusError, match="no answers"):
             load_questions(path)
         assert load_questions(path, require_answers=False)[0].answers == ()
+
+
+TRAIN_ROW = {
+    "qid": "q0", "question": "why",
+    "candidates": [{"text": "a b", "generator_tag": "stub"}],
+    "labels": [{"index": 0, "r": 1, "hit": True}],
+    "top2": [[["p1", 2.5]]],
+}
+
+# loader, a valid first row, and one bad row per way a row can fail: not
+# JSON, not an object, a missing field, a value its constructor rejects, a
+# field of the wrong JSON type.
+LOADER_ROWS = {
+    "corpus": (load_corpus, {"id": "p0", "title": "", "text": "ok"}, [
+        ('{"id": "p1", "text": ', "malformed JSON"),
+        ('["p1", "t", "x"]', "expected a JSON object"),
+        ('{"id": "p1", "title": "t"}', "missing field 'text'"),
+        ('{"id": "p1", "text": ""}', "passage 'p1' has empty text"),
+        ('{"id": "p1", "text": null}', "text must be a str, got NoneType"),
+        ('{"id": "p1", "title": null, "text": "x"}',
+         "title must be a str, got NoneType"),
+    ]),
+    "questions": (load_questions,
+                  {"qid": "q0", "question": "why", "answers": ["x"]}, [
+        ('{"qid": "q1", ', "malformed JSON"),
+        ('"why"', "expected a JSON object"),
+        ('{"qid": "q1", "answers": ["x"]}', "missing field 'question'"),
+        ('{"qid": "q1", "question": "", "answers": ["x"]}',
+         "question 'q1' is empty"),
+        ('{"qid": "q1", "question": "why", "answers": "Paris"}',
+         "answers must be a list, got str"),
+        ('{"qid": "q1", "question": null, "answers": ["x"]}',
+         "question must be a str, got NoneType"),
+        ('{"qid": "q0", "question": "again", "answers": ["x"]}',
+         "duplicate qid q0"),
+        ('{"qid": "q1", "question": "why", "answers": []}',
+         "question q1 has no answers"),
+    ]),
+    "expansions": (load_expansions,
+                   {"qid": "q0", "generator_tag": "stub", "text": "ok"}, [
+        ('{"qid": "q1" "text": "x"}', "malformed JSON"),
+        ("null", "expected a JSON object"),
+        ('{"qid": "q1"}', "missing field 'text'"),
+        ('{"qid": "q1", "generator_tag": "llm", "text": "x"}',
+         "unknown generator_tag 'llm'"),
+        ('{"qid": "q1", "text": 7}', "text must be a str, got int"),
+    ]),
+    "training": (load_training_set, TRAIN_ROW, [
+        ("{not json", "malformed JSON"),
+        ("[]", "expected a JSON object"),
+        (json.dumps({k: v for k, v in TRAIN_ROW.items() if k != "labels"}),
+         "missing field 'labels'"),
+        (json.dumps({**TRAIN_ROW, "labels": [{"index": 0, "r": 0,
+                                              "hit": False}]}),
+         "rank labels are 1-based"),
+        (json.dumps({**TRAIN_ROW, "question": None}),
+         "question must be a str, got NoneType"),
+        (json.dumps({**TRAIN_ROW, "candidates": [{"text": None}]}),
+         "text must be a str, got NoneType"),
+    ]),
+}
+
+
+class TestReadJsonl:
+    @pytest.mark.parametrize("loader,line,message", [
+        pytest.param(name, line, message, id=f"{name}-{message}")
+        for name, (_, _, bad) in LOADER_ROWS.items() for line, message in bad
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, loader, line,
+                                         message):
+        load, good, _ = LOADER_ROWS[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_text(f"{json.dumps(good)}\n\n{line}\n")
+        with pytest.raises(CorpusError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}:3: {message}")
 
 
 class TestContainsAnswer:

@@ -142,6 +142,8 @@ class TestLoadExpansions:
         ('["q1", "stub", "x"]', "expected a JSON object"),
         ('{"qid": "q1", "generator_tag": "stub", "text": "  "}',
          "expansion text is empty after trimming"),
+        ('{"qid": "q1", "generator_tag": "stub", "text": null}',
+         "text must be a str, got NoneType"),
     ])
     def test_bad_row_names_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "e.jsonl"

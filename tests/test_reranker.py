@@ -308,15 +308,6 @@ class TestTrain:
         b = train(planted_train_set[:20], TrainConfig(seed=5), "RI", featurizer)
         np.testing.assert_array_equal(a.weights, b.weights)
 
-    def test_rd_without_stored_pairs_rejected(self, planted_train_set,
-                                              featurizer):
-        import copy
-        broken = [copy.copy(ex) for ex in planted_train_set[:5]]
-        for ex in broken:
-            ex.top2 = None
-        with pytest.raises(ValueError, match="top-2"):
-            train(broken, TrainConfig(), "RD", featurizer)
-
     def test_rd_training_issues_no_search(self, planted_train_set, featurizer,
                                           monkeypatch):
         def no_search(*args, **kwargs):
