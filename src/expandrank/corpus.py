@@ -95,9 +95,17 @@ def typed_field(row: dict, key: str, kind: type, default=None):
 
 def load_corpus(path) -> PassageStore:
     """Load a JSONL corpus of {id, title, text} objects."""
-    return PassageStore([p for _, p in read_jsonl(path, lambda row: Passage(
-        id=str(row["id"]), title=typed_field(row, "title", str, ""),
-        text=typed_field(row, "text", str)))])
+    seen = set()
+
+    def parse(row) -> Passage:
+        pid = str(row["id"])
+        if pid in seen:
+            raise CorpusError(f"duplicate id {pid}")
+        seen.add(pid)
+        return Passage(id=pid, title=typed_field(row, "title", str, ""),
+                       text=typed_field(row, "text", str))
+
+    return PassageStore([p for _, p in read_jsonl(path, parse)])
 
 
 def load_questions(path, require_answers: bool = True) -> list[QAExample]:

@@ -76,6 +76,8 @@ class ConstructionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.k_retrieve < 1:
+            raise ValueError(f"k_retrieve must be >= 1, got {self.k_retrieve}")
         if self.max_rank <= self.k_retrieve:
             raise ValueError(
                 f"max_rank ({self.max_rank}) must exceed k_retrieve "

@@ -11,6 +11,7 @@ Determinism rules that the rest of the pipeline leans on:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from array import array
@@ -40,6 +41,8 @@ class Bm25Params:
     index_titles: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.k1):
+            raise IndexError_(f"k1 must be finite, got {self.k1}")
         if self.k1 <= 0:
             raise IndexError_(f"k1 must be positive, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:

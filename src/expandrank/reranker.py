@@ -120,8 +120,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.epochs is not None and self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.group_batch < 1:

@@ -32,151 +32,136 @@ def normalize(raw: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Porter stemmer (Porter, 1980).  Plain implementation of the five steps;
-# operates on already-lowercased tokens.
+# Porter stemmer (Porter, 1980).  The five steps, on already-lowercased
+# tokens.  Each word's consonant/vowel pattern is built once ("c"/"v", one
+# letter per character) and every test reads it: the measure m of a stem is
+# the number of "vc" pairs in the stem's pattern, which is a prefix of the
+# word's pattern because a letter's class depends only on the letters
+# before it.
 # ---------------------------------------------------------------------------
 
-_VOWELS = "aeiou"
+
+class _CvTable(dict):
+    """``str.translate`` table: a-e-i-o-u to "v", "y" kept, all else "c"."""
+
+    def __missing__(self, codepoint: int) -> str:
+        return "c"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+_CV = _CvTable(dict.fromkeys(range(128), "c"))
+_CV.update(str.maketrans("aeiouy", "vvvvvy"))
 
 
-def _measure(stem: str) -> int:
-    """Count VC sequences in the [C](VC)^m[V] decomposition."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_consonant(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
+def _pattern(word: str) -> str:
+    """The c/v pattern of ``word``: ``y`` is a consonant at the start or
+    after a vowel, else a vowel."""
+    p = word.translate(_CV)
+    if "y" not in p:
+        return p
+    out = []
+    prev = "v"
+    for ch in p:
+        if ch == "y":
+            ch = "c" if prev == "v" else "v"
+        out.append(ch)
+        prev = ch
+    return "".join(out)
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+def _by_last_letter(rules):
+    """Group (suffix, replacement) rules by the suffix's last letter, in table
+    order, so the first rule that matches is the first of the whole table.
+    Each rule carries its replacement's pattern; no replacement holds a
+    ``y``, so that pattern does not depend on the stem before it."""
+    table: dict[str, list[tuple[str, str, str]]] = {}
+    for suffix, repl in rules:
+        table.setdefault(suffix[-1], []).append((suffix, repl, _pattern(repl)))
+    return table
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+_STEP2 = _by_last_letter((
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
+    ("anci", "ance"), ("izer", "ize"), ("abli", "able"), ("alli", "al"),
+    ("entli", "ent"), ("eli", "e"), ("ousli", "ous"), ("ization", "ize"),
+    ("ation", "ate"), ("ator", "ate"), ("alism", "al"), ("iveness", "ive"),
+    ("fulness", "ful"), ("ousness", "ous"), ("aliti", "al"),
+    ("iviti", "ive"), ("biliti", "ble"),
+))
+_STEP3 = _by_last_letter((
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+))
+# "ion" is removed only after "s" or "t"; no other step-4 suffix ends in "n".
+_STEP4 = _by_last_letter((s, "") for s in (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize", "ion",
+))
 
 
-def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
-    if not (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-    ):
-        return False
-    return word[-1] not in "wxy"
+def _ends_cvc(w: str, p: str, end: int) -> bool:
+    """``w[:end]`` ends consonant-vowel-consonant, the last not w, x or y."""
+    return p.endswith("cvc", 0, end) and w[end - 1] not in "wxy"
 
 
 def porter_stem(word: str) -> str:
     if len(word) <= 2:
         return word
-    w = word
+    w, p = word, _pattern(word)
 
     # Step 1a
-    if w.endswith("sses"):
-        w = w[:-2]
-    elif w.endswith("ies"):
-        w = w[:-2]
-    elif not w.endswith("ss") and w.endswith("s"):
-        w = w[:-1]
+    if w[-1] == "s":
+        if w.endswith(("sses", "ies")):
+            w, p = w[:-2], p[:-2]
+        elif w[-2] != "s":
+            w, p = w[:-1], p[:-1]
 
     # Step 1b
-    flag_1b = False
-    if w.endswith("eed"):
-        if _measure(w[:-3]) > 0:
-            w = w[:-1]
-    elif w.endswith("ed") and _has_vowel(w[:-2]):
-        w = w[:-2]
-        flag_1b = True
-    elif w.endswith("ing") and _has_vowel(w[:-3]):
-        w = w[:-3]
-        flag_1b = True
-    if flag_1b:
-        if w.endswith(("at", "bl", "iz")):
-            w += "e"
-        elif _ends_double_consonant(w) and not w.endswith(("l", "s", "z")):
-            w = w[:-1]
-        elif _measure(w) == 1 and _ends_cvc(w):
-            w += "e"
+    if w.endswith(("ed", "ing")):
+        if w.endswith("eed"):
+            if p.count("vc", 0, len(p) - 3):
+                w, p = w[:-1], p[:-1]
+        else:
+            end = len(w) - (2 if w[-1] == "d" else 3)
+            if "v" in p[:end]:
+                w, p = w[:end], p[:end]
+                if w.endswith(("at", "bl", "iz")):
+                    w, p = w + "e", p + "v"
+                elif (len(w) >= 2 and w[-1] == w[-2] and p[-1] == "c"
+                      and w[-1] not in "lsz"):
+                    w, p = w[:-1], p[:-1]
+                elif p.count("vc") == 1 and _ends_cvc(w, p, len(w)):
+                    w, p = w + "e", p + "v"
 
     # Step 1c
-    if w.endswith("y") and _has_vowel(w[:-1]):
-        w = w[:-1] + "i"
+    if w[-1] == "y" and "v" in p[:-1]:
+        w, p = w[:-1] + "i", p[:-1] + "v"
 
-    # Step 2
-    step2 = (
-        ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
-        ("anci", "ance"), ("izer", "ize"), ("abli", "able"), ("alli", "al"),
-        ("entli", "ent"), ("eli", "e"), ("ousli", "ous"), ("ization", "ize"),
-        ("ation", "ate"), ("ator", "ate"), ("alism", "al"), ("iveness", "ive"),
-        ("fulness", "ful"), ("ousness", "ous"), ("aliti", "al"),
-        ("iviti", "ive"), ("biliti", "ble"),
-    )
-    for suffix, repl in step2:
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if _measure(stem) > 0:
-                w = stem + repl
-            break
+    # Steps 2 and 3: replace the first listed suffix if its stem has m > 0.
+    for table in (_STEP2, _STEP3):
+        for suffix, repl, repl_p in table.get(w[-1], ()):
+            if w.endswith(suffix):
+                end = len(w) - len(suffix)
+                if p.count("vc", 0, end):
+                    w, p = w[:end] + repl, p[:end] + repl_p
+                break
 
-    # Step 3
-    step3 = (
-        ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-        ("ical", "ic"), ("ful", ""), ("ness", ""),
-    )
-    for suffix, repl in step3:
+    # Step 4: drop the first listed suffix if its stem has m > 1.
+    for suffix, _, _ in _STEP4.get(w[-1], ()):
         if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if _measure(stem) > 0:
-                w = stem + repl
+            end = len(w) - len(suffix)
+            if p.count("vc", 0, end) > 1 and (suffix != "ion"
+                                              or w[end - 1] in "st"):
+                w, p = w[:end], p[:end]
             break
-
-    # Step 4
-    step4 = (
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-        "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-    )
-    for suffix in step4:
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if suffix == "ion" and not stem.endswith(("s", "t")):
-                continue
-            if _measure(stem) > 1:
-                w = stem
-            break
-    else:
-        if w.endswith("ion") and len(w) > 3:
-            stem = w[:-3]
-            if stem.endswith(("s", "t")) and _measure(stem) > 1:
-                w = stem
 
     # Step 5a
-    if w.endswith("e"):
-        stem = w[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            w = stem
+    if w[-1] == "e":
+        end = len(w) - 1
+        m = p.count("vc", 0, end)
+        if m > 1 or (m == 1 and not _ends_cvc(w, p, end)):
+            w, p = w[:end], p[:end]
     # Step 5b
-    if _measure(w) > 1 and _ends_double_consonant(w) and w.endswith("l"):
+    if w.endswith("ll") and p.count("vc") > 1:
         w = w[:-1]
 
     return w

@@ -185,12 +185,20 @@ class TestPipelineCmds:
         (("eval", "--ks", "5,x"), "ks must be integers, got '5,x'"),
         (("eval", "--ks", "0,5"), "ks must be >= 1, got 0"),
         (("ablate", "--ns", "5,x"), "cap_n must be integers, got '5,x'"),
+        (("index", "--k1", "nan"), "k1 must be finite, got nan"),
+        (("index", "--k1", "inf"), "k1 must be finite, got inf"),
+        (("train", "--alpha", "nan"),
+         "alpha must be positive and finite, got nan"),
+        (("train", "--alpha", "inf"),
+         "alpha must be positive and finite, got inf"),
+        (("make-train", "--k-retrieve", 0), "k_retrieve must be >= 1, got 0"),
     ])
     def test_bad_flag_exit_2(self, workdir, capsys, argv, message):
         """A flag value is checked before any input is read or output
         written."""
         inputs = {
             "index": ("--corpus",),
+            "make-train": ("--index", "--corpus", "--questions"),
             "train": ("--train", "--index", "--corpus"),
             "train-pr": ("--index", "--corpus", "--questions"),
             "retrieve": ("--index", "--corpus", "--questions"),

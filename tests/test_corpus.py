@@ -81,6 +81,7 @@ LOADER_ROWS = {
         ('{"id": "p1", "text": null}', "text must be a str, got NoneType"),
         ('{"id": "p1", "title": null, "text": "x"}',
          "title must be a str, got NoneType"),
+        ('{"id": "p0", "text": "again"}', "duplicate id p0"),
     ]),
     "questions": (load_questions,
                   {"qid": "q0", "question": "why", "answers": ["x"]}, [

@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ConstructionConfig(folds=1)
 
+    @pytest.mark.parametrize("k_retrieve", [0, -1])
+    def test_retrieval_depth_at_least_one(self, k_retrieve):
+        with pytest.raises(ValueError, match="k_retrieve must be >= 1"):
+            ConstructionConfig(k_retrieve=k_retrieve)
+        assert ConstructionConfig(k_retrieve=1, max_rank=2).k_retrieve == 1
+
 
 class TestCandidates:
     def test_empty_text_rejected(self):

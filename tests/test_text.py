@@ -1,7 +1,16 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expandrank import synth
 from expandrank.text import Analyzer, STOPWORDS, normalize, porter_stem
+from oracles import reference_porter_stem
+
+# Every suffix a Porter step tests for, plus "sion"/"tion" for step 4's "ion".
+PORTER_SUFFIXES = """sses ies eed ed ing ational tional enci anci izer abli
+    alli entli eli ousli ization ation ator alism iveness fulness ousness aliti
+    iviti biliti icate ative alize iciti ical ful ness al ance ence er ic able
+    ible ant ement ment ent ou ism ate iti ous ive ize ion sion tion e ll y
+    s""".split()
 
 
 class TestNormalize:
@@ -43,6 +52,13 @@ class TestPorter:
             "decisiveness": "decis", "electrical": "electr",
             "adjustable": "adjust", "replacement": "replac",
             "sky": "sky", "feed": "feed",
+            "happy": "happi", "syzygy": "syzygi", "yyyy": "yyyi",
+            "cry0y": "cry0i", "y2k": "y2k", "abye": "aby",
+            "adoption": "adopt", "controlling": "control",
+            "generalizations": "gener", "agreed": "agre", "filing": "file",
+            "sensibility": "sensibl", "hopefulness": "hope",
+            "electriciti": "electr", "buzzing": "buzz", "falling": "fall",
+            "hissing": "hiss",
         }
         for word, stem in known.items():
             assert porter_stem(word) == stem
@@ -50,6 +66,37 @@ class TestPorter:
     def test_short_words_untouched(self):
         assert porter_stem("go") == "go"
         assert porter_stem("a") == "a"
+
+    @given(st.text(alphabet="aeiouybcdglmnprstwxz0123456789", max_size=14))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_reference_on_text(self, word):
+        assert porter_stem(word) == reference_porter_stem(word)
+
+    @given(st.text(alphabet="aeiouybcdglmnprstwxz", max_size=6),
+           st.sampled_from([""] + PORTER_SUFFIXES))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_suffixed_stems(self, stem, last):
+        # The stem with every suffix, then optionally a second one after it.
+        words = [stem + suffix + last for suffix in PORTER_SUFFIXES]
+        assert [porter_stem(w) for w in words] == [
+            reference_porter_stem(w) for w in words]
+
+    @given(st.text(max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_any_string(self, word):
+        # Upper case and non-ASCII letters are consonants in both.
+        assert porter_stem(word) == reference_porter_stem(word)
+
+    def test_matches_reference_on_synthetic_vocabularies(self):
+        fx = synth.make_planted(200)
+        texts = [p.text for p in fx.passages]
+        texts += [qa.question for qa in fx.questions]
+        texts += [c.text for cs in fx.candidates.values() for c in cs.candidates]
+        texts += [p.text for p in synth.make_random_corpus(1000)]
+        vocab = {t for text in texts for t in normalize(text)} - STOPWORDS
+        assert len(vocab) > 2000
+        assert [porter_stem(w) for w in sorted(vocab)] == [
+            reference_porter_stem(w) for w in sorted(vocab)]
 
 
 class TestAnalyzer:
