@@ -55,6 +55,13 @@ def _positive_ints(name: str, text: str) -> list[int]:
     return values
 
 
+def _at_least_one(**flags) -> None:
+    """Integer flag values that must each be >= 1."""
+    for name, value in flags.items():
+        if value < 1:
+            raise UsageError(f"{name} must be >= 1, got {value}")
+
+
 def _bm25_params(args) -> Bm25Params:
     return _config(Bm25Params, k1=args.k1, b=args.b,
                    stemming=not args.no_stemming,
@@ -110,6 +117,7 @@ def cmd_index(args) -> int:
 def cmd_make_train(args) -> int:
     cfg = _config(expansion.ConstructionConfig, k_retrieve=args.k_retrieve,
                   max_rank=args.max_rank, folds=args.folds, seed=args.seed)
+    _at_least_one(n_samples=args.n_samples)
     store, index, questions = _load_inputs(args)
     if len(questions) < cfg.folds:
         raise UsageError(
@@ -162,6 +170,7 @@ def cmd_train_pr(args) -> int:
 def cmd_retrieve(args) -> int:
     spec = _config(StrategySpec, kind=args.strategy, cap_n=args.cap_n,
                    k_retrieve=args.k, pr_depth=args.pr_depth)
+    _at_least_one(n_samples=args.n_samples)
     store, index, questions = _load_inputs(args, require_answers=False)
     if args.strategy == "oracle" and any(not qa.answers for qa in questions):
         raise UsageError("oracle strategy needs questions with answers")
@@ -202,6 +211,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     spec = _config(StrategySpec, kind=args.strategy, k_retrieve=args.k)
     params = _bm25_params(args)
+    _at_least_one(n_samples=args.n_samples, repetitions=args.repetitions)
     store = load_corpus(_require_file(args.corpus, "corpus"))
     questions = load_questions(_require_file(args.questions, "questions"),
                                require_answers=False)
@@ -217,6 +227,7 @@ def cmd_bench(args) -> int:
 def cmd_ablate(args) -> int:
     spec = _config(StrategySpec, kind=args.strategy, k_retrieve=args.k)
     ns = sorted(_positive_ints("cap_n", args.ns))  # each a spec's cap_n
+    _at_least_one(n_samples=args.n_samples)
     store, index, questions = _load_inputs(args)
     model = _load_model(args)
     candidates = _load_candidates(args, index, store, questions)
@@ -232,6 +243,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    _at_least_one(k=args.k)
     loaded = [evalbench.read_run(_require_file(p, "run file"))
               for p in args.runs]
     qids = dict.fromkeys(qid for runs in loaded for qid in runs)  # first seen

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import PassageStore, contains_answer
 from .index import Index, RankedList
-from .reranker import read_model_file, write_model_file
+from .reranker import linear_scores, read_model_file, write_model_file
 from .text import normalize
 
 log = logging.getLogger(__name__)
@@ -36,10 +36,9 @@ def _sigmoid(t: float) -> float:
 class _PassageStats:
     """What ``passage_features`` reuses across calls on one index and the
     store it reads passages from: each passage's mean idf over its distinct
-    normalized tokens and its token count, filled on first use; the term id
-    of each surface token (the int object of ``index.vocab``, so an entry
-    costs no new value), so each is analyzed once; and the token set of the
-    last question, which all the passages of one reranked list share.
+    normalized tokens and its token count, filled on first use; and the term
+    id of each surface token (the int object of ``index.vocab``, so an entry
+    costs no new value), so each is analyzed once.
 
     It holds no reference to its index, which is its key in ``_STATS``.
     """
@@ -49,14 +48,6 @@ class _PassageStats:
         self._row = index._pid_to_doc
         self._stats = np.full((index.doc_count, 2), np.nan)
         self._tid: dict[str, int | None] = {}  # surface token -> term id
-        self._question: str | None = None
-        self._question_tokens: frozenset[str] = frozenset()
-
-    def question_tokens(self, question: str) -> frozenset[str]:
-        if question != self._question:
-            self._question = question
-            self._question_tokens = frozenset(normalize(question))
-        return self._question_tokens
 
     def mean_idf_and_length(self, index: Index, pid: str) -> np.ndarray:
         stats = self._stats[self._row[pid]]
@@ -80,8 +71,10 @@ _STATS: weakref.WeakKeyDictionary[Index, _PassageStats] = \
 
 
 def passage_features(index: Index, store: PassageStore, question: str,
-                     pid: str, retrieval_score: float) -> np.ndarray:
-    """[retrieval score, question-token overlap, mean idf, length, bias].
+                     pids, scores) -> np.ndarray:
+    """One row per passage of a reranked list, ``pids`` with their
+    retrieval ``scores``: [retrieval score, question-token overlap, mean
+    idf, length, bias].
 
     Mean idf and length are computed once per passage for an (index, store)
     pair; a call with another store than the last one on ``index`` starts
@@ -90,11 +83,14 @@ def passage_features(index: Index, store: PassageStore, question: str,
     stats = _STATS.get(index)
     if stats is None or stats.store is not store:
         stats = _STATS[index] = _PassageStats(index, store)
-    mean_idf, length = stats.mean_idf_and_length(index, pid)
-    qt = stats.question_tokens(question)
-    tokens = normalize(store.get(pid).text)
-    overlap = len(qt.intersection(tokens)) / len(qt) if qt else 0.0
-    return np.array([retrieval_score, overlap, mean_idf, length, 1.0])
+    qt = set(normalize(question))
+    rows = []
+    for pid, score in zip(pids, scores, strict=True):
+        mean_idf, length = stats.mean_idf_and_length(index, pid)
+        tokens = normalize(store.get(pid).text)
+        overlap = len(qt.intersection(tokens)) / len(qt) if qt else 0.0
+        rows.append((score, overlap, mean_idf, length, 1.0))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), PR_DIM)
 
 
 @dataclass(frozen=True)
@@ -109,6 +105,8 @@ class PRTrainConfig:
             raise ValueError("train_depth must be >= 1")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
@@ -122,9 +120,11 @@ class PassageScorer:
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite scorer weights")
 
-    def probability(self, f: np.ndarray) -> float:
-        z = (np.asarray(f, dtype=np.float64) - self.feature_mean) / self.feature_std
-        return _sigmoid(float(self.weights @ z))
+    def probability(self, features: np.ndarray) -> np.ndarray:
+        """One probability per row of a reranked list's feature matrix."""
+        scores = linear_scores(features, self.weights, self.feature_mean,
+                               self.feature_std)
+        return np.array([_sigmoid(t) for t in scores.tolist()])
 
     def save(self, path) -> None:
         write_model_file(path, "passage_scorer", PR_SCHEMA, self.weights,
@@ -146,12 +146,11 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
         if not len(rl):
             log.warning("question %s retrieved no passages; skipped", qa.qid)
             continue
-        for pid, score in rl.entries:
-            feats.append(passage_features(index, store, qa.question, pid, score))
-            labels.append(1.0 if contains_answer(store.get(pid), qa.answers) else 0.0)
+        feats.append(passage_features(index, store, qa.question, rl.pids(), rl.scores))
+        labels += [float(contains_answer(store.get(p), qa.answers)) for p in rl.pids()]
     if not feats:
         raise ValueError("no training instances")
-    x = np.stack(feats)
+    x = np.concatenate(feats)
     y = np.array(labels)
 
     # A constant feature column standardizes to 0, so it carries no weight;
@@ -184,10 +183,8 @@ def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
     """
     depth = min(depth, len(rl))
     pids, scores = rl.pids(), rl.scores.tolist()
-    probs = [
-        scorer.probability(passage_features(index, store, question, pid, score))
-        for pid, score in zip(pids[:depth], scores)
-    ]
+    probs = scorer.probability(passage_features(
+        index, store, question, pids[:depth], scores[:depth])).tolist()
     floor = scores[depth] if depth < len(scores) else 0.0
     order = sorted(range(depth), key=lambda i: (-probs[i], i))
     reranked = rl.scores.copy()

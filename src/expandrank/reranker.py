@@ -19,8 +19,8 @@ import numpy as np
 
 from .corpus import PassageStore
 from .expansion import (CandidateSet, ExpansionCandidate, RankLabel,
-                        TrainingExample, finite_number, search_candidates)
-from .index import Index, RankedList
+                        finite_number, search_candidates)
+from .index import Index
 from .text import normalize
 
 RI_SCHEMA = "ri-v1"   # 9 features
@@ -40,7 +40,7 @@ def _char3(tokens) -> set[str]:
 
 
 class Featurizer:
-    """Builds feature vectors for (question, expansion[, top-2 retrieval])."""
+    """Builds the feature matrix of a candidate set, one row per expansion."""
 
     def __init__(self, index: Index, store: PassageStore):
         self.index = index
@@ -55,60 +55,57 @@ class Featurizer:
         tid = self.index.vocab.get(stemmed[0])
         return self._unseen_idf if tid is None else float(self.index.idf[tid])
 
-    def ri(self, question: str, expansion: str) -> np.ndarray:
-        qt = set(normalize(question))
-        et = normalize(expansion)
-        et_set = set(et)
-        overlap = len(et_set & qt) / len(et_set) if et_set else 0.0
-        novel = sorted(et_set - qt)
-        novel_idfs = [self._idf(t) for t in novel]
-        qg, eg = _char3(normalize(question)), _char3(et)
-        union = len(qg | eg)
-        return np.array([
-            float(len(et)),
-            overlap,
-            1.0 - overlap if et_set else 0.0,
-            max(novel_idfs) if novel_idfs else 0.0,
-            sum(novel_idfs) / len(novel_idfs) if novel_idfs else 0.0,
-            float(sum(t.isdigit() for t in et)),
-            float(sum(w[:1].isupper() for w in expansion.split())),
-            len(qg & eg) / union if union else 0.0,
-            1.0,
-        ])
-
-    def rd(self, question: str, expansion: str, rl: RankedList) -> np.ndarray:
-        base = self.ri(question, expansion)
-        if not len(rl):
-            return np.concatenate([base, np.zeros(5)])
-        scores = rl.scores[:2].tolist()
-        top_score = scores[0]
-        d_tokens = normalize(self.store.get(rl.pids()[0]).text)
-        dt = set(d_tokens)
-        qt = set(normalize(question))
-        et_set = set(normalize(expansion))
-        novel = et_set - qt
-        novel_overlap = len(novel & dt) / len(novel) if novel else 0.0
-        q_overlap = len(qt & dt) / len(qt) if qt else 0.0
-        if len(scores) > 1:
-            margin_pos = 1.0 if top_score - scores[1] > 0 else 0.0
-        else:
-            margin_pos = 1.0
-        return np.concatenate([base, [
-            top_score,
-            novel_overlap,
-            q_overlap,
-            float(len(d_tokens)),
-            margin_pos,
-        ]])
-
-    def features(self, variant: str, question: str, cand: ExpansionCandidate,
-                 rl: RankedList | None = None) -> np.ndarray:
-        """RD needs ``rl``, the expanded query's top-2 retrieval."""
-        if variant == "RI":
-            return self.ri(question, cand.text)
-        if rl is None:
-            raise ValueError("RD features need the expanded query's retrieval")
-        return self.rd(question, cand.text, rl)
+    def features(self, variant: str, question: str, texts,
+                 tops=None) -> np.ndarray:
+        """(len(texts), d) features of expansions ``texts``; RD needs
+        ``tops``, each text's first two retrieved (pid, score) pairs."""
+        if variant not in VARIANT_SCHEMA:
+            raise ValueError(f"unknown variant {variant!r}")
+        rd = variant == "RD"
+        if rd and (tops is None or len(tops) != len(texts)):
+            raise ValueError("RD features need each expanded query's retrieval")
+        q_tokens = normalize(question)
+        qt, qg = set(q_tokens), _char3(q_tokens)
+        top1 = {}  # top-1 pid -> (token set, question overlap, length)
+        rows = []
+        for i, text in enumerate(texts):
+            et = normalize(text)
+            et_set = set(et)
+            overlap = len(et_set & qt) / len(et_set) if et_set else 0.0
+            novel = et_set - qt
+            novel_idfs = [self._idf(t) for t in sorted(novel)]
+            eg = _char3(et)
+            union = len(qg | eg)
+            row = [
+                float(len(et)),
+                overlap,
+                1.0 - overlap if et_set else 0.0,
+                max(novel_idfs) if novel_idfs else 0.0,
+                sum(novel_idfs) / len(novel_idfs) if novel_idfs else 0.0,
+                float(sum(t.isdigit() for t in et)),
+                float(sum(w[:1].isupper() for w in text.split())),
+                len(qg & eg) / union if union else 0.0,
+                1.0,
+            ]
+            if rd and tops[i]:
+                # top-1 score, overlaps with and length of top-1, margin
+                (pid, top_score), *second = tops[i]
+                if pid not in top1:
+                    d_tokens = normalize(self.store.get(pid).text)
+                    dt = set(d_tokens)
+                    top1[pid] = (dt, len(qt & dt) / len(qt) if qt else 0.0,
+                                 float(len(d_tokens)))
+                dt, q_overlap, length = top1[pid]
+                row += [top_score,
+                        len(novel & dt) / len(novel) if novel else 0.0,
+                        q_overlap, length,
+                        1.0 if not second or top_score - second[0][1] > 0
+                        else 0.0]
+            elif rd:
+                row += [0.0] * 5
+            rows.append(row)
+        dim = SCHEMA_DIMS[VARIANT_SCHEMA[variant]]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 @dataclass(frozen=True)
@@ -126,6 +123,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.group_batch < 1:
             raise ValueError(f"group_batch must be >= 1, got {self.group_batch}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
@@ -156,6 +155,17 @@ def write_model_file(path, kind: str, schema_id: str, weights: np.ndarray,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def linear_scores(features, weights: np.ndarray, feature_mean: np.ndarray,
+                  feature_std: np.ndarray) -> np.ndarray:
+    """``weights`` dotted with each standardized row of ``features``, each
+    row summed on its own: a BLAS matvec may score equal rows unequally."""
+    f = np.asarray(features, dtype=np.float64)
+    if f.ndim != 2 or f.shape[1] != len(weights):
+        raise ValueError(f"feature matrix of shape {f.shape} does not have "
+                         f"{len(weights)} columns")
+    return ((f - feature_mean) / feature_std * weights).sum(axis=1)
 
 
 def read_model_file(path, kind: str, dims: dict[str, int]) -> dict:
@@ -193,8 +203,7 @@ def read_model_file(path, kind: str, dims: dict[str, int]) -> dict:
 
 class ScorerModel:
     def __init__(self, variant: str, schema_id: str, weights: np.ndarray,
-                 feature_mean: np.ndarray, feature_std: np.ndarray,
-                 generator_tag: str = "stub"):
+                 feature_mean: np.ndarray, feature_std: np.ndarray):
         if variant not in VARIANT_SCHEMA:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
@@ -202,24 +211,18 @@ class ScorerModel:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.feature_mean = np.asarray(feature_mean, dtype=np.float64)
         self.feature_std = np.asarray(feature_std, dtype=np.float64)
-        self.generator_tag = generator_tag
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite model weights")
 
-    def score(self, f: np.ndarray) -> float:
-        if f.shape[0] != SCHEMA_DIMS[self.schema_id]:
-            raise ValueError(
-                f"feature length {f.shape[0]} does not match schema "
-                f"{self.schema_id}"
-            )
-        z = (np.asarray(f, dtype=np.float64) - self.feature_mean) / self.feature_std
-        return float(self.weights @ z)
+    def score(self, features: np.ndarray) -> np.ndarray:
+        """One score per row of a candidate set's feature matrix."""
+        return linear_scores(features, self.weights, self.feature_mean,
+                             self.feature_std)
 
     def save(self, path) -> None:
         write_model_file(path, "expansion_scorer", self.schema_id,
                          self.weights, self.feature_mean, self.feature_std,
-                         variant=self.variant,
-                         generator_tag=self.generator_tag)
+                         variant=self.variant)
 
     @classmethod
     def load(cls, path) -> "ScorerModel":
@@ -228,12 +231,12 @@ class ScorerModel:
         if VARIANT_SCHEMA.get(variant) != doc["schema_id"]:
             raise ValueError(f"{path}: variant: {variant!r} does not match "
                              f"schema {doc['schema_id']}")
-        # files from before hidden layers were removed carry "hidden": null
+        # files from before hidden layers were removed carry "hidden": null;
+        # older files also carry a "generator_tag", which is ignored
         if doc.get("hidden") is not None:
             raise ValueError(f"{path}: hidden: hidden layers are not supported")
         return cls(variant, doc["schema_id"], np.array(doc["weights"]),
-                   np.array(doc["feature_mean"]), np.array(doc["feature_std"]),
-                   generator_tag=doc.get("generator_tag", "stub"))
+                   np.array(doc["feature_mean"]), np.array(doc["feature_std"]))
 
 
 def rank_loss(scores, labels, alpha: float) -> tuple[float, np.ndarray]:
@@ -261,17 +264,6 @@ def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def example_features(featurizer: Featurizer, variant: str,
-                     ex: TrainingExample) -> np.ndarray:
-    """Feature rows of one training question's candidates.  RD rows read the
-    top-2 entries stored with the example, so no search is issued."""
-    return np.stack([
-        featurizer.features(variant, ex.question, cand,
-                            RankedList(qid=ex.qid, entries=list(top)))
-        for cand, top in zip(ex.candidates.candidates, ex.top2)
-    ])
-
-
 def train(examples, cfg: TrainConfig, variant: str,
           featurizer: Featurizer) -> ScorerModel:
     """Mini-batch subgradient descent on the pairwise ranking loss.
@@ -286,7 +278,9 @@ def train(examples, cfg: TrainConfig, variant: str,
     for ex in examples:
         if len(ex.candidates) < 2:
             raise ValueError(f"question {ex.qid} has fewer than 2 candidates")
-        groups.append((example_features(featurizer, variant, ex), ex.labels))
+        texts = [c.text for c in ex.candidates.candidates]  # RD: no search
+        groups.append((featurizer.features(variant, ex.question, texts,
+                                           ex.top2), ex.labels))
 
     all_feats = np.concatenate([f for f, _ in groups])
     mean, std = _standardizer(all_feats)
@@ -308,10 +302,7 @@ def train(examples, cfg: TrainConfig, variant: str,
                 pairs += max(1, len(labels) * (len(labels) - 1) // 2)
                 gw += gscores @ z
             w -= (lr / pairs) * gw
-
-    tags = {c.generator_tag for ex in examples for c in ex.candidates.candidates}
-    tag = tags.pop() if len(tags) == 1 else "external"
-    return ScorerModel(variant, schema, w, mean, std, generator_tag=tag)
+    return ScorerModel(variant, schema, w, mean, std)
 
 
 def select_best(model: ScorerModel, question: str, cs: CandidateSet,
@@ -319,13 +310,9 @@ def select_best(model: ScorerModel, question: str, cs: CandidateSet,
     """Argmin-score candidate; ties go to the earliest index."""
     if not cs.candidates:
         raise ValueError("cannot select from an empty candidate set")
-    if model.variant == "RD":
-        lists = search_candidates(featurizer.index, question, cs, 2, cs.qid)
-    else:
-        lists = [None] * len(cs.candidates)
-    best_i, best_score = 0, math.inf
-    for i, (cand, rl) in enumerate(zip(cs.candidates, lists)):
-        s = model.score(featurizer.features(model.variant, question, cand, rl))
-        if s < best_score:
-            best_i, best_score = i, s
-    return cs.candidates[best_i]
+    lists = (search_candidates(featurizer.index, question, cs, 2, cs.qid)
+             if model.variant == "RD" else [])
+    feats = featurizer.features(model.variant, question,
+                                [c.text for c in cs.candidates],
+                                [rl.entries for rl in lists])
+    return cs.candidates[int(np.argmin(model.score(feats)))]

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 
 from expandrank.index import Bm25Params, Index, IndexError_, RankedList
+from expandrank.reranker import _char3
 from expandrank.text import normalize
 
 
@@ -162,6 +163,57 @@ def reference_passage_features(index, store, question, pid, retrieval_score):
     mean_idf = sum(idfs) / len(idfs) if idfs else 0.0
     return np.array([retrieval_score, overlap, mean_idf, float(len(tokens)),
                      1.0])
+
+
+def reference_ri(featurizer, question, expansion):
+    """One RI feature row, built from scratch for one candidate."""
+    qt = set(normalize(question))
+    et = normalize(expansion)
+    et_set = set(et)
+    overlap = len(et_set & qt) / len(et_set) if et_set else 0.0
+    novel = sorted(et_set - qt)
+    novel_idfs = [featurizer._idf(t) for t in novel]
+    qg, eg = _char3(normalize(question)), _char3(et)
+    union = len(qg | eg)
+    return np.array([
+        float(len(et)),
+        overlap,
+        1.0 - overlap if et_set else 0.0,
+        max(novel_idfs) if novel_idfs else 0.0,
+        sum(novel_idfs) / len(novel_idfs) if novel_idfs else 0.0,
+        float(sum(t.isdigit() for t in et)),
+        float(sum(w[:1].isupper() for w in expansion.split())),
+        len(qg & eg) / union if union else 0.0,
+        1.0,
+    ])
+
+
+def reference_rd(featurizer, question, expansion, rl):
+    """One RD feature row for one candidate, from the RankedList ``rl`` of
+    its expanded query's top-2 retrieval; every passage normalized anew."""
+    base = reference_ri(featurizer, question, expansion)
+    if not len(rl):
+        return np.concatenate([base, np.zeros(5)])
+    scores = rl.scores[:2].tolist()
+    top_score = scores[0]
+    d_tokens = normalize(featurizer.store.get(rl.pids()[0]).text)
+    dt = set(d_tokens)
+    qt = set(normalize(question))
+    et_set = set(normalize(expansion))
+    novel = et_set - qt
+    novel_overlap = len(novel & dt) / len(novel) if novel else 0.0
+    q_overlap = len(qt & dt) / len(qt) if qt else 0.0
+    if len(scores) > 1:
+        margin_pos = 1.0 if top_score - scores[1] > 0 else 0.0
+    else:
+        margin_pos = 1.0
+    return np.concatenate([base, [
+        top_score,
+        novel_overlap,
+        q_overlap,
+        float(len(d_tokens)),
+        margin_pos,
+    ]])
 
 
 def reference_fuse(lists, k):

@@ -192,6 +192,16 @@ class TestPipelineCmds:
         (("train", "--alpha", "inf"),
          "alpha must be positive and finite, got inf"),
         (("make-train", "--k-retrieve", 0), "k_retrieve must be >= 1, got 0"),
+        (("train", "--learning-rate", "inf"),
+         "learning_rate must be finite, got inf"),
+        (("train-pr", "--learning-rate", "inf"),
+         "learning_rate must be finite, got inf"),
+        (("fuse", "--k", 0), "k must be >= 1, got 0"),
+        (("bench", "--repetitions", 0), "repetitions must be >= 1, got 0"),
+        (("retrieve", "--n-samples", 0), "n_samples must be >= 1, got 0"),
+        (("make-train", "--n-samples", 0), "n_samples must be >= 1, got 0"),
+        (("bench", "--n-samples", 0), "n_samples must be >= 1, got 0"),
+        (("ablate", "--n-samples", 0), "n_samples must be >= 1, got 0"),
     ])
     def test_bad_flag_exit_2(self, workdir, capsys, argv, message):
         """A flag value is checked before any input is read or output
@@ -204,11 +214,14 @@ class TestPipelineCmds:
             "retrieve": ("--index", "--corpus", "--questions"),
             "eval": ("--run", "--questions", "--corpus"),
             "ablate": ("--index", "--corpus", "--questions"),
+            "bench": ("--corpus", "--questions"),
+            "fuse": ("--runs",),
         }[argv[0]]
         files = {"--index": "idx.bin", "--corpus": "corpus.jsonl",
                  "--questions": "questions.jsonl", "--train": "train_a.jsonl",
-                 "--run": "rd.trec"}
-        rc = run(*argv, "--out", workdir / "flag.out",
+                 "--run": "rd.trec", "--runs": "rd.trec"}
+        out = () if argv[0] == "bench" else ("--out", workdir / "flag.out")
+        rc = run(*argv, *out,
                  *(a for flag in inputs for a in (flag, workdir / files[flag])))
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -37,12 +37,22 @@ def reference_rerank(scorer, index, store, question, rl, depth):
     entries = rl.entries
     depth = min(depth, len(entries))
     head, tail = entries[:depth], entries[depth:]
-    probs = [scorer.probability(
-        reference_passage_features(index, store, question, pid, score))
-        for pid, score in head]
+    probs = scorer.probability(reference_matrix(index, store, question,
+                                                head)).tolist()
     floor = tail[0][1] if tail else 0.0
     order = sorted(range(depth), key=lambda i: (-probs[i], i))
     return [(head[i][0], floor + probs[i]) for i in order] + tail
+
+
+def reference_matrix(index, store, question, entries):
+    """``reference_passage_features`` rows of (pid, score) ``entries``."""
+    return np.array([
+        reference_passage_features(index, store, question, pid, score)
+        for pid, score in entries]).reshape(len(entries), 5)
+
+
+def list_features(index, store, question, rl):
+    return passage_features(index, store, question, rl.pids(), rl.scores)
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +84,10 @@ class TestTraining:
                                         PRTrainConfig(train_depth=40))
         correct = total = 0
         for qa in questions:
-            for pid, score in index.search(qa.question, 40, qid=qa.qid).entries:
-                p = scorer.probability(
-                    passage_features(index, store, qa.question, pid, score)
-                )
+            rl = index.search(qa.question, 40, qid=qa.qid)
+            probs = scorer.probability(list_features(index, store,
+                                                     qa.question, rl))
+            for pid, p in zip(rl.pids(), probs):
                 is_answer = pid.endswith("zans")
                 correct += (p >= 0.5) == is_answer
                 total += 1
@@ -89,9 +99,8 @@ class TestTraining:
                               answers=("neverpresent",))]
         scorer = train_passage_reranker(index, store, hopeless)
         rl = index.search("about subject00", 10, qid="n1")
-        probs = [scorer.probability(
-            passage_features(index, store, "about subject00", pid, s))
-            for pid, s in rl.entries]
+        probs = scorer.probability(list_features(index, store,
+                                                 "about subject00", rl))
         assert all(p < 0.5 for p in probs)
 
     def test_deterministic(self, deep_fixture):
@@ -120,15 +129,18 @@ class TestPassageFeatures:
         store = PassageStore([Passage(id=f"p{i}", title=title, text=text)
                               for i, (title, text) in enumerate(passages)])
         index = build_index(store, params)
-        # question-major, then passage-major: the question changes between
-        # consecutive calls in the second sweep
-        sweep = list(itertools.product(questions, index.pids))
-        sweep += [(q, pid) for pid, q in
-                  itertools.product(index.pids, questions)]
-        for i, (q, pid) in enumerate(sweep):
+        scores = [float(i) for i in range(len(index.pids))]
+        # a whole list per question, then one passage per call, passage-major
+        # so that the question changes between consecutive calls
+        for q in questions:
+            assert passage_features(index, store, q, index.pids,
+                                    scores).tobytes() == reference_matrix(
+                index, store, q, list(zip(index.pids, scores))).tobytes()
+        for (pid, score), q in itertools.product(zip(index.pids, scores),
+                                                 questions):
             np.testing.assert_array_equal(
-                passage_features(index, store, q, pid, float(i)),
-                reference_passage_features(index, store, q, pid, float(i)))
+                passage_features(index, store, q, [pid], [score]),
+                reference_matrix(index, store, q, [(pid, score)]))
 
     def test_each_surface_token_analyzed_once(self, deep_fixture, pr_scorer,
                                               monkeypatch):
@@ -163,14 +175,16 @@ class TestPassageFeatures:
                                Passage(id="p1", title="", text="gamma")])
         for store in (first, edited, first):
             np.testing.assert_array_equal(
-                passage_features(index, store, "alpha", "p0", 1.0),
-                reference_passage_features(index, store, "alpha", "p0", 1.0))
+                passage_features(index, store, "alpha", ["p0", "p1"],
+                                 [1.0, 0.5]),
+                reference_matrix(index, store, "alpha",
+                                 [("p0", 1.0), ("p1", 0.5)]))
 
     def test_cache_dies_with_its_index(self, deep_fixture):
         store, _, questions = deep_fixture
         index = build_index(store, Bm25Params())
-        passage_features(index, store, questions[0].question, index.pids[0],
-                         1.0)
+        passage_features(index, store, questions[0].question,
+                         index.pids[:1], [1.0])
         ref = weakref.ref(index)
         del index
         gc.collect()
@@ -208,8 +222,9 @@ class TestConstantFeature:
     def test_probability_saturates_without_overflow(self):
         scorer = PassageScorer(np.array([1000.0, 0, 0, 0, 0]), np.zeros(5),
                                np.ones(5))
-        assert scorer.probability(np.array([-5.0, 0, 0, 0, 1])) == 0.0
-        assert scorer.probability(np.array([5.0, 0, 0, 0, 1])) == 1.0
+        probs = scorer.probability(np.array([[-5.0, 0, 0, 0, 1],
+                                             [5.0, 0, 0, 0, 1]]))
+        assert probs.tolist() == [0.0, 1.0]
 
 
 class TestRerank:
@@ -247,10 +262,9 @@ class TestRerank:
         rl = index.search(qa.question, 40, qid=qa.qid)
         out = rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
         by_pid = dict(rl.entries)
-        assert [s for _, s in out.entries] == [
-            pr_scorer.probability(passage_features(index, store, qa.question,
-                                                   pid, by_pid[pid]))
-            for pid, _ in out.entries]
+        assert [s for _, s in out.entries] == pr_scorer.probability(
+            passage_features(index, store, qa.question, out.pids(),
+                             [by_pid[pid] for pid in out.pids()])).tolist()
 
     @pytest.mark.parametrize("depth", [1, 7, 40, 100])
     def test_equals_reranking_with_reference_features(
@@ -309,5 +323,6 @@ class TestSerialization:
         path = tmp_path / "pr.json"
         pr_scorer.save(path)
         loaded = PassageScorer.load(path)
-        f = np.linspace(0, 1, 5)
-        assert loaded.probability(f) == pr_scorer.probability(f)
+        f = np.linspace(0, 1, 10).reshape(2, 5)
+        np.testing.assert_array_equal(loaded.probability(f),
+                                      pr_scorer.probability(f))

@@ -3,35 +3,49 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expandrank.corpus import Passage, PassageStore
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   ExpansionCandidate, RankLabel,
                                   expanded_query, label_candidates)
-from expandrank.index import Index
+from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.passage_reranker import PassageScorer
 from expandrank.reranker import (RD_SCHEMA, RI_SCHEMA, Featurizer, ScorerModel,
-                                 TrainConfig, example_features, rank_loss,
-                                 select_best, train)
+                                 TrainConfig, rank_loss, select_best, train)
+from oracles import reference_rd, reference_ri
 
 
 def labels_of(ranks):
     return [RankLabel(index=i, r=r, hit=r < 101) for i, r in enumerate(ranks)]
 
 
+def ri_row(featurizer, question, expansion):
+    return featurizer.features("RI", question, [expansion])[0]
+
+
+def rd_row(featurizer, question, expansion, rl):
+    return featurizer.features("RD", question, [expansion], [rl.entries])[0]
+
+
+def texts_of(cs):
+    return [c.text for c in cs.candidates]
+
+
 class TestFeaturizeRI:
     def test_identity_expansion(self, featurizer):
-        f = featurizer.ri("what is topikabbb", "what is topikabbb")
+        f = ri_row(featurizer, "what is topikabbb", "what is topikabbb")
         assert f[1] == 1.0  # full overlap
         assert f[2] == 0.0  # nothing novel
 
     def test_deterministic(self, featurizer):
-        q, e = "where do hops grow", "oregon idaho washington"
-        assert np.array_equal(featurizer.ri(q, e), featurizer.ri(q, e))
+        q, texts = "where do hops grow", ["oregon idaho washington", "hops"]
+        assert np.array_equal(featurizer.features("RI", q, texts),
+                              featurizer.features("RI", q, texts))
 
     def test_counts(self, featurizer):
-        f = featurizer.ri("a question", "May 18 2018 Washington")
+        f = ri_row(featurizer, "a question", "May 18 2018 Washington")
         assert f[0] == 4.0   # token count
         assert f[5] == 2.0   # numeric tokens
         assert f[6] == 2.0   # capitalized raw words
@@ -45,10 +59,9 @@ class TestFeaturizeRI:
         cands = planted.candidates[qid].candidates
         trap = next(c for c in cands if c.text.startswith("trapa"))
         useful = cands[planted.useful_index[qid]]
-        np.testing.assert_array_equal(
-            featurizer.ri(qa.question, trap.text),
-            featurizer.ri(qa.question, useful.text),
-        )
+        trap_row, useful_row = featurizer.features(
+            "RI", qa.question, [trap.text, useful.text])
+        np.testing.assert_array_equal(trap_row, useful_row)
 
 
 class TestFeaturizeRD:
@@ -56,7 +69,7 @@ class TestFeaturizeRD:
                                             featurizer):
         qa = planted.questions[0]
         rl = planted_index.search(qa.question + " zn0x0a", k=2, qid=qa.qid)
-        f = featurizer.rd(qa.question, "keyaa" + "bbb", rl)
+        f = rd_row(featurizer, qa.question, "keyaa" + "bbb", rl)
         assert f[10] == 0.0
 
     def test_hand_computed_fixture(self, planted, planted_index, planted_store,
@@ -66,7 +79,7 @@ class TestFeaturizeRD:
             planted.useful_index[qa.qid]
         ]
         rl = planted_index.search(f"{qa.question} {useful.text}", k=2, qid=qa.qid)
-        f = featurizer.rd(qa.question, useful.text, rl)
+        f = rd_row(featurizer, qa.question, useful.text, rl)
         assert rl.entries[0][0].endswith("-z-ans")
         assert f[9] == pytest.approx(rl.entries[0][1])
         assert f[10] == 1.0             # the key term is in the answer passage
@@ -76,48 +89,120 @@ class TestFeaturizeRD:
 
     def test_rd_needs_retrieval(self, featurizer):
         with pytest.raises(ValueError, match="retrieval"):
-            featurizer.features("RD", "q", ExpansionCandidate(text="e"))
+            featurizer.features("RD", "q", ["e"])
+        with pytest.raises(ValueError, match="retrieval"):
+            featurizer.features("RD", "q", ["e", "f"], [[("p", 1.0)]])
 
     def test_stored_pairs_match_search(self, planted_train_set, featurizer):
         for ex in planted_train_set[:20]:
-            searched = np.stack([
-                featurizer.rd(ex.question, c.text, featurizer.index.search(
-                    expanded_query(ex.question, c.text), 2))
-                for c in ex.candidates.candidates
-            ])
+            searched = [featurizer.index.search(
+                expanded_query(ex.question, c.text), 2).entries
+                for c in ex.candidates.candidates]
             np.testing.assert_array_equal(
-                example_features(featurizer, "RD", ex), searched)
+                featurizer.features("RD", ex.question, texts_of(ex.candidates),
+                                    ex.top2),
+                featurizer.features("RD", ex.question, texts_of(ex.candidates),
+                                    searched))
 
     def test_ri_block_shared(self, planted, featurizer):
         qa = planted.questions[0]
         e = "keyaabbb"
         rl = featurizer.index.search(f"{qa.question} {e}", k=2)
-        np.testing.assert_array_equal(featurizer.rd(qa.question, e, rl)[:9],
-                                      featurizer.ri(qa.question, e))
+        np.testing.assert_array_equal(rd_row(featurizer, qa.question, e, rl)[:9],
+                                      ri_row(featurizer, qa.question, e))
+
+
+# Stopwords, digits, capitals, an NFKC ligature and punctuation-joined tokens.
+_WORDS = ("the", "of", "is", "Running", "runs", "ponies", "sky", "2018",
+          "\ufb01ve", "x1", "Deadpool-2", "May")
+_text = st.lists(
+    st.one_of(st.sampled_from(_WORDS),
+              st.text(alphabet="abeinrst19", min_size=1, max_size=6)),
+    min_size=1, max_size=6,
+).map(" ".join)
+_PASSAGES = ["the sky runs x1", "ponies of May 2018", "\ufb01ve Deadpool-2 sky",
+             "bin rest tab"]
+_pair = st.tuples(st.sampled_from([f"p{i}" for i in range(len(_PASSAGES))]),
+                  st.floats(-5.0, 50.0, allow_nan=False))
+
+
+class TestFeatureMatrix:
+    """Each row of ``Featurizer.features`` is bitwise the per-candidate
+    reference row."""
+
+    @pytest.fixture(scope="class")
+    def small_featurizer(self):
+        store = PassageStore([Passage(id=f"p{i}", title="", text=text)
+                              for i, text in enumerate(_PASSAGES)])
+        return Featurizer(build_index(store, Bm25Params()), store)
+
+    @given(question=st.one_of(st.just("?! --"), _text),
+           cands=st.lists(st.tuples(_text, st.lists(_pair, max_size=2)),
+                          min_size=1, max_size=6))
+    @example(question="the sky runs", cands=[("sky", [])])  # empty top-2
+    @example(question="ponies", cands=[("x1 sky", [("p1", 3.0)])])  # one pair
+    @example(question="the sky runs",  # no novel tokens
+             cands=[("sky the", [("p0", 2.0), ("p1", 2.0)]),
+                    ("RUNS", [("p0", 1.0), ("p2", 0.5)])])
+    @example(question="ponies of may",  # one top pid shared by candidates
+             cands=[("2018", [("p1", 4.0), ("p0", 1.0)]),
+                    ("sky", [("p1", 2.5)]),
+                    ("\ufb01ve rest", [("p1", 4.0), ("p3", 4.0)])])
+    @example(question="?! --",  # a question with no tokens
+             cands=[("sky", [("p0", 1.0), ("p2", 0.0)]), ("?", [])])
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_reference(self, small_featurizer, question, cands):
+        texts = [text for text, _ in cands]
+        tops = [top for _, top in cands]
+        ri = small_featurizer.features("RI", question, texts)
+        rd = small_featurizer.features("RD", question, texts, tops)
+        assert ri.shape == (len(texts), 9) and rd.shape == (len(texts), 14)
+        for i, (text, top) in enumerate(cands):
+            assert ri[i].tobytes() == reference_ri(
+                small_featurizer, question, text).tobytes()
+            rl = RankedList(qid="q", entries=top)
+            assert rd[i].tobytes() == reference_rd(
+                small_featurizer, question, text, rl).tobytes()
+
+    def test_empty_candidate_list(self, small_featurizer):
+        assert small_featurizer.features("RI", "q", []).shape == (0, 9)
+        assert small_featurizer.features("RD", "q", [], []).shape == (0, 14)
 
 
 class TestScore:
     def test_zero_weights(self, featurizer):
         m = ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9), np.ones(9))
-        assert m.score(featurizer.ri("q", "e word")) == 0.0
+        assert m.score(featurizer.features("RI", "q", ["e word"])).tolist() \
+            == [0.0]
 
     def test_linearity(self):
         w = np.arange(9, dtype=float)
         m = ScorerModel("RI", RI_SCHEMA, w, np.zeros(9), np.ones(9))
-        f = np.linspace(0.1, 0.9, 9)
-        assert m.score(2 * f) == pytest.approx(2 * m.score(f))
+        f = np.linspace(0.1, 0.9, 18).reshape(2, 9)
+        np.testing.assert_allclose(m.score(2 * f), 2 * m.score(f))
 
     def test_schema_mismatch(self):
         m = ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9), np.ones(9))
         with pytest.raises(ValueError):
-            m.score(np.zeros(14))
+            m.score(np.zeros((1, 14)))
+        with pytest.raises(ValueError):
+            m.score(np.zeros(9))  # a row, not a matrix
+
+    def test_equal_rows_equal_scores(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            m = ScorerModel("RD", RD_SCHEMA, rng.normal(size=14),
+                            rng.normal(size=14), rng.uniform(0.5, 2, 14))
+            row = rng.normal(size=14) * rng.choice([1e-3, 1.0, 1e3], 14)
+            scores = m.score(np.tile(row, (37, 1)))
+            assert np.all(scores == scores[0])
 
     def test_serialization_round_trip(self, ri_model, tmp_path):
         path = tmp_path / "m.json"
         ri_model.save(path)
         loaded = ScorerModel.load(path)
-        f = np.linspace(0.0, 1.0, 9)
-        assert loaded.score(f) == ri_model.score(f)
+        f = np.linspace(0.0, 1.0, 18).reshape(2, 9)
+        np.testing.assert_array_equal(loaded.score(f), ri_model.score(f))
         assert loaded.variant == "RI"
 
 
@@ -146,6 +231,16 @@ class TestModelFiles:
         path.write_text(json.dumps(dict(doc, hidden=None)))
         np.testing.assert_array_equal(ScorerModel.load(path).weights,
                                       ri_model.weights)
+
+    def test_old_file_with_generator_tag_loads(self, ri_model, tmp_path):
+        path = tmp_path / "m.json"
+        ri_model.save(path)
+        doc = json.loads(path.read_text())
+        assert "generator_tag" not in doc
+        path.write_text(json.dumps(dict(doc, generator_tag="stub")))
+        loaded = ScorerModel.load(path)
+        np.testing.assert_array_equal(loaded.weights, ri_model.weights)
+        assert not hasattr(loaded, "generator_tag")
 
     @pytest.mark.parametrize("field", sorted(_SCORER_DAMAGES))
     def test_damaged_scorer_rejected(self, ri_model, tmp_path, field):
@@ -293,9 +388,9 @@ class TestTrain:
 
         def loss(model):
             return sum(
-                rank_loss([model.score(f) for f in
-                           example_features(featurizer, "RI", ex)],
-                          ex.labels, 0.01)[0]
+                rank_loss(model.score(featurizer.features(
+                    "RI", ex.question, texts_of(ex.candidates))),
+                    ex.labels, 0.01)[0]
                 for ex in subset)
 
         start = loss(ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9),
@@ -351,6 +446,18 @@ class TestSelectBest:
             ExpansionCandidate(text="first"), ExpansionCandidate(text="second"),
         ])
         assert select_best(m, "q", cs, featurizer).text == "first"
+
+    @pytest.mark.parametrize("variant", ["RI", "RD"])
+    def test_equal_rows_go_to_index_0(self, featurizer, variant):
+        schema = {"RI": RI_SCHEMA, "RD": RD_SCHEMA}[variant]
+        dim = {"RI": 9, "RD": 14}[variant]
+        rng = np.random.default_rng(1)
+        m = ScorerModel(variant, schema, rng.normal(size=dim),
+                        rng.normal(size=dim), rng.uniform(0.5, 2, dim))
+        cs = CandidateSet(qid="q", candidates=[
+            ExpansionCandidate(text="subject May 2018") for _ in range(37)])
+        assert select_best(m, "about subject", cs, featurizer) \
+            is cs.candidates[0]
 
     def test_affine_score_invariance(self, planted, ri_model, featurizer):
         qa = planted.questions[5]
