@@ -17,7 +17,7 @@ from .corpus import CorpusError, load_corpus, load_questions
 from .evalbench import DEFAULT_KS
 from .index import Bm25Params, Index, build_index
 from .passage_reranker import PassageScorer, PRTrainConfig, train_passage_reranker
-from .pipeline import STRATEGY_KINDS, StrategySpec
+from .pipeline import STRATEGIES, StrategySpec
 from .reranker import Featurizer, ScorerModel, TrainConfig, train
 
 
@@ -77,13 +77,18 @@ def _load_inputs(args, require_answers: bool = True):
                            require_answers=require_answers))
 
 
-def _load_model(args) -> ScorerModel | None:
-    """The expansion scorer an EAR strategy needs; None for the others."""
-    if args.strategy not in ("ear_ri", "ear_rd"):
-        return None
-    if not args.model:
-        raise UsageError(f"strategy {args.strategy} needs --model")
-    return ScorerModel.load(_require_file(args.model, "model"))
+def _checked_model(args, spec: StrategySpec, questions) -> ScorerModel | None:
+    """The expansion scorer ``--model`` names if ``spec``'s strategy runs
+    one, else None.  Questions or a model that do not give the strategy
+    what it reads are a usage error, raised before any candidate is read."""
+    model = None
+    if spec.needs.scorer and args.model:
+        model = ScorerModel.load(_require_file(args.model, "model"))
+    try:
+        pipeline.check_strategy(spec, questions, model)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return model
 
 
 def _load_candidates(args, index, store, questions):
@@ -116,7 +121,7 @@ def cmd_index(args) -> int:
 
 def cmd_make_train(args) -> int:
     cfg = _config(expansion.ConstructionConfig, k_retrieve=args.k_retrieve,
-                  max_rank=args.max_rank, folds=args.folds, seed=args.seed)
+                  folds=args.folds, seed=args.seed)
     _at_least_one(n_samples=args.n_samples)
     store, index, questions = _load_inputs(args)
     if len(questions) < cfg.folds:
@@ -172,14 +177,11 @@ def cmd_retrieve(args) -> int:
                    k_retrieve=args.k, pr_depth=args.pr_depth)
     _at_least_one(n_samples=args.n_samples)
     store, index, questions = _load_inputs(args, require_answers=False)
-    if args.strategy == "oracle" and any(not qa.answers for qa in questions):
-        raise UsageError("oracle strategy needs questions with answers")
-    model, scorer = _load_model(args), None
+    model, scorer = _checked_model(args, spec, questions), None
     if args.pr_model:
         scorer = PassageScorer.load(_require_file(args.pr_model, "pr model"))
-    candidates = None
-    if spec.expands:
-        candidates = _load_candidates(args, index, store, questions)
+    candidates = (_load_candidates(args, index, store, questions)
+                  if spec.needs.candidates else {})
     runs = pipeline.run_dataset(spec, index, store, questions, candidates,
                                 model, Featurizer(index, store), scorer)
     evalbench.write_run(runs, args.out)
@@ -215,9 +217,9 @@ def cmd_bench(args) -> int:
     store = load_corpus(_require_file(args.corpus, "corpus"))
     questions = load_questions(_require_file(args.questions, "questions"),
                                require_answers=False)
+    model = _checked_model(args, spec, questions)
     report = evalbench.bench_latency(store, params, spec, questions,
-                                     repetitions=args.repetitions,
-                                     model=_load_model(args),
+                                     repetitions=args.repetitions, model=model,
                                      n_samples=args.n_samples,
                                      stub_seed=args.seed)
     print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
@@ -229,8 +231,9 @@ def cmd_ablate(args) -> int:
     ns = sorted(_positive_ints("cap_n", args.ns))  # each a spec's cap_n
     _at_least_one(n_samples=args.n_samples)
     store, index, questions = _load_inputs(args)
-    model = _load_model(args)
-    candidates = _load_candidates(args, index, store, questions)
+    model = _checked_model(args, spec, questions)
+    candidates = (_load_candidates(args, index, store, questions)
+                  if spec.needs.candidates else {})
     reports = evalbench.ablate_candidate_size(spec, index, store, questions,
                                               candidates, ns, model,
                                               Featurizer(index, store))
@@ -294,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--questions", required=True)
     p.add_argument("--out", required=True)
     _add_candidate_flags(p)
-    p.add_argument("--k-retrieve", type=int, default=100)
-    p.add_argument("--max-rank", type=int, default=101)
+    p.add_argument("--k-retrieve", type=int, default=100,
+                   help="labeling depth K; a miss is labeled K + 1")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_make_train)
@@ -330,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--questions", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strategy", choices=STRATEGY_KINDS, default="bm25")
+    p.add_argument("--strategy", choices=STRATEGIES, default="bm25")
     _add_candidate_flags(p)
     p.add_argument("--model", default=None)
     p.add_argument("--pr-model", default=None)
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="per-stage latency benchmark")
     p.add_argument("--corpus", required=True)
     p.add_argument("--questions", required=True)
-    p.add_argument("--strategy", choices=STRATEGY_KINDS, default="bm25")
+    p.add_argument("--strategy", choices=STRATEGIES, default="bm25")
     p.add_argument("--model", default=None)
     p.add_argument("--n-samples", type=int, default=50)
     p.add_argument("--k", type=int, default=100)
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--questions", required=True)
-    p.add_argument("--strategy", choices=STRATEGY_KINDS, default="oracle")
+    p.add_argument("--strategy", choices=STRATEGIES, default="oracle")
     p.add_argument("--ns", default="1,5,10,20,30,50",
                    help="comma-separated candidate caps")
     p.add_argument("--model", default=None)

@@ -93,12 +93,21 @@ def typed_field(row: dict, key: str, kind: type, default=None):
     return value
 
 
+def id_text(value, key: str) -> str:
+    """An id, qid or answer read from JSON as text: a string, or an integer
+    written in decimal (so ``7`` reads as ``"7"``)."""
+    if isinstance(value, str) or type(value) is int:
+        return str(value)
+    raise TypeError(f"{key} must be a string or an integer, "
+                    f"got {type(value).__name__}")
+
+
 def load_corpus(path) -> PassageStore:
     """Load a JSONL corpus of {id, title, text} objects."""
     seen = set()
 
     def parse(row) -> Passage:
-        pid = str(row["id"])
+        pid = id_text(row["id"], "id")
         if pid in seen:
             raise CorpusError(f"duplicate id {pid}")
         seen.add(pid)
@@ -118,11 +127,12 @@ def load_questions(path, require_answers: bool = True) -> list[QAExample]:
     seen = set()
 
     def parse(row) -> QAExample:
-        qid = str(row["qid"])
+        qid = id_text(row["qid"], "qid")
         if qid in seen:
             raise CorpusError(f"duplicate qid {qid}")
         seen.add(qid)
-        answers = tuple(str(a) for a in typed_field(row, "answers", list, []))
+        answers = tuple(id_text(a, "answer")
+                        for a in typed_field(row, "answers", list, []))
         if require_answers and not answers:
             raise CorpusError(f"question {qid} has no answers")
         return QAExample(qid=qid, question=typed_field(row, "question", str),

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import tempfile
 import time
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .corpus import PassageStore
-from .expansion import dedup, min_answer_rank, sample_expansions_stub
+from .expansion import min_answer_rank, sample_expansions_stub
 from .index import Bm25Params, Index, RankedList, build_index
-from .pipeline import StrategySpec, run_strategy, strategy_query
+from .pipeline import (StrategySpec, check_strategy, prepare_candidates,
+                       run_strategy, strategy_query)
 from .reranker import Featurizer
 
 DEFAULT_KS = (1, 5, 20, 100)
@@ -96,7 +98,7 @@ def ablate_candidate_size(spec: StrategySpec, index: Index, store: PassageStore,
         raise ValueError("Ns must be sorted ascending")
     out = {}
     for n in ns:
-        sub = StrategySpec(kind=spec.kind, cap_n=n, k_retrieve=spec.k_retrieve)
+        sub = replace(spec, cap_n=n)
         runs = {}
         for qa in qa_list:
             runs[qa.qid] = run_strategy(sub, index, store, qa,
@@ -113,12 +115,13 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
                   ) -> LatencyReport:
     """Batch-size-1 per-query stage timings, plus index build time and size.
 
-    Expand is sampling ``n_samples`` stub candidates, rerank is choosing the
-    query the strategy issues (both 0 for ``bm25``), retrieval is searching
-    it.
+    Expand is sampling ``n_samples`` stub candidates and preparing them as
+    ``run_strategy`` does, rerank is choosing the query the strategy issues
+    (both 0 for ``bm25``), retrieval is searching it.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    check_strategy(spec, qa_list, model)
     t0 = time.perf_counter()
     index = build_index(store, params)
     build_s = time.perf_counter() - t0
@@ -135,10 +138,10 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
         for qa in qa_list:
             measured += 1
             cs = None
-            if spec.expands:
+            if spec.needs.candidates:
                 t0 = time.perf_counter()
-                cs = dedup(sample_expansions_stub(qa.question, n_samples,
-                                                  stub_seed, index, store))
+                cs = prepare_candidates(spec, sample_expansions_stub(
+                    qa.question, n_samples, stub_seed, index, store))
                 expand_t += time.perf_counter() - t0
             t0 = time.perf_counter()
             query = strategy_query(spec, index, store, qa, cs, model,
@@ -146,7 +149,7 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
             t1 = time.perf_counter()
             index.search(query, spec.k_retrieve, qid=qa.qid)
             retrieve_t += time.perf_counter() - t1
-            if spec.expands:
+            if spec.needs.candidates:
                 rerank_t += t1 - t0
 
     denom = max(1, measured)
@@ -189,6 +192,9 @@ def read_run(path) -> dict[str, RankedList]:
                 rank, score = int(rank_s), float(score_s)
             except ValueError as exc:
                 raise RunFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(score):
+                raise RunFormatError(
+                    f"{path}:{lineno}: score {score_s} is not finite")
             _, pids, scores = columns.setdefault(qid, (tag, [], array("d")))
             if rank != len(pids) + 1:
                 raise RunFormatError(

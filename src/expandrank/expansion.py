@@ -1,8 +1,8 @@
 """Expansion candidate sets and rank-labeled training data.
 
 A candidate expansion is judged by the rank the answer passage reaches when
-"question + expansion" is issued to the retriever; misses inside the top
-``k_retrieve`` get the ``max_rank`` sentinel.
+"question + expansion" is issued to the retriever; a candidate whose answer
+passage is not in the top ``k_retrieve`` gets the sentinel ``k_retrieve + 1``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .corpus import (PassageStore, QAExample, contains_answer, read_jsonl,
-                     typed_field)
+from .corpus import (PassageStore, QAExample, contains_answer, id_text,
+                     read_jsonl, typed_field)
 from .index import Index, RankedList
 from .text import normalize
 
@@ -71,18 +71,12 @@ class TrainingExample:
 @dataclass(frozen=True, slots=True)
 class ConstructionConfig:
     k_retrieve: int = 100
-    max_rank: int = 101
     folds: int = 5
     seed: int = 0
 
     def __post_init__(self):
         if self.k_retrieve < 1:
             raise ValueError(f"k_retrieve must be >= 1, got {self.k_retrieve}")
-        if self.max_rank <= self.k_retrieve:
-            raise ValueError(
-                f"max_rank ({self.max_rank}) must exceed k_retrieve "
-                f"({self.k_retrieve})"
-            )
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
 
@@ -162,8 +156,8 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
 
     def parse(row) -> tuple[str, ExpansionCandidate]:
         tag = sys.intern(str(row.get("generator_tag", "external")))
-        return str(row["qid"]), ExpansionCandidate(text=row["text"],
-                                                   generator_tag=tag)
+        return id_text(row["qid"], "qid"), ExpansionCandidate(
+            text=row["text"], generator_tag=tag)
 
     for lineno, (qid, cand) in read_jsonl(path, parse):
         if known_qids is not None and qid not in known_qids and qid not in warned:
@@ -199,23 +193,23 @@ def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
 
 
 def label_candidates(index: Index, store: PassageStore, qa: QAExample,
-                     cs: CandidateSet, cfg: ConstructionConfig,
+                     cs: CandidateSet, k: int,
                      ) -> tuple[list[RankLabel], list[list[tuple[str, float]]]]:
     """Rank label and the first two (pid, score) entries of every
     candidate's retrieval.
 
-    The search runs at ``max(k_retrieve, 2)`` so the stored pair is what a
-    k=2 search returns; the rank is taken within the first ``k_retrieve``.
+    The search runs at ``max(k, 2)`` so the stored pair is what a k=2
+    search returns; the rank is taken within the first ``k``, and a miss
+    is labeled ``k + 1``.
     """
     if not cs.candidates:
         raise ValueError(f"empty candidate set for {qa.qid}")
     labels, top2 = [], []
-    lists = search_candidates(index, qa.question, cs, max(cfg.k_retrieve, 2),
-                              qa.qid)
+    lists = search_candidates(index, qa.question, cs, max(k, 2), qa.qid)
     for i, rl in enumerate(lists):
         rank = min_answer_rank(rl, qa.answers, store)
-        r = rank if rank is not None and rank <= cfg.k_retrieve else cfg.max_rank
-        labels.append(RankLabel(index=i, r=r, hit=r != cfg.max_rank))
+        hit = rank is not None and rank <= k
+        labels.append(RankLabel(index=i, r=rank if hit else k + 1, hit=hit))
         top2.append(list(zip(rl.pids(), rl.scores[:2].tolist())))
     return labels, top2
 
@@ -244,7 +238,7 @@ def build_training_set(store: PassageStore, index: Index, qa_train,
     out = []
     for qa in qa_train:
         cs = dedup(generator(qa, fold_of[qa.qid]))
-        labels, top2 = label_candidates(index, store, qa, cs, cfg)
+        labels, top2 = label_candidates(index, store, qa, cs, cfg.k_retrieve)
         out.append(TrainingExample(qid=qa.qid, question=qa.question,
                                    candidates=cs, labels=labels, top2=top2))
     return out
@@ -290,7 +284,7 @@ def _parse_example(obj) -> TrainingExample:
                 and finite_number(e[1]) for e in entries):
             raise ValueError(f"top2[{i}] is not a list of at most 2 "
                              f"[pid, finite score] entries")
-    qid = str(obj["qid"])
+    qid = id_text(obj["qid"], "qid")
     return TrainingExample(
         qid=qid, question=typed_field(obj, "question", str),
         candidates=CandidateSet(qid=qid, candidates=cands), labels=labels,

@@ -4,19 +4,35 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import PassageStore, QAExample
-from .expansion import (CandidateSet, ConstructionConfig, dedup,
-                        expanded_query, label_candidates, truncate)
+from .expansion import (CandidateSet, dedup, expanded_query, label_candidates,
+                        truncate)
 from .index import Index, RankedList
 from .passage_reranker import PassageScorer, rerank_passages
 from .reranker import Featurizer, ScorerModel, select_best
 
 log = logging.getLogger(__name__)
 
-STRATEGY_KINDS = ("bm25", "greedy", "concat", "oracle", "ear_ri", "ear_rd")
+
+class StrategyNeeds(NamedTuple):
+    """What a strategy reads besides the question."""
+    candidates: bool    # a candidate set
+    scorer: str | None  # the variant of the expansion scorer it runs
+    answers: bool       # answer labels
+
+
+STRATEGIES = {
+    "bm25": StrategyNeeds(candidates=False, scorer=None, answers=False),
+    "greedy": StrategyNeeds(candidates=True, scorer=None, answers=False),
+    "concat": StrategyNeeds(candidates=True, scorer=None, answers=False),
+    "oracle": StrategyNeeds(candidates=True, scorer=None, answers=True),
+    "ear_ri": StrategyNeeds(candidates=True, scorer="RI", answers=False),
+    "ear_rd": StrategyNeeds(candidates=True, scorer="RD", answers=False),
+}
 
 
 @dataclass
@@ -27,7 +43,7 @@ class StrategySpec:
     pr_depth: int = 100
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+        if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.kind!r}")
         if self.cap_n is not None and self.cap_n < 1:
             raise ValueError(f"cap_n must be >= 1, got {self.cap_n}")
@@ -37,18 +53,41 @@ class StrategySpec:
             raise ValueError(f"pr_depth must be >= 1, got {self.pr_depth}")
 
     @property
-    def expands(self) -> bool:
-        """Whether the strategy reads a candidate set."""
-        return self.kind != "bm25"
+    def needs(self) -> StrategyNeeds:
+        """What the strategy reads, from ``STRATEGIES``."""
+        return STRATEGIES[self.kind]
+
+
+def check_strategy(spec: StrategySpec, questions,
+                   model: ScorerModel | None) -> None:
+    """Raise ValueError unless ``model`` and every question give ``spec``'s
+    strategy what it reads; a model the strategy does not run is ignored."""
+    needs = spec.needs
+    if needs.scorer and (model is None or model.variant != needs.scorer):
+        got = "none" if model is None else f"an {model.variant} model"
+        raise ValueError(f"strategy {spec.kind} needs a trained "
+                         f"{needs.scorer} model, got {got}")
+    if needs.answers:
+        for qa in questions:
+            if not qa.answers:
+                raise ValueError(f"strategy {spec.kind} needs questions with "
+                                 f"answers; {qa.qid} has none")
+
+
+def prepare_candidates(spec: StrategySpec, cs: CandidateSet) -> CandidateSet:
+    """``cs`` deduplicated, then capped at ``spec.cap_n``."""
+    cs = dedup(cs)
+    return cs if spec.cap_n is None else truncate(cs, spec.cap_n)
 
 
 def strategy_query(spec: StrategySpec, index: Index, store: PassageStore,
                    qa: QAExample, cs: CandidateSet | None,
                    model: ScorerModel | None,
                    featurizer: Featurizer | None) -> str:
-    """The query text ``spec``'s strategy issues for one question."""
+    """The query text ``spec``'s strategy issues for one question, which
+    the caller has passed through ``check_strategy``."""
     q = qa.question
-    if spec.kind == "bm25" or (spec.kind == "concat" and not cs):
+    if not spec.needs.candidates or (spec.kind == "concat" and not cs):
         return q
     if cs is None or not cs.candidates:
         raise ValueError(f"strategy {spec.kind} needs candidates for {qa.qid}")
@@ -57,15 +96,9 @@ def strategy_query(spec: StrategySpec, index: Index, store: PassageStore,
     if spec.kind == "greedy":
         chosen = cs.candidates[0]
     elif spec.kind == "oracle":
-        if not qa.answers:
-            raise ValueError("oracle strategy needs answer labels")
-        k = spec.k_retrieve
-        cfg = ConstructionConfig(k_retrieve=k, max_rank=k + 1)
-        labels, _ = label_candidates(index, store, qa, cs, cfg)
+        labels, _ = label_candidates(index, store, qa, cs, spec.k_retrieve)
         chosen = cs.candidates[min(labels, key=lambda l: (l.r, l.index)).index]
     else:  # ear_ri / ear_rd
-        if model is None or featurizer is None:
-            raise ValueError(f"strategy {spec.kind} needs a trained model")
         chosen = select_best(model, q, cs, featurizer)
     return expanded_query(q, chosen.text)
 
@@ -77,12 +110,11 @@ def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
                  passage_scorer: PassageScorer | None = None) -> RankedList:
     """One question through one strategy, then optional passage reranking.
 
-    ``candidates`` are deduplicated and capped at ``spec.cap_n`` first.
+    ``candidates`` go through ``prepare_candidates`` first.
     """
+    check_strategy(spec, (qa,), model)
     if candidates is not None:
-        candidates = dedup(candidates)
-        if spec.cap_n is not None:
-            candidates = truncate(candidates, spec.cap_n)
+        candidates = prepare_candidates(spec, candidates)
     query = strategy_query(spec, index, store, qa, candidates, model,
                            featurizer)
     rl = index.search(query, spec.k_retrieve, qid=qa.qid, tag=spec.kind)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from expandrank import evalbench, expansion
 from expandrank.cli import main
 from expandrank.synth import (make_planted, write_corpus, write_expansions,
                               write_questions)
@@ -69,14 +70,6 @@ class TestIndexCmd:
 
 
 class TestMakeTrainCmd:
-    def test_bad_sentinel_exit_2(self, workdir):
-        rc = run("make-train", "--index", workdir / "idx.bin",
-                 "--corpus", workdir / "corpus.jsonl",
-                 "--questions", workdir / "questions.jsonl",
-                 "--out", workdir / "t.jsonl",
-                 "--max-rank", 100, "--k-retrieve", 100)
-        assert rc == 2
-
     def test_too_few_questions_exit_2(self, workdir):
         few = workdir / "few.jsonl"
         lines = (workdir / "questions.jsonl").read_text().splitlines()[:3]
@@ -333,6 +326,76 @@ class TestPipelineCmds:
                  "--questions", workdir / "questions.jsonl",
                  "--out", workdir / "pr.json")
         assert rc == 0
+
+
+@pytest.fixture(scope="module")
+def models(workdir):
+    """RI and RD model files trained on the planted workdir."""
+    root = workdir / "models"
+    root.mkdir()
+    inputs = ("--index", root / "idx.bin", "--corpus", workdir / "corpus.jsonl")
+    assert run("index", "--corpus", workdir / "corpus.jsonl",
+               "--out", root / "idx.bin") == 0
+    assert run("make-train", *inputs, "--questions",
+               workdir / "questions.jsonl", "--expansions",
+               workdir / "expansions.jsonl", "--out", root / "train.jsonl") == 0
+    for variant in ("RI", "RD"):
+        assert run("train", "--train", root / "train.jsonl", *inputs,
+                   "--variant", variant, "--out", root / f"{variant}.json") == 0
+    return root
+
+
+def _no_candidates_or_index(monkeypatch):
+    """Make reading candidates or building an index fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("read candidates or built an index")
+    monkeypatch.setattr(expansion, "load_expansions", forbidden)
+    monkeypatch.setattr(expansion, "sample_expansions_stub", forbidden)
+    monkeypatch.setattr(evalbench, "sample_expansions_stub", forbidden)
+    monkeypatch.setattr(evalbench, "build_index", forbidden)
+
+
+class TestStrategyNeeds:
+    @pytest.mark.parametrize("command", ["retrieve", "bench", "ablate"])
+    @pytest.mark.parametrize("strategy,variant",
+                             [("ear_ri", "RD"), ("ear_rd", "RI")])
+    def test_other_variant_exit_2(self, workdir, models, monkeypatch, capsys,
+                                  command, strategy, variant):
+        argv = {
+            "retrieve": ["--index", models / "idx.bin",
+                         "--expansions", workdir / "expansions.jsonl",
+                         "--out", workdir / "mismatch.trec"],
+            "bench": [],
+            "ablate": ["--index", models / "idx.bin",
+                       "--expansions", workdir / "expansions.jsonl"],
+        }[command]
+        _no_candidates_or_index(monkeypatch)
+        rc = run(command, "--corpus", workdir / "corpus.jsonl",
+                 "--questions", workdir / "questions.jsonl", *argv,
+                 "--strategy", strategy, "--model", models / f"{variant}.json")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"strategy {strategy} needs a trained" in err
+        assert f"got an {variant} model" in err
+        assert not (workdir / "mismatch.trec").exists()
+
+    def test_bench_oracle_without_answers_as_retrieve(self, workdir, models,
+                                                      monkeypatch, capsys):
+        bare = workdir / "unlabeled.jsonl"
+        bare.write_text("".join(
+            json.dumps({k: v for k, v in json.loads(line).items()
+                        if k != "answers"}) + "\n"
+            for line in (workdir / "questions.jsonl").read_text().splitlines()))
+        _no_candidates_or_index(monkeypatch)
+        errors = []
+        for argv in (("retrieve", "--index", models / "idx.bin",
+                      "--out", workdir / "unlabeled.trec"), ("bench",)):
+            rc = run(*argv, "--corpus", workdir / "corpus.jsonl",
+                     "--questions", bare, "--strategy", "oracle")
+            assert rc == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "strategy oracle needs questions with answers" in errors[0]
 
 
 class TestTrainPrDeterminism:

@@ -82,6 +82,12 @@ LOADER_ROWS = {
         ('{"id": "p1", "title": null, "text": "x"}',
          "title must be a str, got NoneType"),
         ('{"id": "p0", "text": "again"}', "duplicate id p0"),
+        ('{"id": null, "text": "x"}',
+         "id must be a string or an integer, got NoneType"),
+        ('{"id": [1, 2], "text": "x"}',
+         "id must be a string or an integer, got list"),
+        ('{"id": true, "text": "x"}',
+         "id must be a string or an integer, got bool"),
     ]),
     "questions": (load_questions,
                   {"qid": "q0", "question": "why", "answers": ["x"]}, [
@@ -98,6 +104,12 @@ LOADER_ROWS = {
          "duplicate qid q0"),
         ('{"qid": "q1", "question": "why", "answers": []}',
          "question q1 has no answers"),
+        ('{"qid": null, "question": "why", "answers": ["x"]}',
+         "qid must be a string or an integer, got NoneType"),
+        ('{"qid": "q1", "question": "why", "answers": [null]}',
+         "answer must be a string or an integer, got NoneType"),
+        ('{"qid": "q1", "question": "why", "answers": [1.5]}',
+         "answer must be a string or an integer, got float"),
     ]),
     "expansions": (load_expansions,
                    {"qid": "q0", "generator_tag": "stub", "text": "ok"}, [
@@ -107,6 +119,8 @@ LOADER_ROWS = {
         ('{"qid": "q1", "generator_tag": "llm", "text": "x"}',
          "unknown generator_tag 'llm'"),
         ('{"qid": "q1", "text": 7}', "text must be a str, got int"),
+        ('{"qid": true, "text": "x"}',
+         "qid must be a string or an integer, got bool"),
     ]),
     "training": (load_training_set, TRAIN_ROW, [
         ("{not json", "malformed JSON"),
@@ -120,7 +134,24 @@ LOADER_ROWS = {
          "question must be a str, got NoneType"),
         (json.dumps({**TRAIN_ROW, "candidates": [{"text": None}]}),
          "text must be a str, got NoneType"),
+        (json.dumps({**TRAIN_ROW, "qid": [1, 2]}),
+         "qid must be a string or an integer, got list"),
     ]),
+}
+
+# loader, a row whose ids (and answers) are JSON integers, and what the
+# loaded value reads as
+INTEGER_IDS = {
+    "corpus": (load_corpus, {"id": 7, "text": "x"},
+               lambda store: [p.id for p in store], ["7"]),
+    "questions": (load_questions, {"qid": 7, "question": "why",
+                                   "answers": [1984]},
+                  lambda qs: [(qa.qid, qa.answers) for qa in qs],
+                  [("7", ("1984",))]),
+    "expansions": (load_expansions, {"qid": 7, "text": "x"}, list, ["7"]),
+    "training": (load_training_set, {**TRAIN_ROW, "qid": 7},
+                 lambda exs: [(ex.qid, ex.candidates.qid) for ex in exs],
+                 [("7", "7")]),
 }
 
 
@@ -137,6 +168,15 @@ class TestReadJsonl:
         with pytest.raises(CorpusError) as info:
             load(path)
         assert str(info.value).startswith(f"{path}:3: {message}")
+
+
+class TestIntegerIds:
+    @pytest.mark.parametrize("loader", sorted(INTEGER_IDS))
+    def test_integer_reads_as_its_decimal_string(self, tmp_path, loader):
+        load, row, read, expected = INTEGER_IDS[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        write_jsonl(path, [row])
+        assert read(load(path)) == expected
 
 
 class TestContainsAnswer:

@@ -241,6 +241,14 @@ class TestRunFiles:
         with pytest.raises(RunFormatError, match=":2"):
             read_run(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "bad.trec"
+        path.write_text(f"q1 Q0 a 1 2.0 t\nq1 Q0 b 2 {score} t\n")
+        with pytest.raises(RunFormatError,
+                           match=f"{path}:2: score {score} is not finite"):
+            read_run(path)
+
     def test_column_count_enforced(self, tmp_path):
         path = tmp_path / "bad.trec"
         path.write_text("q1 Q0 a 1 2.0\n")

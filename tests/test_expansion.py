@@ -22,11 +22,6 @@ def cs(texts, qid="q1"):
 
 
 class TestConfig:
-    def test_sentinel_must_exceed_depth(self):
-        with pytest.raises(ValueError):
-            ConstructionConfig(k_retrieve=100, max_rank=100)
-        assert ConstructionConfig().max_rank == 101
-
     def test_minimums(self):
         with pytest.raises(ValueError):
             ConstructionConfig(folds=1)
@@ -35,7 +30,7 @@ class TestConfig:
     def test_retrieval_depth_at_least_one(self, k_retrieve):
         with pytest.raises(ValueError, match="k_retrieve must be >= 1"):
             ConstructionConfig(k_retrieve=k_retrieve)
-        assert ConstructionConfig(k_retrieve=1, max_rank=2).k_retrieve == 1
+        assert ConstructionConfig(k_retrieve=1).k_retrieve == 1
 
 
 class TestCandidates:
@@ -185,8 +180,7 @@ class TestLabelCandidates:
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("goldtoken",))
         cands = cs(["goldtoken", "blue", "absentterm"])
-        cfg = ConstructionConfig(k_retrieve=100, max_rank=101)
-        labels, top2 = label_candidates(index, store, qa, cands, cfg)
+        labels, top2 = label_candidates(index, store, qa, cands, 100)
         assert labels[0].r == 1            # answer passage pulled to the top
         assert labels[1].r == 15           # tie-broken pid order
         assert labels[2].r == 15           # unknown term adds nothing
@@ -195,17 +189,18 @@ class TestLabelCandidates:
     def test_sentinel_for_miss(self, rank_fixture):
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("neverthere",))
-        cfg = ConstructionConfig(k_retrieve=10, max_rank=50)
-        labels, _ = label_candidates(index, store, qa, cs(["blue", "x"]), cfg)
-        assert all(l.r == 50 and not l.hit for l in labels)
+        labels, _ = label_candidates(index, store, qa, cs(["blue", "x"]), 10)
+        assert all(l.r == 11 and not l.hit for l in labels)
 
     def test_labels_reproducible(self, planted, planted_store, planted_index,
                                  planted_cfg):
         qa = planted.questions[3]
         once = label_candidates(planted_index, planted_store, qa,
-                                planted.candidates[qa.qid], planted_cfg)
+                                planted.candidates[qa.qid],
+                                planted_cfg.k_retrieve)
         again = label_candidates(planted_index, planted_store, qa,
-                                 planted.candidates[qa.qid], planted_cfg)
+                                 planted.candidates[qa.qid],
+                                 planted_cfg.k_retrieve)
         assert once == again
 
 
@@ -241,12 +236,10 @@ class TestStoredPair:
     @pytest.mark.parametrize("k_retrieve", [1, 2, 100])
     def test_equals_k2_search(self, planted, planted_store, planted_index,
                               k_retrieve):
-        cfg = ConstructionConfig(k_retrieve=k_retrieve,
-                                 max_rank=k_retrieve + 1)
         for qa in planted.questions[:10]:
             cands = planted.candidates[qa.qid]
             _, top2 = label_candidates(planted_index, planted_store, qa,
-                                       cands, cfg)
+                                       cands, k_retrieve)
             for c, pair in zip(cands.candidates, top2):
                 assert pair == planted_index.search(
                     expanded_query(qa.question, c.text), 2).entries
@@ -254,8 +247,7 @@ class TestStoredPair:
     def test_rank_counts_only_first_k_retrieve(self, rank_fixture):
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("goldtoken",))
-        cfg = ConstructionConfig(k_retrieve=1, max_rank=2)
-        labels, top2 = label_candidates(index, store, qa, cs(["blue"]), cfg)
+        labels, top2 = label_candidates(index, store, qa, cs(["blue"]), 1)
         assert labels[0].r == 2 and not labels[0].hit  # answer at rank 15
         assert len(top2[0]) == 2
 

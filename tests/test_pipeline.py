@@ -123,6 +123,17 @@ class TestRunStrategy:
             run_strategy(StrategySpec(kind="ear_rd"), planted_index,
                          planted_store, qa, planted.candidates[qa.qid])
 
+    @pytest.mark.parametrize("kind,other", [("ear_ri", "rd_model"),
+                                            ("ear_rd", "ri_model")])
+    def test_ear_rejects_the_other_variant(self, request, planted,
+                                           planted_store, planted_index,
+                                           featurizer, kind, other):
+        qa = planted.questions[0]
+        with pytest.raises(ValueError, match="got an R[ID] model"):
+            run_strategy(StrategySpec(kind=kind), planted_index,
+                         planted_store, qa, planted.candidates[qa.qid],
+                         request.getfixturevalue(other), featurizer)
+
     def test_mean_rank_ordering(self, planted, planted_store, planted_index,
                                 planted_split, rd_model, featurizer):
         _, qa_test = planted_split

@@ -426,7 +426,7 @@ def selection_accuracy(model, qa_list, planted, store, index, cfg, featurizer):
     correct = 0
     for qa in qa_list:
         cands = planted.candidates[qa.qid]
-        labels, _ = label_candidates(index, store, qa, cands, cfg)
+        labels, _ = label_candidates(index, store, qa, cands, cfg.k_retrieve)
         min_r = min(l.r for l in labels)
         chosen = select_best(model, qa.question, cands, featurizer)
         if labels[cands.candidates.index(chosen)].r == min_r:
