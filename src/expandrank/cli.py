@@ -69,10 +69,21 @@ def _bm25_params(args) -> Bm25Params:
                    index_titles=args.index_titles)
 
 
+def _corpus_and_index(args):
+    """Corpus and index named by ``--corpus/--index``.  An index passage
+    the corpus lacks is a usage error."""
+    store = load_corpus(_require_file(args.corpus, "corpus"))
+    index = Index.load(_require_file(args.index, "index"))
+    missing = next((pid for pid in index.pids if pid not in store), None)
+    if missing is not None:
+        raise UsageError(f"index {args.index} names passage {missing!r}, "
+                         f"which corpus {args.corpus} lacks")
+    return store, index
+
+
 def _load_inputs(args, require_answers: bool = True):
     """Corpus, index and questions named by ``--corpus/--index/--questions``."""
-    return (load_corpus(_require_file(args.corpus, "corpus")),
-            Index.load(_require_file(args.index, "index")),
+    return (*_corpus_and_index(args),
             load_questions(_require_file(args.questions, "questions"),
                            require_answers=require_answers))
 
@@ -153,8 +164,7 @@ def cmd_train(args) -> int:
                   learning_rate=args.learning_rate, seed=args.seed)
     examples = expansion.load_training_set(
         _require_file(args.train, "training set"))
-    store = load_corpus(_require_file(args.corpus, "corpus"))
-    index = Index.load(_require_file(args.index, "index"))
+    store, index = _corpus_and_index(args)
     model = train(examples, cfg, args.variant, Featurizer(index, store))
     model.save(args.out)
     print(f"trained {args.variant} model on {len(examples)} questions -> {args.out}")
@@ -202,6 +212,10 @@ def cmd_eval(args) -> int:
     runs = evalbench.read_run(_require_file(args.run, "run file"))
     report = evalbench.topk_accuracy(runs, questions, store, ks=ks,
                                      tag=os.path.basename(args.run))
+    unlisted = sum(qa.qid not in runs for qa in questions)
+    if unlisted:
+        print(f"warning: {unlisted}/{len(questions)} questions have no list "
+              f"in {args.run}; each counts as a miss", file=sys.stderr)
     print(report.format_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -60,7 +60,7 @@ class PassageStore:
         try:
             return self._by_id[pid]
         except KeyError:
-            raise KeyError(f"unknown passage id {pid!r}") from None
+            raise CorpusError(f"unknown passage id {pid!r}") from None
 
 
 def read_jsonl(path, parse):

@@ -40,8 +40,16 @@ class ExpansionCandidate:
 
 @dataclass
 class CandidateSet:
+    """A question's candidate expansions: never empty, and distinct by
+    normalized text.  Construction keeps the first candidate of each
+    normalized text (``dedup``) and raises ValueError if none is left."""
     qid: str
     candidates: list[ExpansionCandidate]
+
+    def __post_init__(self):
+        self.candidates = dedup(self.candidates)
+        if not self.candidates:
+            raise ValueError(f"empty candidate set for {self.qid}")
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -90,15 +98,16 @@ def _norm_key(text: str) -> str:
     return " ".join(normalize(text))
 
 
-def dedup(cs: CandidateSet) -> CandidateSet:
+def dedup(candidates: list[ExpansionCandidate]) -> list[ExpansionCandidate]:
+    """The first candidate of each normalized text, in order."""
     seen = set()
     kept = []
-    for c in cs.candidates:
+    for c in candidates:
         key = _norm_key(c.text)
         if key not in seen:
             seen.add(key)
             kept.append(c)
-    return replace(cs, candidates=kept)
+    return kept
 
 
 def truncate(cs: CandidateSet, n: int) -> CandidateSet:
@@ -127,6 +136,14 @@ def sample_expansions_stub(question: str, n: int, seed: int,
     for pid in head.pids():
         pool.extend(normalize(store.get(pid).text))
     vocab = index.terms
+    # A candidate is 2-4 words, each one token, so W distinct words give at
+    # most W^2 + W^3 + W^4 distinct texts; asking for more would never end.
+    n_words = len(vocab) + sum(w not in index.vocab for w in set(pool))
+    most = n_words ** 2 + n_words ** 3 + n_words ** 4
+    if most < n:
+        raise ValueError(f"--n-samples {n} exceeds the {most} distinct "
+                         f"candidates the stub sampler can compose from "
+                         f"{n_words} corpus words")
     seen_keys: set[str] = set()
     candidates = []
     while len(candidates) < n:
@@ -202,8 +219,6 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
     search returns; the rank is taken within the first ``k``, and a miss
     is labeled ``k + 1``.
     """
-    if not cs.candidates:
-        raise ValueError(f"empty candidate set for {qa.qid}")
     labels, top2 = [], []
     lists = search_candidates(index, qa.question, cs, max(k, 2), qa.qid)
     for i, rl in enumerate(lists):
@@ -237,7 +252,7 @@ def build_training_set(store: PassageStore, index: Index, qa_train,
     fold_of = assign_folds([qa.qid for qa in qa_train], cfg.folds, cfg.seed)
     out = []
     for qa in qa_train:
-        cs = dedup(generator(qa, fold_of[qa.qid]))
+        cs = generator(qa, fold_of[qa.qid])
         labels, top2 = label_candidates(index, store, qa, cs, cfg.k_retrieve)
         out.append(TrainingExample(qid=qa.qid, question=qa.question,
                                    candidates=cs, labels=labels, top2=top2))
@@ -270,7 +285,12 @@ def finite_number(v) -> bool:
 def _parse_example(obj) -> TrainingExample:
     if "top1" in obj and "top2" not in obj:
         raise ValueError("old format with top-1 pids only; re-run make-train")
+    qid = id_text(obj["qid"], "qid")
     cands = [ExpansionCandidate(**c) for c in obj["candidates"]]
+    cs = CandidateSet(qid=qid, candidates=cands)
+    if len(cs) != len(cands):
+        raise ValueError("a candidate repeats the normalized text of an "
+                         "earlier one")
     labels = [RankLabel(**l) for l in obj["labels"]]
     top2 = obj["top2"]
     if not len(cands) == len(labels) == len(top2):
@@ -284,10 +304,9 @@ def _parse_example(obj) -> TrainingExample:
                 and finite_number(e[1]) for e in entries):
             raise ValueError(f"top2[{i}] is not a list of at most 2 "
                              f"[pid, finite score] entries")
-    qid = id_text(obj["qid"], "qid")
     return TrainingExample(
         qid=qid, question=typed_field(obj, "question", str),
-        candidates=CandidateSet(qid=qid, candidates=cands), labels=labels,
+        candidates=cs, labels=labels,
         top2=[[(pid, float(score)) for pid, score in e] for e in top2],
     )
 

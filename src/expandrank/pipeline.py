@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import PassageStore, QAExample
-from .expansion import (CandidateSet, dedup, expanded_query, label_candidates,
+from .expansion import (CandidateSet, expanded_query, label_candidates,
                         truncate)
 from .index import Index, RankedList
 from .passage_reranker import PassageScorer, rerank_passages
@@ -75,8 +75,7 @@ def check_strategy(spec: StrategySpec, questions,
 
 
 def prepare_candidates(spec: StrategySpec, cs: CandidateSet) -> CandidateSet:
-    """``cs`` deduplicated, then capped at ``spec.cap_n``."""
-    cs = dedup(cs)
+    """``cs`` capped at ``spec.cap_n``."""
     return cs if spec.cap_n is None else truncate(cs, spec.cap_n)
 
 
@@ -87,9 +86,9 @@ def strategy_query(spec: StrategySpec, index: Index, store: PassageStore,
     """The query text ``spec``'s strategy issues for one question, which
     the caller has passed through ``check_strategy``."""
     q = qa.question
-    if not spec.needs.candidates or (spec.kind == "concat" and not cs):
+    if not spec.needs.candidates:
         return q
-    if cs is None or not cs.candidates:
+    if cs is None:
         raise ValueError(f"strategy {spec.kind} needs candidates for {qa.qid}")
     if spec.kind == "concat":
         return expanded_query(q, *(c.text for c in cs.candidates))

@@ -308,8 +308,6 @@ def train(examples, cfg: TrainConfig, variant: str,
 def select_best(model: ScorerModel, question: str, cs: CandidateSet,
                 featurizer: Featurizer) -> ExpansionCandidate:
     """Argmin-score candidate; ties go to the earliest index."""
-    if not cs.candidates:
-        raise ValueError("cannot select from an empty candidate set")
     lists = (search_candidates(featurizer.index, question, cs, 2, cs.qid)
              if model.variant == "RD" else [])
     feats = featurizer.features(model.variant, question,

@@ -2,13 +2,14 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from expandrank import evalbench, expansion
+from expandrank import cli, evalbench, expansion, pipeline
 from expandrank.cli import main
 from expandrank.synth import (make_planted, write_corpus, write_expansions,
                               write_questions)
@@ -31,6 +32,23 @@ def run(*argv):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class Hung(Exception):
+    """Not a ValueError or OSError, so ``main`` does not turn it into 1."""
+
+
+def run_within(seconds, *argv):
+    """``run(*argv)``, raising Hung if it has not returned in ``seconds``."""
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(*argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestIndexCmd:
@@ -294,22 +312,44 @@ class TestPipelineCmds:
         assert str(bad) in err and "weights" in err
         assert not (workdir / "short.trec").exists()
 
-    def test_failed_questions_exit_1(self, workdir, capsys):
+    def fails_one_question(self, workdir, capsys, strategy):
+        """``retrieve`` with one qid's expansions removed writes the other
+        39 lists and exits 1."""
         rows = (workdir / "expansions.jsonl").read_text().splitlines()
         dropped = json.loads(rows[0])["qid"]
         partial = workdir / "partial_expansions.jsonl"
         partial.write_text("".join(
             row + "\n" for row in rows if json.loads(row)["qid"] != dropped))
+        out = workdir / f"partial-{strategy}.trec"
         rc = run("retrieve", "--index", workdir / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
-                 "--expansions", partial, "--strategy", "greedy",
-                 "--out", workdir / "partial.trec")
+                 "--expansions", partial, "--strategy", strategy,
+                 "--out", out)
         assert rc == 1
         assert "1/40 questions failed" in capsys.readouterr().err
-        qids = {line.split()[0] for line in
-                (workdir / "partial.trec").read_text().splitlines()}
+        qids = {line.split()[0] for line in out.read_text().splitlines()}
         assert len(qids) == 39 and dropped not in qids
+
+    def test_failed_questions_exit_1(self, workdir, capsys):
+        self.fails_one_question(workdir, capsys, "greedy")
+
+    def test_concat_without_candidates_fails(self, workdir, capsys):
+        self.fails_one_question(workdir, capsys, "concat")
+
+    def test_eval_warns_of_questions_without_a_list(self, workdir, capsys):
+        empty = workdir / "empty.trec"
+        empty.write_text("")
+        rc = run("eval", "--run", empty,
+                 "--questions", workdir / "questions.jsonl",
+                 "--corpus", workdir / "corpus.jsonl", "--ks", "1,5")
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: 40/40 questions have no list in "
+                                f"{empty}; each counts as a miss\n")
+        assert captured.out.endswith(
+            "empty.trec (40 questions)\ntop-1     top-5   \n"
+            "0.0000    0.0000  \n")
 
     def test_bench_cmd(self, workdir, capsys):
         rc = run("bench", "--corpus", workdir / "corpus.jsonl",
@@ -326,6 +366,81 @@ class TestPipelineCmds:
                  "--questions", workdir / "questions.jsonl",
                  "--out", workdir / "pr.json")
         assert rc == 0
+
+
+class TestUnknownPassages:
+    def test_eval_run_names_unknown_pid_exit_1(self, workdir, capsys):
+        run_file = workdir / "unknown_pid.trec"
+        run_file.write_text("q0000 Q0 nosuch 1 2.0 t\n")
+        rc = run("eval", "--run", run_file,
+                 "--questions", workdir / "questions.jsonl",
+                 "--corpus", workdir / "corpus.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: unknown passage id 'nosuch'\n"
+
+    def test_train_top2_names_unknown_pid_exit_1(self, workdir, models,
+                                                 capsys):
+        rows = [json.loads(line) for line in
+                (models / "train.jsonl").read_text().splitlines()]
+        rows[3]["top2"][0][0][0] = "nosuch"
+        bad = workdir / "unknown_pid_train.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        rc = run("train", "--train", bad, "--index", models / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl", "--variant", "RD",
+                 "--out", workdir / "unknown_pid_rd.json")
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: unknown passage id 'nosuch'\n"
+        assert not (workdir / "unknown_pid_rd.json").exists()
+
+    @pytest.mark.parametrize("command", ["retrieve", "train"])
+    def test_index_corpus_mismatch_exit_2(self, workdir, models, monkeypatch,
+                                          capsys, command):
+        rows = (workdir / "corpus.jsonl").read_text().splitlines()
+        half = workdir / "half_corpus.jsonl"
+        half.write_text("".join(row + "\n" for row in rows[::2]))
+        dropped = {json.loads(row)["id"] for row in rows[1::2]}
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran a question or trained")
+        monkeypatch.setattr(pipeline, "run_dataset", forbidden)
+        monkeypatch.setattr(cli, "train", forbidden)
+        argv = {
+            "retrieve": ["--questions", workdir / "questions.jsonl",
+                         "--strategy", "oracle",
+                         "--expansions", workdir / "expansions.jsonl"],
+            "train": ["--train", models / "train.jsonl"],
+        }[command]
+        out = workdir / f"mismatch-{command}.out"
+        rc = run(command, "--index", models / "idx.bin", "--corpus", half,
+                 *argv, "--out", out)
+        assert rc == 2
+        named = re.fullmatch(
+            f"error: index {re.escape(str(models / 'idx.bin'))} names "
+            f"passage '(.+)', which corpus {re.escape(str(half))} lacks\n",
+            capsys.readouterr().err)
+        assert named and named[1] in dropped
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,words,most", [("alpha beta", 2, 28),
+                                                 ("the of and", 0, 0)])
+    def test_stub_too_few_words_exit_1(self, tmp_path, capsys, text, words,
+                                       most):
+        (tmp_path / "corpus.jsonl").write_text(
+            json.dumps({"id": "p0", "title": "", "text": text}) + "\n")
+        (tmp_path / "questions.jsonl").write_text(
+            json.dumps({"qid": "q0", "question": "alpha"}) + "\n")
+        assert run("index", "--corpus", tmp_path / "corpus.jsonl",
+                   "--out", tmp_path / "idx.bin") == 0
+        capsys.readouterr()
+        rc = run_within(1.0, "retrieve", "--index", tmp_path / "idx.bin",
+                        "--corpus", tmp_path / "corpus.jsonl",
+                        "--questions", tmp_path / "questions.jsonl",
+                        "--strategy", "greedy", "--out", tmp_path / "x.trec")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --n-samples 50 exceeds the {most} distinct candidates "
+            f"the stub sampler can compose from {words} corpus words\n")
 
 
 @pytest.fixture(scope="module")

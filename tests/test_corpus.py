@@ -218,7 +218,7 @@ class TestContainsAnswer:
 
 class TestPassageStore:
     def test_unknown_pid(self, tiny_store):
-        with pytest.raises(KeyError):
+        with pytest.raises(CorpusError, match="unknown passage id 'missing'"):
             tiny_store.get("missing")
 
     def test_duplicate_in_memory(self):

@@ -9,7 +9,7 @@ from expandrank.evalbench import (AccuracyReport, RunFormatError,
                                   ablate_candidate_size, bench_latency,
                                   min_answer_rank, read_run, report_csv,
                                   topk_accuracy, write_run)
-from expandrank.expansion import dedup, sample_expansions_stub
+from expandrank.expansion import sample_expansions_stub
 from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.pipeline import StrategySpec, run_strategy
 
@@ -190,8 +190,8 @@ class TestBenchLatency:
 
         index = build_index(planted_store, Bm25Params())
         for qa in questions:
-            cs = dedup(sample_expansions_stub(qa.question, 10, 0, index,
-                                              planted_store))
+            cs = sample_expansions_stub(qa.question, 10, 0, index,
+                                        planted_store)
             run_strategy(spec, index, planted_store, qa, cs)
         issued = last_query_per_qid()
         for qa in questions:

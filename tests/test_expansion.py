@@ -2,6 +2,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expandrank.corpus import CorpusError, Passage, PassageStore, QAExample
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
@@ -13,6 +15,7 @@ from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   truncate)
 from expandrank.index import Bm25Params, build_index
 from expandrank.synth import make_random_corpus, make_random_queries
+from expandrank.text import normalize
 
 
 def cs(texts, qid="q1"):
@@ -44,19 +47,38 @@ class TestCandidates:
 
 
 class TestDedup:
+    """A CandidateSet keeps the first candidate of each normalized text."""
+
     def test_first_occurrence_kept(self):
-        assert [c.text for c in dedup(cs(["a", "b", "a"])).candidates] == ["a", "b"]
+        assert [c.text for c in cs(["a", "b", "a"]).candidates] == ["a", "b"]
 
     def test_distinct_unchanged(self):
-        assert len(dedup(cs(["a", "b", "c"]))) == 3
+        assert len(cs(["a", "b", "c"])) == 3
 
     def test_normalization_equal_duplicates(self):
-        out = dedup(cs(["The Moon", "the moon"]))
+        out = cs(["The Moon", "the moon"])
         assert [c.text for c in out.candidates] == ["The Moon"]
 
     def test_idempotent(self):
-        once = dedup(cs(["x y", "X Y", "z", "z!"]))
-        assert dedup(once).candidates == once.candidates
+        once = cs(["x y", "X Y", "z", "z!"])
+        assert [c.text for c in once.candidates] == ["x y", "z"]
+        again = CandidateSet(qid=once.qid, candidates=once.candidates)
+        assert again.candidates == once.candidates
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["moon", "the moon", "x y", "apollo 11", "z"]),
+        st.sampled_from([str, str.upper, str.title]),
+        st.sampled_from(["", "!", ".", ", ", " ?"])), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_first_of_each_normalized_text(self, variants):
+        texts = [case(base) + punct for base, case, punct in variants]
+        first: dict[tuple, str] = {}
+        for t in texts:
+            first.setdefault(tuple(normalize(t)), t)
+        built = cs(texts)
+        assert [c.text for c in built.candidates] == list(first.values())
+        rebuilt = CandidateSet(qid=built.qid, candidates=built.candidates)
+        assert rebuilt.candidates == built.candidates
 
 
 class TestTruncate:
@@ -98,7 +120,8 @@ class TestStubSampler:
     def test_distinct_before_dedup(self, planted_index, planted_store):
         out = sample_expansions_stub("what is this", 50, 3, planted_index,
                                      planted_store)
-        assert len(dedup(out)) == 50
+        assert len(out) == 50
+        assert dedup(out.candidates) == out.candidates
 
 
 class TestLoadExpansions:
@@ -228,8 +251,12 @@ class TestSearchCandidates:
             assert rl.entries == index.search(expanded_query(q, text), 20).entries
 
     def test_empty_set(self, small_corpus):
+        """No empty set reaches a search, and a repeat is searched once."""
         _, index = small_corpus
-        assert search_candidates(index, "q", cs([]), 10, "q0") == []
+        with pytest.raises(ValueError, match="empty candidate set for q1"):
+            search_candidates(index, "q", cs([]), 10, "q0")
+        assert len(search_candidates(index, "q", cs(["w a", "W A!"]), 10,
+                                     "q0")) == 1
 
 
 class TestStoredPair:
@@ -302,6 +329,20 @@ class TestLoadTrainingSet:
         path = self.write(tmp_path, [intact, row])
         with pytest.raises(ValueError, match=f"{path.name}:2: "):
             load_training_set(path)
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda r: r.update(candidates=[], labels=[], top2=[]),
+         "empty candidate set for q1"),
+        (lambda r: r["candidates"][1].update(text="A b!"),
+         "a candidate repeats the normalized text of an earlier one"),
+    ], ids=["no-candidates", "repeated-candidate"])
+    def test_candidate_set_rejected_with_line(self, row, tmp_path, damage,
+                                              message):
+        damage(row)
+        path = self.write(tmp_path, [row])
+        with pytest.raises(CorpusError) as info:
+            load_training_set(path)
+        assert str(info.value) == f"{path}:1: {message}"
 
     def test_bad_json_names_line(self, row, tmp_path):
         path = tmp_path / "train.jsonl"

@@ -100,16 +100,6 @@ class TestRunStrategy:
                               planted_store, qa, single)
         assert oracle.entries == greedy.entries
 
-    def test_concat_empty_equals_bm25(self, planted, planted_store,
-                                      planted_index):
-        qa = planted.questions[1]
-        empty = CandidateSet(qid=qa.qid, candidates=[])
-        concat = run_strategy(StrategySpec(kind="concat"), planted_index,
-                              planted_store, qa, empty)
-        bm25 = run_strategy(StrategySpec(kind="bm25"), planted_index,
-                            planted_store, qa)
-        assert concat.entries == bm25.entries
-
     def test_oracle_needs_answers(self, planted, planted_store, planted_index):
         qa = planted.questions[0]
         bare = QAExample(qid=qa.qid, question=qa.question, answers=())
