@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from expandrank.corpus import Passage, PassageStore
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   ExpansionCandidate, RankLabel,
-                                  expanded_query, label_candidates)
+                                  expanded_query, label_candidates,
+                                  search_candidates)
 from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.passage_reranker import PassageScorer
 from expandrank.reranker import (RD_SCHEMA, RI_SCHEMA, Featurizer, ScorerModel,
@@ -454,9 +455,23 @@ class TestSelectBest:
         rng = np.random.default_rng(1)
         m = ScorerModel(variant, schema, rng.normal(size=dim),
                         rng.normal(size=dim), rng.uniform(0.5, 2, dim))
+        # 37 distinct texts whose rows are equal: each adds to a question
+        # word one novel token of the same length that is not in the index,
+        # so the RI features and the RD top-2 retrieval coincide.
+        question = "what is topikabbb topikbbbb"
         cs = CandidateSet(qid="q", candidates=[
-            ExpansionCandidate(text="subject May 2018") for _ in range(37)])
-        assert select_best(m, "about subject", cs, featurizer) \
+            ExpansionCandidate(text=f"topikabbb May zq{i:02d}x")
+            for i in range(37)])
+        assert len(cs.candidates) == 37
+        tops = None
+        if variant == "RD":
+            tops = [rl.entries for rl in search_candidates(
+                featurizer.index, question, cs, 2, cs.qid)]
+            assert all(len(t) == 2 for t in tops)
+        rows = featurizer.features(variant, question,
+                                   [c.text for c in cs.candidates], tops)
+        assert (rows == rows[0]).all()
+        assert select_best(m, question, cs, featurizer) \
             is cs.candidates[0]
 
     def test_affine_score_invariance(self, planted, ri_model, featurizer):
