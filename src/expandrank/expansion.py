@@ -200,12 +200,12 @@ def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
                       qid: str) -> list[RankedList]:
     """Top-``k`` retrieval of "question + candidate" for every candidate.
 
-    The one place that searches a question's candidate expansions.  One
-    stem memo serves all of them, so the question is stemmed once.
+    The one place that searches a question's candidate expansions.  The
+    question is analyzed once and each candidate once; together their tokens
+    are the analyzed ``expanded_query(question, candidate)``.
     """
-    memo: dict[str, str] = {}
-    return [index.search(expanded_query(question, c.text), k, qid=qid,
-                         memo=memo)
+    q_tokens = index.analyzer(question)
+    return [index.search_tokens(q_tokens + index.analyzer(c.text), k, qid)
             for c in cs.candidates]
 
 

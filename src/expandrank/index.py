@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import PassageStore
-from .text import Analyzer
+from .text import Analyzer, normalize
 
 MAGIC = b"XRIDX001"
 
@@ -163,15 +163,17 @@ class Index:
                                    self.doc_count)
 
     def search(self, query_text: str, k: int, qid: str = "q",
-               tag: str = "run", memo: dict[str, str] | None = None,
-               ) -> RankedList:
-        """Top-``k`` positively scoring passages, ties to the smaller pid.
+               tag: str = "run") -> RankedList:
+        """``search_tokens`` of the analyzed ``query_text``."""
+        return self.search_tokens(self.analyzer(query_text), k, qid, tag)
 
-        ``memo`` is passed to the analyzer (see ``Analyzer.__call__``).
-        """
+    def search_tokens(self, tokens, k: int, qid: str = "q",
+                      tag: str = "run") -> RankedList:
+        """Top-``k`` positively scoring passages for an analyzed query, ties
+        to the smaller pid."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        scores = self.score_all(self.analyzer(query_text, memo))
+        scores = self.score_all(tokens)
         pos = np.flatnonzero(scores > 0.0)
         top = scores[pos]
         if len(pos) > k:
@@ -288,30 +290,33 @@ def build_index(store: PassageStore, params: Bm25Params | None = None) -> Index:
     params = params or Bm25Params()
     analyzer = params.analyzer()
 
-    # Python work is per document and per distinct token: the memo stems each
-    # surface form once, and every token becomes one int in a typed buffer.
-    # Provisional term ids follow set iteration order, which varies from run
-    # to run; they are mapped to sorted-vocabulary ids before anything else
-    # sees them.
+    # Python work is per document and per distinct surface token: each one
+    # is analyzed once, into a provisional id (None for a stopword), and
+    # every kept token becomes one int in a typed buffer.  Provisional ids
+    # follow set iteration order, which varies from run to run; they are
+    # mapped to sorted-vocabulary ids before anything else sees them.
     pids = sorted(p.id for p in store)
-    memo: dict[str, str] = {}
-    provisional: dict[str, int] = {}
-    token_ids = array("i")  # every token's provisional term id, in doc order
+    provisional: dict[str, int | None] = {}  # surface token -> provisional id
+    stems: list[str] = []  # provisional id -> term
+    token_ids = array("i")  # every token's provisional id, in doc order
     lengths = array("i")
     for pid in pids:
         p = store.get(pid)
         body = f"{p.title} {p.text}" if params.index_titles and p.title else p.text
-        tokens = analyzer(body, memo)
-        for term in set(tokens).difference(provisional):
-            provisional[term] = len(provisional)
-        token_ids.extend(map(provisional.__getitem__, tokens))
-        lengths.append(len(tokens))
-    del memo
+        surface = normalize(body)
+        for t in set(surface).difference(provisional):
+            term = analyzer(t)  # [] for a stopword, else one term
+            provisional[t] = len(stems) if term else None
+            stems.extend(term)
+        ids = [i for i in map(provisional.__getitem__, surface)
+               if i is not None]
+        token_ids.extend(ids)
+        lengths.append(len(ids))
 
-    terms = sorted(provisional)
-    to_sorted = np.empty(len(terms), dtype=np.int32)
-    to_sorted[np.fromiter((provisional[t] for t in terms), dtype=np.int64,
-                          count=len(terms))] = np.arange(len(terms))
+    terms = sorted(set(stems))
+    rank = {t: i for i, t in enumerate(terms)}
+    to_sorted = np.fromiter((rank[t] for t in stems), dtype=np.int32,
+                            count=len(stems))
     doc_lengths = np.frombuffer(lengths, dtype=np.intc).astype(np.int32)
     tok_terms = to_sorted[np.frombuffer(token_ids, dtype=np.intc)]
     del token_ids

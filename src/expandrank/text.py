@@ -174,21 +174,11 @@ class Analyzer:
     stemming: bool = True
     stopwords: bool = True
 
-    def __call__(self, raw: str, memo: dict[str, str] | None = None) -> list[str]:
-        """Analyzed tokens of ``raw``.
-
-        ``memo`` is a surface -> stem dict owned by the caller.  Passing the
-        same one across calls stems each distinct surface token once; the
-        output is identical to a call without it.
-        """
+    def __call__(self, raw: str) -> list[str]:
+        """Analyzed tokens of ``raw``."""
         tokens = normalize(raw)
         if self.stopwords:
             tokens = [t for t in tokens if t not in STOPWORDS]
         if self.stemming:
-            if memo is None:
-                tokens = [porter_stem(t) for t in tokens]
-            else:
-                for t in set(tokens).difference(memo):
-                    memo[t] = porter_stem(t)
-                tokens = list(map(memo.__getitem__, tokens))
+            tokens = [porter_stem(t) for t in tokens]
         return tokens

@@ -149,9 +149,9 @@ class TestPassageFeatures:
         calls = Counter()
         analyze = Analyzer.__call__
 
-        def counting(self, raw, memo=None):
+        def counting(self, raw):
             calls[raw] += 1
-            return analyze(self, raw, memo)
+            return analyze(self, raw)
 
         monkeypatch.setattr(Analyzer, "__call__", counting)
         reranked = set()

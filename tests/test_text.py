@@ -1,7 +1,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from functools import cache
+
 from expandrank import synth
+from expandrank.corpus import Passage, PassageStore
+from expandrank.expansion import expanded_query
+from expandrank.index import Bm25Params, build_index
 from expandrank.text import Analyzer, STOPWORDS, normalize, porter_stem
 from oracles import reference_porter_stem
 
@@ -11,6 +16,28 @@ PORTER_SUFFIXES = """sses ies eed ed ing ational tional enci anci izer abli
     iviti biliti icate ative alize iciti ical ful ness al ance ence er ic able
     ible ant ement ment ent ou ism ate iti ous ive ize ion sion tion e ll y
     s""".split()
+
+# Query text from arbitrary unicode and from pieces that meet the analyzer's
+# edge cases: stopwords, compatibility forms NFKC folds to ASCII (fullwidth,
+# ligature, superscript, dotted capital I), a letter plus a combining mark
+# that NFKC composes, and separators.
+_QUERY_TEXT = st.lists(st.one_of(st.text(max_size=6), st.sampled_from([
+    "the", "is", "and", "hops", "growing", "cafe", "ＨＯＰＳ", "ﬁsh", "x²",
+    "İs", "e\u0301", "\u0301", "Å", " ", "-"])), max_size=6).map("".join)
+# A candidate may start with a combining mark, which in the expanded query
+# follows the separating space rather than the question's last letter.
+_LEADING_MARK = st.sampled_from(["", "\u0301", "\u0308", "\u0327"])
+
+
+@cache
+def _index(stemming: bool, stopwords: bool):
+    store = PassageStore([
+        Passage(id=f"p{i}", title="", text=text) for i, text in enumerate([
+            "they grow hops in oregon", "growing hops is the cafe trade",
+            "fish and five x2 is", "the cafe sells fish", "hop hops hopping",
+        ])])
+    return build_index(store, Bm25Params(stemming=stemming,
+                                         stopwords=stopwords))
 
 
 class TestNormalize:
@@ -111,14 +138,23 @@ class TestAnalyzer:
     def test_stopword_only_text_empties(self):
         assert Analyzer()("the of and is") == []
 
-    @given(st.lists(st.text(max_size=40), max_size=6), st.booleans(),
+    @given(_QUERY_TEXT, _LEADING_MARK, _QUERY_TEXT, st.booleans(),
            st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_memo_leaves_output_unchanged(self, texts, stemming, stopwords):
-        analyzer = Analyzer(stemming=stemming, stopwords=stopwords)
-        memo = {"hops": "hop"}
-        texts = texts + ["The hops are growing", "growing hops"]
-        assert [analyzer(t, memo) for t in texts] == [analyzer(t) for t in texts]
+    @settings(max_examples=200, deadline=None)
+    def test_question_and_candidate_tokens_search_as_expanded_query(
+            self, question, mark, candidate, stemming, stopwords):
+        """A candidate set's searches analyze the question once and each
+        candidate once; that must be the expanded query's search, bit for
+        bit."""
+        candidate = mark + candidate
+        index = _index(stemming, stopwords)
+        tokens = index.analyzer(question) + index.analyzer(candidate)
+        query = expanded_query(question, candidate)
+        assert tokens == index.analyzer(query)
+        got = index.search_tokens(tokens, 10, "q7", "t")
+        want = index.search(query, 10, "q7", "t")
+        assert got.pids() == want.pids()
+        assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_stopwords_are_normal_tokens(self):
         assert "the" in STOPWORDS and "is" in STOPWORDS
