@@ -102,12 +102,22 @@ def id_text(value, key: str) -> str:
                     f"got {type(value).__name__}")
 
 
+def run_id(value, key: str) -> str:
+    """A passage id or qid: ``id_text`` that is non-empty and holds no
+    whitespace, since a run file's columns are split on whitespace."""
+    text = id_text(value, key)
+    if text.split() != [text]:
+        raise ValueError(f"{key} must be non-empty with no whitespace, "
+                         f"got {text!r}")
+    return text
+
+
 def load_corpus(path) -> PassageStore:
     """Load a JSONL corpus of {id, title, text} objects."""
     seen = set()
 
     def parse(row) -> Passage:
-        pid = id_text(row["id"], "id")
+        pid = run_id(row["id"], "id")
         if pid in seen:
             raise CorpusError(f"duplicate id {pid}")
         seen.add(pid)
@@ -127,7 +137,7 @@ def load_questions(path, require_answers: bool = True) -> list[QAExample]:
     seen = set()
 
     def parse(row) -> QAExample:
-        qid = id_text(row["qid"], "qid")
+        qid = run_id(row["qid"], "qid")
         if qid in seen:
             raise CorpusError(f"duplicate qid {qid}")
         seen.add(qid)

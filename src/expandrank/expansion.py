@@ -7,15 +7,16 @@ passage is not in the top ``k_retrieve`` gets the sentinel ``k_retrieve + 1``.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .corpus import (PassageStore, QAExample, contains_answer, id_text,
-                     read_jsonl, typed_field)
+from .corpus import (PassageStore, QAExample, contains_answer, read_jsonl,
+                     run_id, typed_field)
 from .index import Index, RankedList
 from .text import normalize
 
@@ -62,8 +63,14 @@ class RankLabel:
     hit: bool
 
     def __post_init__(self):
+        if type(self.r) is not int:
+            raise TypeError(f"rank label r must be an int, got "
+                            f"{type(self.r).__name__}")
         if self.r < 1:
             raise ValueError("rank labels are 1-based")
+        if type(self.hit) is not bool:
+            raise TypeError(f"rank label hit must be a bool, got "
+                            f"{type(self.hit).__name__}")
 
 
 @dataclass
@@ -111,9 +118,13 @@ def dedup(candidates: list[ExpansionCandidate]) -> list[ExpansionCandidate]:
 
 
 def truncate(cs: CandidateSet, n: int) -> CandidateSet:
+    """The first ``n`` candidates of ``cs``.  A prefix of a distinct,
+    non-empty set is one too, so it is not checked again."""
     if n < 1:
         raise ValueError("truncation size must be >= 1")
-    return replace(cs, candidates=cs.candidates[:n])
+    out = copy.copy(cs)
+    out.candidates = cs.candidates[:n]
+    return out
 
 
 def sample_expansions_stub(question: str, n: int, seed: int,
@@ -173,7 +184,7 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
 
     def parse(row) -> tuple[str, ExpansionCandidate]:
         tag = sys.intern(str(row.get("generator_tag", "external")))
-        return id_text(row["qid"], "qid"), ExpansionCandidate(
+        return run_id(row["qid"], "qid"), ExpansionCandidate(
             text=row["text"], generator_tag=tag)
 
     for lineno, (qid, cand) in read_jsonl(path, parse):
@@ -285,7 +296,7 @@ def finite_number(v) -> bool:
 def _parse_example(obj) -> TrainingExample:
     if "top1" in obj and "top2" not in obj:
         raise ValueError("old format with top-1 pids only; re-run make-train")
-    qid = id_text(obj["qid"], "qid")
+    qid = run_id(obj["qid"], "qid")
     cands = [ExpansionCandidate(**c) for c in obj["candidates"]]
     cs = CandidateSet(qid=qid, candidates=cands)
     if len(cs) != len(cands):

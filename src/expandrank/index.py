@@ -41,6 +41,15 @@ class Bm25Params:
     index_titles: bool = False
 
     def __post_init__(self):
+        # exact types: a bool k1 or a string flag would load and change scores
+        for name, kinds, what in (
+                ("k1", (int, float), "a number"), ("b", (int, float), "a number"),
+                ("stemming", (bool,), "a bool"), ("stopwords", (bool,), "a bool"),
+                ("index_titles", (bool,), "a bool")):
+            value = getattr(self, name)
+            if type(value) not in kinds:
+                raise IndexError_(f"{name} must be {what}, got "
+                                  f"{type(value).__name__}")
         if not math.isfinite(self.k1):
             raise IndexError_(f"k1 must be finite, got {self.k1}")
         if self.k1 <= 0:

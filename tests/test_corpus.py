@@ -88,6 +88,10 @@ LOADER_ROWS = {
          "id must be a string or an integer, got list"),
         ('{"id": true, "text": "x"}',
          "id must be a string or an integer, got bool"),
+        ('{"id": "p 1", "text": "x"}',
+         "id must be non-empty with no whitespace, got 'p 1'"),
+        ('{"id": "", "text": "x"}',
+         "id must be non-empty with no whitespace, got ''"),
     ]),
     "questions": (load_questions,
                   {"qid": "q0", "question": "why", "answers": ["x"]}, [
@@ -110,6 +114,10 @@ LOADER_ROWS = {
          "answer must be a string or an integer, got NoneType"),
         ('{"qid": "q1", "question": "why", "answers": [1.5]}',
          "answer must be a string or an integer, got float"),
+        ('{"qid": "q 1", "question": "why", "answers": ["x"]}',
+         "qid must be non-empty with no whitespace, got 'q 1'"),
+        ('{"qid": "", "question": "why", "answers": ["x"]}',
+         "qid must be non-empty with no whitespace, got ''"),
     ]),
     "expansions": (load_expansions,
                    {"qid": "q0", "generator_tag": "stub", "text": "ok"}, [
@@ -121,6 +129,10 @@ LOADER_ROWS = {
         ('{"qid": "q1", "text": 7}', "text must be a str, got int"),
         ('{"qid": true, "text": "x"}',
          "qid must be a string or an integer, got bool"),
+        ('{"qid": "q\\t1", "text": "x"}',
+         "qid must be non-empty with no whitespace, got 'q\\t1'"),
+        ('{"qid": "", "text": "x"}',
+         "qid must be non-empty with no whitespace, got ''"),
     ]),
     "training": (load_training_set, TRAIN_ROW, [
         ("{not json", "malformed JSON"),
@@ -136,6 +148,10 @@ LOADER_ROWS = {
          "text must be a str, got NoneType"),
         (json.dumps({**TRAIN_ROW, "qid": [1, 2]}),
          "qid must be a string or an integer, got list"),
+        (json.dumps({**TRAIN_ROW, "qid": "q 0"}),
+         "qid must be non-empty with no whitespace, got 'q 0'"),
+        (json.dumps({**TRAIN_ROW, "qid": ""}),
+         "qid must be non-empty with no whitespace, got ''"),
     ]),
 }
 

@@ -320,9 +320,14 @@ class TestLoadTrainingSet:
         lambda r: r["top2"][0][1].__setitem__(1, "1.0"),
         lambda r: r["top2"][0][1].__setitem__(0, 7),
         lambda r: r["top2"].__setitem__(1, "p1"),
+        lambda r: r["labels"][0].update(r=2.5),
+        lambda r: r["labels"][0].update(r=True),
+        lambda r: r["labels"][0].update(hit="yes"),
+        lambda r: r["labels"][0].update(hit=1),
     ], ids=["missing-key", "labels-short", "top2-short", "label-index",
             "rank-zero", "unknown-candidate-key", "three-entries",
-            "nan-score", "string-score", "int-pid", "not-a-list"])
+            "nan-score", "string-score", "int-pid", "not-a-list",
+            "float-rank", "bool-rank", "string-hit", "int-hit"])
     def test_damage_rejected_with_line(self, row, tmp_path, damage):
         intact = copy.deepcopy(row)
         damage(row)

@@ -276,6 +276,18 @@ def _duplicate_pid(raw, at):
     return raw[:16] + head + raw[16 + hlen:]
 
 
+def _with_param(name, value):
+    """Damage that sets one Bm25 parameter in the header to ``value``."""
+    def damage(raw, at):
+        header = {**at["header"],
+                  "params": {**at["header"]["params"], name: value}}
+        blob = json.dumps(header, sort_keys=True,
+                          separators=(",", ":")).encode()
+        return (raw[:8] + struct.pack("<Q", len(blob)) + blob
+                + raw[at["offsets"]:])
+    return damage
+
+
 # (damage, words the error must contain).  Each damage breaks one check.
 _DAMAGE = {
     "truncated": (lambda raw, at: raw[:-100], "truncated"),
@@ -305,6 +317,19 @@ _DAMAGE = {
                              _get(raw, at["dls"], "<i") + 1),
         "doc lengths"),
     "duplicate_pid": (_duplicate_pid, "duplicate pids"),
+    # a truthy string would stem, and a bool k1 or b would change scores
+    "stemming_string": (_with_param("stemming", "no"),
+                        "bad header .stemming must be a bool, got str"),
+    "stopwords_int": (_with_param("stopwords", 1),
+                      "bad header .stopwords must be a bool, got int"),
+    "index_titles_null": (_with_param("index_titles", None),
+                          "bad header .index_titles must be a bool"),
+    "k1_bool": (_with_param("k1", True),
+                "bad header .k1 must be a number, got bool"),
+    "b_bool": (_with_param("b", True),
+               "bad header .b must be a number, got bool"),
+    "k1_string": (_with_param("k1", "0.9"),
+                  "bad header .k1 must be a number, got str"),
 }
 
 

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from expandrank import expansion
 from expandrank.corpus import QAExample
 from expandrank.evalbench import min_answer_rank, read_run, topk_accuracy, write_run
 from expandrank.expansion import CandidateSet, ExpansionCandidate
 from expandrank.index import RankedList
-from expandrank.pipeline import StrategySpec, fuse, run_dataset, run_strategy
+from expandrank.pipeline import (StrategySpec, fuse, prepare_candidates,
+                                 run_dataset, run_strategy)
 from oracles import reference_fuse
 
 
@@ -85,6 +87,24 @@ class TestStrategySpec:
         plain = run_strategy(StrategySpec(kind="oracle"), planted_index,
                              planted_store, qa, cands)
         assert capped == plain
+
+    def test_cap_does_not_normalize_the_set_again(
+            self, planted, planted_store, planted_index, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return norm_key(text)
+
+        norm_key = expansion._norm_key
+        monkeypatch.setattr(expansion, "_norm_key", counting)
+        spec = StrategySpec(kind="greedy", cap_n=5)
+        for qa in planted.questions[:20]:
+            cands = planted.candidates[qa.qid]
+            assert prepare_candidates(spec, cands).candidates == \
+                cands.candidates[:5]
+            run_strategy(spec, planted_index, planted_store, qa, cands)
+        assert calls == []
 
 
 class TestRunStrategy:
