@@ -306,7 +306,7 @@ def build_index(store: PassageStore, params: Bm25Params | None = None) -> Index:
     # mapped to sorted-vocabulary ids before anything else sees them.
     pids = sorted(p.id for p in store)
     provisional: dict[str, int | None] = {}  # surface token -> provisional id
-    stems: list[str] = []  # provisional id -> term
+    id_terms: list[str] = []  # provisional id -> term
     token_ids = array("i")  # every token's provisional id, in doc order
     lengths = array("i")
     for pid in pids:
@@ -315,17 +315,19 @@ def build_index(store: PassageStore, params: Bm25Params | None = None) -> Index:
         surface = normalize(body)
         for t in set(surface).difference(provisional):
             term = analyzer(t)  # [] for a stopword, else one term
-            provisional[t] = len(stems) if term else None
-            stems.extend(term)
+            provisional[t] = len(id_terms) if term else None
+            id_terms.extend(term)
         ids = [i for i in map(provisional.__getitem__, surface)
                if i is not None]
         token_ids.extend(ids)
         lengths.append(len(ids))
+    del provisional
 
-    terms = sorted(set(stems))
+    terms = sorted(set(id_terms))
     rank = {t: i for i, t in enumerate(terms)}
-    to_sorted = np.fromiter((rank[t] for t in stems), dtype=np.int32,
-                            count=len(stems))
+    to_sorted = np.fromiter(map(rank.__getitem__, id_terms), dtype=np.int32,
+                            count=len(id_terms))
+    del id_terms, rank  # not held through the sort, the build's peak
     doc_lengths = np.frombuffer(lengths, dtype=np.intc).astype(np.int32)
     tok_terms = to_sorted[np.frombuffer(token_ids, dtype=np.intc)]
     del token_ids

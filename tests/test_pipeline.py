@@ -91,12 +91,12 @@ class TestStrategySpec:
     def test_cap_does_not_normalize_the_set_again(
             self, planted, planted_store, planted_index, monkeypatch):
         calls = []
+        norm_key = expansion._norm_key
 
         def counting(text):
             calls.append(text)
             return norm_key(text)
 
-        norm_key = expansion._norm_key
         monkeypatch.setattr(expansion, "_norm_key", counting)
         spec = StrategySpec(kind="greedy", cap_n=5)
         for qa in planted.questions[:20]:

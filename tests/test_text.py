@@ -1,7 +1,7 @@
+from functools import cache
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from functools import cache
 
 from expandrank import synth
 from expandrank.corpus import Passage, PassageStore
