@@ -1,7 +1,7 @@
 """BM25 retrieval with sampled query expansions and a trained reranker."""
 
-from .corpus import (Passage, PassageStore, QAExample, contains_answer,
-                     load_corpus, load_questions)
+from .corpus import (AnswerMatcher, Passage, PassageStore, QAExample,
+                     contains_answer, load_corpus, load_questions)
 from .expansion import (CandidateSet, ConstructionConfig, ExpansionCandidate,
                         RankLabel, TrainingExample, build_training_set, dedup,
                         expanded_query, label_candidates, load_expansions,

@@ -151,17 +151,44 @@ def load_questions(path, require_answers: bool = True) -> list[QAExample]:
     return [qa for _, qa in read_jsonl(path, parse)]
 
 
+class AnswerMatcher:
+    """Which passages contain one of a question's answers.
+
+    An answer is contained when its normalized tokens occur contiguously
+    among the passage's.  Each answer is normalized once, its tokens joined
+    and padded by single spaces; a passage's tokens are joined and padded
+    the same way, and the answers are looked for in it as substrings.
+    Tokens are ``[0-9a-z]+``, so a padded match starts and ends on token
+    boundaries.  An answer that normalizes to nothing never matches.  Each
+    passage id's result is kept for as long as the matcher, which lives for
+    one question.
+    """
+
+    __slots__ = ("_needles", "_hits")
+
+    def __init__(self, answers, qid: str | None = None):
+        if not answers:
+            raise ValueError("answers must be nonempty" if qid is None
+                             else f"question {qid} has no answers")
+        self._needles = [f" {' '.join(tokens)} "
+                         for tokens in map(normalize, answers) if tokens]
+        self._hits: dict[str, bool] = {}
+
+    def __call__(self, passage: Passage) -> bool:
+        hit = self._hits.get(passage.id)
+        if hit is None:
+            doc = f" {' '.join(normalize(passage.text))} "
+            hit = self._hits[passage.id] = any(n in doc for n in self._needles)
+        return hit
+
+    def first_rank(self, pids, store: PassageStore) -> int | None:
+        """1-based rank of the first answer-containing passage, or None."""
+        for rank, pid in enumerate(pids, start=1):
+            if self(store.get(pid)):
+                return rank
+        return None
+
+
 def contains_answer(passage: Passage, answers) -> bool:
     """True iff some answer's normalized tokens occur contiguously in the passage."""
-    if not answers:
-        raise ValueError("answers must be nonempty")
-    doc = normalize(passage.text)
-    for answer in answers:
-        needle = normalize(answer)
-        if not needle:
-            continue
-        n = len(needle)
-        for i in range(len(doc) - n + 1):
-            if doc[i : i + n] == needle:
-                return True
-    return False
+    return AnswerMatcher(answers)(passage)

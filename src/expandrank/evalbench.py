@@ -11,8 +11,8 @@ import time
 from array import array
 from dataclasses import asdict, dataclass, replace
 
-from .corpus import PassageStore
-from .expansion import min_answer_rank, sample_expansions_stub
+from .corpus import AnswerMatcher, PassageStore
+from .expansion import min_answer_rank, sample_expansions_stub  # noqa: F401 (re-export)
 from .index import Bm25Params, Index, RankedList, build_index
 from .pipeline import (StrategySpec, check_strategy, prepare_candidates,
                        run_strategy, strategy_query)
@@ -74,10 +74,11 @@ def topk_accuracy(runs: dict[str, RankedList], qa_list, store: PassageStore,
         raise ValueError(f"run qids not in QA set: {sorted(unknown)[:5]}")
     hits = {k: 0 for k in ks}
     for qa in qa_list:
+        matcher = AnswerMatcher(qa.answers, qa.qid)
         rl = runs.get(qa.qid)
         if rl is None:
             continue  # missing question counts as a miss at every k
-        rank = min_answer_rank(rl, qa.answers, store)
+        rank = matcher.first_rank(rl.pids(), store)
         if rank is None:
             continue
         for k in ks:

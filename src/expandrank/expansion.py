@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .corpus import (PassageStore, QAExample, contains_answer, read_jsonl,
+from .corpus import (AnswerMatcher, PassageStore, QAExample, read_jsonl,
                      run_id, typed_field)
 from .index import Index, RankedList
 from .text import normalize
@@ -199,12 +199,7 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
 
 def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
     """1-based rank of the first answer-containing passage, or None."""
-    if not answers:
-        raise ValueError("answers must be nonempty")
-    for rank, pid in enumerate(rl.pids(), start=1):
-        if contains_answer(store.get(pid), answers):
-            return rank
-    return None
+    return AnswerMatcher(answers, rl.qid).first_rank(rl.pids(), store)
 
 
 def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
@@ -226,14 +221,16 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
     """Rank label and the first two (pid, score) entries of every
     candidate's retrieval.
 
-    The search runs at ``max(k, 2)`` so the stored pair is what a k=2
-    search returns; the rank is taken within the first ``k``, and a miss
-    is labeled ``k + 1``.
+    One answer matcher serves all the candidates' lists, which share most
+    of their passages, so each passage is matched once.  The search runs
+    at ``max(k, 2)`` so the stored pair is what a k=2 search returns; the
+    rank is taken within the first ``k``, and a miss is labeled ``k + 1``.
     """
+    matcher = AnswerMatcher(qa.answers, qa.qid)
     labels, top2 = [], []
     lists = search_candidates(index, qa.question, cs, max(k, 2), qa.qid)
     for i, rl in enumerate(lists):
-        rank = min_answer_rank(rl, qa.answers, store)
+        rank = matcher.first_rank(rl.pids(), store)
         hit = rank is not None and rank <= k
         labels.append(RankLabel(index=i, r=rank if hit else k + 1, hit=hit))
         top2.append(list(zip(rl.pids(), rl.scores[:2].tolist())))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PassageStore, contains_answer
+from .corpus import AnswerMatcher, PassageStore
 from .index import Index, RankedList
 from .reranker import linear_scores, read_model_file, write_model_file
 from .text import normalize
@@ -142,12 +142,13 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
     cfg = cfg or PRTrainConfig()
     feats, labels = [], []
     for qa in qa_train:
+        matcher = AnswerMatcher(qa.answers, qa.qid)
         rl = index.search(qa.question, k=cfg.train_depth, qid=qa.qid)
         if not len(rl):
             log.warning("question %s retrieved no passages; skipped", qa.qid)
             continue
         feats.append(passage_features(index, store, qa.question, rl.pids(), rl.scores))
-        labels += [float(contains_answer(store.get(p), qa.answers)) for p in rl.pids()]
+        labels += [float(matcher(store.get(p))) for p in rl.pids()]
     if not feats:
         raise ValueError("no training instances")
     x = np.concatenate(feats)

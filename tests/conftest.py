@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from expandrank.corpus import Passage, PassageStore
+from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.expansion import ConstructionConfig, build_training_set
 from expandrank.index import Bm25Params, build_index
 from expandrank.passage_reranker import train_passage_reranker
@@ -69,6 +69,20 @@ def rd_model(planted_train_set, featurizer):
 def pr_scorer(planted_index, planted_store, planted_split):
     qa_train, _ = planted_split
     return train_passage_reranker(planted_index, planted_store, qa_train)
+
+
+@pytest.fixture(scope="session")
+def planted20():
+    """A 20-question planted fixture, with its store and index."""
+    fx = make_planted(20)
+    store = fx.store()
+    return fx, store, build_index(store, Bm25Params())
+
+
+@pytest.fixture
+def no_answers():
+    """A question with no answers, which answer matching must reject."""
+    return QAExample(qid="noans", question="where is topika000", answers=())
 
 
 @pytest.fixture

@@ -139,14 +139,19 @@ def brute_term_counts(store, params):
     return out
 
 
-def brute_contains(passage_text, answer):
-    """Substring check over the space-joined normalized token streams, on
-    token boundaries."""
-    doc = " ".join(normalize(passage_text))
-    needle = " ".join(normalize(answer))
-    if not needle:
-        return False
-    return f" {needle} " in f" {doc} "
+def reference_contains_answer(passage_text, answers):
+    """True iff some answer's normalized tokens equal the passage's tokens at
+    some position, compared one token window at a time."""
+    doc = normalize(passage_text)
+    for answer in answers:
+        needle = normalize(answer)
+        if not needle:
+            continue
+        n = len(needle)
+        for i in range(len(doc) - n + 1):
+            if doc[i : i + n] == needle:
+                return True
+    return False
 
 
 def reference_passage_features(index, store, question, pid, retrieval_score):

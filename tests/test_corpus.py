@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expandrank.corpus import (CorpusError, Passage, PassageStore,
-                               contains_answer, load_corpus, load_questions)
+from expandrank import corpus
+from expandrank.corpus import (AnswerMatcher, CorpusError, Passage,
+                               PassageStore, contains_answer, load_corpus,
+                               load_questions)
 from expandrank.expansion import load_expansions, load_training_set
-from oracles import brute_contains
+from expandrank.text import normalize
+from oracles import reference_contains_answer
+
+# Letters, digits, separators, and NFKC forms that fold to them: fullwidth
+# letter and digit, a ligature, a superscript and a circled digit.
+ANSWER_ALPHABET = "ab XY,.-09Ａ１ﬁ²①"
 
 
 def write_jsonl(path, rows):
@@ -220,16 +227,50 @@ class TestContainsAnswer:
         with pytest.raises(ValueError):
             contains_answer(tiny_store.get("p1"), [])
 
-    @given(
-        st.text(alphabet="ab XY,.-", max_size=40),
-        st.text(alphabet="ab XY,.-", min_size=1, max_size=10),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_substring_oracle(self, text, answer):
-        if not text.strip("., -"):
-            return
+    def test_answer_normalizing_to_nothing_never_matches(self):
+        p = Passage(id="x", title="", text="a, b - c")
+        assert not contains_answer(p, [",", " - ", ""])
+        assert contains_answer(p, [",", "B C"])
+
+    @given(st.text(alphabet=ANSWER_ALPHABET, min_size=1, max_size=40),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_substring_oracle(self, text, data):
+        # answers drawn freely or cut from the passage, so both hits and
+        # misses are common; some normalize to nothing
+        cut = st.tuples(st.integers(0, len(text)), st.integers(0, 10)).map(
+            lambda t: text[t[0] : t[0] + t[1]])
+        answers = data.draw(st.lists(
+            st.one_of(st.text(alphabet=ANSWER_ALPHABET, max_size=10), cut),
+            min_size=1, max_size=4))
         p = Passage(id="x", title="", text=text)
-        assert contains_answer(p, [answer]) == brute_contains(text, answer)
+        expected = reference_contains_answer(text, answers)
+        matcher = AnswerMatcher(answers)
+        assert matcher(p) == expected
+        assert matcher(p) == expected  # the kept result
+        assert contains_answer(p, answers) == expected
+
+
+class TestAnswerMatcher:
+    def test_missing_answers_name_the_question(self):
+        with pytest.raises(ValueError, match="^question q7 has no answers$"):
+            AnswerMatcher((), "q7")
+
+    def test_result_kept_per_passage_id(self, tiny_store, monkeypatch):
+        matcher = AnswerMatcher(["hops"], "q1")
+        seen = []
+        monkeypatch.setattr(corpus, "normalize",
+                            lambda raw: seen.append(raw) or normalize(raw))
+        assert [matcher(tiny_store.get(pid)) for pid in ("p1", "p3", "p1")] \
+            == [True, False, True]
+        assert seen == [tiny_store.get("p1").text, tiny_store.get("p3").text]
+
+    def test_first_rank(self, tiny_store):
+        matcher = AnswerMatcher(["malt", "May 18"], "q1")
+        assert matcher.first_rank(["p1", "p2", "p3"], tiny_store) == 2
+        assert matcher.first_rank(["p3", "p2"], tiny_store) == 1
+        assert matcher.first_rank(["p1"], tiny_store) is None
+        assert matcher.first_rank([], tiny_store) is None
 
 
 class TestPassageStore:

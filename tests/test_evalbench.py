@@ -44,6 +44,11 @@ class TestMinAnswerRank:
 
 
 class TestTopkAccuracy:
+    def test_question_without_answers_named(self, planted20, no_answers):
+        fx, store, _ = planted20
+        with pytest.raises(ValueError, match="^question noans has no answers$"):
+            topk_accuracy({}, fx.questions + [no_answers], store)
+
     def qa(self, qid="q1"):
         return QAExample(qid=qid, question="?", answers=("gold",))
 

@@ -1,10 +1,12 @@
 import copy
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expandrank import corpus
 from expandrank.corpus import CorpusError, Passage, PassageStore, QAExample
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   ExpansionCandidate, assign_folds,
@@ -14,6 +16,7 @@ from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   save_training_set, search_candidates,
                                   truncate)
 from expandrank.index import Bm25Params, build_index
+from expandrank.pipeline import StrategySpec, run_strategy
 from expandrank.synth import make_random_corpus, make_random_queries
 from expandrank.text import normalize
 
@@ -227,6 +230,33 @@ class TestLabelCandidates:
         assert once == again
 
 
+class TestAnswerMatchingOncePerQuestion:
+    """Labeling and the oracle strategy share one answer matcher across a
+    question's candidate lists, which overlap."""
+
+    @pytest.mark.parametrize("label", [
+        lambda index, store, qa, cands:
+            label_candidates(index, store, qa, cands, 100),
+        lambda index, store, qa, cands:
+            run_strategy(StrategySpec("oracle"), index, store, qa, cands),
+    ], ids=["label_candidates", "oracle"])
+    def test_passage_and_answer_normalized_once(self, planted20, monkeypatch,
+                                                label):
+        fx, store, index = planted20
+        texts = {p.text for p in store}
+        assert len(texts) == len(store)
+        seen = Counter()
+        monkeypatch.setattr(corpus, "normalize",
+                            lambda raw: seen.update([raw]) or normalize(raw))
+        for qa in fx.questions:
+            seen.clear()
+            label(index, store, qa, fx.candidates[qa.qid])
+            assert {a: seen[a] for a in qa.answers} == Counter(qa.answers)
+            passages = {t: n for t, n in seen.items() if t in texts}
+            assert passages and set(passages.values()) == {1}
+            assert set(seen) <= texts | set(qa.answers)
+
+
 class TestSearchCandidates:
     @pytest.fixture(scope="class")
     def small_corpus(self):
@@ -387,6 +417,13 @@ class TestBuildTrainingSet:
         b = build_training_set(planted_store, planted_index, qa, planted_cfg, gen)
         assert [(ex.qid, [l.r for l in ex.labels]) for ex in a] == \
             [(ex.qid, [l.r for l in ex.labels]) for ex in b]
+
+    def test_question_without_answers_named(self, planted20, no_answers):
+        fx, store, index = planted20
+        cands = fx.candidates[fx.questions[0].qid]
+        with pytest.raises(ValueError, match="^question noans has no answers$"):
+            build_training_set(store, index, fx.questions + [no_answers],
+                               ConstructionConfig(), lambda qa, fold: cands)
 
     def test_planted_candidate_dominates(self, planted, planted_train_set):
         wins = sum(

@@ -116,6 +116,11 @@ class TestTraining:
         train_passage_reranker(index, store, mixed)
         assert any("void" in rec.message for rec in caplog.records)
 
+    def test_question_without_answers_named(self, planted20, no_answers):
+        fx, store, index = planted20
+        with pytest.raises(ValueError, match="^question noans has no answers$"):
+            train_passage_reranker(index, store, fx.questions + [no_answers])
+
 
 class TestPassageFeatures:
     @given(passages=st.lists(st.tuples(st.one_of(st.just(""), _text), _text),
