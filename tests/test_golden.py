@@ -2,9 +2,10 @@
 results.
 
 The stages are ``index``, ``make-train``, ``train`` RI and RD, ``train-pr``,
-``retrieve`` for all 7 strategy variants and ``eval`` of each run.  Run files
-and ``eval`` reports print 6 decimals, so they are compared by SHA-256
-against ``DIGESTS``.  ``train.jsonl`` and the model files hold full-precision
+``retrieve`` for all 7 strategy variants, ``eval`` of each run, and
+``ablate`` for ``oracle`` and ``ear_rd``.  Run files, ``eval`` reports and
+``ablate`` tables print 6 decimals, so they are compared by SHA-256 against
+``DIGESTS``.  ``train.jsonl`` and the model files hold full-precision
 floats, whose last bit may differ between CPUs (numpy's SIMD ``log``), so
 they are compared field by field, floats at a relative 1e-12, against the
 copies in ``tests/golden/<workload>/``.
@@ -43,6 +44,9 @@ VARIANTS = {
     "ear_rd": ("ear_rd", "RD", False),
     "ear_rd_pr": ("ear_rd", "RD", True),
 }
+# strategy -> its expansion model, for the ``ablate`` stages
+ABLATIONS = {"oracle": None, "ear_rd": "RD"}
+ABLATE_NS = "1,2,5"
 FLOAT_FILES = ("train.jsonl", "RI.json", "RD.json", "pr.json")
 
 ZIPF_DOCS, ZIPF_DOC_LEN = 1500, 40
@@ -113,6 +117,10 @@ DIGESTS = {
             "9d61ee1df19b95c5e69c4dacdf8045694fb367b431d4950cfa84054613f4a8fe",
         "ear_rd_pr.eval.json":
             "0b163e59f13c0df992e5100286e81b6dacec8fb6ad7ff894b103d21fbd7dd619",
+        "oracle.ablate.csv":
+            "1366ed08d24eac52196cb5862352ff7ab4e68ef834b4ffe34fb3a217a665a6ff",
+        "ear_rd.ablate.csv":
+            "1366ed08d24eac52196cb5862352ff7ab4e68ef834b4ffe34fb3a217a665a6ff",
     },
     "zipf": {
         "bm25.trec":
@@ -143,6 +151,10 @@ DIGESTS = {
             "413ebe7975ba2a66eab80491a2141f7206a9681b8acc6389f10f8a89a180b17e",
         "ear_rd_pr.eval.json":
             "d4ce1dfc85616ae84cbef3858f074ab11ffcfd28ac764766c6ee452c505eead7",
+        "oracle.ablate.csv":
+            "00db5c3a65e0ed5c1a84add4ad612036f5644ba1575bac06388a227caafdb6b0",
+        "ear_rd.ablate.csv":
+            "daf2b21aeaaa668e3cf8bf1110b4408c2e628d1672346775a12cc290c28357a3",
     },
 }
 
@@ -179,12 +191,21 @@ def run_pipeline(workload: str, root: Path) -> None:
         _cli("retrieve", *argv)
         _cli("eval", "--run", root / f"{name}.trec", "--questions", qs,
              "--corpus", corpus, "--out", root / f"{name}.eval.json")
+    for kind, model in ABLATIONS.items():
+        argv = [*inputs, "--questions", qs, "--expansions", exp,
+                "--strategy", kind, "--ns", ABLATE_NS,
+                "--out", root / f"{kind}.ablate.csv"]
+        if model:
+            argv += ["--model", root / f"{model}.json"]
+        _cli("ablate", *argv)
 
 
 def digests(root: Path) -> dict[str, str]:
+    paths = [root / f"{name}{ext}" for name in VARIANTS
+             for ext in (".trec", ".eval.json")]
+    paths += [root / f"{kind}.ablate.csv" for kind in ABLATIONS]
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for name in VARIANTS
-            for path in (root / f"{name}.trec", root / f"{name}.eval.json")}
+            for path in paths}
 
 
 def read_rows(path: Path) -> list:
