@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, replace
 from .corpus import AnswerMatcher, PassageStore
 from .expansion import min_answer_rank, sample_expansions_stub  # noqa: F401 (re-export)
 from .index import Bm25Params, Index, RankedList, build_index
-from .pipeline import (StrategySpec, check_strategy, prepare_candidates,
-                       run_strategy, strategy_query)
+from .pipeline import (StrategySpec, check_strategy, choose, retrieve,
+                       run_strategy)
 from .reranker import Featurizer
 
 DEFAULT_KS = (1, 5, 20, 100)
@@ -116,9 +116,9 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
                   ) -> LatencyReport:
     """Batch-size-1 per-query stage timings, plus index build time and size.
 
-    Expand is sampling ``n_samples`` stub candidates and preparing them as
-    ``run_strategy`` does, rerank is choosing the query the strategy issues
-    (both 0 for ``bm25``), retrieval is searching it.
+    Expand is sampling ``n_samples`` stub candidates, rerank is ``choose``
+    (both 0 for ``bm25``), retrieval is ``retrieve``: as ``run_strategy``
+    runs them, without passage reranking.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -134,21 +134,19 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
     featurizer = Featurizer(index, store)
 
     expand_t = rerank_t = retrieve_t = 0.0
-    measured = 0
+    measured = repetitions * len(qa_list)
     for _ in range(repetitions):
         for qa in qa_list:
-            measured += 1
             cs = None
             if spec.needs.candidates:
                 t0 = time.perf_counter()
-                cs = prepare_candidates(spec, sample_expansions_stub(
-                    qa.question, n_samples, stub_seed, index, store))
+                cs = sample_expansions_stub(qa.question, n_samples, stub_seed,
+                                            index, store)
                 expand_t += time.perf_counter() - t0
             t0 = time.perf_counter()
-            query = strategy_query(spec, index, store, qa, cs, model,
-                                   featurizer)
+            choice = choose(spec, index, store, qa, cs, model, featurizer)
             t1 = time.perf_counter()
-            index.search(query, spec.k_retrieve, qid=qa.qid)
+            retrieve(spec, index, qa, choice)
             retrieve_t += time.perf_counter() - t1
             if spec.needs.candidates:
                 rerank_t += t1 - t0
@@ -196,7 +194,11 @@ def read_run(path) -> dict[str, RankedList]:
             if not math.isfinite(score):
                 raise RunFormatError(
                     f"{path}:{lineno}: score {score_s} is not finite")
-            _, pids, scores = columns.setdefault(qid, (tag, [], array("d")))
+            first_tag, pids, scores = columns.setdefault(
+                qid, (tag, [], array("d")))
+            if tag != first_tag:
+                raise RunFormatError(f"{path}:{lineno}: tag {tag} differs "
+                                     f"from qid {qid}'s tag {first_tag}")
             if rank != len(pids) + 1:
                 raise RunFormatError(
                     f"{path}:{lineno}: rank {rank} breaks the 1-based "

@@ -217,24 +217,22 @@ def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
 
 def label_candidates(index: Index, store: PassageStore, qa: QAExample,
                      cs: CandidateSet, k: int,
-                     ) -> tuple[list[RankLabel], list[list[tuple[str, float]]]]:
-    """Rank label and the first two (pid, score) entries of every
-    candidate's retrieval.
+                     ) -> tuple[list[RankLabel], list[RankedList]]:
+    """Rank label and top-``max(k, 2)`` retrieval of every candidate.
 
     One answer matcher serves all the candidates' lists, which share most
     of their passages, so each passage is matched once.  The search runs
-    at ``max(k, 2)`` so the stored pair is what a k=2 search returns; the
-    rank is taken within the first ``k``, and a miss is labeled ``k + 1``.
+    at ``max(k, 2)`` for ``make-train``'s top-2 pairs; the rank is taken
+    within the first ``k``, and a miss is labeled ``k + 1``.
     """
     matcher = AnswerMatcher(qa.answers, qa.qid)
-    labels, top2 = [], []
+    labels = []
     lists = search_candidates(index, qa.question, cs, max(k, 2), qa.qid)
     for i, rl in enumerate(lists):
         rank = matcher.first_rank(rl.pids(), store)
         hit = rank is not None and rank <= k
         labels.append(RankLabel(index=i, r=rank if hit else k + 1, hit=hit))
-        top2.append(list(zip(rl.pids(), rl.scores[:2].tolist())))
-    return labels, top2
+    return labels, lists
 
 
 def assign_folds(qids, folds: int, seed: int) -> dict[str, int]:
@@ -261,7 +259,8 @@ def build_training_set(store: PassageStore, index: Index, qa_train,
     out = []
     for qa in qa_train:
         cs = generator(qa, fold_of[qa.qid])
-        labels, top2 = label_candidates(index, store, qa, cs, cfg.k_retrieve)
+        labels, lists = label_candidates(index, store, qa, cs, cfg.k_retrieve)
+        top2 = [list(zip(rl.pids(), rl.scores[:2].tolist())) for rl in lists]
         out.append(TrainingExample(qid=qa.qid, question=qa.question,
                                    candidates=cs, labels=labels, top2=top2))
     return out

@@ -74,32 +74,47 @@ def check_strategy(spec: StrategySpec, questions,
                                  f"answers; {qa.qid} has none")
 
 
-def prepare_candidates(spec: StrategySpec, cs: CandidateSet) -> CandidateSet:
-    """``cs`` capped at ``spec.cap_n``."""
-    return cs if spec.cap_n is None else truncate(cs, spec.cap_n)
+@dataclass(frozen=True, slots=True)
+class Choice:
+    """What a strategy chose for one question."""
+    query: str                 # the text the strategy issues
+    ranked: RankedList | None  # its top k, if choosing already retrieved it
 
 
-def strategy_query(spec: StrategySpec, index: Index, store: PassageStore,
-                   qa: QAExample, cs: CandidateSet | None,
-                   model: ScorerModel | None,
-                   featurizer: Featurizer | None) -> str:
-    """The query text ``spec``'s strategy issues for one question, which
-    the caller has passed through ``check_strategy``."""
+def choose(spec: StrategySpec, index: Index, store: PassageStore,
+           qa: QAExample, cs: CandidateSet | None, model: ScorerModel | None,
+           featurizer: Featurizer | None) -> Choice:
+    """What ``spec``'s strategy issues for one question, chosen from ``cs``
+    capped at ``spec.cap_n``; the caller has passed it through
+    ``check_strategy``.  ``oracle`` keeps the winner's labeling list."""
     q = qa.question
     if not spec.needs.candidates:
-        return q
+        return Choice(q, None)
     if cs is None:
         raise ValueError(f"strategy {spec.kind} needs candidates for {qa.qid}")
+    if spec.cap_n is not None:
+        cs = truncate(cs, spec.cap_n)
     if spec.kind == "concat":
-        return expanded_query(q, *(c.text for c in cs.candidates))
-    if spec.kind == "greedy":
-        chosen = cs.candidates[0]
-    elif spec.kind == "oracle":
-        labels, _ = label_candidates(index, store, qa, cs, spec.k_retrieve)
-        chosen = cs.candidates[min(labels, key=lambda l: (l.r, l.index)).index]
-    else:  # ear_ri / ear_rd
-        chosen = select_best(model, q, cs, featurizer)
-    return expanded_query(q, chosen.text)
+        return Choice(expanded_query(q, *(c.text for c in cs.candidates)), None)
+    if spec.kind == "oracle":
+        k = spec.k_retrieve
+        labels, lists = label_candidates(index, store, qa, cs, k)
+        best = min(labels, key=lambda l: (l.r, l.index)).index
+        rl = lists[best]  # searched at max(k, 2)
+        return Choice(expanded_query(q, cs.candidates[best].text),
+                      RankedList.from_columns(qa.qid, rl.pids()[:k],
+                                              rl.scores[:k], spec.kind))
+    chosen = (cs.candidates[0] if spec.kind == "greedy"
+              else select_best(model, q, cs, featurizer))  # ear_ri / ear_rd
+    return Choice(expanded_query(q, chosen.text), None)
+
+
+def retrieve(spec: StrategySpec, index: Index, qa: QAExample,
+             choice: Choice) -> RankedList:
+    """``choice``'s top ``spec.k_retrieve``, tagged ``spec.kind``: the list
+    choosing kept, else a search."""
+    return choice.ranked if choice.ranked is not None else index.search(
+        choice.query, spec.k_retrieve, qid=qa.qid, tag=spec.kind)
 
 
 def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
@@ -107,16 +122,10 @@ def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
                  model: ScorerModel | None = None,
                  featurizer: Featurizer | None = None,
                  passage_scorer: PassageScorer | None = None) -> RankedList:
-    """One question through one strategy, then optional passage reranking.
-
-    ``candidates`` go through ``prepare_candidates`` first.
-    """
+    """One question through one strategy, then optional passage reranking."""
     check_strategy(spec, (qa,), model)
-    if candidates is not None:
-        candidates = prepare_candidates(spec, candidates)
-    query = strategy_query(spec, index, store, qa, candidates, model,
-                           featurizer)
-    rl = index.search(query, spec.k_retrieve, qid=qa.qid, tag=spec.kind)
+    rl = retrieve(spec, index, qa, choose(spec, index, store, qa, candidates,
+                                          model, featurizer))
     if passage_scorer is not None:
         rl = rerank_passages(passage_scorer, index, store, qa.question, rl,
                              spec.pr_depth)

@@ -5,8 +5,9 @@ from collections import Counter
 
 import numpy as np
 
+from expandrank.expansion import expanded_query
 from expandrank.index import Bm25Params, Index, IndexError_, RankedList
-from expandrank.reranker import _char3
+from expandrank.reranker import _char3, select_best
 from expandrank.text import normalize
 
 
@@ -152,6 +153,34 @@ def reference_contains_answer(passage_text, answers):
             if doc[i : i + n] == needle:
                 return True
     return False
+
+
+def reference_strategy_query(spec, index, store, qa, cs, model, featurizer):
+    """The query text ``spec``'s strategy issues for one question, from the
+    candidate set ``cs`` as given (no cap applied).
+
+    ``oracle`` labels each candidate by a plain top-``k_retrieve`` search of
+    its expanded query, the rank of the first passage that holds an answer,
+    or ``k_retrieve + 1``; the first candidate of the lowest label wins.
+    """
+    q = qa.question
+    if spec.kind == "bm25":
+        return q
+    if spec.kind == "concat":
+        return expanded_query(q, *(c.text for c in cs.candidates))
+    if spec.kind == "greedy":
+        chosen = cs.candidates[0]
+    elif spec.kind == "oracle":
+        def label(c):
+            rl = index.search(expanded_query(q, c.text), spec.k_retrieve)
+            return next((rank for rank, pid in enumerate(rl.pids(), start=1)
+                         if reference_contains_answer(store.get(pid).text,
+                                                      qa.answers)),
+                        spec.k_retrieve + 1)
+        chosen = min(cs.candidates, key=label)
+    else:  # ear_ri / ear_rd
+        chosen = select_best(model, q, cs, featurizer)
+    return expanded_query(q, chosen.text)
 
 
 def reference_passage_features(index, store, question, pid, retrieval_score):

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expandrank import evalbench
 from expandrank.corpus import QAExample
 from expandrank.evalbench import (AccuracyReport, RunFormatError,
                                   ablate_candidate_size, bench_latency,
                                   min_answer_rank, read_run, report_csv,
                                   topk_accuracy, write_run)
 from expandrank.expansion import sample_expansions_stub
-from expandrank.index import Bm25Params, Index, RankedList, build_index
+from expandrank.index import Bm25Params, RankedList, build_index
 from expandrank.pipeline import StrategySpec, run_strategy
+from oracles import reference_strategy_query
 
 
 def rl(qid, pids, tag="t"):
@@ -173,34 +175,32 @@ class TestBenchLatency:
     @pytest.mark.parametrize("kind", ["concat", "oracle"])
     def test_times_the_query_the_strategy_issues(self, planted, planted_store,
                                                  monkeypatch, kind):
-        searched = []
-        search = Index.search
+        """The retrieval ``bench`` times is the strategy's own: the query it
+        issues, which is not the bare question, and the list ``retrieve``
+        gives for it, whether searched or kept by the oracle."""
+        timed = {}
+        retrieve = evalbench.retrieve
 
-        def spy(self, query_text, k, qid="q", **kwargs):
-            searched.append((qid, query_text))
-            return search(self, query_text, k, qid=qid, **kwargs)
+        def spy(spec, index, qa, choice):
+            rl = retrieve(spec, index, qa, choice)
+            timed[qa.qid] = (choice.query, rl)
+            return rl
 
-        def last_query_per_qid():
-            last = dict(searched)
-            searched.clear()
-            return last
-
-        monkeypatch.setattr(Index, "search", spy)
+        monkeypatch.setattr(evalbench, "retrieve", spy)
         questions = planted.questions[:4]
         spec = StrategySpec(kind=kind)
         report = bench_latency(planted_store, Bm25Params(), spec, questions,
                                n_samples=10)
         assert report.query_expand_s > 0.0 and report.query_rerank_s > 0.0
-        timed = last_query_per_qid()
 
         index = build_index(planted_store, Bm25Params())
         for qa in questions:
             cs = sample_expansions_stub(qa.question, 10, 0, index,
                                         planted_store)
-            run_strategy(spec, index, planted_store, qa, cs)
-        issued = last_query_per_qid()
-        for qa in questions:
-            assert timed[qa.qid] == issued[qa.qid] != qa.question
+            query, rl = timed[qa.qid]
+            assert query == reference_strategy_query(
+                spec, index, planted_store, qa, cs, None, None) != qa.question
+            assert rl == run_strategy(spec, index, planted_store, qa, cs)
 
     def test_repetitions_validated(self, planted, planted_store):
         with pytest.raises(ValueError):
@@ -253,6 +253,19 @@ class TestRunFiles:
         with pytest.raises(RunFormatError,
                            match=f"{path}:2: score {score} is not finite"):
             read_run(path)
+
+    def test_tag_change_within_a_list_rejected(self, tmp_path):
+        path = tmp_path / "bad.trec"
+        path.write_text("q1 Q0 a 1 2.0 bm25\nq1 Q0 b 2 1.0 oracle\n")
+        with pytest.raises(RunFormatError,
+                           match=f"{path}:2: tag oracle differs"):
+            read_run(path)
+
+    def test_tag_may_differ_between_lists(self, tmp_path):
+        path = tmp_path / "two.trec"
+        path.write_text("q1 Q0 a 1 2.0 bm25\nq2 Q0 b 1 1.0 oracle\n")
+        assert {qid: rl.tag for qid, rl in read_run(path).items()} == {
+            "q1": "bm25", "q2": "oracle"}
 
     def test_column_count_enforced(self, tmp_path):
         path = tmp_path / "bad.trec"

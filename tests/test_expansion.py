@@ -206,11 +206,11 @@ class TestLabelCandidates:
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("goldtoken",))
         cands = cs(["goldtoken", "blue", "absentterm"])
-        labels, top2 = label_candidates(index, store, qa, cands, 100)
+        labels, lists = label_candidates(index, store, qa, cands, 100)
         assert labels[0].r == 1            # answer passage pulled to the top
         assert labels[1].r == 15           # tie-broken pid order
         assert labels[2].r == 15           # unknown term adds nothing
-        assert [pid for pid, _ in top2[0]] == ["p15", "p01"]
+        assert lists[0].pids()[:2] == ["p15", "p01"]
 
     def test_sentinel_for_miss(self, rank_fixture):
         store, index = rank_fixture
@@ -293,20 +293,33 @@ class TestStoredPair:
     @pytest.mark.parametrize("k_retrieve", [1, 2, 100])
     def test_equals_k2_search(self, planted, planted_store, planted_index,
                               k_retrieve):
+        examples = build_training_set(
+            planted_store, planted_index, planted.questions[:10],
+            ConstructionConfig(k_retrieve=k_retrieve),
+            lambda qa, fold: planted.candidates[qa.qid])
+        for ex in examples:
+            for c, pair in zip(ex.candidates.candidates, ex.top2):
+                assert pair == planted_index.search(
+                    expanded_query(ex.question, c.text), 2).entries
+
+    @pytest.mark.parametrize("k_retrieve", [1, 2, 100])
+    def test_lists_equal_the_expanded_searches(
+            self, planted, planted_store, planted_index, k_retrieve):
         for qa in planted.questions[:10]:
             cands = planted.candidates[qa.qid]
-            _, top2 = label_candidates(planted_index, planted_store, qa,
-                                       cands, k_retrieve)
-            for c, pair in zip(cands.candidates, top2):
-                assert pair == planted_index.search(
-                    expanded_query(qa.question, c.text), 2).entries
+            _, lists = label_candidates(planted_index, planted_store, qa,
+                                        cands, k_retrieve)
+            for c, rl in zip(cands.candidates, lists):
+                assert rl == planted_index.search(
+                    expanded_query(qa.question, c.text), max(k_retrieve, 2),
+                    qid=qa.qid)
 
     def test_rank_counts_only_first_k_retrieve(self, rank_fixture):
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("goldtoken",))
-        labels, top2 = label_candidates(index, store, qa, cs(["blue"]), 1)
+        labels, lists = label_candidates(index, store, qa, cs(["blue"]), 1)
         assert labels[0].r == 2 and not labels[0].hit  # answer at rank 15
-        assert len(top2[0]) == 2
+        assert len(lists[0]) == 2
 
 
 class TestLoadTrainingSet:

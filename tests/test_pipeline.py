@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from expandrank import expansion
 from expandrank.corpus import QAExample
 from expandrank.evalbench import min_answer_rank, read_run, topk_accuracy, write_run
-from expandrank.expansion import CandidateSet, ExpansionCandidate
-from expandrank.index import RankedList
-from expandrank.pipeline import (StrategySpec, fuse, prepare_candidates,
+from expandrank.expansion import CandidateSet, expanded_query, truncate
+from expandrank.index import Index, RankedList
+from expandrank.pipeline import (STRATEGIES, StrategySpec, choose, fuse,
                                  run_dataset, run_strategy)
-from oracles import reference_fuse
+from oracles import reference_fuse, reference_strategy_query
 
 
 def rl(qid, pids, tag="t"):
@@ -98,11 +98,13 @@ class TestStrategySpec:
             return norm_key(text)
 
         monkeypatch.setattr(expansion, "_norm_key", counting)
-        spec = StrategySpec(kind="greedy", cap_n=5)
+        spec = StrategySpec(kind="concat", cap_n=5)
         for qa in planted.questions[:20]:
             cands = planted.candidates[qa.qid]
-            assert prepare_candidates(spec, cands).candidates == \
-                cands.candidates[:5]
+            choice = choose(spec, planted_index, planted_store, qa, cands,
+                            None, None)
+            assert choice.query == expanded_query(
+                qa.question, *(c.text for c in cands.candidates[:5]))
             run_strategy(spec, planted_index, planted_store, qa, cands)
         assert calls == []
 
@@ -172,6 +174,53 @@ class TestRunStrategy:
                                 passage_scorer=pr_scorer)
         assert sorted(reranked.pids()[:5]) == sorted(plain.pids()[:5])
         assert reranked.pids()[5:] == plain.pids()[5:]
+
+
+class TestChoose:
+    def test_oracle_searches_each_candidate_once(self, planted20,
+                                                 monkeypatch):
+        """The oracle's run is the chosen candidate's labeling list, so n
+        candidates cost n searches, not n + 1."""
+        fx, store, index = planted20
+        calls = []
+        search_tokens = Index.search_tokens
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return search_tokens(self, *args, **kwargs)
+
+        monkeypatch.setattr(Index, "search_tokens", counting)
+        spec = StrategySpec(kind="oracle")
+        for qa in fx.questions:
+            calls.clear()
+            run_strategy(spec, index, store, qa, fx.candidates[qa.qid])
+            assert len(calls) == len(fx.candidates[qa.qid])
+
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    @pytest.mark.parametrize("cap_n", [None, 1, 3])
+    @pytest.mark.parametrize("kind", sorted(STRATEGIES))
+    def test_equals_search_of_reference_query(
+            self, request, planted, planted_store, planted_index,
+            planted_split, featurizer, kind, cap_n, k):
+        scorer = STRATEGIES[kind].scorer
+        model = (request.getfixturevalue(f"{scorer.lower()}_model")
+                 if scorer else None)
+        spec = StrategySpec(kind=kind, cap_n=cap_n, k_retrieve=k)
+        _, qa_test = planted_split
+        for qa in qa_test[:15]:
+            cands = planted.candidates[qa.qid]
+            capped = cands if cap_n is None else truncate(cands, cap_n)
+            query = reference_strategy_query(spec, planted_index,
+                                             planted_store, qa, capped,
+                                             model, featurizer)
+            got = run_strategy(spec, planted_index, planted_store, qa, cands,
+                               model, featurizer)
+            assert got == planted_index.search(query, k, qid=qa.qid,
+                                               tag=kind)
+            choice = choose(spec, planted_index, planted_store, qa, cands,
+                            model, featurizer)
+            assert choice.query == query
+            assert (choice.ranked is not None) == (kind == "oracle")
 
 
 class TestOracleDominance:
