@@ -207,11 +207,11 @@ def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
     """Top-``k`` retrieval of "question + candidate" for every candidate.
 
     The one place that searches a question's candidate expansions.  The
-    question is analyzed once and each candidate once; together their tokens
-    are the analyzed ``expanded_query(question, candidate)``.
+    question's term ids are read once and each candidate's once; together
+    they are the term ids of ``expanded_query(question, candidate)``.
     """
-    q_tokens = index.analyzer(question)
-    return [index.search_tokens(q_tokens + index.analyzer(c.text), k, qid)
+    q_ids = index.term_ids(question)
+    return [index.search_ids(q_ids + index.term_ids(c.text), k, qid)
             for c in cs.candidates]
 
 

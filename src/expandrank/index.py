@@ -133,6 +133,8 @@ class Index:
         self.doc_lengths = doc_lengths
         self.params = params
         self.analyzer = params.analyzer()
+        # surface token -> term id or None, filled by ``surface_ids``
+        self._term_of: dict[str, int | None] = {}
 
         self.doc_count = len(pids)
         self.avg_doc_length = float(doc_lengths.mean()) if len(pids) else 0.0
@@ -157,32 +159,51 @@ class Index:
 
     # -- scoring ------------------------------------------------------------
 
-    def _query_terms(self, tokens) -> tuple[np.ndarray, np.ndarray]:
-        counts = Counter(t for t in tokens if t in self.vocab)
-        items = sorted((self.vocab[t], c) for t, c in counts.items())
+    def term_ids(self, text: str) -> list[int]:
+        """Term ids of the analyzed ``text``, in token order: the ids of
+        ``self.analyzer(text)``'s terms that are in the vocabulary."""
+        return self.surface_ids(normalize(text))
+
+    def surface_ids(self, tokens) -> list[int]:
+        """Term ids of normalized surface ``tokens``, in order; a stopword or
+        a term outside the vocabulary has none.
+
+        Each token this index has not seen is analyzed once, on its own as
+        ``build_index`` analyzes it, into ``_term_of``.  That map lives as
+        long as the index and holds one entry per distinct token seen.
+        """
+        term_of = self._term_of
+        for t in set(tokens).difference(term_of):
+            term = self.analyzer(t)  # [] for a stopword, else one term
+            tid = self.vocab.get(term[0]) if term else None
+            if tid is not None and self.terms[tid] == t:
+                # key by the vocabulary's own str; a copy would live as
+                # long as the index
+                t = self.terms[tid]
+            term_of[t] = tid
+        return [i for i in map(term_of.__getitem__, tokens) if i is not None]
+
+    def score_all(self, term_ids) -> np.ndarray:
+        """Dense score vector over internal doc ids for a query's term ids."""
+        items = sorted(Counter(term_ids).items())
         tids = np.array([t for t, _ in items], dtype=np.int64)
         weights = np.array([float(c) for _, c in items], dtype=np.float64)
-        return tids, weights
-
-    def score_all(self, tokens) -> np.ndarray:
-        """Dense score vector over internal doc ids for an analyzed query."""
-        tids, weights = self._query_terms(tokens)
         return kernels.score_query(tids, weights, self.post_offsets,
                                    self.post_docs, self._impact, self.idf,
                                    self.doc_count)
 
     def search(self, query_text: str, k: int, qid: str = "q",
                tag: str = "run") -> RankedList:
-        """``search_tokens`` of the analyzed ``query_text``."""
-        return self.search_tokens(self.analyzer(query_text), k, qid, tag)
+        """``search_ids`` of ``query_text``'s term ids."""
+        return self.search_ids(self.term_ids(query_text), k, qid, tag)
 
-    def search_tokens(self, tokens, k: int, qid: str = "q",
-                      tag: str = "run") -> RankedList:
-        """Top-``k`` positively scoring passages for an analyzed query, ties
+    def search_ids(self, term_ids, k: int, qid: str = "q",
+                   tag: str = "run") -> RankedList:
+        """Top-``k`` positively scoring passages for a query's term ids, ties
         to the smaller pid."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        scores = self.score_all(tokens)
+        scores = self.score_all(term_ids)
         pos = np.flatnonzero(scores > 0.0)
         top = scores[pos]
         if len(pos) > k:

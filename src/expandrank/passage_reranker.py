@@ -36,9 +36,8 @@ def _sigmoid(t: float) -> float:
 class _PassageStats:
     """What ``passage_features`` reuses across calls on one index and the
     store it reads passages from: each passage's mean idf over its distinct
-    normalized tokens and its token count, filled on first use; and the term
-    id of each surface token (the int object of ``index.vocab``, so an entry
-    costs no new value), so each is analyzed once.
+    normalized tokens and its token count, filled on first use.  Term ids
+    come from the index's own surface-token map.
 
     It holds no reference to its index, which is its key in ``_STATS``.
     """
@@ -47,21 +46,13 @@ class _PassageStats:
         self.store = store
         self._row = index._pid_to_doc
         self._stats = np.full((index.doc_count, 2), np.nan)
-        self._tid: dict[str, int | None] = {}  # surface token -> term id
 
     def mean_idf_and_length(self, index: Index, pid: str) -> np.ndarray:
         stats = self._stats[self._row[pid]]
         if np.isnan(stats[0]):
             tokens = normalize(self.store.get(pid).text)
-            tids = []
-            for t in sorted(set(tokens)):  # a fixed summation order
-                if t not in self._tid:
-                    stemmed = index.analyzer(t)
-                    self._tid[t] = (index.vocab.get(stemmed[0]) if stemmed
-                                    else None)
-                if self._tid[t] is not None:
-                    tids.append(self._tid[t])
-            idfs = index.idf[tids].tolist()
+            # sorted distinct tokens: a fixed summation order
+            idfs = index.idf[index.surface_ids(sorted(set(tokens)))].tolist()
             stats[:] = (sum(idfs) / len(idfs) if idfs else 0.0, len(tokens))
         return stats
 

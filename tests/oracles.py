@@ -72,15 +72,21 @@ def brute_search(store, params, query_text, k):
     return ranked[:k]
 
 
-def reference_score_all(index, tokens):
+def reference_term_ids(index, text):
+    """The term ids ``Index.term_ids`` must return: ``text`` analyzed whole,
+    each term in the vocabulary looked up, in token order."""
+    return [index.vocab[t] for t in index.analyzer(text) if t in index.vocab]
+
+
+def reference_score_all(index, term_ids):
     """The term-at-a-time scalar loop ``Index.score_all`` must equal bit for
     bit: for each distinct query term, in term-id order, add
     count·idf·tf(k1+1)/(tf+len_norm[doc]) to each of its documents."""
     k1p1 = index.params.k1 + 1.0
-    counts = Counter(t for t in tokens if t in index.vocab)
+    counts = Counter(term_ids)
     scores = np.zeros(index.doc_count, dtype=np.float64)
-    for tid in sorted(index.vocab[t] for t in counts):
-        w = float(counts[index.terms[tid]]) * index.idf[tid]
+    for tid in sorted(counts):
+        w = float(counts[tid]) * index.idf[tid]
         for p in range(index.post_offsets[tid], index.post_offsets[tid + 1]):
             d = index.post_docs[p]
             tf = float(index.post_tfs[p])
@@ -91,7 +97,7 @@ def reference_score_all(index, tokens):
 def reference_search(index, query_text, k):
     """(pid, score) pairs of ``Index.search`` from a full tie-stable sort of
     every positive document: score descending, then doc id (= pid order)."""
-    scores = reference_score_all(index, index.analyzer(query_text))
+    scores = reference_score_all(index, reference_term_ids(index, query_text))
     pos = np.flatnonzero(scores > 0.0)
     docs = pos[np.lexsort((pos, -scores[pos]))[:k]]
     return [(index.pids[d], float(scores[d])) for d in docs]

@@ -1,8 +1,11 @@
+import gc
 import json
 import struct
 import sys
 import tempfile
 import tracemalloc
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +16,10 @@ from hypothesis import strategies as st
 from expandrank.corpus import Passage, PassageStore
 from expandrank.index import Bm25Params, Index, IndexError_, RankedList, build_index
 from expandrank.synth import make_random_corpus, make_random_queries
+from expandrank.text import Analyzer, normalize
 from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
                      reference_build_index, reference_score_all,
-                     reference_search)
+                     reference_search, reference_term_ids)
 
 PARAMS = Bm25Params()
 
@@ -120,14 +124,14 @@ class TestBuild:
         assert _saved_bytes(got) == _saved_bytes(want)
 
 
-def _score(index, tokens, pid):
-    return index.score_all(tokens)[index.pids.index(pid)]
+def _score(index, text, pid):
+    return index.score_all(index.term_ids(text))[index.pids.index(pid)]
 
 
 class TestScore:
     def test_no_overlap_is_zero(self, small_corpus):
         store, index = small_corpus
-        assert _score(index, ["notaterm"], index.pids[0]) == 0.0
+        assert _score(index, "notaterm", index.pids[0]) == 0.0
 
     def test_single_doc_hand_formula(self):
         store = PassageStore([Passage(id="a", title="", text="red red green")])
@@ -136,7 +140,7 @@ class TestScore:
         # df=1, N=1 -> idf = ln(1 + 0.5/1.5); dl = avgdl -> len part = k1
         idf = np.log(1 + 0.5 / 1.5)
         expected = idf * (2 * 2.2) / (2 + 1.2) + idf * (1 * 2.2) / (1 + 1.2)
-        got = _score(index, ["red", "green"], "a")
+        got = _score(index, "red green", "a")
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force(self, small_corpus):
@@ -145,7 +149,7 @@ class TestScore:
         for q in queries:
             expected = brute_bm25_scores(store, PARAMS, q)
             for pid in index.pids[::7]:
-                assert _score(index, index.analyzer(q), pid) == pytest.approx(
+                assert _score(index, q, pid) == pytest.approx(
                     expected[pid], abs=1e-9
                 )
 
@@ -156,7 +160,7 @@ class TestScore:
             Passage(id="b", title="", text=base + " alpha"),
         ])
         index = build_index(store, Bm25Params(stemming=False, stopwords=False))
-        assert _score(index, ["alpha"], "b") > _score(index, ["alpha"], "a")
+        assert _score(index, "alpha", "b") > _score(index, "alpha", "a")
 
 
 class TestSearch:
@@ -364,18 +368,19 @@ class TestKernelParity:
         bit."""
         store, index = small_corpus
         for q in make_random_queries(10, list(store), seed=11):
-            tokens = index.analyzer(q)
-            slow = reference_score_all(index, tokens)
+            tids = reference_term_ids(index, q)
+            slow = reference_score_all(index, tids)
             assert np.any(slow > 0)
-            np.testing.assert_array_equal(index.score_all(tokens), slow)
+            np.testing.assert_array_equal(index.score_all(tids), slow)
 
     def test_repeated_and_unknown_terms(self, small_corpus):
         _, index = small_corpus
-        a, b, c = index.terms[3], index.terms[40], index.terms[7]
-        for tokens in ([a, b, a, "zzunknown", c, a, b],
-                       ["zzunknown", "zzother"], [], [c, c, c]):
-            np.testing.assert_array_equal(index.score_all(tokens),
-                                          reference_score_all(index, tokens))
+        a, b, c = 3, 40, 7
+        for tids in ([a, b, a, c, a, b], [], [c, c, c]):
+            np.testing.assert_array_equal(index.score_all(tids),
+                                          reference_score_all(index, tids))
+        # a word outside the vocabulary gets no term id, so adds no term
+        assert index.term_ids("zzunknown zzother") == []
 
     def test_empty_posting_list(self):
         # "y" is in the vocabulary with no postings: a file may hold that.
@@ -384,10 +389,10 @@ class TestKernelParity:
                       np.array([0, 1, 1], dtype=np.int32),
                       np.array([1, 2, 1], dtype=np.int32),
                       np.array([1, 3], dtype=np.int32), PARAMS)
-        for tokens in (["y"], ["y", "x", "y", "z"], ["z", "y"]):
-            np.testing.assert_array_equal(index.score_all(tokens),
-                                          reference_score_all(index, tokens))
-        assert index.score_all(["y"]).tolist() == [0.0, 0.0]
+        for tids in ([1], [1, 0, 1, 2], [2, 1]):
+            np.testing.assert_array_equal(index.score_all(tids),
+                                          reference_score_all(index, tids))
+        assert index.score_all([1]).tolist() == [0.0, 0.0]
 
 
 # Few distinct words and duplicated passages, so scores tie often.
@@ -433,6 +438,46 @@ _scores = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 def _entries(draw):
     pids = draw(_pid_lists)
     return [(pid, draw(_scores)) for pid in pids]
+
+
+class TestTermMap:
+    def test_each_surface_token_analyzed_once(self, small_corpus,
+                                              monkeypatch):
+        store, _ = small_corpus
+        index = build_index(store, PARAMS)  # a cold map
+        calls = Counter()
+        analyze = Analyzer.__call__
+
+        def counting(self, raw):
+            calls[raw] += 1
+            return analyze(self, raw)
+
+        monkeypatch.setattr(Analyzer, "__call__", counting)
+        queries = make_random_queries(20, list(store), seed=5)
+        for q in queries + queries:
+            index.search(q, 10)
+        assert calls == Counter({t for q in queries for t in normalize(q)})
+
+    def test_a_token_that_is_its_own_term_is_not_copied(self, tiny_store):
+        index = build_index(tiny_store, PARAMS)
+        assert index.term_ids("beer brewed") == [index.vocab["beer"],
+                                                 index.vocab["brew"]]
+        keys = {k: k for k in index._term_of}
+        assert keys["beer"] is index.terms[index.vocab["beer"]]
+        assert keys["brewed"] == "brewed"
+
+    def test_freed_with_its_index(self, tiny_store):
+        """Only its index holds the map, so the map goes with the index."""
+        index = build_index(tiny_store, PARAMS)
+        index.search("where do they grow hops", 3)
+        assert index._term_of
+        holders = gc.get_referrers(index._term_of)
+        assert holders and all(h is index or h is vars(index)
+                               for h in holders)
+        ref = weakref.ref(index)
+        del index, holders
+        gc.collect()
+        assert ref() is None
 
 
 class TestRankedList:

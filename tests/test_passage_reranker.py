@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.index import Bm25Params, build_index
-from expandrank.passage_reranker import (BIAS, PassageScorer, PRTrainConfig,
-                                         passage_features, rerank_passages,
+from expandrank.passage_reranker import (_STATS, BIAS, PassageScorer,
+                                         PRTrainConfig, passage_features,
+                                         rerank_passages,
                                          train_passage_reranker)
 from expandrank.synth import make_random_corpus
 from expandrank.text import Analyzer, normalize
@@ -165,9 +166,10 @@ class TestPassageFeatures:
                 rl = index.search(qa.question, 40, qid=qa.qid)
                 rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
                 reranked.update(rl.pids())
+        # the searches and the passage stats share the index's token map
         surface = {t for pid in reranked for t in normalize(store.get(pid).text)}
-        searched = {qa.question for qa in questions}
-        assert set(calls) - searched == surface
+        surface.update(t for qa in questions for t in normalize(qa.question))
+        assert set(calls) == surface
         assert all(calls[t] == 1 for t in surface)
 
     def test_another_store_is_read_not_the_cached_one(self):
@@ -194,6 +196,19 @@ class TestPassageFeatures:
         del index
         gc.collect()
         assert ref() is None
+
+    def test_stats_keep_no_token_map(self, deep_fixture):
+        """The stats read term ids from the index's map; every dict they
+        hold is one of the index's own."""
+        store, _, questions = deep_fixture
+        index = build_index(store, Bm25Params())
+        passage_features(index, store, questions[0].question,
+                         index.pids[:3], [3.0, 2.0, 1.0])
+        stats = _STATS[index]
+        own = [v for v in vars(stats).values() if isinstance(v, dict)
+               and not any(v is w for w in vars(index).values())]
+        assert own == []
+        assert index._term_of
 
 
 class TestConstantFeature:

@@ -1,16 +1,20 @@
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expandrank import expansion
+from expandrank import expansion, text
 from expandrank.corpus import QAExample
 from expandrank.evalbench import min_answer_rank, read_run, topk_accuracy, write_run
-from expandrank.expansion import CandidateSet, expanded_query, truncate
-from expandrank.index import Index, RankedList
+from expandrank.expansion import (CandidateSet, expanded_query,
+                                  label_candidates, truncate)
+from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.pipeline import (STRATEGIES, StrategySpec, choose, fuse,
                                  run_dataset, run_strategy)
+from expandrank.reranker import Featurizer
+from expandrank.text import normalize
 from oracles import reference_fuse, reference_strategy_query
 
 
@@ -176,6 +180,31 @@ class TestRunStrategy:
         assert reranked.pids()[5:] == plain.pids()[5:]
 
 
+def _count_stems(monkeypatch) -> Counter:
+    """Count each word ``porter_stem`` is called on from now on, except
+    within ``Featurizer._idf``, which still analyzes each novel candidate
+    token itself."""
+    stems = Counter()
+    in_idf = []
+    stem, idf = text.porter_stem, Featurizer._idf
+
+    def counting(word):
+        if not in_idf:
+            stems[word] += 1
+        return stem(word)
+
+    def uncounted(self, token):
+        in_idf.append(token)
+        try:
+            return idf(self, token)
+        finally:
+            in_idf.pop()
+
+    monkeypatch.setattr(text, "porter_stem", counting)
+    monkeypatch.setattr(Featurizer, "_idf", uncounted)
+    return stems
+
+
 class TestChoose:
     def test_oracle_searches_each_candidate_once(self, planted20,
                                                  monkeypatch):
@@ -183,18 +212,51 @@ class TestChoose:
         candidates cost n searches, not n + 1."""
         fx, store, index = planted20
         calls = []
-        search_tokens = Index.search_tokens
+        search_ids = Index.search_ids
 
         def counting(self, *args, **kwargs):
             calls.append(args)
-            return search_tokens(self, *args, **kwargs)
+            return search_ids(self, *args, **kwargs)
 
-        monkeypatch.setattr(Index, "search_tokens", counting)
+        monkeypatch.setattr(Index, "search_ids", counting)
         spec = StrategySpec(kind="oracle")
         for qa in fx.questions:
             calls.clear()
             run_strategy(spec, index, store, qa, fx.candidates[qa.qid])
             assert len(calls) == len(fx.candidates[qa.qid])
+
+    def test_ear_rd_stems_each_surface_token_once(self, planted20, rd_model,
+                                                  monkeypatch):
+        """RD's k=2 candidate searches and the final search of the chosen
+        query read one term map, so no word is stemmed twice, and a question
+        asked again stems nothing."""
+        fx, store, _ = planted20
+        index = build_index(store, Bm25Params())  # a cold map
+        featurizer = Featurizer(index, store)
+        stems = _count_stems(monkeypatch)
+        spec = StrategySpec(kind="ear_rd")
+        for qa in fx.questions:
+            cs = fx.candidates[qa.qid]
+            surface = set(normalize(qa.question)).union(
+                *(normalize(c.text) for c in cs.candidates))
+            stems.clear()
+            run_strategy(spec, index, store, qa, cs, rd_model, featurizer)
+            assert set(stems) <= surface
+            assert max(stems.values(), default=1) == 1
+            stems.clear()
+            run_strategy(spec, index, store, qa, cs, rd_model, featurizer)
+            assert not stems
+
+    def test_labels_then_oracle_stem_no_token_twice(self, planted20,
+                                                    monkeypatch):
+        fx, store, _ = planted20
+        index = build_index(store, Bm25Params())  # a cold map
+        stems = _count_stems(monkeypatch)
+        for qa in fx.questions:
+            cs = fx.candidates[qa.qid]
+            label_candidates(index, store, qa, cs, 100)
+            run_strategy(StrategySpec(kind="oracle"), index, store, qa, cs)
+        assert stems and max(stems.values()) == 1
 
     @pytest.mark.parametrize("k", [1, 2, 100])
     @pytest.mark.parametrize("cap_n", [None, 1, 3])

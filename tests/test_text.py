@@ -8,7 +8,7 @@ from expandrank.corpus import Passage, PassageStore
 from expandrank.expansion import expanded_query
 from expandrank.index import Bm25Params, build_index
 from expandrank.text import Analyzer, STOPWORDS, normalize, porter_stem
-from oracles import reference_porter_stem
+from oracles import reference_porter_stem, reference_term_ids
 
 # Every suffix a Porter step tests for, plus "sion"/"tion" for step 4's "ion".
 PORTER_SUFFIXES = """sses ies eed ed ing ational tional enci anci izer abli
@@ -18,12 +18,13 @@ PORTER_SUFFIXES = """sses ies eed ed ing ational tional enci anci izer abli
     s""".split()
 
 # Query text from arbitrary unicode and from pieces that meet the analyzer's
-# edge cases: stopwords, compatibility forms NFKC folds to ASCII (fullwidth,
-# ligature, superscript, dotted capital I), a letter plus a combining mark
-# that NFKC composes, and separators.
+# edge cases: stopwords, digits, compatibility forms NFKC folds to ASCII
+# (fullwidth, ligature, superscript, dotted capital I), a letter plus a
+# combining mark that NFKC composes, and separators.
 _QUERY_TEXT = st.lists(st.one_of(st.text(max_size=6), st.sampled_from([
     "the", "is", "and", "hops", "growing", "cafe", "ＨＯＰＳ", "ﬁsh", "x²",
-    "İs", "e\u0301", "\u0301", "Å", " ", "-"])), max_size=6).map("".join)
+    "İs", "e\u0301", "\u0301", "Å", "2018", "５", " ", "-"])),
+    max_size=6).map("".join)
 # A candidate may start with a combining mark, which in the expanded query
 # follows the separating space rather than the question's last letter.
 _LEADING_MARK = st.sampled_from(["", "\u0301", "\u0308", "\u0327"])
@@ -143,18 +144,33 @@ class TestAnalyzer:
     @settings(max_examples=200, deadline=None)
     def test_question_and_candidate_tokens_search_as_expanded_query(
             self, question, mark, candidate, stemming, stopwords):
-        """A candidate set's searches analyze the question once and each
-        candidate once; that must be the expanded query's search, bit for
-        bit."""
+        """A candidate set's searches read the question's term ids once and
+        each candidate's once; together they must search as the expanded
+        query does, bit for bit."""
         candidate = mark + candidate
         index = _index(stemming, stopwords)
-        tokens = index.analyzer(question) + index.analyzer(candidate)
+        ids = index.term_ids(question) + index.term_ids(candidate)
         query = expanded_query(question, candidate)
-        assert tokens == index.analyzer(query)
-        got = index.search_tokens(tokens, 10, "q7", "t")
+        assert ids == reference_term_ids(index, query)
+        got = index.search_ids(ids, 10, "q7", "t")
         want = index.search(query, 10, "q7", "t")
         assert got.pids() == want.pids()
         assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_stopwords_are_normal_tokens(self):
         assert "the" in STOPWORDS and "is" in STOPWORDS
+
+
+class TestTermIds:
+    @given(_QUERY_TEXT, _LEADING_MARK, st.lists(_QUERY_TEXT, max_size=6),
+           st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_analyzed_text_looked_up(self, text, mark, others,
+                                               stemming, stopwords):
+        """``Index.term_ids`` reads a map filled one token at a time; it must
+        give the ids of the whole text's analysis, on a cold map and on one
+        that other texts, in drawn order, have filled."""
+        text = mark + text
+        index = _index.__wrapped__(stemming, stopwords)  # a cold map
+        for t in (text, *others, text):
+            assert index.term_ids(t) == reference_term_ids(index, t)
