@@ -162,29 +162,75 @@ class AnswerMatcher:
     boundaries.  An answer that normalizes to nothing never matches.  Each
     passage id's result is kept for as long as the matcher, which lives for
     one question.
+
+    Given ``index``, the matcher skips passages that cannot hold an answer.
+    On the first passage that does not match, it intersects, for each
+    answer, the posting lists of the answer's terms, once; from then on a
+    passage outside every answer's intersection is a miss and is not
+    normalized.  ``build_index`` analyzes each surface token on its own, so
+    a passage that holds an answer is on the posting list of each of the
+    answer's terms (a stopword has none, and a token with no term is in no
+    passage); indexing titles only adds postings.  This holds only if
+    ``index`` was built from the store whose passages are matched, as
+    retrieval assumes too; the CLI checks only that the corpus holds every
+    pid of the index.
     """
 
-    __slots__ = ("_needles", "_hits")
+    __slots__ = ("_needles", "_hits", "_index", "_maybe")
 
-    def __init__(self, answers, qid: str | None = None):
+    def __init__(self, answers, qid: str | None = None, index=None):
         if not answers:
             raise ValueError("answers must be nonempty" if qid is None
                              else f"question {qid} has no answers")
         self._needles = [f" {' '.join(tokens)} "
                          for tokens in map(normalize, answers) if tokens]
         self._hits: dict[str, bool] = {}
+        self._index = index  # until the first miss
+        # pids that may hold an answer; None: any passage may
+        self._maybe: set[str] | None = None
 
     def __call__(self, passage: Passage) -> bool:
         hit = self._hits.get(passage.id)
         if hit is None:
-            doc = f" {' '.join(normalize(passage.text))} "
-            hit = self._hits[passage.id] = any(n in doc for n in self._needles)
+            hit = self._hits[passage.id] = self._match(passage)
         return hit
+
+    def _match(self, passage: Passage) -> bool:
+        if self._maybe is not None and passage.id not in self._maybe:
+            return False
+        doc = f" {' '.join(normalize(passage.text))} "
+        hit = any(n in doc for n in self._needles)
+        if not hit and self._index is not None:
+            self._maybe = self._may_hold(self._index)
+            self._index = None
+        return hit
+
+    def _may_hold(self, index) -> set[str] | None:
+        """Pids on the posting lists of all of some answer's terms, or None
+        if an answer of stopwords alone has no terms to require."""
+        maybe: set[str] = set()
+        for needle in self._needles:
+            tokens = needle.split()
+            terms = set()
+            for token, tid in zip(tokens, index.surface_terms(tokens)):
+                if tid is not None:
+                    terms.add(tid)
+                elif not index.analyzer.is_stopword(token):
+                    break  # no passage holds the token, nor the answer
+            else:
+                if not terms:
+                    return None
+                maybe.update(index.pids_on_every_list(terms))
+        return maybe
 
     def first_rank(self, pids, store: PassageStore) -> int | None:
         """1-based rank of the first answer-containing passage, or None."""
+        hits = self._hits
         for rank, pid in enumerate(pids, start=1):
-            if self(store.get(pid)):
+            hit = hits.get(pid)
+            if hit is None:
+                hit = self(store.get(pid))
+            if hit:
                 return rank
         return None
 

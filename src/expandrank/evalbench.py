@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .corpus import AnswerMatcher, PassageStore
 from .expansion import min_answer_rank, sample_expansions_stub  # noqa: F401 (re-export)
-from .index import Bm25Params, Index, RankedList, build_index
+from .index import Bm25Params, Index, RankedList, build_index, ranked_lists
 from .pipeline import (StrategySpec, check_strategy, choose, retrieve,
                        run_strategy)
 from .reranker import Featurizer
@@ -78,7 +78,7 @@ def topk_accuracy(runs: dict[str, RankedList], qa_list, store: PassageStore,
         rl = runs.get(qa.qid)
         if rl is None:
             continue  # missing question counts as a miss at every k
-        rank = matcher.first_rank(rl.pids(), store)
+        rank = matcher.first_rank(rl.iter_pids(), store)
         if rank is None:
             continue
         for k in ks:
@@ -175,7 +175,8 @@ def write_run(runs: dict[str, RankedList], path) -> None:
 
 def read_run(path) -> dict[str, RankedList]:
     # qid -> (tag, pids, scores), in first-seen order.  Lists share one str
-    # per distinct pid, and scores are unboxed doubles.
+    # per distinct pid, and scores are unboxed doubles; the lists made from
+    # them share one table of the file's distinct pids.
     columns: dict[str, tuple[str, list[str], array]] = {}
     names: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -207,12 +208,13 @@ def read_run(path) -> dict[str, RankedList]:
             pids.append(names.setdefault(pid, pid))
             scores.append(score)
     runs: dict[str, RankedList] = {}
-    for qid, (tag, pids, scores) in columns.items():
-        rl = runs[qid] = RankedList.from_columns(qid, pids, scores, tag)
+    for rl in ranked_lists((qid, pids, scores, tag)
+                           for qid, (tag, pids, scores) in columns.items()):
+        runs[rl.qid] = rl
         try:
             rl.validate()
         except ValueError as exc:
-            raise RunFormatError(f"{path}: qid {qid}: {exc}") from None
+            raise RunFormatError(f"{path}: qid {rl.qid}: {exc}") from None
     return runs
 
 

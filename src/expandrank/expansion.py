@@ -199,7 +199,7 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
 
 def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
     """1-based rank of the first answer-containing passage, or None."""
-    return AnswerMatcher(answers, rl.qid).first_rank(rl.pids(), store)
+    return AnswerMatcher(answers, rl.qid).first_rank(rl.iter_pids(), store)
 
 
 def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
@@ -221,15 +221,16 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
     """Rank label and top-``max(k, 2)`` retrieval of every candidate.
 
     One answer matcher serves all the candidates' lists, which share most
-    of their passages, so each passage is matched once.  The search runs
-    at ``max(k, 2)`` for ``make-train``'s top-2 pairs; the rank is taken
-    within the first ``k``, and a miss is labeled ``k + 1``.
+    of their passages, so each passage is matched once, and it reads
+    ``index``'s posting lists to skip passages that hold no answer.  The
+    search runs at ``max(k, 2)`` for ``make-train``'s top-2 pairs; the rank
+    is taken within the first ``k``, and a miss is labeled ``k + 1``.
     """
-    matcher = AnswerMatcher(qa.answers, qa.qid)
+    matcher = AnswerMatcher(qa.answers, qa.qid, index)
     labels = []
     lists = search_candidates(index, qa.question, cs, max(k, 2), qa.qid)
     for i, rl in enumerate(lists):
-        rank = matcher.first_rank(rl.pids(), store)
+        rank = matcher.first_rank(rl.iter_pids(), store)
         hit = rank is not None and rank <= k
         labels.append(RankLabel(index=i, r=rank if hit else k + 1, hit=hit))
     return labels, lists
@@ -260,7 +261,7 @@ def build_training_set(store: PassageStore, index: Index, qa_train,
     for qa in qa_train:
         cs = generator(qa, fold_of[qa.qid])
         labels, lists = label_candidates(index, store, qa, cs, cfg.k_retrieve)
-        top2 = [list(zip(rl.pids(), rl.scores[:2].tolist())) for rl in lists]
+        top2 = [rl.head(2).entries for rl in lists]
         out.append(TrainingExample(qid=qa.qid, question=qa.question,
                                    candidates=cs, labels=labels, top2=top2))
     return out

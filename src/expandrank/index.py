@@ -17,6 +17,7 @@ import struct
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NoReturn
 
 import numpy as np
@@ -61,48 +62,65 @@ class Bm25Params:
         return Analyzer(stemming=self.stemming, stopwords=self.stopwords)
 
 
+def _rows_into_one_table(pid_lists) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A table of the distinct pids of ``pid_lists``, and each list's int32
+    rows into it."""
+    row_of = {pid: i for i, pid in
+              enumerate(dict.fromkeys(chain.from_iterable(pid_lists)))}
+    rows = [np.fromiter(map(row_of.__getitem__, pids), dtype=np.int32,
+                        count=len(pids)) for pids in pid_lists]
+    return np.array(list(row_of), dtype=object), rows
+
+
 class RankedList:
     """Ordered (pid, score) pairs; the common currency of retrieval and fusion.
 
-    Stored as two columns: a list of pid strings (for search results, the
-    strings of ``Index.pids`` themselves) and one float64 per entry.
-    ``entries`` builds the pairs on demand; readers on a hot path take
-    ``pids()`` and ``scores`` instead.
+    Stored as two columns: one int32 row per entry into a table of distinct
+    pids, which lists share (search results share ``Index._pid_objs``, and
+    the lists of one ``ranked_lists`` call share one table), and one
+    float64 per entry.  ``entries`` and ``pids()`` build the pids on
+    demand; a reader of the first few entries takes ``head(n)`` or
+    ``iter_pids()``.  ``head`` and ``reorder`` make lists that share the
+    table.
     """
 
-    __slots__ = ("qid", "tag", "_pids", "scores")
+    __slots__ = ("qid", "tag", "_table", "_rows", "scores")
 
     def __init__(self, qid: str, entries=(), tag: str = "run"):
+        entries = list(entries)  # read once: it may be an iterator
         self.qid = qid
         self.tag = tag
-        entries = list(entries)  # read once: it may be an iterator
-        self._pids: list[str] = [pid for pid, _ in entries]
+        self._table, (self._rows,) = _rows_into_one_table(
+            [[pid for pid, _ in entries]])
         self.scores: np.ndarray = np.array([s for _, s in entries],
                                            dtype=np.float64)
 
     @classmethod
     def from_columns(cls, qid: str, pids: list[str], scores,
                      tag: str = "run") -> "RankedList":
-        """A list that takes ``pids`` as is; ``scores`` aligns with it."""
-        scores = np.asarray(scores, dtype=np.float64)
-        if len(pids) != len(scores):
-            raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
+        """A list of ``pids`` with the aligned ``scores``."""
+        return ranked_lists([(qid, pids, scores, tag)])[0]
+
+    @classmethod
+    def _of_rows(cls, qid: str, table: np.ndarray, rows: np.ndarray,
+                 scores: np.ndarray, tag: str) -> "RankedList":
         rl = cls.__new__(cls)
-        rl.qid, rl.tag, rl._pids, rl.scores = qid, tag, pids, scores
+        rl.qid, rl.tag, rl._table, rl._rows, rl.scores = (qid, tag, table,
+                                                          rows, scores)
         return rl
 
     @property
     def entries(self) -> list[tuple[str, float]]:
-        return list(zip(self._pids, self.scores.tolist()))
+        return list(zip(self.pids(), self.scores.tolist()))
 
     def __len__(self) -> int:
-        return len(self._pids)
+        return len(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankedList):
             return NotImplemented
         return (self.qid == other.qid and self.tag == other.tag
-                and self._pids == other._pids
+                and self.pids() == other.pids()
                 and self.scores.tolist() == other.scores.tolist())
 
     __hash__ = None
@@ -112,13 +130,51 @@ class RankedList:
                 f"tag={self.tag!r})")
 
     def pids(self) -> list[str]:
-        return list(self._pids)
+        return self._table[self._rows].tolist()
+
+    def iter_pids(self):
+        """The pids in rank order: the first on its own, the rest in one
+        step when the reader goes past it."""
+        table, rows = self._table, self._rows
+        if len(rows):
+            yield table[rows[0]]
+            yield from table[rows[1:]].tolist()
+
+    def head(self, n: int, tag: str | None = None) -> "RankedList":
+        """The first ``n`` entries, tagged ``tag`` (default: this list's)."""
+        return RankedList._of_rows(self.qid, self._table, self._rows[:n],
+                                   self.scores[:n],
+                                   self.tag if tag is None else tag)
+
+    def reorder(self, order, scores, tag: str) -> "RankedList":
+        """This list with its first ``len(order)`` entries taken in
+        ``order`` (positions into this list) and the rest in place, scored
+        ``scores`` and tagged ``tag``."""
+        rows = self._rows.copy()
+        rows[:len(order)] = self._rows[order]
+        return RankedList._of_rows(self.qid, self._table, rows,
+                                   np.asarray(scores, dtype=np.float64), tag)
 
     def validate(self) -> None:
         if np.any(self.scores[:-1] < self.scores[1:]):
             raise ValueError(f"scores not non-increasing in list {self.qid!r}")
-        if len(set(self._pids)) != len(self._pids):
+        # table pids are distinct, so a repeated pid is a repeated row
+        rows = np.sort(self._rows)
+        if np.any(rows[1:] == rows[:-1]):
             raise ValueError(f"duplicate pids in list {self.qid!r}")
+
+
+def ranked_lists(columns) -> list[RankedList]:
+    """A list for each ``(qid, pids, scores, tag)`` of ``columns``, all
+    sharing one table of their distinct pids."""
+    columns = [(qid, pids, np.asarray(scores, dtype=np.float64), tag)
+               for qid, pids, scores, tag in columns]
+    for _, pids, scores, _ in columns:
+        if len(pids) != len(scores):
+            raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
+    table, rows = _rows_into_one_table([pids for _, pids, _, _ in columns])
+    return [RankedList._of_rows(qid, table, r, scores, tag)
+            for (qid, _, scores, tag), r in zip(columns, rows)]
 
 
 class Index:
@@ -139,8 +195,8 @@ class Index:
         self.doc_count = len(pids)
         self.avg_doc_length = float(doc_lengths.mean()) if len(pids) else 0.0
         self._pid_to_doc = {pid: i for i, pid in enumerate(pids)}
-        # the same strs as ``pids``; ``tolist`` of a slice is an exact-size
-        # list, where a comprehension leaves growth slack in every result
+        # the same strs as ``pids``: the table every search result's rows
+        # index into
         self._pid_objs = np.array(pids, dtype=object)
 
         n = float(self.doc_count)
@@ -166,7 +222,18 @@ class Index:
 
     def surface_ids(self, tokens) -> list[int]:
         """Term ids of normalized surface ``tokens``, in order; a stopword or
-        a term outside the vocabulary has none.
+        a term outside the vocabulary has none."""
+        term_of = self._term_map(tokens)
+        return [i for i in map(term_of.__getitem__, tokens) if i is not None]
+
+    def surface_terms(self, tokens) -> list[int | None]:
+        """The term id of each normalized surface token, in order: None for
+        a stopword (``self.analyzer.is_stopword``) or a term outside the
+        vocabulary."""
+        return list(map(self._term_map(tokens).__getitem__, tokens))
+
+    def _term_map(self, tokens) -> dict[str, int | None]:
+        """``_term_of``, holding every one of ``tokens``.
 
         Each token this index has not seen is analyzed once, on its own as
         ``build_index`` analyzes it, into ``_term_of``.  That map lives as
@@ -181,7 +248,20 @@ class Index:
                 # long as the index
                 t = self.terms[tid]
             term_of[t] = tid
-        return [i for i in map(term_of.__getitem__, tokens) if i is not None]
+        return term_of
+
+    def pids_on_every_list(self, term_ids) -> list[str]:
+        """Pids of the documents on the posting list of every term in
+        ``term_ids`` (at least one)."""
+        offsets, post_docs = self.post_offsets, self.post_docs
+        lists = sorted((post_docs[offsets[t]:offsets[t + 1]]
+                        for t in set(term_ids)), key=len)
+        docs = lists[0]
+        for other in lists[1:]:
+            # posting lists ascend, so each doc is looked up by bisection
+            at = np.searchsorted(other, docs)
+            docs = docs[other[np.minimum(at, len(other) - 1)] == docs]
+        return self._pid_objs[docs].tolist()
 
     def score_all(self, term_ids) -> np.ndarray:
         """Dense score vector over internal doc ids for a query's term ids."""
@@ -212,8 +292,8 @@ class Index:
             keep = top >= np.partition(top, len(top) - k)[len(top) - k]
             pos, top = pos[keep], top[keep]
         docs = pos[np.lexsort((pos, -top))[:k]]
-        return RankedList.from_columns(qid, self._pid_objs[docs].tolist(),
-                                       scores[docs], tag)
+        return RankedList._of_rows(qid, self._pid_objs,
+                                   docs.astype(np.int32), scores[docs], tag)
 
     # -- persistence --------------------------------------------------------
 

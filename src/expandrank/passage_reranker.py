@@ -133,13 +133,14 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
     cfg = cfg or PRTrainConfig()
     feats, labels = [], []
     for qa in qa_train:
-        matcher = AnswerMatcher(qa.answers, qa.qid)
+        matcher = AnswerMatcher(qa.answers, qa.qid, index)
         rl = index.search(qa.question, k=cfg.train_depth, qid=qa.qid)
         if not len(rl):
             log.warning("question %s retrieved no passages; skipped", qa.qid)
             continue
-        feats.append(passage_features(index, store, qa.question, rl.pids(), rl.scores))
-        labels += [float(matcher(store.get(p))) for p in rl.pids()]
+        pids = rl.pids()
+        feats.append(passage_features(index, store, qa.question, pids, rl.scores))
+        labels += [float(matcher(store.get(p))) for p in pids]
     if not feats:
         raise ValueError("no training instances")
     x = np.concatenate(feats)
@@ -174,12 +175,11 @@ def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
     never increase down the list.
     """
     depth = min(depth, len(rl))
-    pids, scores = rl.pids(), rl.scores.tolist()
+    head = rl.head(depth)
     probs = scorer.probability(passage_features(
-        index, store, question, pids[:depth], scores[:depth])).tolist()
-    floor = scores[depth] if depth < len(scores) else 0.0
+        index, store, question, head.pids(), head.scores.tolist())).tolist()
+    floor = float(rl.scores[depth]) if depth < len(rl) else 0.0
     order = sorted(range(depth), key=lambda i: (-probs[i], i))
     reranked = rl.scores.copy()
     reranked[:depth] = [floor + probs[i] for i in order]
-    pids[:depth] = [pids[i] for i in order]
-    return RankedList.from_columns(rl.qid, pids, reranked, f"{rl.tag}+pr")
+    return rl.reorder(order, reranked, f"{rl.tag}+pr")

@@ -100,10 +100,8 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
         k = spec.k_retrieve
         labels, lists = label_candidates(index, store, qa, cs, k)
         best = min(labels, key=lambda l: (l.r, l.index)).index
-        rl = lists[best]  # searched at max(k, 2)
         return Choice(expanded_query(q, cs.candidates[best].text),
-                      RankedList.from_columns(qa.qid, rl.pids()[:k],
-                                              rl.scores[:k], spec.kind))
+                      lists[best].head(k, spec.kind))  # searched at max(k, 2)
     chosen = (cs.candidates[0] if spec.kind == "greedy"
               else select_best(model, q, cs, featurizer))  # ear_ri / ear_rd
     return Choice(expanded_query(q, chosen.text), None)

@@ -48,12 +48,15 @@ class Featurizer:
         n = index.doc_count
         self._unseen_idf = math.log(1.0 + (n + 0.5) / 0.5)
 
-    def _idf(self, token: str) -> float:
-        stemmed = self.index.analyzer(token)
-        if not stemmed:
-            return 0.0
-        tid = self.index.vocab.get(stemmed[0])
-        return self._unseen_idf if tid is None else float(self.index.idf[tid])
+    def _idfs(self, tokens) -> list[float]:
+        """The idf of each normalized token, looked up through the index's
+        surface-token map: 0.0 for a stopword, and for a term outside the
+        vocabulary the idf of a term no passage holds."""
+        index = self.index
+        is_stopword = index.analyzer.is_stopword
+        return [float(index.idf[tid]) if tid is not None
+                else 0.0 if is_stopword(t) else self._unseen_idf
+                for t, tid in zip(tokens, index.surface_terms(tokens))]
 
     def features(self, variant: str, question: str, texts,
                  tops=None) -> np.ndarray:
@@ -73,7 +76,7 @@ class Featurizer:
             et_set = set(et)
             overlap = len(et_set & qt) / len(et_set) if et_set else 0.0
             novel = et_set - qt
-            novel_idfs = [self._idf(t) for t in sorted(novel)]
+            novel_idfs = self._idfs(sorted(novel))
             eg = _char3(et)
             union = len(qg | eg)
             row = [

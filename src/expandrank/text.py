@@ -182,3 +182,8 @@ class Analyzer:
         if self.stemming:
             tokens = [porter_stem(t) for t in tokens]
         return tokens
+
+    def is_stopword(self, token: str) -> bool:
+        """True iff this analyzer drops the normalized ``token``; it keeps
+        every other token as one term."""
+        return self.stopwords and token in STOPWORDS

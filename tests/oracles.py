@@ -205,6 +205,18 @@ def reference_passage_features(index, store, question, pid, retrieval_score):
                      1.0])
 
 
+def reference_idf(index, token):
+    """A candidate token's idf, from its own analysis: 0.0 for a stopword,
+    and for a term outside the vocabulary the idf of a term with df 0."""
+    stemmed = index.analyzer(token)
+    if not stemmed:
+        return 0.0
+    tid = index.vocab.get(stemmed[0])
+    if tid is None:
+        return math.log(1.0 + (index.doc_count + 0.5) / 0.5)
+    return float(index.idf[tid])
+
+
 def reference_ri(featurizer, question, expansion):
     """One RI feature row, built from scratch for one candidate."""
     qt = set(normalize(question))
@@ -212,7 +224,7 @@ def reference_ri(featurizer, question, expansion):
     et_set = set(et)
     overlap = len(et_set & qt) / len(et_set) if et_set else 0.0
     novel = sorted(et_set - qt)
-    novel_idfs = [featurizer._idf(t) for t in novel]
+    novel_idfs = [reference_idf(featurizer.index, t) for t in novel]
     qg, eg = _char3(normalize(question)), _char3(et)
     union = len(qg | eg)
     return np.array([

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from expandrank import corpus
 from expandrank.corpus import (AnswerMatcher, CorpusError, Passage,
-                               PassageStore, contains_answer, load_corpus,
-                               load_questions)
-from expandrank.expansion import load_expansions, load_training_set
+                               PassageStore, QAExample, contains_answer,
+                               load_corpus, load_questions)
+from expandrank.expansion import (CandidateSet, ExpansionCandidate,
+                                  label_candidates, load_expansions,
+                                  load_training_set)
+from expandrank.index import Bm25Params, Index, build_index
 from expandrank.text import normalize
 from oracles import reference_contains_answer
 
@@ -271,6 +274,106 @@ class TestAnswerMatcher:
         assert matcher.first_rank(["p3", "p2"], tiny_store) == 1
         assert matcher.first_rank(["p1"], tiny_store) is None
         assert matcher.first_rank([], tiny_store) is None
+
+
+# Passage words: inflected forms that share a stem, stopwords, a digit
+# token and capitals.  The other words are in no passage's text, though a
+# title may hold them.
+_TEXT_WORDS = ("run", "runs", "running", "Running", "the", "of", "is",
+               "gamma", "delta", "2018", "x1")
+_OTHER_WORDS = ("zeta", "omega", "runner")
+_ANSWERS = ("runs running", "run run", "RUNNING", "the of", "is", "zeta",
+            "gamma zeta", "the gamma", "delta delta delta", "--", "")
+
+
+@st.composite
+def _store_and_answers(draw):
+    """A small store, answers that pick out some, none or all of its
+    passages, and an order of its pids."""
+    n = draw(st.integers(1, 8))
+    texts = [" ".join(draw(st.lists(st.sampled_from(_TEXT_WORDS),
+                                    min_size=1, max_size=8)))
+             for _ in range(n)]
+    titles = [" ".join(draw(st.lists(st.sampled_from(_TEXT_WORDS
+                                                     + _OTHER_WORDS),
+                                     max_size=3)))
+              for _ in range(n)]
+    store = PassageStore([Passage(id=f"p{i}", title=title, text=text)
+                          for i, (title, text) in
+                          enumerate(zip(titles, texts))])
+    cut = st.tuples(st.sampled_from(texts), st.integers(0, 8),
+                    st.integers(1, 3)).map(
+        lambda t: " ".join(t[0].split()[t[1]:t[1] + t[2]]))
+    free = st.lists(st.sampled_from(_TEXT_WORDS + _OTHER_WORDS), min_size=1,
+                    max_size=3).map(" ".join)
+    answers = draw(st.lists(st.one_of(st.sampled_from(_ANSWERS), cut, free),
+                            min_size=1, max_size=3))
+    return store, answers, draw(st.permutations([p.id for p in store]))
+
+
+class TestAnswerMatcherWithIndex:
+    @given(_store_and_answers(), st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_matcher_without_index_and_reference(
+            self, drawn, stemming, stopwords, index_titles):
+        store, answers, order = drawn
+        index = build_index(store, Bm25Params(
+            stemming=stemming, stopwords=stopwords,
+            index_titles=index_titles))
+        expected = {pid: reference_contains_answer(store.get(pid).text,
+                                                   answers)
+                    for pid in order}
+        rank = next((r for r, pid in enumerate(order, start=1)
+                     if expected[pid]), None)
+        assert AnswerMatcher(answers).first_rank(order, store) == rank
+        assert AnswerMatcher(answers, index=index).first_rank(order,
+                                                              store) == rank
+        # misses first, so the filter is built before the rest are judged
+        misses_first = sorted(order, key=expected.__getitem__)
+        matcher = AnswerMatcher(answers, index=index)
+        assert [matcher(store.get(pid)) for pid in misses_first] == \
+            [expected[pid] for pid in misses_first]
+
+    def test_no_posting_list_read_while_first_passages_match(
+            self, monkeypatch):
+        """Labels whose lists all rank an answer passage first read no
+        posting list: the filter is built on a question's first miss."""
+        store = PassageStore([
+            Passage(id="a", title="", text="hops hops hops in oregon"),
+            Passage(id="b", title="", text="malt and hops"),
+            Passage(id="c", title="", text="barley water"),
+        ])
+        index = build_index(store, Bm25Params())
+        reads = []
+        on_every_list = Index.pids_on_every_list
+        monkeypatch.setattr(
+            Index, "pids_on_every_list",
+            lambda self, tids: reads.append(tids) or on_every_list(self,
+                                                                   tids))
+        cs = CandidateSet(qid="q", candidates=[
+            ExpansionCandidate("hops"), ExpansionCandidate("oregon hops")])
+        qa = QAExample(qid="q", question="hops", answers=("Oregon",))
+        labels, _ = label_candidates(index, store, qa, cs, 3)
+        assert [l.r for l in labels] == [1, 1]
+        assert reads == []
+        # no list holds the answer: one read, on the first miss
+        qa = QAExample(qid="q", question="malt", answers=("oregon",))
+        labels, _ = label_candidates(index, store, qa, CandidateSet(
+            qid="q", candidates=[ExpansionCandidate("barley"),
+                                 ExpansionCandidate("malt")]), 3)
+        assert [l.r for l in labels] == [4, 4] and len(reads) == 1
+
+    def test_passages_off_the_answer_lists_are_not_normalized(
+            self, tiny_store, monkeypatch):
+        index = build_index(tiny_store, Bm25Params())
+        matcher = AnswerMatcher(["grow hops"], "q1", index)
+        seen = []
+        monkeypatch.setattr(corpus, "normalize",
+                            lambda raw: seen.append(raw) or normalize(raw))
+        # p3 misses, which builds the filter; p2 holds "hops" but not
+        # "grow", so it is off the answer's lists; p1 holds both
+        assert matcher.first_rank(["p3", "p2", "p1"], tiny_store) == 3
+        assert seen == [tiny_store.get(pid).text for pid in ("p3", "p1")]
 
 
 class TestPassageStore:

@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -181,27 +182,15 @@ class TestRunStrategy:
 
 
 def _count_stems(monkeypatch) -> Counter:
-    """Count each word ``porter_stem`` is called on from now on, except
-    within ``Featurizer._idf``, which still analyzes each novel candidate
-    token itself."""
+    """Count each word ``porter_stem`` is called on from now on."""
     stems = Counter()
-    in_idf = []
-    stem, idf = text.porter_stem, Featurizer._idf
+    stem = text.porter_stem
 
     def counting(word):
-        if not in_idf:
-            stems[word] += 1
+        stems[word] += 1
         return stem(word)
 
-    def uncounted(self, token):
-        in_idf.append(token)
-        try:
-            return idf(self, token)
-        finally:
-            in_idf.pop()
-
     monkeypatch.setattr(text, "porter_stem", counting)
-    monkeypatch.setattr(Featurizer, "_idf", uncounted)
     return stems
 
 
@@ -227,9 +216,9 @@ class TestChoose:
 
     def test_ear_rd_stems_each_surface_token_once(self, planted20, rd_model,
                                                   monkeypatch):
-        """RD's k=2 candidate searches and the final search of the chosen
-        query read one term map, so no word is stemmed twice, and a question
-        asked again stems nothing."""
+        """RD's k=2 candidate searches, its features' idfs and the final
+        search of the chosen query read one term map, so no word is stemmed
+        twice, and a question asked again stems nothing."""
         fx, store, _ = planted20
         index = build_index(store, Bm25Params())  # a cold map
         featurizer = Featurizer(index, store)
@@ -283,6 +272,50 @@ class TestChoose:
                             model, featurizer)
             assert choice.query == query
             assert (choice.ranked is not None) == (kind == "oracle")
+
+
+class TestRankedListLayout:
+    """Lists are int32 rows into a shared pid table: a search result, the
+    oracle's prefix of its labeling list and a passage-reranked list share
+    the index's, and a run file's lists share one table of their own."""
+
+    @staticmethod
+    def _rows_into(rl, table):
+        return rl._table is table and rl._rows.dtype == np.int32
+
+    def test_lists_share_the_index_pid_table(self, planted, planted_store,
+                                             planted_index, pr_scorer):
+        table = planted_index._pid_objs
+        qa = planted.questions[0]
+        cs = planted.candidates[qa.qid]
+        assert self._rows_into(planted_index.search(qa.question, 10), table)
+        _, lists = label_candidates(planted_index, planted_store, qa, cs, 1)
+        assert all(self._rows_into(rl, table) for rl in lists)
+        choice = choose(StrategySpec(kind="oracle", k_retrieve=1),
+                        planted_index, planted_store, qa, cs, None, None)
+        assert self._rows_into(choice.ranked, table)
+        assert len(choice.ranked) == 1 and choice.ranked.tag == "oracle"
+        out = run_strategy(StrategySpec(kind="bm25", pr_depth=5),
+                           planted_index, planted_store, qa,
+                           passage_scorer=pr_scorer)
+        assert self._rows_into(out, table) and out.tag == "bm25+pr"
+
+    def test_read_run_shares_one_table_per_file(self, planted,
+                                                planted_store,
+                                                planted_index, tmp_path):
+        runs = run_dataset(StrategySpec(kind="bm25", k_retrieve=20),
+                           planted_index, planted_store,
+                           planted.questions[:5])
+        write_run(runs, tmp_path / "a.trec")
+        write_run(runs, tmp_path / "b.trec")
+        a, b = read_run(tmp_path / "a.trec"), read_run(tmp_path / "b.trec")
+        table = next(iter(a.values()))._table
+        assert all(self._rows_into(rl, table) for rl in a.values())
+        assert next(iter(b.values()))._table is not table
+        assert len(table) == len({pid for rl in a.values()
+                                  for pid in rl.pids()})
+        assert {q: rl.entries for q, rl in a.items()} == \
+            {q: rl.entries for q, rl in b.items()}
 
 
 class TestOracleDominance:

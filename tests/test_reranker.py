@@ -169,6 +169,23 @@ class TestFeatureMatrix:
         assert small_featurizer.features("RI", "q", []).shape == (0, 9)
         assert small_featurizer.features("RD", "q", [], []).shape == (0, 14)
 
+    @pytest.mark.parametrize("stemming", [True, False])
+    @pytest.mark.parametrize("stopwords", [True, False])
+    def test_idfs_tell_stopwords_from_unknown_terms(self, stemming,
+                                                    stopwords):
+        """A stopword and a term outside the vocabulary both have no term
+        id; their idfs (0 and the unseen idf) still match the reference,
+        which analyzes each token itself, under every analyzer setting."""
+        store = PassageStore([Passage(id=f"p{i}", title="", text=text)
+                              for i, text in enumerate(_PASSAGES)])
+        featurizer = Featurizer(build_index(store, Bm25Params(
+            stemming=stemming, stopwords=stopwords)), store)
+        texts = ["the of is", "zzq the", "running runs RUN", "sky zzq 2018"]
+        rows = featurizer.features("RI", "ponies", texts)
+        for row, text in zip(rows, texts):
+            assert row.tobytes() == reference_ri(featurizer, "ponies",
+                                                 text).tobytes()
+
 
 class TestScore:
     def test_zero_weights(self, featurizer):
