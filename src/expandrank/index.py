@@ -62,12 +62,18 @@ class Bm25Params:
         return Analyzer(stemming=self.stemming, stopwords=self.stopwords)
 
 
+def _row_type(table_size: int) -> type:
+    """The narrowest row type that indexes a table of ``table_size`` pids."""
+    return np.uint16 if table_size <= 1 << 16 else np.int32
+
+
 def _rows_into_one_table(pid_lists) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A table of the distinct pids of ``pid_lists``, and each list's int32
-    rows into it."""
+    """A table of the distinct pids of ``pid_lists``, and each list's rows
+    into it."""
     row_of = {pid: i for i, pid in
               enumerate(dict.fromkeys(chain.from_iterable(pid_lists)))}
-    rows = [np.fromiter(map(row_of.__getitem__, pids), dtype=np.int32,
+    row_type = _row_type(len(row_of))
+    rows = [np.fromiter(map(row_of.__getitem__, pids), dtype=row_type,
                         count=len(pids)) for pids in pid_lists]
     return np.array(list(row_of), dtype=object), rows
 
@@ -75,10 +81,11 @@ def _rows_into_one_table(pid_lists) -> tuple[np.ndarray, list[np.ndarray]]:
 class RankedList:
     """Ordered (pid, score) pairs; the common currency of retrieval and fusion.
 
-    Stored as two columns: one int32 row per entry into a table of distinct
-    pids, which lists share (search results share ``Index._pid_objs``, and
-    the lists of one ``ranked_lists`` call share one table), and one
-    float64 per entry.  ``entries`` and ``pids()`` build the pids on
+    Stored as two columns: one row per entry into a table of distinct pids
+    (uint16 while the table holds at most 65,536 pids, else int32), which
+    lists share (search results share ``Index._pid_objs``, and the lists
+    of one ``ranked_lists`` call share one table), and one float64 per
+    entry.  ``entries`` and ``pids()`` build the pids on
     demand; a reader of the first few entries takes ``head(n)`` or
     ``iter_pids()``.  ``head`` and ``reorder`` make lists that share the
     table.
@@ -293,7 +300,8 @@ class Index:
             pos, top = pos[keep], top[keep]
         docs = pos[np.lexsort((pos, -top))[:k]]
         return RankedList._of_rows(qid, self._pid_objs,
-                                   docs.astype(np.int32), scores[docs], tag)
+                                   docs.astype(_row_type(self.doc_count)),
+                                   scores[docs], tag)
 
     # -- persistence --------------------------------------------------------
 

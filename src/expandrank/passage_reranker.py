@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import AnswerMatcher, PassageStore
 from .index import Index, RankedList
 from .reranker import linear_scores, read_model_file, write_model_file
-from .text import normalize
+from .text import fold, has_token, normalize
 
 log = logging.getLogger(__name__)
 
@@ -47,14 +47,21 @@ class _PassageStats:
         self._row = index._pid_to_doc
         self._stats = np.full((index.doc_count, 2), np.nan)
 
-    def mean_idf_and_length(self, index: Index, pid: str) -> np.ndarray:
-        stats = self._stats[self._row[pid]]
-        if np.isnan(stats[0]):
-            tokens = normalize(self.store.get(pid).text)
+    def mean_idf_and_length(self, index: Index, pids: list[str]) -> np.ndarray:
+        """The (len(pids), 2) [mean idf, length] rows of ``pids``."""
+        try:
+            rows = np.array([self._row[pid] for pid in pids], dtype=np.intp)
+        except KeyError as e:
+            raise ValueError(f"passage {e.args[0]!r} is not in the index") \
+                from None
+        stats = self._stats
+        for i in np.flatnonzero(np.isnan(stats[rows, 0])).tolist():
+            tokens = normalize(self.store.get(pids[i]).text)
             # sorted distinct tokens: a fixed summation order
             idfs = index.idf[index.surface_ids(sorted(set(tokens)))].tolist()
-            stats[:] = (sum(idfs) / len(idfs) if idfs else 0.0, len(tokens))
-        return stats
+            stats[rows[i]] = (sum(idfs) / len(idfs) if idfs else 0.0,
+                              len(tokens))
+        return stats[rows]
 
 
 _STATS: weakref.WeakKeyDictionary[Index, _PassageStats] = \
@@ -69,19 +76,27 @@ def passage_features(index: Index, store: PassageStore, question: str,
 
     Mean idf and length are computed once per passage for an (index, store)
     pair; a call with another store than the last one on ``index`` starts
-    that index's cache afresh.
+    that index's cache afresh.  The overlap is the share of the question's
+    distinct tokens found by a scan of each passage's folded text.
     """
+    pids = list(pids)
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(pids) != len(scores):
+        raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
     stats = _STATS.get(index)
     if stats is None or stats.store is not store:
         stats = _STATS[index] = _PassageStats(index, store)
+    x = np.empty((len(pids), PR_DIM), dtype=np.float64)
+    x[:, 2:4] = stats.mean_idf_and_length(index, pids)
+    x[:, 0] = scores
     qt = set(normalize(question))
-    rows = []
-    for pid, score in zip(pids, scores, strict=True):
-        mean_idf, length = stats.mean_idf_and_length(index, pid)
-        tokens = normalize(store.get(pid).text)
-        overlap = len(qt.intersection(tokens)) / len(qt) if qt else 0.0
-        rows.append((score, overlap, mean_idf, length, 1.0))
-    return np.array(rows, dtype=np.float64).reshape(len(rows), PR_DIM)
+    texts = [fold(store.get(pid).text) for pid in pids]
+    hits = np.zeros(len(pids))
+    for t in qt:
+        hits += [has_token(text, t) for text in texts]
+    x[:, 1] = hits / len(qt) if qt else 0.0
+    x[:, BIAS] = 1.0
+    return x
 
 
 @dataclass(frozen=True)
@@ -177,9 +192,9 @@ def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
     depth = min(depth, len(rl))
     head = rl.head(depth)
     probs = scorer.probability(passage_features(
-        index, store, question, head.pids(), head.scores.tolist())).tolist()
+        index, store, question, head.pids(), head.scores))
     floor = float(rl.scores[depth]) if depth < len(rl) else 0.0
-    order = sorted(range(depth), key=lambda i: (-probs[i], i))
+    order = np.argsort(-probs, kind="stable")
     reranked = rl.scores.copy()
-    reranked[:depth] = [floor + probs[i] for i in order]
+    reranked[:depth] = floor + probs[order]
     return rl.reorder(order, reranked, f"{rl.tag}+pr")

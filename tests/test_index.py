@@ -545,6 +545,15 @@ class TestRankedList:
         per_entry = (retained(100) - retained(1)) / 99
         assert per_entry <= 24
 
+    @pytest.mark.parametrize("n, row_type", [(1 << 16, np.uint16),
+                                             ((1 << 16) + 1, np.int32)])
+    def test_rows_of_the_narrowest_type(self, n, row_type):
+        pids = [f"p{i}" for i in range(n)]
+        rl = RankedList.from_columns("q", pids, np.arange(n, 0, -1.0))
+        assert rl._rows.dtype == row_type
+        assert rl.pids() == pids
+        rl.validate()
+
     def test_validate(self):
         RankedList(qid="q", entries=[("a", 2.0), ("b", 1.0)]).validate()
         with pytest.raises(ValueError):

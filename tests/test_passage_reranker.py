@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expandrank import passage_reranker, text
 from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.index import Bm25Params, build_index
 from expandrank.passage_reranker import (_STATS, BIAS, PassageScorer,
@@ -22,9 +23,13 @@ from oracles import reference_passage_features
 LENGTH = 3  # column of the passage-length feature
 
 # Stopwords, inflected and repeated forms, upper case, an NFKC ligature,
-# digits and punctuation-joined tokens.
+# digits and punctuation-joined tokens; fullwidth letters, a dotted capital
+# I and a sharp s, which fold into token boundaries; tokens that are a
+# prefix, a suffix or an infix of another.
 _WORDS = ("the", "of", "is", "Running", "runs", "ran", "ponies", "sky",
-          "hopping", "2018", "\ufb01ve", "x1", "Deadpool-2")
+          "hopping", "2018", "\ufb01ve", "x1", "Deadpool-2",
+          "\uff32\uff35\uff2e\uff33", "\u0130s", "stra\u00dfe", "run-runs",
+          "x1x", "1x")
 _text = st.lists(
     st.one_of(st.sampled_from(_WORDS),
               st.text(alphabet="abeinrst19", min_size=1, max_size=6)),
@@ -186,6 +191,45 @@ class TestPassageFeatures:
                                  [1.0, 0.5]),
                 reference_matrix(index, store, "alpha",
                                  [("p0", 1.0), ("p1", 0.5)]))
+
+    def test_one_normalize_per_list_once_warm(self, deep_fixture, pr_scorer,
+                                              monkeypatch):
+        """Warm stats leave only the question to normalize: the overlap
+        scans each passage's folded text."""
+        store, index, questions = deep_fixture
+        lists = [(qa.question, index.search(qa.question, 40, qid=qa.qid))
+                 for qa in questions]
+        for question, rl in lists:
+            rerank_passages(pr_scorer, index, store, question, rl, 40)
+        calls = []
+        original = text.normalize
+
+        def counting(raw):
+            calls.append(raw)
+            return original(raw)
+
+        for module in (text, passage_reranker):
+            monkeypatch.setattr(module, "normalize", counting)
+        for question, rl in lists:
+            calls.clear()
+            rerank_passages(pr_scorer, index, store, question, rl, 40)
+            assert calls == [question]
+
+    def test_unknown_pid_named(self, deep_fixture):
+        store, index, _ = deep_fixture
+        with pytest.raises(ValueError,
+                           match="^passage 'nope' is not in the index$"):
+            passage_features(index, store, "about subject00",
+                             ["t00-a00", "nope"], [2.0, 1.0])
+
+    def test_unequal_lengths_named(self, deep_fixture):
+        store, index, _ = deep_fixture
+        with pytest.raises(ValueError, match="^2 pids but 1 scores$"):
+            passage_features(index, store, "about subject00",
+                             ["t00-a00", "t00-a01"], [2.0])
+        with pytest.raises(ValueError, match="^1 pids but 3 scores$"):
+            passage_features(index, store, "about subject00", ["t00-a00"],
+                             np.array([3.0, 2.0, 1.0]))
 
     def test_cache_dies_with_its_index(self, deep_fixture):
         store, _, questions = deep_fixture

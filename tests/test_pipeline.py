@@ -275,13 +275,14 @@ class TestChoose:
 
 
 class TestRankedListLayout:
-    """Lists are int32 rows into a shared pid table: a search result, the
-    oracle's prefix of its labeling list and a passage-reranked list share
-    the index's, and a run file's lists share one table of their own."""
+    """Lists are rows into a shared pid table, uint16 for these small
+    tables: a search result, the oracle's prefix of its labeling list and a
+    passage-reranked list share the index's, and a run file's lists share
+    one table of their own."""
 
     @staticmethod
     def _rows_into(rl, table):
-        return rl._table is table and rl._rows.dtype == np.int32
+        return rl._table is table and rl._rows.dtype == np.uint16
 
     def test_lists_share_the_index_pid_table(self, planted, planted_store,
                                              planted_index, pr_scorer):
