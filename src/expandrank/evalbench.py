@@ -146,7 +146,7 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
             t0 = time.perf_counter()
             choice = choose(spec, index, store, qa, cs, model, featurizer)
             t1 = time.perf_counter()
-            retrieve(spec, index, qa, choice)
+            retrieve(spec, index, choice)
             retrieve_t += time.perf_counter() - t1
             if spec.needs.candidates:
                 rerank_t += t1 - t0
@@ -207,14 +207,13 @@ def read_run(path) -> dict[str, RankedList]:
                 )
             pids.append(names.setdefault(pid, pid))
             scores.append(score)
-    runs: dict[str, RankedList] = {}
-    for rl in ranked_lists((qid, pids, scores, tag)
-                           for qid, (tag, pids, scores) in columns.items()):
-        runs[rl.qid] = rl
+    runs = dict(zip(columns, ranked_lists(
+        (pids, scores, tag) for tag, pids, scores in columns.values())))
+    for qid, rl in runs.items():
         try:
             rl.validate()
         except ValueError as exc:
-            raise RunFormatError(f"{path}: qid {rl.qid}: {exc}") from None
+            raise RunFormatError(f"{path}: qid {qid}: {exc}") from None
     return runs
 
 

@@ -143,7 +143,7 @@ def sample_expansions_stub(question: str, n: int, seed: int,
 
     # Terms from passages that match the question, as the co-occurrence pool.
     pool: list[str] = []
-    head = index.search(question, k=5, qid="stub")
+    head = index.search(question, k=5)
     for pid in head.pids():
         pool.extend(normalize(store.get(pid).text))
     vocab = index.terms
@@ -199,11 +199,11 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
 
 def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
     """1-based rank of the first answer-containing passage, or None."""
-    return AnswerMatcher(answers, rl.qid).first_rank(rl.iter_pids(), store)
+    return AnswerMatcher(answers).first_rank(rl.iter_pids(), store)
 
 
-def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
-                      qid: str) -> list[RankedList]:
+def search_candidates(index: Index, question: str, cs: CandidateSet,
+                      k: int) -> list[RankedList]:
     """Top-``k`` retrieval of "question + candidate" for every candidate.
 
     The one place that searches a question's candidate expansions.  The
@@ -211,7 +211,7 @@ def search_candidates(index: Index, question: str, cs: CandidateSet, k: int,
     they are the term ids of ``expanded_query(question, candidate)``.
     """
     q_ids = index.term_ids(question)
-    return [index.search_ids(q_ids + index.term_ids(c.text), k, qid)
+    return [index.search_ids(q_ids + index.term_ids(c.text), k)
             for c in cs.candidates]
 
 
@@ -228,7 +228,7 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
     """
     matcher = AnswerMatcher(qa.answers, qa.qid, index)
     labels = []
-    lists = search_candidates(index, qa.question, cs, max(k, 2), qa.qid)
+    lists = search_candidates(index, qa.question, cs, max(k, 2))
     for i, rl in enumerate(lists):
         rank = matcher.first_rank(rl.iter_pids(), store)
         hit = rank is not None and rank <= k

@@ -78,6 +78,14 @@ def _rows_into_one_table(pid_lists) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array(list(row_of), dtype=object), rows
 
 
+def _score_column(pids, scores) -> np.ndarray:
+    """``scores`` as float64, one per pid of ``pids``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(pids) != len(scores):
+        raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
+    return scores
+
+
 class RankedList:
     """Ordered (pid, score) pairs; the common currency of retrieval and fusion.
 
@@ -88,32 +96,23 @@ class RankedList:
     entry.  ``entries`` and ``pids()`` build the pids on
     demand; a reader of the first few entries takes ``head(n)`` or
     ``iter_pids()``.  ``head`` and ``reorder`` make lists that share the
-    table.
+    table.  A list carries no qid: a run is a ``{qid: RankedList}`` map,
+    whose key names the question.
     """
 
-    __slots__ = ("qid", "tag", "_table", "_rows", "scores")
+    __slots__ = ("tag", "_table", "_rows", "scores")
 
-    def __init__(self, qid: str, entries=(), tag: str = "run"):
-        entries = list(entries)  # read once: it may be an iterator
-        self.qid = qid
-        self.tag = tag
-        self._table, (self._rows,) = _rows_into_one_table(
-            [[pid for pid, _ in entries]])
-        self.scores: np.ndarray = np.array([s for _, s in entries],
-                                           dtype=np.float64)
-
-    @classmethod
-    def from_columns(cls, qid: str, pids: list[str], scores,
-                     tag: str = "run") -> "RankedList":
+    def __init__(self, pids, scores, tag: str = "run"):
         """A list of ``pids`` with the aligned ``scores``."""
-        return ranked_lists([(qid, pids, scores, tag)])[0]
+        self.tag = tag
+        self.scores: np.ndarray = _score_column(pids, scores)
+        self._table, (self._rows,) = _rows_into_one_table([pids])
 
     @classmethod
-    def _of_rows(cls, qid: str, table: np.ndarray, rows: np.ndarray,
+    def _of_rows(cls, table: np.ndarray, rows: np.ndarray,
                  scores: np.ndarray, tag: str) -> "RankedList":
         rl = cls.__new__(cls)
-        rl.qid, rl.tag, rl._table, rl._rows, rl.scores = (qid, tag, table,
-                                                          rows, scores)
+        rl.tag, rl._table, rl._rows, rl.scores = tag, table, rows, scores
         return rl
 
     @property
@@ -126,14 +125,13 @@ class RankedList:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankedList):
             return NotImplemented
-        return (self.qid == other.qid and self.tag == other.tag
-                and self.pids() == other.pids()
+        return (self.tag == other.tag and self.pids() == other.pids()
                 and self.scores.tolist() == other.scores.tolist())
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"RankedList(qid={self.qid!r}, entries={self.entries!r}, "
+        return (f"RankedList({self.pids()!r}, {self.scores.tolist()!r}, "
                 f"tag={self.tag!r})")
 
     def pids(self) -> list[str]:
@@ -149,7 +147,7 @@ class RankedList:
 
     def head(self, n: int, tag: str | None = None) -> "RankedList":
         """The first ``n`` entries, tagged ``tag`` (default: this list's)."""
-        return RankedList._of_rows(self.qid, self._table, self._rows[:n],
+        return RankedList._of_rows(self._table, self._rows[:n],
                                    self.scores[:n],
                                    self.tag if tag is None else tag)
 
@@ -159,29 +157,26 @@ class RankedList:
         ``scores`` and tagged ``tag``."""
         rows = self._rows.copy()
         rows[:len(order)] = self._rows[order]
-        return RankedList._of_rows(self.qid, self._table, rows,
+        return RankedList._of_rows(self._table, rows,
                                    np.asarray(scores, dtype=np.float64), tag)
 
     def validate(self) -> None:
         if np.any(self.scores[:-1] < self.scores[1:]):
-            raise ValueError(f"scores not non-increasing in list {self.qid!r}")
+            raise ValueError("scores not non-increasing")
         # table pids are distinct, so a repeated pid is a repeated row
         rows = np.sort(self._rows)
         if np.any(rows[1:] == rows[:-1]):
-            raise ValueError(f"duplicate pids in list {self.qid!r}")
+            raise ValueError("duplicate pids")
 
 
 def ranked_lists(columns) -> list[RankedList]:
-    """A list for each ``(qid, pids, scores, tag)`` of ``columns``, all
-    sharing one table of their distinct pids."""
-    columns = [(qid, pids, np.asarray(scores, dtype=np.float64), tag)
-               for qid, pids, scores, tag in columns]
-    for _, pids, scores, _ in columns:
-        if len(pids) != len(scores):
-            raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
-    table, rows = _rows_into_one_table([pids for _, pids, _, _ in columns])
-    return [RankedList._of_rows(qid, table, r, scores, tag)
-            for (qid, _, scores, tag), r in zip(columns, rows)]
+    """A list for each ``(pids, scores, tag)`` of ``columns``, all sharing
+    one table of their distinct pids: the lists of one run file."""
+    columns = [(pids, _score_column(pids, scores), tag)
+               for pids, scores, tag in columns]
+    table, rows = _rows_into_one_table([pids for pids, _, _ in columns])
+    return [RankedList._of_rows(table, r, scores, tag)
+            for (_, scores, tag), r in zip(columns, rows)]
 
 
 class Index:
@@ -279,13 +274,11 @@ class Index:
                                    self.post_docs, self._impact, self.idf,
                                    self.doc_count)
 
-    def search(self, query_text: str, k: int, qid: str = "q",
-               tag: str = "run") -> RankedList:
+    def search(self, query_text: str, k: int, tag: str = "run") -> RankedList:
         """``search_ids`` of ``query_text``'s term ids."""
-        return self.search_ids(self.term_ids(query_text), k, qid, tag)
+        return self.search_ids(self.term_ids(query_text), k, tag)
 
-    def search_ids(self, term_ids, k: int, qid: str = "q",
-                   tag: str = "run") -> RankedList:
+    def search_ids(self, term_ids, k: int, tag: str = "run") -> RankedList:
         """Top-``k`` positively scoring passages for a query's term ids, ties
         to the smaller pid."""
         if k < 1:
@@ -299,7 +292,7 @@ class Index:
             keep = top >= np.partition(top, len(top) - k)[len(top) - k]
             pos, top = pos[keep], top[keep]
         docs = pos[np.lexsort((pos, -top))[:k]]
-        return RankedList._of_rows(qid, self._pid_objs,
+        return RankedList._of_rows(self._pid_objs,
                                    docs.astype(_row_type(self.doc_count)),
                                    scores[docs], tag)
 
@@ -373,10 +366,13 @@ class Index:
             if fh.read(1):
                 fail("trailing bytes after the last section")
 
-        if len(set(pids)) != n_docs:
-            fail("duplicate pids")
-        if len(set(terms)) != n_terms:
-            fail("duplicate terms")
+        # doc ids follow ascending pid, so ties go to the smaller pid, and
+        # term ids follow the sorted vocabulary
+        for name, items in (("pids", pids), ("terms", terms)):
+            for a, b in zip(items, items[1:]):
+                if a >= b:
+                    fail(f"duplicate {name} ({a!r})" if a == b else
+                         f"{name} not ascending ({a!r} before {b!r})")
         if offsets[0] != 0:
             fail(f"offsets start at {offsets[0]}, not 0")
         if np.any(np.diff(offsets) < 0):

@@ -149,7 +149,7 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
     feats, labels = [], []
     for qa in qa_train:
         matcher = AnswerMatcher(qa.answers, qa.qid, index)
-        rl = index.search(qa.question, k=cfg.train_depth, qid=qa.qid)
+        rl = index.search(qa.question, k=cfg.train_depth)
         if not len(rl):
             log.warning("question %s retrieved no passages; skipped", qa.qid)
             continue

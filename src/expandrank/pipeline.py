@@ -107,12 +107,11 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
     return Choice(expanded_query(q, chosen.text), None)
 
 
-def retrieve(spec: StrategySpec, index: Index, qa: QAExample,
-             choice: Choice) -> RankedList:
+def retrieve(spec: StrategySpec, index: Index, choice: Choice) -> RankedList:
     """``choice``'s top ``spec.k_retrieve``, tagged ``spec.kind``: the list
     choosing kept, else a search."""
     return choice.ranked if choice.ranked is not None else index.search(
-        choice.query, spec.k_retrieve, qid=qa.qid, tag=spec.kind)
+        choice.query, spec.k_retrieve, spec.kind)
 
 
 def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
@@ -122,8 +121,8 @@ def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
                  passage_scorer: PassageScorer | None = None) -> RankedList:
     """One question through one strategy, then optional passage reranking."""
     check_strategy(spec, (qa,), model)
-    rl = retrieve(spec, index, qa, choose(spec, index, store, qa, candidates,
-                                          model, featurizer))
+    rl = retrieve(spec, index, choose(spec, index, store, qa, candidates,
+                                      model, featurizer))
     if passage_scorer is not None:
         rl = rerank_passages(passage_scorer, index, store, qa.question, rl,
                              spec.pr_depth)
@@ -148,7 +147,7 @@ def fuse(lists, k: int) -> RankedList:
               for pids in columns if i < len(pids))
     out = list(dict.fromkeys(offers))[:k]
     scores = 1.0 / np.arange(1, len(out) + 1, dtype=np.float64)
-    return RankedList.from_columns(lists[0].qid, out, scores, "fusion")
+    return RankedList(out, scores, "fusion")
 
 
 def run_dataset(spec: StrategySpec, index: Index, store: PassageStore,

@@ -284,6 +284,8 @@ def train(examples, cfg: TrainConfig, variant: str,
         texts = [c.text for c in ex.candidates.candidates]  # RD: no search
         groups.append((featurizer.features(variant, ex.question, texts,
                                            ex.top2), ex.labels))
+    if not groups:
+        raise ValueError("no training questions")
 
     all_feats = np.concatenate([f for f, _ in groups])
     mean, std = _standardizer(all_feats)
@@ -311,7 +313,7 @@ def train(examples, cfg: TrainConfig, variant: str,
 def select_best(model: ScorerModel, question: str, cs: CandidateSet,
                 featurizer: Featurizer) -> ExpansionCandidate:
     """Argmin-score candidate; ties go to the earliest index."""
-    lists = (search_candidates(featurizer.index, question, cs, 2, cs.qid)
+    lists = (search_candidates(featurizer.index, question, cs, 2)
              if model.variant == "RD" else [])
     feats = featurizer.features(model.variant, question,
                                 [c.text for c in cs.candidates],

@@ -287,7 +287,7 @@ def reference_fuse(lists, k):
             if pid not in seen:
                 seen.add(pid)
                 out.append((pid, 1.0 / (len(out) + 1)))
-    return RankedList(qid=lists[0].qid, entries=out, tag="fusion")
+    return RankedList([pid for pid, _ in out], [s for _, s in out], "fusion")
 
 
 # -- Porter stemmer: the plain per-character implementation ------------------

@@ -185,8 +185,7 @@ def test_c6_passage_rerank(planted, planted_store, planted_index,
 def test_c7_fusion(tmp_path):
     def rl(pids, tag="t"):
         n = len(pids)
-        return RankedList(qid="q", entries=[(p, float(n - i)) for i, p in
-                                            enumerate(pids)], tag=tag)
+        return RankedList(pids, [float(n - i) for i in range(n)], tag)
 
     s = rl(["s1", "s2", "s3"], "sentence")
     a = rl(["a1", "a2", "a3"], "answer")

@@ -312,6 +312,17 @@ class TestPipelineCmds:
         assert str(bad) in err and "weights" in err
         assert not (workdir / "short.trec").exists()
 
+    def test_train_on_empty_training_set_exit_1(self, workdir, models,
+                                                capsys):
+        empty = workdir / "empty_train.jsonl"
+        empty.write_text("")
+        rc = run("train", "--train", empty, "--index", models / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl", "--variant", "RI",
+                 "--out", workdir / "empty_ri.json")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no training questions\n"
+        assert not (workdir / "empty_ri.json").exists()
+
     def fails_one_question(self, workdir, capsys, strategy):
         """``retrieve`` with one qid's expansions removed writes the other
         39 lists and exits 1."""

@@ -16,33 +16,32 @@ from expandrank.pipeline import StrategySpec, run_strategy
 from oracles import reference_strategy_query
 
 
-def rl(qid, pids, tag="t"):
+def rl(pids, tag="t"):
     n = len(pids)
-    return RankedList(qid=qid, entries=[(p, float(n - i)) for i, p in
-                                        enumerate(pids)], tag=tag)
+    return RankedList(pids, [float(n - i) for i in range(n)], tag)
 
 
 class TestMinAnswerRank:
     def test_head(self, planted, planted_store):
         qa = planted.questions[0]
         answer_pid = f"{qa.qid}-z-ans"
-        assert min_answer_rank(rl(qa.qid, [answer_pid, f"{qa.qid}-rel00"]),
+        assert min_answer_rank(rl([answer_pid, f"{qa.qid}-rel00"]),
                                qa.answers, planted_store) == 1
 
     def test_position_15(self, planted, planted_store):
         qa = planted.questions[0]
         # 14 other questions' answer passages first, then this question's
         pids = [f"q{j:04d}-z-ans" for j in range(1, 15)] + [f"{qa.qid}-z-ans"]
-        assert min_answer_rank(rl(qa.qid, pids), qa.answers, planted_store) == 15
+        assert min_answer_rank(rl(pids), qa.answers, planted_store) == 15
 
     def test_miss_is_none(self, planted, planted_store):
         qa = planted.questions[0]
-        assert min_answer_rank(rl(qa.qid, [f"{qa.qid}-rel00"]), qa.answers,
+        assert min_answer_rank(rl([f"{qa.qid}-rel00"]), qa.answers,
                                planted_store) is None
 
     def test_empty_answers_rejected(self, planted_store):
         with pytest.raises(ValueError):
-            min_answer_rank(rl("q", []), (), planted_store)
+            min_answer_rank(rl([]), (), planted_store)
 
 
 class TestTopkAccuracy:
@@ -56,32 +55,31 @@ class TestTopkAccuracy:
 
     def test_all_rank_one(self, planted, planted_store):
         questions = planted.questions[:10]
-        runs = {qa.qid: rl(qa.qid, [f"{qa.qid}-z-ans"]) for qa in questions}
+        runs = {qa.qid: rl([f"{qa.qid}-z-ans"]) for qa in questions}
         report = topk_accuracy(runs, questions, planted_store)
         assert all(v == 1.0 for v in report.accuracies.values())
 
     def test_threshold(self, planted, planted_store):
         qa = planted.questions[0]
         pids = [f"q{j:04d}-z-ans" for j in range(1, 6)] + [f"{qa.qid}-z-ans"]
-        report = topk_accuracy({qa.qid: rl(qa.qid, pids)}, [qa], planted_store)
+        report = topk_accuracy({qa.qid: rl(pids)}, [qa], planted_store)
         assert report.accuracies[5] == 0.0
         assert report.accuracies[20] == 1.0
 
     def test_missing_question_counts_as_miss(self, planted, planted_store):
         questions = planted.questions[:4]
-        runs = {questions[0].qid: rl(questions[0].qid,
-                                     [f"{questions[0].qid}-z-ans"])}
+        runs = {questions[0].qid: rl([f"{questions[0].qid}-z-ans"])}
         report = topk_accuracy(runs, questions, planted_store)
         assert report.accuracies[100] == 0.25
 
     def test_unknown_qid_errors(self, planted, planted_store):
         with pytest.raises(ValueError, match="not in QA set"):
-            topk_accuracy({"ghost": rl("ghost", [])}, planted.questions[:2],
+            topk_accuracy({"ghost": rl([])}, planted.questions[:2],
                           planted_store)
 
     def test_matches_hand_count(self, planted, planted_store, planted_index):
         questions = planted.questions[:50]
-        runs = {qa.qid: planted_index.search(qa.question, 100, qid=qa.qid)
+        runs = {qa.qid: planted_index.search(qa.question, 100)
                 for qa in questions}
         report = topk_accuracy(runs, questions, planted_store, ks=(5,))
         hand = sum(
@@ -93,7 +91,7 @@ class TestTopkAccuracy:
 
     def test_permutation_invariant(self, planted, planted_store, planted_index):
         questions = planted.questions[:20]
-        runs = {qa.qid: planted_index.search(qa.question, 100, qid=qa.qid)
+        runs = {qa.qid: planted_index.search(qa.question, 100)
                 for qa in questions}
         a = topk_accuracy(runs, questions, planted_store)
         b = topk_accuracy(dict(reversed(runs.items())),
@@ -178,12 +176,12 @@ class TestBenchLatency:
         """The retrieval ``bench`` times is the strategy's own: the query it
         issues, which is not the bare question, and the list ``retrieve``
         gives for it, whether searched or kept by the oracle."""
-        timed = {}
+        timed = []
         retrieve = evalbench.retrieve
 
-        def spy(spec, index, qa, choice):
-            rl = retrieve(spec, index, qa, choice)
-            timed[qa.qid] = (choice.query, rl)
+        def spy(spec, index, choice):
+            rl = retrieve(spec, index, choice)
+            timed.append((choice.query, rl))
             return rl
 
         monkeypatch.setattr(evalbench, "retrieve", spy)
@@ -194,10 +192,9 @@ class TestBenchLatency:
         assert report.query_expand_s > 0.0 and report.query_rerank_s > 0.0
 
         index = build_index(planted_store, Bm25Params())
-        for qa in questions:
+        for qa, (query, rl) in zip(questions, timed, strict=True):
             cs = sample_expansions_stub(qa.question, 10, 0, index,
                                         planted_store)
-            query, rl = timed[qa.qid]
             assert query == reference_strategy_query(
                 spec, index, planted_store, qa, cs, None, None) != qa.question
             assert rl == run_strategy(spec, index, planted_store, qa, cs)
@@ -210,7 +207,7 @@ class TestBenchLatency:
 
 class TestRunFiles:
     def test_round_trip(self, tmp_path):
-        runs = {"q1": rl("q1", ["a", "b", "c"]), "q2": rl("q2", ["c", "d"])}
+        runs = {"q1": rl(["a", "b", "c"]), "q2": rl(["c", "d"])}
         path = tmp_path / "run.trec"
         write_run(runs, path)
         loaded = read_run(path)
@@ -228,8 +225,7 @@ class TestRunFiles:
         max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_keeps_six_decimals(self, tmp_path_factory, lists):
-        runs = {qid: RankedList(qid, list(zip(pids, sorted(scores,
-                                                           reverse=True))),
+        runs = {qid: RankedList(pids, sorted(scores, reverse=True)[:len(pids)],
                                 tag)
                 for qid, (pids, scores, tag) in lists.items()}
         path = tmp_path_factory.mktemp("runs") / "run.trec"
@@ -238,7 +234,7 @@ class TestRunFiles:
         assert list(loaded) == list(runs)
         for qid, rl in runs.items():
             assert loaded[qid] == RankedList(
-                qid, [(pid, round(s, 6)) for pid, s in rl.entries], rl.tag)
+                rl.pids(), [round(s, 6) for s in rl.scores.tolist()], rl.tag)
 
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "bad.trec"
@@ -285,6 +281,18 @@ class TestRunFiles:
             read_run(path)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("rows, fault", [
+        ("q1 Q0 a 1 1.0 t\nq1 Q0 b 2 1.5 t\n", "scores not non-increasing"),
+        ("q1 Q0 a 1 2.0 t\nq1 Q0 a 2 1.0 t\n", "duplicate pids"),
+    ])
+    def test_malformed_ranking_names_path_and_qid_once(self, tmp_path, rows,
+                                                       fault):
+        path = tmp_path / "bad.trec"
+        path.write_text("q0 Q0 z 1 1.0 t\n" + rows)
+        with pytest.raises(RunFormatError) as exc:
+            read_run(path)
+        assert str(exc.value) == f"{path}: qid q1: {fault}"
+
     def test_read_run_holds_no_per_entry_objects(self, tmp_path):
         """Entries cost a reference to one shared str per distinct pid and
         one double: no str per repeated pid, no float object per entry."""
@@ -313,7 +321,7 @@ class TestRunFiles:
     def test_imported_run_fusable(self, tmp_path):
         from expandrank.pipeline import fuse
         path = tmp_path / "ext.trec"
-        write_run({"q1": rl("q1", ["x", "y"], tag="dense")}, path)
+        write_run({"q1": rl(["x", "y"], tag="dense")}, path)
         external = read_run(path)
-        fused = fuse([rl("q1", ["a", "x"]), external["q1"]], k=10)
+        fused = fuse([rl(["a", "x"]), external["q1"]], k=10)
         assert fused.pids() == ["a", "x", "y"]

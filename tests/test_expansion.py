@@ -267,26 +267,24 @@ class TestSearchCandidates:
     def test_singleton_equals_search(self, small_corpus):
         store, index = small_corpus
         q, e = make_random_queries(2, list(store), seed=4)
-        got = search_candidates(index, q, cs([e]), 10, "q0")
+        got = search_candidates(index, q, cs([e]), 10)
         assert got[0].entries == \
-            index.search(expanded_query(q, e), 10, qid="q0").entries
+            index.search(expanded_query(q, e), 10).entries
 
     def test_matches_sequential(self, small_corpus):
         store, index = small_corpus
         q, *texts = make_random_queries(50, list(store), seed=6)
-        lists = search_candidates(index, q, cs(texts), 20, "q0")
+        lists = search_candidates(index, q, cs(texts), 20)
         assert len(lists) == len(texts)
         for text, rl in zip(texts, lists):
-            assert rl.qid == "q0"
             assert rl.entries == index.search(expanded_query(q, text), 20).entries
 
     def test_empty_set(self, small_corpus):
         """No empty set reaches a search, and a repeat is searched once."""
         _, index = small_corpus
         with pytest.raises(ValueError, match="empty candidate set for q1"):
-            search_candidates(index, "q", cs([]), 10, "q0")
-        assert len(search_candidates(index, "q", cs(["w a", "W A!"]), 10,
-                                     "q0")) == 1
+            search_candidates(index, "q", cs([]), 10)
+        assert len(search_candidates(index, "q", cs(["w a", "W A!"]), 10)) == 1
 
 
 class TestStoredPair:
@@ -311,8 +309,7 @@ class TestStoredPair:
                                         cands, k_retrieve)
             for c, rl in zip(cands.candidates, lists):
                 assert rl == planted_index.search(
-                    expanded_query(qa.question, c.text), max(k_retrieve, 2),
-                    qid=qa.qid)
+                    expanded_query(qa.question, c.text), max(k_retrieve, 2))
 
     def test_rank_counts_only_first_k_retrieve(self, rank_fixture):
         store, index = rank_fixture

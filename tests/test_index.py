@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expandrank.corpus import Passage, PassageStore
-from expandrank.index import Bm25Params, Index, IndexError_, RankedList, build_index
+from expandrank.index import (Bm25Params, Index, IndexError_, RankedList, build_index,
+                             ranked_lists)
 from expandrank.synth import make_random_corpus, make_random_queries
 from expandrank.text import Analyzer, normalize
 from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
@@ -280,15 +281,26 @@ def _duplicate_pid(raw, at):
     return raw[:16] + head + raw[16 + hlen:]
 
 
+def _with_header(raw, at, **fields):
+    """``raw`` with ``fields`` set in its header."""
+    blob = json.dumps({**at["header"], **fields}, sort_keys=True,
+                      separators=(",", ":")).encode()
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[at["offsets"]:]
+
+
 def _with_param(name, value):
     """Damage that sets one Bm25 parameter in the header to ``value``."""
     def damage(raw, at):
-        header = {**at["header"],
-                  "params": {**at["header"]["params"], name: value}}
-        blob = json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode()
-        return (raw[:8] + struct.pack("<Q", len(blob)) + blob
-                + raw[at["offsets"]:])
+        return _with_header(raw, at,
+                            params={**at["header"]["params"], name: value})
+    return damage
+
+
+def _swap_first_two(name):
+    """Damage that swaps the first two entries of the header's ``name``."""
+    def damage(raw, at):
+        first, second, *rest = at["header"][name]
+        return _with_header(raw, at, **{name: [second, first, *rest]})
     return damage
 
 
@@ -321,6 +333,10 @@ _DAMAGE = {
                              _get(raw, at["dls"], "<i") + 1),
         "doc lengths"),
     "duplicate_pid": (_duplicate_pid, "duplicate pids"),
+    # doc ids follow pid order and term ids the sorted vocabulary, so a
+    # swap would reverse ties or serve each term the other's postings
+    "pids_swapped": (_swap_first_two("pids"), "pids not ascending"),
+    "terms_swapped": (_swap_first_two("terms"), "terms not ascending"),
     # a truthy string would stem, and a bool k1 or b would change scores
     "stemming_string": (_with_param("stemming", "no"),
                         "bad header .stemming must be a bool, got str"),
@@ -480,28 +496,25 @@ class TestTermMap:
         assert ref() is None
 
 
+def _ranked(entries, tag="run"):
+    return RankedList([pid for pid, _ in entries], [s for _, s in entries], tag)
+
+
 class TestRankedList:
     @given(_entries())
     def test_entries_round_trip(self, entries):
-        rl = RankedList("q", entries, "t")
+        rl = _ranked(entries, "t")
         assert rl.entries == entries
         assert rl.pids() == [pid for pid, _ in entries]
         assert len(rl) == len(entries)
-        cols = RankedList.from_columns("q", rl.pids(), rl.scores, "t")
-        assert cols.entries == entries
-        assert cols == rl
-
-    @given(_entries())
-    def test_entries_from_an_iterator(self, entries):
-        rl = RankedList("q", iter(entries), "t")
-        assert rl.entries == entries
-        assert len(rl) == len(rl.scores) == len(entries)
+        (shared,) = ranked_lists([(rl.pids(), rl.scores, "t")])
+        assert shared.entries == entries
+        assert shared == rl
 
     @given(_entries(), _entries())
     def test_equality_matches_tuples(self, a, b):
-        assert (RankedList("q", a) == RankedList("q", b)) == (a == b)
-        assert RankedList("q", a) != RankedList("r", a)
-        assert RankedList("q", a, "t") != RankedList("q", a, "u")
+        assert (_ranked(a) == _ranked(b)) == (a == b)
+        assert _ranked(a, "t") != _ranked(a, "u")
 
     @given(_entries())
     def test_validate_matches_tuples(self, entries):
@@ -510,14 +523,16 @@ class TestRankedList:
         ok = (all(a >= b for a, b in zip(scores, scores[1:]))
               and len(set(pids)) == len(pids))
         try:
-            RankedList("q", entries).validate()
+            _ranked(entries).validate()
             assert ok
         except ValueError:
             assert not ok
 
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="2 pids but 1 scores"):
-            RankedList.from_columns("q", ["a", "b"], [1.0])
+            RankedList(["a", "b"], [1.0])
+        with pytest.raises(ValueError, match="1 pids but 2 scores"):
+            ranked_lists([(["a"], [2.0, 1.0], "t")])
 
     def test_search_result_holds_no_per_entry_objects(self):
         """Entries cost their pid reference and one float64: no tuple or
@@ -549,14 +564,14 @@ class TestRankedList:
                                              ((1 << 16) + 1, np.int32)])
     def test_rows_of_the_narrowest_type(self, n, row_type):
         pids = [f"p{i}" for i in range(n)]
-        rl = RankedList.from_columns("q", pids, np.arange(n, 0, -1.0))
+        rl = RankedList(pids, np.arange(n, 0, -1.0))
         assert rl._rows.dtype == row_type
         assert rl.pids() == pids
         rl.validate()
 
     def test_validate(self):
-        RankedList(qid="q", entries=[("a", 2.0), ("b", 1.0)]).validate()
-        with pytest.raises(ValueError):
-            RankedList(qid="q", entries=[("a", 1.0), ("b", 2.0)]).validate()
-        with pytest.raises(ValueError):
-            RankedList(qid="q", entries=[("a", 2.0), ("a", 1.0)]).validate()
+        RankedList(["a", "b"], [2.0, 1.0]).validate()
+        with pytest.raises(ValueError, match="^scores not non-increasing$"):
+            RankedList(["a", "b"], [1.0, 2.0]).validate()
+        with pytest.raises(ValueError, match="^duplicate pids$"):
+            RankedList(["a", "a"], [2.0, 1.0]).validate()

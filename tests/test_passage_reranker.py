@@ -90,7 +90,7 @@ class TestTraining:
                                         PRTrainConfig(train_depth=40))
         correct = total = 0
         for qa in questions:
-            rl = index.search(qa.question, 40, qid=qa.qid)
+            rl = index.search(qa.question, 40)
             probs = scorer.probability(list_features(index, store,
                                                      qa.question, rl))
             for pid, p in zip(rl.pids(), probs):
@@ -104,7 +104,7 @@ class TestTraining:
         hopeless = [QAExample(qid="n1", question="about subject00",
                               answers=("neverpresent",))]
         scorer = train_passage_reranker(index, store, hopeless)
-        rl = index.search("about subject00", 10, qid="n1")
+        rl = index.search("about subject00", 10)
         probs = scorer.probability(list_features(index, store,
                                                  "about subject00", rl))
         assert all(p < 0.5 for p in probs)
@@ -168,7 +168,7 @@ class TestPassageFeatures:
         reranked = set()
         for _ in range(2):
             for qa in questions:
-                rl = index.search(qa.question, 40, qid=qa.qid)
+                rl = index.search(qa.question, 40)
                 rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
                 reranked.update(rl.pids())
         # the searches and the passage stats share the index's token map
@@ -197,7 +197,7 @@ class TestPassageFeatures:
         """Warm stats leave only the question to normalize: the overlap
         scans each passage's folded text."""
         store, index, questions = deep_fixture
-        lists = [(qa.question, index.search(qa.question, 40, qid=qa.qid))
+        lists = [(qa.question, index.search(qa.question, 40))
                  for qa in questions]
         for question, rl in lists:
             rerank_passages(pr_scorer, index, store, question, rl, 40)
@@ -279,7 +279,7 @@ class TestConstantFeature:
         assert scorer.weights[LENGTH] == 0.0
         assert scorer.weights[BIAS] != 0.0
         for qa in questions:
-            rl = index.search(qa.question, 10, qid=qa.qid)
+            rl = index.search(qa.question, 10)
             out = rerank_passages(scorer, index, store, qa.question, rl, 10)
             assert all(0.0 <= p <= 1.0 for _, p in out.entries)
 
@@ -295,7 +295,7 @@ class TestRerank:
     def test_depth_one_unchanged(self, deep_fixture, pr_scorer):
         store, index, questions = deep_fixture
         qa = questions[0]
-        rl = index.search(qa.question, 40, qid=qa.qid)
+        rl = index.search(qa.question, 40)
         out = rerank_passages(pr_scorer, index, store, qa.question, rl, depth=1)
         assert out.pids() == rl.pids()
 
@@ -304,7 +304,7 @@ class TestRerank:
         scorer = PassageScorer(np.array([1.0, 0, 0, 0, 0]),
                                np.zeros(5), np.ones(5))
         qa = questions[0]
-        rl = index.search(qa.question, 40, qid=qa.qid)
+        rl = index.search(qa.question, 40)
         out = rerank_passages(scorer, index, store, qa.question, rl,
                               depth=len(rl))
         assert out.pids() == rl.pids()
@@ -313,7 +313,7 @@ class TestRerank:
     def test_scores_never_increase(self, deep_fixture, pr_scorer, depth):
         store, index, questions = deep_fixture
         for qa in questions:
-            rl = index.search(qa.question, 40, qid=qa.qid)
+            rl = index.search(qa.question, 40)
             out = rerank_passages(pr_scorer, index, store, qa.question, rl,
                                   depth)
             out.validate()
@@ -323,7 +323,7 @@ class TestRerank:
                                                  pr_scorer):
         store, index, questions = deep_fixture
         qa = questions[3]
-        rl = index.search(qa.question, 40, qid=qa.qid)
+        rl = index.search(qa.question, 40)
         out = rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
         by_pid = dict(rl.entries)
         assert [s for _, s in out.entries] == pr_scorer.probability(
@@ -334,7 +334,7 @@ class TestRerank:
     def test_equals_reranking_with_reference_features(
             self, planted, planted_store, planted_index, pr_scorer, depth):
         for qa in planted.questions[:40]:
-            rl = planted_index.search(qa.question, 60, qid=qa.qid)
+            rl = planted_index.search(qa.question, 60)
             out = rerank_passages(pr_scorer, planted_index, planted_store,
                                   qa.question, rl, depth)
             assert out.entries == reference_rerank(
@@ -346,7 +346,7 @@ class TestRerank:
         scorer = train_passage_reranker(index, store, questions,
                                         PRTrainConfig(train_depth=40))
         qa = questions[1]
-        rl = index.search(qa.question, 40, qid=qa.qid)
+        rl = index.search(qa.question, 40)
         out = rerank_passages(scorer, index, store, qa.question, rl, depth=20)
         assert sorted(out.pids()[:20]) == sorted(rl.pids()[:20])
         assert out.pids()[20:] == rl.pids()[20:]
@@ -357,7 +357,7 @@ class TestRerank:
                                         PRTrainConfig(train_depth=40))
         lifted = 0
         for qa in questions:
-            rl = index.search(qa.question, 100, qid=qa.qid)
+            rl = index.search(qa.question, 100)
             assert rl.pids().index(f"{qa.qid}-zans") == 39  # buried by ties
             out = rerank_passages(scorer, index, store, qa.question, rl,
                                   depth=100)
@@ -369,7 +369,7 @@ class TestRerank:
         store, index, questions = deep_fixture
         scorer = train_passage_reranker(index, store, questions)
         qa = questions[2]
-        rl = index.search(qa.question, 40, qid=qa.qid)
+        rl = index.search(qa.question, 40)
         once = rerank_passages(scorer, index, store, qa.question, rl, depth=40)
         twice = rerank_passages(scorer, index, store, qa.question, once, depth=40)
         assert twice.pids() == once.pids()
@@ -377,7 +377,7 @@ class TestRerank:
     def test_depth_clamped(self, deep_fixture, pr_scorer):
         store, index, questions = deep_fixture
         qa = questions[0]
-        rl = index.search(qa.question, 10, qid=qa.qid)
+        rl = index.search(qa.question, 10)
         out = rerank_passages(pr_scorer, index, store, qa.question, rl, depth=999)
         assert len(out) == len(rl)
 

@@ -19,53 +19,52 @@ from expandrank.text import normalize
 from oracles import reference_fuse, reference_strategy_query
 
 
-def rl(qid, pids, tag="t"):
+def rl(pids, tag="t"):
     n = len(pids)
-    return RankedList(qid=qid, entries=[(p, float(n - i)) for i, p in
-                                        enumerate(pids)], tag=tag)
+    return RankedList(pids, [float(n - i) for i in range(n)], tag)
 
 
 class TestFuse:
     def test_disjoint_round_robin(self):
-        s = rl("q", ["s1", "s2", "s3"])
-        a = rl("q", ["a1", "a2", "a3"])
-        t = rl("q", ["t1", "t2", "t3"])
+        s = rl(["s1", "s2", "s3"])
+        a = rl(["a1", "a2", "a3"])
+        t = rl(["t1", "t2", "t3"])
         out = fuse([s, a, t], k=9)
         assert out.pids() == ["s1", "a1", "t1", "s2", "a2", "t2", "s3", "a3", "t3"]
 
     def test_single_list_identity(self):
-        out = fuse([rl("q", ["x", "y", "z"])], k=2)
+        out = fuse([rl(["x", "y", "z"])], k=2)
         assert out.pids() == ["x", "y"]
 
     def test_duplicate_costs_the_turn(self):
-        s = rl("q", ["s1", "s2"])
-        a = rl("q", ["s1", "a2"])   # a's first entry duplicates s1
-        t = rl("q", ["t1", "t2"])
+        s = rl(["s1", "s2"])
+        a = rl(["s1", "a2"])   # a's first entry duplicates s1
+        t = rl(["t1", "t2"])
         out = fuse([s, a, t], k=6)
         assert out.pids() == ["s1", "t1", "s2", "a2", "t2"]
 
     def test_distinct_ids_and_length_bound(self):
-        lists = [rl("q", [f"{src}{i}" for i in range(5)]) for src in "sat"]
+        lists = [rl([f"{src}{i}" for i in range(5)]) for src in "sat"]
         out = fuse(lists, k=100)
         assert len(out.pids()) == len(set(out.pids())) == 15
         assert len(fuse(lists, k=7)) == 7
 
     def test_scores_descend(self):
-        out = fuse([rl("q", ["a", "b"]), rl("q", ["c"])], k=10)
+        out = fuse([rl(["a", "b"]), rl(["c"])], k=10)
         out.validate()
 
     @given(st.lists(st.lists(st.sampled_from("abcdefghij"), max_size=8,
                              unique=True), min_size=1, max_size=4),
            st.integers(min_value=1, max_value=25))
     def test_matches_tuple_reference(self, pid_lists, k):
-        lists = [rl("q", pids, tag=f"t{i}") for i, pids in enumerate(pid_lists)]
+        lists = [rl(pids, tag=f"t{i}") for i, pids in enumerate(pid_lists)]
         assert fuse(lists, k) == reference_fuse(lists, k)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             fuse([], k=5)
         with pytest.raises(ValueError):
-            fuse([rl("q", ["a"])], k=0)
+            fuse([rl(["a"])], k=0)
 
 
 class TestStrategySpec:
@@ -266,8 +265,7 @@ class TestChoose:
                                              model, featurizer)
             got = run_strategy(spec, planted_index, planted_store, qa, cands,
                                model, featurizer)
-            assert got == planted_index.search(query, k, qid=qa.qid,
-                                               tag=kind)
+            assert got == planted_index.search(query, k, kind)
             choice = choose(spec, planted_index, planted_store, qa, cands,
                             model, featurizer)
             assert choice.query == query

@@ -69,7 +69,7 @@ class TestFeaturizeRD:
     def test_novel_overlap_zero_when_absent(self, planted, planted_index,
                                             featurizer):
         qa = planted.questions[0]
-        rl = planted_index.search(qa.question + " zn0x0a", k=2, qid=qa.qid)
+        rl = planted_index.search(qa.question + " zn0x0a", k=2)
         f = rd_row(featurizer, qa.question, "keyaa" + "bbb", rl)
         assert f[10] == 0.0
 
@@ -79,7 +79,7 @@ class TestFeaturizeRD:
         useful = planted.candidates[qa.qid].candidates[
             planted.useful_index[qa.qid]
         ]
-        rl = planted_index.search(f"{qa.question} {useful.text}", k=2, qid=qa.qid)
+        rl = planted_index.search(f"{qa.question} {useful.text}", k=2)
         f = rd_row(featurizer, qa.question, useful.text, rl)
         assert rl.entries[0][0].endswith("-z-ans")
         assert f[9] == pytest.approx(rl.entries[0][1])
@@ -161,7 +161,7 @@ class TestFeatureMatrix:
         for i, (text, top) in enumerate(cands):
             assert ri[i].tobytes() == reference_ri(
                 small_featurizer, question, text).tobytes()
-            rl = RankedList(qid="q", entries=top)
+            rl = RankedList([pid for pid, _ in top], [s for _, s in top])
             assert rd[i].tobytes() == reference_rd(
                 small_featurizer, question, text, rl).tobytes()
 
@@ -439,6 +439,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="fewer than 2"):
             train([broken], TrainConfig(), "RI", featurizer)
 
+    @pytest.mark.parametrize("variant", ["RI", "RD"])
+    def test_no_questions_rejected(self, featurizer, variant):
+        with pytest.raises(ValueError, match="^no training questions$"):
+            train([], TrainConfig(), variant, featurizer)
+
 
 def selection_accuracy(model, qa_list, planted, store, index, cfg, featurizer):
     correct = 0
@@ -483,7 +488,7 @@ class TestSelectBest:
         tops = None
         if variant == "RD":
             tops = [rl.entries for rl in search_candidates(
-                featurizer.index, question, cs, 2, cs.qid)]
+                featurizer.index, question, cs, 2)]
             assert all(len(t) == 2 for t in tops)
         rows = featurizer.features(variant, question,
                                    [c.text for c in cs.candidates], tops)
