@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, replace
 
 from .corpus import AnswerMatcher, PassageStore
 from .expansion import min_answer_rank, sample_expansions_stub  # noqa: F401 (re-export)
-from .index import Bm25Params, Index, RankedList, build_index, ranked_lists
+from .index import (Bm25Params, Index, RankedList, build_index,
+                    lists_on_table)
 from .pipeline import (StrategySpec, check_strategy, choose, retrieve,
                        run_strategy)
 from .reranker import Featurizer
@@ -174,11 +175,12 @@ def write_run(runs: dict[str, RankedList], path) -> None:
 
 
 def read_run(path) -> dict[str, RankedList]:
-    # qid -> (tag, pids, scores), in first-seen order.  Lists share one str
-    # per distinct pid, and scores are unboxed doubles; the lists made from
-    # them share one table of the file's distinct pids.
-    columns: dict[str, tuple[str, list[str], array]] = {}
-    names: dict[str, str] = {}
+    # qid -> (tag, rows, scores), in first-seen order.  Each distinct pid
+    # gets the next row as it is first met, so the file's one pid -> row
+    # map is built while parsing; rows and scores are unboxed ints and
+    # doubles, and the lists share one table of the distinct pids.
+    columns: dict[str, tuple[str, array, array]] = {}
+    row_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -195,20 +197,24 @@ def read_run(path) -> dict[str, RankedList]:
             if not math.isfinite(score):
                 raise RunFormatError(
                     f"{path}:{lineno}: score {score_s} is not finite")
-            first_tag, pids, scores = columns.setdefault(
-                qid, (tag, [], array("d")))
+            first_tag, rows, scores = columns.setdefault(
+                qid, (tag, array("i"), array("d")))
             if tag != first_tag:
                 raise RunFormatError(f"{path}:{lineno}: tag {tag} differs "
                                      f"from qid {qid}'s tag {first_tag}")
-            if rank != len(pids) + 1:
+            if rank != len(rows) + 1:
                 raise RunFormatError(
                     f"{path}:{lineno}: rank {rank} breaks the 1-based "
                     f"contiguous order for qid {qid}"
                 )
-            pids.append(names.setdefault(pid, pid))
+            rows.append(row_of.setdefault(pid, len(row_of)))
             scores.append(score)
-    runs = dict(zip(columns, ranked_lists(
-        (pids, scores, tag) for tag, pids, scores in columns.values())))
+    # The map and each list's buffers are let go before and as the lists
+    # are made from them, so they are never held next to all the lists.
+    pids, qids = list(row_of), list(columns)
+    del row_of
+    runs = dict(zip(qids, lists_on_table(pids, (
+        (rows, scores, tag) for tag, rows, scores in map(columns.pop, qids)))))
     for qid, rl in runs.items():
         try:
             rl.validate()

@@ -208,11 +208,13 @@ def search_candidates(index: Index, question: str, cs: CandidateSet,
 
     The one place that searches a question's candidate expansions.  The
     question's term ids are read once and each candidate's once; together
-    they are the term ids of ``expanded_query(question, candidate)``.
+    they are the term ids of ``expanded_query(question, candidate)``.  The
+    set is searched in one ``Index.search_many``, which packs it into one
+    scoring pass when its posting lists are short.
     """
     q_ids = index.term_ids(question)
-    return [index.search_ids(q_ids + index.term_ids(c.text), k)
-            for c in cs.candidates]
+    return index.search_many([q_ids + index.term_ids(c.text)
+                              for c in cs.candidates], k)
 
 
 def label_candidates(index: Index, store: PassageStore, qa: QAExample,

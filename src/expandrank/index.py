@@ -67,15 +67,13 @@ def _row_type(table_size: int) -> type:
     return np.uint16 if table_size <= 1 << 16 else np.int32
 
 
-def _rows_into_one_table(pid_lists) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A table of the distinct pids of ``pid_lists``, and each list's rows
-    into it."""
-    row_of = {pid: i for i, pid in
-              enumerate(dict.fromkeys(chain.from_iterable(pid_lists)))}
-    row_type = _row_type(len(row_of))
-    rows = [np.fromiter(map(row_of.__getitem__, pids), dtype=row_type,
-                        count=len(pids)) for pids in pid_lists]
-    return np.array(list(row_of), dtype=object), rows
+def _numbered(pid_lists) -> tuple[list[str], list[list[int]]]:
+    """The distinct pids of ``pid_lists`` in first-seen order, and each
+    list's rows: its pids' positions among them."""
+    row_of: dict[str, int] = {}
+    rows = [[row_of.setdefault(pid, len(row_of)) for pid in pids]
+            for pids in pid_lists]
+    return list(row_of), rows
 
 
 def _score_column(pids, scores) -> np.ndarray:
@@ -106,7 +104,9 @@ class RankedList:
         """A list of ``pids`` with the aligned ``scores``."""
         self.tag = tag
         self.scores: np.ndarray = _score_column(pids, scores)
-        self._table, (self._rows,) = _rows_into_one_table([pids])
+        table, (rows,) = _numbered([pids])
+        self._table = np.array(table, dtype=object)
+        self._rows = np.array(rows, dtype=_row_type(len(table)))
 
     @classmethod
     def _of_rows(cls, table: np.ndarray, rows: np.ndarray,
@@ -171,12 +171,24 @@ class RankedList:
 
 def ranked_lists(columns) -> list[RankedList]:
     """A list for each ``(pids, scores, tag)`` of ``columns``, all sharing
-    one table of their distinct pids: the lists of one run file."""
-    columns = [(pids, _score_column(pids, scores), tag)
-               for pids, scores, tag in columns]
-    table, rows = _rows_into_one_table([pids for pids, _, _ in columns])
-    return [RankedList._of_rows(table, r, scores, tag)
-            for (_, scores, tag), r in zip(columns, rows)]
+    one table of their distinct pids."""
+    columns = list(columns)
+    table, rows = _numbered([pids for pids, _, _ in columns])
+    return lists_on_table(table, [(r, scores, tag) for r, (_, scores, tag)
+                                  in zip(rows, columns)])
+
+
+def lists_on_table(pids, columns) -> list[RankedList]:
+    """A list for each ``(rows, scores, tag)`` of ``columns``, all sharing
+    one table of ``pids``, which are distinct; ``rows`` are positions in
+    ``pids``.  ``read_run`` numbers each pid as it first meets it, so it
+    holds one pid -> row map and no per-entry pid strings."""
+    table = np.array(pids, dtype=object)
+    row_type = _row_type(len(table))
+    # rows and scores are copied, so no list holds a view of a buffer
+    return [RankedList._of_rows(table, np.array(rows, dtype=row_type),
+                                _score_column(rows, np.array(scores)), tag)
+            for rows, scores, tag in columns]
 
 
 class Index:
@@ -295,6 +307,79 @@ class Index:
         return RankedList._of_rows(self._pid_objs,
                                    docs.astype(_row_type(self.doc_count)),
                                    scores[docs], tag)
+
+    def search_many(self, term_id_lists, k: int,
+                    tag: str = "run") -> list[RankedList]:
+        """``search_ids(ids, k, tag)`` of each of ``term_id_lists``, equal
+        to it list for list and bit for bit.
+
+        When the queries' posting lists are short next to the corpus, that
+        is when the number of queries times the postings of their distinct
+        terms is at most ``doc_count``, all of them are scored in one
+        ``bincount`` (``_search_packed``).  The rule reads only
+        ``post_offsets``, and it bounds the packed (queries × documents)
+        score matrix by the size of one dense score vector.  Otherwise, or
+        for a single query, each query runs through ``search_ids``.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        n = len(term_id_lists)
+        if n > 1:
+            terms = np.fromiter(set().union(*term_id_lists), dtype=np.int64)
+            offsets = self.post_offsets
+            postings = int((offsets[terms + 1] - offsets[terms]).sum())
+            if n * postings <= self.doc_count:
+                return self._search_packed(term_id_lists, k, tag)
+        return [self.search_ids(ids, k, tag) for ids in term_id_lists]
+
+    def _search_packed(self, term_id_lists, k: int,
+                       tag: str) -> list[RankedList]:
+        """``search_many`` in one ``bincount`` over the documents on the
+        queries' posting lists.
+
+        Each query's postings are gathered in its own term order, as
+        ``score_all`` gathers them, and its row is keyed apart from the
+        others, so every row is summed exactly as its own search sums it.
+        Each list owns its rows and scores, so keeping one keeps nothing
+        else of the set alive.
+        """
+        # each query's distinct terms ascending with their counts, as
+        # ``score_all`` counts them, from one sort of (query, term) keys
+        n, vocab_size = len(term_id_lists), len(self.terms)
+        sizes = list(map(len, term_id_lists))
+        keys = np.fromiter(chain.from_iterable(term_id_lists), dtype=np.int64,
+                           count=sum(sizes))
+        keys += np.repeat(np.arange(n, dtype=np.int64) * vocab_size, sizes)
+        keys, weights = np.unique(keys, return_counts=True)
+        term_query = keys // vocab_size
+        docs, impacts, counts = kernels.gather_postings(
+            keys - term_query * vocab_size, weights.astype(np.float64),
+            self.post_offsets, self.post_docs, self._impact, self.idf)
+        query_of = np.repeat(term_query, counts)
+        # columns follow doc id, so a tie goes to the smaller pid
+        cols, col_of = np.unique(docs, return_inverse=True)
+        width = len(cols)
+        scores = np.bincount(query_of * width + col_of, impacts,
+                             minlength=n * width).astype(
+            np.float64, copy=False).reshape(n, width)
+        keep = scores > 0.0
+        if width > k:
+            # only a row's documents scoring at least its k-th largest score
+            # can rank in its top k
+            kth = np.partition(scores, width - k, axis=1)[:, width - k]
+            keep &= scores >= kth[:, None]
+        rows, at = np.nonzero(keep)
+        top = scores[rows, at]
+        order = np.lexsort((at, -top, rows))
+        kept = np.bincount(rows, minlength=n)
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(kept) - kept, kept)
+        order = order[rank < k]
+        found = cols[at[order]].astype(_row_type(self.doc_count))
+        top = top[order]
+        ends = np.cumsum(np.minimum(kept, k)).tolist()
+        return [RankedList._of_rows(self._pid_objs, found[a:b].copy(),
+                                    top[a:b].copy(), tag)
+                for a, b in zip([0, *ends], ends)]
 
     # -- persistence --------------------------------------------------------
 

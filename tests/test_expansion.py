@@ -15,10 +15,11 @@ from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   load_training_set, sample_expansions_stub,
                                   save_training_set, search_candidates,
                                   truncate)
-from expandrank.index import Bm25Params, build_index
+from expandrank.index import Bm25Params, Index, build_index
 from expandrank.pipeline import StrategySpec, run_strategy
 from expandrank.synth import make_random_corpus, make_random_queries
 from expandrank.text import normalize
+from test_golden import _zipf
 
 
 def cs(texts, qid="q1"):
@@ -285,6 +286,39 @@ class TestSearchCandidates:
         with pytest.raises(ValueError, match="empty candidate set for q1"):
             search_candidates(index, "q", cs([]), 10)
         assert len(search_candidates(index, "q", cs(["w a", "W A!"]), 10)) == 1
+
+    def test_short_lists_pack_and_long_ones_do_not(self, planted,
+                                                   planted_index,
+                                                   monkeypatch):
+        """A set whose queries times their postings fit in the corpus is
+        scored in one pass with no per-query search: every planted set.  A
+        set over dense posting lists is searched query by query: every set
+        of the golden Zipf workload."""
+        passages, questions, sets = _zipf()
+        zipf_index = build_index(PassageStore(passages), Bm25Params())
+        calls = []
+        search_ids = Index.search_ids
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return search_ids(self, *args, **kwargs)
+
+        for index, qas, set_of, per_query in (
+                (planted_index, planted.questions, planted.candidates, 0),
+                (zipf_index, questions, sets, 1)):
+            for qa in qas:
+                candidates = set_of[qa.qid]
+                with monkeypatch.context() as m:
+                    m.setattr(Index, "search_ids", counting)
+                    lists = search_candidates(index, qa.question,
+                                              candidates, 100)
+                assert len(calls) == per_query * len(candidates)
+                calls.clear()
+                for c, rl in zip(candidates.candidates, lists):
+                    one = index.search(expanded_query(qa.question, c.text),
+                                       100)
+                    assert rl.pids() == one.pids()
+                    assert rl.scores.tobytes() == one.scores.tobytes()
 
 
 class TestStoredPair:

@@ -420,17 +420,59 @@ class TestPartialTopK:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(_tie_texts, st.integers(1, 3)), min_size=1,
                     max_size=8),
-           _tie_texts)
-    def test_search_matches_full_sort(self, texts, query):
+           _tie_texts, st.lists(_tie_texts, max_size=1),
+           st.integers(0, 60))
+    def test_search_matches_full_sort(self, texts, query, others, filler):
+        # ``filler`` passages on no query's list make the set's lists short
+        # next to the corpus, so ``search_many`` packs some sets
         passages = [Passage(id=f"p{i:02d}.{j}", title="", text=text)
                     for i, (text, copies) in enumerate(texts)
                     for j in range(copies)]
+        passages += [Passage(id=f"w{i:02d}", title="", text="white")
+                     for i in range(filler)]
         index = build_index(PassageStore(passages), PARAMS)
-        n_pos = len(reference_search(index, query, len(passages)))
+        # a query with no term ids, and one with a repeated term
+        queries = [query, "the zebra", f"{query} {query.split()[0]}",
+                   *others]
+        ids = [index.term_ids(q) for q in queries]
+        n_pos = max(len(reference_search(index, q, len(passages)))
+                    for q in queries)
         # every cut, through ties or not, and k past the positive docs
         for k in range(1, n_pos + 3):
             assert index.search(query, k).entries == \
                 reference_search(index, query, k)
+            single = [index.search_ids(i, k) for i in ids]
+            for lists in (index.search_many(ids, k),
+                          index._search_packed(ids, k, "run")):
+                assert len(lists) == len(queries)
+                for q, rl, one in zip(queries, lists, single):
+                    assert rl.entries == reference_search(index, q, k)
+                    assert rl.pids() == one.pids()
+                    assert rl.scores.tobytes() == one.scores.tobytes()
+                    assert rl._rows.dtype == one._rows.dtype
+
+    def test_search_many_edges(self, small_corpus):
+        store, index = small_corpus
+        queries = make_random_queries(3, list(store), seed=2)
+        ids = [index.term_ids(q) for q in queries]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            index.search_many(ids, 0)
+        assert index.search_many([], 5) == []
+        assert index.search_many(ids[:1], 5, "t") == \
+            [index.search_ids(ids[0], 5, "t")]
+        for rl in index._search_packed([[], []], 5, "t"):
+            assert len(rl) == 0 and rl.tag == "t"
+            assert rl.scores.dtype == np.float64
+            assert rl._rows.dtype == np.uint16
+
+    def test_packed_lists_own_their_arrays(self, small_corpus):
+        """A kept list holds its own rows and scores, not views of the
+        set's arrays, so it keeps nothing else of the set alive."""
+        store, index = small_corpus
+        ids = [index.term_ids(q)
+               for q in make_random_queries(4, list(store), seed=3)]
+        for rl in index._search_packed(ids, 10, "run"):
+            assert len(rl) and rl._rows.base is None and rl.scores.base is None
 
     def test_boundary_cuts_through_ties(self):
         # Three copies of one passage tie; k=2 and k=3 cut through them.

@@ -197,21 +197,33 @@ class TestChoose:
     def test_oracle_searches_each_candidate_once(self, planted20,
                                                  monkeypatch):
         """The oracle's run is the chosen candidate's labeling list, so n
-        candidates cost n searches, not n + 1."""
+        candidates cost n queries scored, not n + 1: the rows of
+        ``search_many`` plus any ``search_ids`` call outside it."""
         fx, store, index = planted20
-        calls = []
-        search_ids = Index.search_ids
+        scored = []
+        depth = []  # one entry per ``search_many`` call under way
+        search_many, search_ids = Index.search_many, Index.search_ids
 
-        def counting(self, *args, **kwargs):
-            calls.append(args)
+        def many(self, term_id_lists, *args, **kwargs):
+            scored.extend(term_id_lists)
+            depth.append(1)
+            try:
+                return search_many(self, term_id_lists, *args, **kwargs)
+            finally:
+                depth.pop()
+
+        def single(self, *args, **kwargs):
+            if not depth:
+                scored.append(args)
             return search_ids(self, *args, **kwargs)
 
-        monkeypatch.setattr(Index, "search_ids", counting)
+        monkeypatch.setattr(Index, "search_many", many)
+        monkeypatch.setattr(Index, "search_ids", single)
         spec = StrategySpec(kind="oracle")
         for qa in fx.questions:
-            calls.clear()
+            scored.clear()
             run_strategy(spec, index, store, qa, fx.candidates[qa.qid])
-            assert len(calls) == len(fx.candidates[qa.qid])
+            assert len(scored) == len(fx.candidates[qa.qid])
 
     def test_ear_rd_stems_each_surface_token_once(self, planted20, rd_model,
                                                   monkeypatch):
