@@ -45,13 +45,17 @@ def _config(cls, **fields):
 
 
 def _positive_ints(name: str, text: str) -> list[int]:
-    """The values of a comma-separated list flag, each an integer >= 1."""
+    """The values of a comma-separated list flag, each an integer >= 1 and
+    none repeated."""
     try:
         values = [int(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"{name} must be integers, got {text!r}") from None
     if min(values) < 1:
         raise UsageError(f"{name} must be >= 1, got {min(values)}")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise UsageError(f"{name} lists {repeated[0]} more than once")
     return values
 
 

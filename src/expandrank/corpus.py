@@ -167,7 +167,8 @@ class AnswerMatcher:
     On the first passage that does not match, it intersects, for each
     answer, the posting lists of the answer's terms, once; from then on a
     passage outside every answer's intersection is a miss and is not
-    normalized.  ``build_index`` analyzes each surface token on its own, so
+    normalized.  ``build_index`` indexes each surface token as
+    ``Analyzer.term`` of it, which ``Index.surface_terms`` looks up too, so
     a passage that holds an answer is on the posting list of each of the
     answer's terms (a stopword has none, and a token with no term is in no
     passage); indexing titles only adds postings.  This holds only if

@@ -69,6 +69,8 @@ class LatencyReport:
 
 def topk_accuracy(runs: dict[str, RankedList], qa_list, store: PassageStore,
                   ks=DEFAULT_KS, tag: str = "run") -> AccuracyReport:
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"ks must be distinct, got {list(ks)}")
     by_qid = {qa.qid: qa for qa in qa_list}
     unknown = set(runs) - set(by_qid)
     if unknown:

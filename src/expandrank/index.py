@@ -67,15 +67,6 @@ def _row_type(table_size: int) -> type:
     return np.uint16 if table_size <= 1 << 16 else np.int32
 
 
-def _numbered(pid_lists) -> tuple[list[str], list[list[int]]]:
-    """The distinct pids of ``pid_lists`` in first-seen order, and each
-    list's rows: its pids' positions among them."""
-    row_of: dict[str, int] = {}
-    rows = [[row_of.setdefault(pid, len(row_of)) for pid in pids]
-            for pids in pid_lists]
-    return list(row_of), rows
-
-
 def _score_column(pids, scores) -> np.ndarray:
     """``scores`` as float64, one per pid of ``pids``."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -90,7 +81,7 @@ class RankedList:
     Stored as two columns: one row per entry into a table of distinct pids
     (uint16 while the table holds at most 65,536 pids, else int32), which
     lists share (search results share ``Index._pid_objs``, and the lists
-    of one ``ranked_lists`` call share one table), and one float64 per
+    of one ``lists_on_table`` call share one table), and one float64 per
     entry.  ``entries`` and ``pids()`` build the pids on
     demand; a reader of the first few entries takes ``head(n)`` or
     ``iter_pids()``.  ``head`` and ``reorder`` make lists that share the
@@ -104,9 +95,11 @@ class RankedList:
         """A list of ``pids`` with the aligned ``scores``."""
         self.tag = tag
         self.scores: np.ndarray = _score_column(pids, scores)
-        table, (rows,) = _numbered([pids])
-        self._table = np.array(table, dtype=object)
-        self._rows = np.array(rows, dtype=_row_type(len(table)))
+        # the distinct pids in first-seen order, and each entry's position
+        row_of: dict[str, int] = {}
+        rows = [row_of.setdefault(pid, len(row_of)) for pid in pids]
+        self._table = np.array(list(row_of), dtype=object)
+        self._rows = np.array(rows, dtype=_row_type(len(row_of)))
 
     @classmethod
     def _of_rows(cls, table: np.ndarray, rows: np.ndarray,
@@ -169,15 +162,6 @@ class RankedList:
             raise ValueError("duplicate pids")
 
 
-def ranked_lists(columns) -> list[RankedList]:
-    """A list for each ``(pids, scores, tag)`` of ``columns``, all sharing
-    one table of their distinct pids."""
-    columns = list(columns)
-    table, rows = _numbered([pids for pids, _, _ in columns])
-    return lists_on_table(table, [(r, scores, tag) for r, (_, scores, tag)
-                                  in zip(rows, columns)])
-
-
 def lists_on_table(pids, columns) -> list[RankedList]:
     """A list for each ``(rows, scores, tag)`` of ``columns``, all sharing
     one table of ``pids``, which are distinct; ``rows`` are positions in
@@ -203,7 +187,7 @@ class Index:
         self.doc_lengths = doc_lengths
         self.params = params
         self.analyzer = params.analyzer()
-        # surface token -> term id or None, filled by ``surface_ids``
+        # surface token -> term id or None, filled by ``surface_terms``
         self._term_of: dict[str, int | None] = {}
 
         self.doc_count = len(pids)
@@ -232,37 +216,28 @@ class Index:
     def term_ids(self, text: str) -> list[int]:
         """Term ids of the analyzed ``text``, in token order: the ids of
         ``self.analyzer(text)``'s terms that are in the vocabulary."""
-        return self.surface_ids(normalize(text))
-
-    def surface_ids(self, tokens) -> list[int]:
-        """Term ids of normalized surface ``tokens``, in order; a stopword or
-        a term outside the vocabulary has none."""
-        term_of = self._term_map(tokens)
-        return [i for i in map(term_of.__getitem__, tokens) if i is not None]
+        return [i for i in self.surface_terms(normalize(text)) if i is not None]
 
     def surface_terms(self, tokens) -> list[int | None]:
         """The term id of each normalized surface token, in order: None for
         a stopword (``self.analyzer.is_stopword``) or a term outside the
-        vocabulary."""
-        return list(map(self._term_map(tokens).__getitem__, tokens))
+        vocabulary.
 
-    def _term_map(self, tokens) -> dict[str, int | None]:
-        """``_term_of``, holding every one of ``tokens``.
-
-        Each token this index has not seen is analyzed once, on its own as
-        ``build_index`` analyzes it, into ``_term_of``.  That map lives as
-        long as the index and holds one entry per distinct token seen.
+        Each token this index has not seen is analyzed once by
+        ``Analyzer.term``, as ``build_index`` analyzes it, into
+        ``_term_of``.  That map lives as long as the index and holds one
+        entry per distinct token seen.
         """
         term_of = self._term_of
         for t in set(tokens).difference(term_of):
-            term = self.analyzer(t)  # [] for a stopword, else one term
-            tid = self.vocab.get(term[0]) if term else None
+            # a stopword's term, None, is in no vocabulary
+            tid = self.vocab.get(self.analyzer.term(t))
             if tid is not None and self.terms[tid] == t:
                 # key by the vocabulary's own str; a copy would live as
                 # long as the index
                 t = self.terms[tid]
             term_of[t] = tid
-        return term_of
+        return list(map(term_of.__getitem__, tokens))
 
     def pids_on_every_list(self, term_ids) -> list[str]:
         """Pids of the documents on the posting list of every term in
@@ -504,9 +479,12 @@ def build_index(store: PassageStore, params: Bm25Params | None = None) -> Index:
         body = f"{p.title} {p.text}" if params.index_titles and p.title else p.text
         surface = normalize(body)
         for t in set(surface).difference(provisional):
-            term = analyzer(t)  # [] for a stopword, else one term
-            provisional[t] = len(id_terms) if term else None
-            id_terms.extend(term)
+            term = analyzer.term(t)
+            if term is None:
+                provisional[t] = None
+            else:
+                provisional[t] = len(id_terms)
+                id_terms.append(term)
         ids = [i for i in map(provisional.__getitem__, surface)
                if i is not None]
         token_ids.extend(ids)

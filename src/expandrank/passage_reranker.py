@@ -58,7 +58,8 @@ class _PassageStats:
         for i in np.flatnonzero(np.isnan(stats[rows, 0])).tolist():
             tokens = normalize(self.store.get(pids[i]).text)
             # sorted distinct tokens: a fixed summation order
-            idfs = index.idf[index.surface_ids(sorted(set(tokens)))].tolist()
+            tids = index.surface_terms(sorted(set(tokens)))
+            idfs = index.idf[[t for t in tids if t is not None]].tolist()
             stats[rows[i]] = (sum(idfs) / len(idfs) if idfs else 0.0,
                               len(tokens))
         return stats[rows]

@@ -9,8 +9,12 @@ Two layers are deliberately kept apart:
   without splitting it, by a scan of the folded text; the passage reranker's
   question-overlap feature reads passages this way.
 * ``Analyzer`` is the indexing convention: ``normalize`` plus optional English
-  stopword removal and Porter stemming.  Queries and documents must go through
-  the same analyzer or scores are meaningless.
+  stopword removal and Porter stemming.  ``Analyzer.term`` is its one rule:
+  a normalized token indexes as no term (a stopword) or as exactly one term.
+  The index build and the index's token lookup both call it, one call per
+  distinct token; ``Analyzer.__call__`` applies it to each token of a raw
+  text.  Queries and documents must go through the same analyzer or scores
+  are meaningless.
 """
 
 from __future__ import annotations
@@ -198,13 +202,15 @@ class Analyzer:
     stopwords: bool = True
 
     def __call__(self, raw: str) -> list[str]:
-        """Analyzed tokens of ``raw``."""
-        tokens = normalize(raw)
-        if self.stopwords:
-            tokens = [t for t in tokens if t not in STOPWORDS]
-        if self.stemming:
-            tokens = [porter_stem(t) for t in tokens]
-        return tokens
+        """Analyzed tokens of ``raw``: the terms of its normalized tokens."""
+        return [t for t in map(self.term, normalize(raw)) if t is not None]
+
+    def term(self, token: str) -> str | None:
+        """The term the normalized ``token`` indexes as: None for a
+        stopword, else the token, stemmed if this analyzer stems."""
+        if self.is_stopword(token):
+            return None
+        return porter_stem(token) if self.stemming else token
 
     def is_stopword(self, token: str) -> bool:
         """True iff this analyzer drops the normalized ``token``; it keeps

@@ -66,6 +66,16 @@ class TestTopkAccuracy:
         assert report.accuracies[5] == 0.0
         assert report.accuracies[20] == 1.0
 
+    def test_repeated_k_rejected(self, planted, planted_store):
+        """A k listed twice would count each hit at it twice."""
+        questions = planted.questions[:2]
+        runs = {questions[0].qid: rl([f"{questions[0].qid}-z-ans"])}
+        with pytest.raises(ValueError, match=r"^ks must be distinct, got "
+                                             r"\[5, 5, 20\]$"):
+            topk_accuracy(runs, questions, planted_store, ks=(5, 5, 20))
+        assert topk_accuracy(runs, questions, planted_store,
+                             ks=(20, 5)).accuracies == {5: 0.5, 20: 0.5}
+
     def test_missing_question_counts_as_miss(self, planted, planted_store):
         questions = planted.questions[:4]
         runs = {questions[0].qid: rl([f"{questions[0].qid}-z-ans"])}

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from expandrank.corpus import Passage, PassageStore
 from expandrank.index import (Bm25Params, Index, IndexError_, RankedList, build_index,
-                             ranked_lists)
+                             lists_on_table)
 from expandrank.synth import make_random_corpus, make_random_queries
 from expandrank.text import Analyzer, normalize
 from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
@@ -504,17 +504,37 @@ class TestTermMap:
         store, _ = small_corpus
         index = build_index(store, PARAMS)  # a cold map
         calls = Counter()
-        analyze = Analyzer.__call__
+        analyze = Analyzer.term
 
-        def counting(self, raw):
-            calls[raw] += 1
-            return analyze(self, raw)
+        def counting(self, token):
+            calls[token] += 1
+            return analyze(self, token)
 
-        monkeypatch.setattr(Analyzer, "__call__", counting)
+        monkeypatch.setattr(Analyzer, "term", counting)
         queries = make_random_queries(20, list(store), seed=5)
         for q in queries + queries:
             index.search(q, 10)
         assert calls == Counter({t for q in queries for t in normalize(q)})
+
+    @pytest.mark.parametrize("params", [
+        PARAMS, Bm25Params(stemming=False, stopwords=False, index_titles=True)])
+    def test_build_and_lookup_analyze_no_raw_text(self, tiny_store, params,
+                                                  monkeypatch):
+        """The build and a cold map's lookups analyze normalized tokens by
+        ``Analyzer.term``; neither sends a token through ``__call__``."""
+        calls = []
+        analyze = Analyzer.__call__
+
+        def counting(self, raw):
+            calls.append(raw)
+            return analyze(self, raw)
+
+        monkeypatch.setattr(Analyzer, "__call__", counting)
+        index = build_index(tiny_store, params)
+        assert not index._term_of
+        for q in ("where do they grow hops", "beer brewed", "Film, May 2018"):
+            assert len(index.search(q, 3))
+        assert index._term_of and calls == []
 
     def test_a_token_that_is_its_own_term_is_not_copied(self, tiny_store):
         index = build_index(tiny_store, PARAMS)
@@ -549,7 +569,9 @@ class TestRankedList:
         assert rl.entries == entries
         assert rl.pids() == [pid for pid, _ in entries]
         assert len(rl) == len(entries)
-        (shared,) = ranked_lists([(rl.pids(), rl.scores, "t")])
+        table = list(dict.fromkeys(rl.pids()))
+        rows = [table.index(pid) for pid in rl.pids()]
+        (shared,) = lists_on_table(table, [(rows, rl.scores, "t")])
         assert shared.entries == entries
         assert shared == rl
 
@@ -574,7 +596,7 @@ class TestRankedList:
         with pytest.raises(ValueError, match="2 pids but 1 scores"):
             RankedList(["a", "b"], [1.0])
         with pytest.raises(ValueError, match="1 pids but 2 scores"):
-            ranked_lists([(["a"], [2.0, 1.0], "t")])
+            lists_on_table(["a"], [([0], [2.0, 1.0], "t")])
 
     def test_search_result_holds_no_per_entry_objects(self):
         """Entries cost their pid reference and one float64: no tuple or

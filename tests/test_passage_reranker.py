@@ -158,13 +158,13 @@ class TestPassageFeatures:
         store, _, questions = deep_fixture
         index = build_index(store, Bm25Params())  # nothing cached yet
         calls = Counter()
-        analyze = Analyzer.__call__
+        analyze = Analyzer.term
 
-        def counting(self, raw):
-            calls[raw] += 1
-            return analyze(self, raw)
+        def counting(self, token):
+            calls[token] += 1
+            return analyze(self, token)
 
-        monkeypatch.setattr(Analyzer, "__call__", counting)
+        monkeypatch.setattr(Analyzer, "term", counting)
         reranked = set()
         for _ in range(2):
             for qa in questions:

@@ -171,6 +171,19 @@ class TestAnalyzer:
     def test_stopword_only_text_empties(self):
         assert Analyzer()("the of and is") == []
 
+    def test_term_of_each_token(self):
+        assert [Analyzer().term(t) for t in ("the", "hops", "growing")] == [
+            None, "hop", "grow"]
+        assert Analyzer(stemming=False).term("hops") == "hops"
+        assert Analyzer(stopwords=False).term("the") == "the"
+
+    @given(_QUERY_TEXT, st.booleans(), st.booleans())
+    def test_a_token_has_no_term_iff_it_is_a_stopword(self, text, stemming,
+                                                      stopwords):
+        analyzer = Analyzer(stemming=stemming, stopwords=stopwords)
+        for token in normalize(text):
+            assert (analyzer.term(token) is None) == analyzer.is_stopword(token)
+
     @given(_QUERY_TEXT, _LEADING_MARK, _QUERY_TEXT, st.booleans(),
            st.booleans())
     @settings(max_examples=200, deadline=None)
