@@ -166,9 +166,9 @@ def cmd_train(args) -> int:
     cfg = _config(TrainConfig, alpha=args.alpha, epochs=args.epochs,
                   group_batch=args.group_batch,
                   learning_rate=args.learning_rate, seed=args.seed)
-    examples = expansion.load_training_set(
-        _require_file(args.train, "training set"))
+    path = _require_file(args.train, "training set")
     store, index = _corpus_and_index(args)
+    examples = expansion.load_training_set(path, known_pids=store)
     model = train(examples, cfg, args.variant, Featurizer(index, store))
     model.save(args.out)
     print(f"trained {args.variant} model on {len(examples)} questions -> {args.out}")

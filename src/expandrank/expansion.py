@@ -292,7 +292,7 @@ def finite_number(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)
 
 
-def _parse_example(obj) -> TrainingExample:
+def _parse_example(obj, known_pids=None) -> TrainingExample:
     if "top1" in obj and "top2" not in obj:
         raise ValueError("old format with top-1 pids only; re-run make-train")
     qid = run_id(obj["qid"], "qid")
@@ -314,6 +314,18 @@ def _parse_example(obj) -> TrainingExample:
                 and finite_number(e[1]) for e in entries):
             raise ValueError(f"top2[{i}] is not a list of at most 2 "
                              f"[pid, finite score] entries")
+        if len(entries) == 2:
+            (first, high), (second, low) = entries
+            if low > high:
+                raise ValueError(f"top2[{i}] scores rise ({high!r} before "
+                                 f"{low!r})")
+            if first == second:
+                raise ValueError(f"top2[{i}] repeats pid {first!r}")
+        if known_pids is not None:
+            for pid, _ in entries:
+                if pid not in known_pids:
+                    raise ValueError(f"qid {qid}: top2[{i}] names passage "
+                                     f"{pid!r}, which the corpus lacks")
     return TrainingExample(
         qid=qid, question=typed_field(obj, "question", str),
         candidates=cs, labels=labels,
@@ -321,7 +333,9 @@ def _parse_example(obj) -> TrainingExample:
     )
 
 
-def load_training_set(path) -> list[TrainingExample]:
-    """Read a training set written by ``save_training_set``; a malformed row
-    raises CorpusError naming ``path:line``."""
-    return [ex for _, ex in read_jsonl(path, _parse_example)]
+def load_training_set(path, known_pids=None) -> list[TrainingExample]:
+    """Read a training set written by ``save_training_set``; a malformed row,
+    or one whose top-2 lists name a pid outside ``known_pids`` (when
+    given), raises CorpusError naming ``path:line``."""
+    return [ex for _, ex in read_jsonl(
+        path, lambda obj: _parse_example(obj, known_pids))]

@@ -27,6 +27,8 @@ from .corpus import PassageStore
 from .text import Analyzer, normalize
 
 MAGIC = b"XRIDX001"
+# postings per slice when ``Index`` computes their contributions
+_SLICE = 1 << 15
 
 
 class IndexError_(ValueError):
@@ -203,13 +205,48 @@ class Index:
         avgdl = self.avg_doc_length if self.avg_doc_length > 0 else 1.0
         dl = doc_lengths.astype(np.float64)
         self.len_norm = params.k1 * (1.0 - params.b + params.b * dl / avgdl)
-        # Each posting's BM25 impact tf·(k1+1)/(tf+len_norm[doc]), computed
-        # in place so set-up holds one temporary of the postings' size.
-        self._impact = post_tfs.astype(np.float64)
-        denom = self.len_norm[post_docs]
-        denom += self._impact
-        self._impact *= params.k1 + 1.0
-        self._impact /= denom
+        # Each posting's contribution for its term counted once, impact·idf:
+        # the only float64 array of the postings' size, filled in slices so
+        # set-up holds no temporary of that size.  A term-at-a-time loop
+        # weighs a term counted once by 1.0·idf, which is idf, so a search
+        # sums its slice as it is; ``_counted`` serves other counts.
+        n_post = len(post_docs)
+        self._impact = np.empty(n_post, dtype=np.float64)
+        for a in range(0, n_post, _SLICE):
+            b = min(a + _SLICE, n_post)
+            # each posting's idf, from the terms whose lists overlap a:b
+            t0 = int(np.searchsorted(post_offsets, a, side="right")) - 1
+            t1 = int(np.searchsorted(post_offsets, b, side="left"))
+            idf = np.repeat(self.idf[t0:t1],
+                            np.diff(np.clip(post_offsets[t0:t1 + 1], a, b)))
+            np.multiply(self._impacts(slice(a, b)), idf,
+                        out=self._impact[a:b])
+
+    def _impacts(self, span: slice) -> np.ndarray:
+        """The BM25 impacts of postings ``span``,
+        tf·(k1+1)/(tf+len_norm[doc])."""
+        impacts = self.post_tfs[span].astype(np.float64)
+        denom = self.len_norm[self.post_docs[span]]
+        denom += impacts
+        impacts *= self.params.k1 + 1.0
+        impacts /= denom
+        return impacts
+
+    def _counted(self, span: slice, term: int, count: int) -> np.ndarray:
+        """The contributions of postings ``span`` of ``term``'s list for the
+        term counted ``count`` times, equal bit for bit to count·idf times
+        each impact, the product a term-at-a-time loop forms.
+
+        For a power of 2 that is the held contributions times ``count``,
+        which moves only their exponent.  Otherwise the impacts are rebuilt
+        as set-up builds them and multiplied by count·idf: the held
+        contributions times 3, say, would round differently.
+        """
+        if count & (count - 1) == 0:
+            return self._impact[span] * count
+        contributions = self._impacts(span)
+        contributions *= count * self.idf[term]
+        return contributions
 
     # -- scoring ------------------------------------------------------------
 
@@ -254,12 +291,14 @@ class Index:
 
     def score_all(self, term_ids) -> np.ndarray:
         """Dense score vector over internal doc ids for a query's term ids."""
-        items = sorted(Counter(term_ids).items())
-        tids = np.array([t for t, _ in items], dtype=np.int64)
-        weights = np.array([float(c) for _, c in items], dtype=np.float64)
-        return kernels.score_query(tids, weights, self.post_offsets,
-                                   self.post_docs, self._impact, self.idf,
-                                   self.doc_count)
+        counts = Counter(term_ids)
+        tids = sorted(counts)
+        # None: every term counted once, the common case
+        once = len(tids) == len(term_ids)
+        return kernels.score_query(
+            np.array(tids, dtype=np.int64),
+            None if once else list(map(counts.get, tids)), self.post_offsets,
+            self.post_docs, self._impact, self._counted, self.doc_count)
 
     def search(self, query_text: str, k: int, tag: str = "run") -> RankedList:
         """``search_ids`` of ``query_text``'s term ids."""
@@ -327,14 +366,14 @@ class Index:
         keys += np.repeat(np.arange(n, dtype=np.int64) * vocab_size, sizes)
         keys, weights = np.unique(keys, return_counts=True)
         term_query = keys // vocab_size
-        docs, impacts, counts = kernels.gather_postings(
-            keys - term_query * vocab_size, weights.astype(np.float64),
-            self.post_offsets, self.post_docs, self._impact, self.idf)
+        docs, contributions, counts = kernels.gather_postings(
+            keys - term_query * vocab_size, weights.tolist(),
+            self.post_offsets, self.post_docs, self._impact, self._counted)
         query_of = np.repeat(term_query, counts)
         # columns follow doc id, so a tie goes to the smaller pid
         cols, col_of = np.unique(docs, return_inverse=True)
         width = len(cols)
-        scores = np.bincount(query_of * width + col_of, impacts,
+        scores = np.bincount(query_of * width + col_of, contributions,
                              minlength=n * width).astype(
             np.float64, copy=False).reshape(n, width)
         keep = scores > 0.0

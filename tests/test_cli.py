@@ -394,18 +394,23 @@ class TestUnknownPassages:
 
     def test_train_top2_names_unknown_pid_exit_1(self, workdir, models,
                                                  capsys):
+        """Either variant names the row and the qid of a top-2 pid the
+        corpus lacks, before training; RI reads no top-2 list."""
         rows = [json.loads(line) for line in
                 (models / "train.jsonl").read_text().splitlines()]
         rows[3]["top2"][0][0][0] = "nosuch"
         bad = workdir / "unknown_pid_train.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        rc = run("train", "--train", bad, "--index", models / "idx.bin",
-                 "--corpus", workdir / "corpus.jsonl", "--variant", "RD",
-                 "--out", workdir / "unknown_pid_rd.json")
-        assert rc == 1
-        assert capsys.readouterr().err == \
-            "error: unknown passage id 'nosuch'\n"
-        assert not (workdir / "unknown_pid_rd.json").exists()
+        for variant in ("RD", "RI"):
+            out = workdir / f"unknown_pid_{variant}.json"
+            rc = run("train", "--train", bad, "--index", models / "idx.bin",
+                     "--corpus", workdir / "corpus.jsonl", "--variant",
+                     variant, "--out", out)
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"error: {bad}:4: qid {rows[3]['qid']}: top2[0] names "
+                f"passage 'nosuch', which the corpus lacks\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["retrieve", "train"])
     def test_index_corpus_mismatch_exit_2(self, workdir, models, monkeypatch,

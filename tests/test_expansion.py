@@ -423,6 +423,33 @@ class TestLoadTrainingSet:
             load_training_set(path)
         assert str(info.value) == f"{path}:1: {message}"
 
+    @pytest.mark.parametrize("damage,message", [
+        (lambda r: r["top2"][0].reverse(),
+         "top2[0] scores rise (1.0 before 2.5)"),
+        (lambda r: r["top2"][0][1].__setitem__(0, "p1"),
+         "top2[0] repeats pid 'p1'"),
+    ], ids=["rising-scores", "repeated-pid"])
+    def test_top2_pair_rejected_with_line(self, row, tmp_path, damage,
+                                          message):
+        damage(row)
+        path = self.write(tmp_path, [row])
+        with pytest.raises(CorpusError) as info:
+            load_training_set(path)
+        assert str(info.value) == f"{path}:1: {message}"
+
+    def test_tied_top2_scores_load(self, row, tmp_path):
+        row["top2"][0][1][1] = 2.5
+        ex, = load_training_set(self.write(tmp_path, [row]))
+        assert ex.top2[0] == [("p1", 2.5), ("p2", 2.5)]
+
+    def test_unknown_top2_pid_names_line_and_qid(self, row, tmp_path):
+        path = self.write(tmp_path, [row])
+        assert len(load_training_set(path, known_pids={"p1", "p2"})) == 1
+        with pytest.raises(CorpusError) as info:
+            load_training_set(path, known_pids={"p1"})
+        assert str(info.value) == (f"{path}:1: qid q1: top2[0] names "
+                                   f"passage 'p2', which the corpus lacks")
+
     def test_bad_json_names_line(self, row, tmp_path):
         path = tmp_path / "train.jsonl"
         path.write_text(json.dumps(row) + "\n{not json\n")

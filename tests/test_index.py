@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expandrank import index as index_module
 from expandrank.corpus import Passage, PassageStore
 from expandrank.index import (Bm25Params, Index, IndexError_, RankedList, build_index,
                              lists_on_table)
@@ -378,6 +379,32 @@ class TestDamagedIndex:
         assert str(path) in str(exc.value)
 
 
+@st.composite
+def _posting_lists(draw):
+    """An ``Index`` over 1-12 documents with posting lists, among 0-30
+    documents on none, and 1-6 terms whose lists may be empty."""
+    n_docs = draw(st.integers(1, 12))
+    filler = draw(st.integers(0, 30))
+    offsets, docs, tfs = [0], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        on = draw(st.lists(st.integers(0, n_docs - 1), unique=True,
+                           max_size=n_docs))
+        docs += sorted(on)
+        tfs += draw(st.lists(st.integers(1, 5), min_size=len(on),
+                             max_size=len(on)))
+        offsets.append(len(docs))
+    docs = np.array(docs, dtype=np.int32)
+    tfs = np.array(tfs, dtype=np.int32)
+    n = n_docs + filler
+    lengths = np.bincount(docs, weights=tfs, minlength=n).astype(np.int32)
+    params = Bm25Params(k1=draw(st.floats(0.1, 3.0)),
+                        b=draw(st.floats(0.0, 1.0)))
+    return Index([f"p{i:02d}" for i in range(n)],
+                 [f"t{i}" for i in range(len(offsets) - 1)],
+                 np.array(offsets, dtype=np.int64), docs, tfs, lengths,
+                 params)
+
+
 class TestKernelParity:
     def test_active_kernel_matches_python_loop(self, small_corpus):
         """Impacts plus one bincount equal the term-at-a-time loop bit for
@@ -409,6 +436,55 @@ class TestKernelParity:
             np.testing.assert_array_equal(index.score_all(tids),
                                           reference_score_all(index, tids))
         assert index.score_all([1]).tolist() == [0.0, 0.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_posting_lists(), st.data())
+    def test_counted_terms_match_loop(self, index, data):
+        """Query terms counted 1 to 7 times, an empty query and terms with
+        empty posting lists: ``score_all`` equals the loop bit for bit, and
+        ``search_many`` equals ``search_ids`` query for query on both its
+        packed and its per-query path."""
+        vocab_size = len(index.terms)
+        query = st.lists(st.tuples(st.integers(0, vocab_size - 1),
+                                   st.integers(1, 7)),
+                         unique_by=lambda tc: tc[0], max_size=vocab_size)
+        queries = [data.draw(st.permutations([t for t, c in tcs
+                                              for _ in range(c)]))
+                   for tcs in data.draw(st.lists(query, min_size=1,
+                                                 max_size=4))]
+        for ids in queries:
+            assert index.score_all(ids).tobytes() == \
+                reference_score_all(index, ids).tobytes()
+        k = data.draw(st.integers(1, index.doc_count + 1))
+        single = [index.search_ids(ids, k) for ids in queries]
+        for lists in (index.search_many(queries, k),
+                      index._search_packed(queries, k, "run")):
+            for rl, one in zip(lists, single, strict=True):
+                assert rl._rows.dtype == one._rows.dtype
+                assert rl._rows.tobytes() == one._rows.tobytes()
+                assert rl.scores.tobytes() == one.scores.tobytes()
+
+    def test_one_postings_sized_float_array(self, small_corpus):
+        """The index holds each posting's contribution once: no second
+        float64 array of the postings' size."""
+        _, index = small_corpus
+        n = len(index.post_docs)
+        held = [name for name, value in vars(index).items()
+                if isinstance(value, np.ndarray) and value.dtype == np.float64
+                and value.size == n]
+        assert held == ["_impact"]
+
+    def test_contributions_filled_in_slices(self, small_corpus, monkeypatch):
+        """Slices that cut through posting lists fill the same
+        contributions as one slice over all postings."""
+        store, index = small_corpus
+        monkeypatch.setattr(index_module, "_SLICE", 7)
+        sliced = build_index(store, PARAMS)
+        assert sliced._impact.tobytes() == index._impact.tobytes()
+        for q in make_random_queries(10, list(store), seed=13):
+            tids = reference_term_ids(sliced, q) * 3
+            assert sliced.score_all(tids).tobytes() == \
+                reference_score_all(sliced, tids).tobytes()
 
 
 # Few distinct words and duplicated passages, so scores tie often.
