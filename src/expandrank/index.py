@@ -238,9 +238,10 @@ class Index:
         each impact, the product a term-at-a-time loop forms.
 
         For a power of 2 that is the held contributions times ``count``,
-        which moves only their exponent.  Otherwise the impacts are rebuilt
-        as set-up builds them and multiplied by count·idf: the held
-        contributions times 3, say, would round differently.
+        which moves only their exponent; most repeated terms are counted
+        twice.  Otherwise the impacts are rebuilt as set-up builds them and
+        multiplied by count·idf: the held contributions times 3, say, would
+        round differently.
         """
         if count & (count - 1) == 0:
             return self._impact[span] * count
@@ -293,12 +294,10 @@ class Index:
         """Dense score vector over internal doc ids for a query's term ids."""
         counts = Counter(term_ids)
         tids = sorted(counts)
-        # None: every term counted once, the common case
-        once = len(tids) == len(term_ids)
         return kernels.score_query(
-            np.array(tids, dtype=np.int64),
-            None if once else list(map(counts.get, tids)), self.post_offsets,
-            self.post_docs, self._impact, self._counted, self.doc_count)
+            np.array(tids, dtype=np.int64), list(map(counts.get, tids)),
+            self.post_offsets, self.post_docs, self._impact, self._counted,
+            self.doc_count)
 
     def search(self, query_text: str, k: int, tag: str = "run") -> RankedList:
         """``search_ids`` of ``query_text``'s term ids."""

@@ -7,8 +7,9 @@ then one ``concatenate`` of its terms' posting slices and one
 ``np.bincount``.  A term counted once takes its slice as it is: its
 weight, 1.0·idf, is idf itself, so the product is the one a term-at-a-time
 loop forms.  A term counted c ≠ 1 times takes ``Index._counted``'s slice,
-c·idf times each impact, from the impacts rebuilt unless c is a power of
-2: the held contributions times 3, say, would round differently.
+c·idf times each impact: the held slice times c when c is a power of 2,
+else the impacts rebuilt, since the held contributions times 3, say, would
+round differently.
 ``bincount`` adds in array order, so every document's score is summed in
 query-term order, exactly as a term-at-a-time loop would sum it.
 ``Index.search_many`` sums several queries in one ``bincount`` over the
@@ -29,25 +30,21 @@ def gather_postings(term_ids, term_counts, post_offsets, post_docs,
     """The postings of ``term_ids``, term by term: their docs, their
     contributions to the score, and each term's posting count.
 
-    ``term_counts`` are the terms' query counts, ints, or None when every
-    term is counted once.  ``contributions`` holds each posting's
-    contribution for its term counted once; a term counted c ≠ 1 times
-    takes ``counted(span, term, c)``, the contributions of its postings
-    ``span`` for the term counted c times.  ``term_ids`` may hold several
-    queries' terms one after the other; each query's postings then come in
-    that query's own term order.
+    ``term_counts`` are the terms' query counts, ints.  ``contributions``
+    holds each posting's contribution for its term counted once; a term
+    counted c ≠ 1 times takes ``counted(span, term, c)``, the contributions
+    of its postings ``span`` for the term counted c times.  ``term_ids``
+    may hold several queries' terms one after the other; each query's
+    postings then come in that query's own term order.
     """
     starts, ends = post_offsets[term_ids], post_offsets[term_ids + 1]
     spans = [slice(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
     docs = np.concatenate([post_docs[span] for span in spans]
                           or [post_docs[:0]])
-    if term_counts is None:
-        weights = [contributions[span] for span in spans]
-    else:
-        weights = [contributions[span] if c == 1 else counted(span, t, c)
-                   for span, t, c in zip(spans, term_ids.tolist(),
-                                         term_counts)]
-    weights = np.concatenate(weights or [contributions[:0]])
+    weights = np.concatenate(
+        [contributions[span] if c == 1 else counted(span, t, c)
+         for span, t, c in zip(spans, term_ids.tolist(), term_counts)]
+        or [contributions[:0]])
     return docs, weights, ends - starts
 
 
@@ -55,8 +52,7 @@ def score_query(term_ids, term_counts, post_offsets, post_docs,
                 contributions, counted, doc_count) -> np.ndarray:
     """Dense BM25 score vector for one analyzed query.
 
-    ``term_ids`` are distinct; ``term_counts`` are their query counts, or
-    None when each is 1.
+    ``term_ids`` are distinct; ``term_counts`` are their query counts.
     """
     docs, weights, _ = gather_postings(term_ids, term_counts, post_offsets,
                                        post_docs, contributions, counted)
