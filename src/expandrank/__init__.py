@@ -3,7 +3,7 @@
 from .corpus import (AnswerMatcher, Passage, PassageStore, QAExample,
                      contains_answer, load_corpus, load_questions)
 from .expansion import (CandidateSet, ConstructionConfig, ExpansionCandidate,
-                        RankLabel, TrainingExample, build_training_set, dedup,
+                        TrainingExample, build_training_set, dedup,
                         expanded_query, label_candidates, load_expansions,
                         sample_expansions_stub, truncate)
 from .index import Bm25Params, Index, RankedList, build_index

@@ -154,7 +154,7 @@ def cmd_make_train(args) -> int:
     examples = expansion.build_training_set(store, index, questions, cfg,
                                             generator)
     expansion.save_training_set(examples, args.out)
-    hist = Counter(l.r for ex in examples for l in ex.labels)
+    hist = Counter(r for ex in examples for r in ex.labels)
     print("rank histogram (r: count):")
     for r in sorted(hist):
         print(f"  {r}: {hist[r]}")

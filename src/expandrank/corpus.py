@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .text import normalize
@@ -63,11 +64,29 @@ class PassageStore:
             raise CorpusError(f"unknown passage id {pid!r}") from None
 
 
+@contextmanager
+def open_utf8(path, error=CorpusError):
+    """``path`` opened as UTF-8 text.  Reading a byte that is not UTF-8
+    raises ``error("path:line: not valid UTF-8")``: only then is the file
+    read again as bytes, split into lines as text mode splits them, to find
+    the first line that decoding with replacement changes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        line = next(n for n, raw in enumerate(lines, start=1)
+                    if raw.decode("utf-8", "replace").encode() != raw)
+        raise error(f"{path}:{line}: not valid UTF-8") from None
+
+
 def read_jsonl(path, parse):
     """Yield ``(line number, parse(row))`` for each non-blank line of a JSONL
     file of objects; any fault in a row, including a KeyError, TypeError or
-    ValueError raised by ``parse``, raises ``CorpusError("path:line: ...")``."""
-    with open(path, encoding="utf-8") as fh:
+    ValueError raised by ``parse``, or a byte that is not UTF-8, raises
+    ``CorpusError("path:line: ...")``."""
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -11,7 +11,7 @@ import time
 from array import array
 from dataclasses import asdict, dataclass, replace
 
-from .corpus import AnswerMatcher, PassageStore
+from .corpus import AnswerMatcher, PassageStore, open_utf8
 from .expansion import min_answer_rank, sample_expansions_stub  # noqa: F401 (re-export)
 from .index import (Bm25Params, Index, RankedList, build_index,
                     lists_on_table)
@@ -183,7 +183,7 @@ def read_run(path) -> dict[str, RankedList]:
     # doubles, and the lists share one table of the distinct pids.
     columns: dict[str, tuple[str, array, array]] = {}
     row_of: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, RunFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -56,29 +56,12 @@ class CandidateSet:
         return len(self.candidates)
 
 
-@dataclass(frozen=True, slots=True)
-class RankLabel:
-    index: int
-    r: int
-    hit: bool
-
-    def __post_init__(self):
-        if type(self.r) is not int:
-            raise TypeError(f"rank label r must be an int, got "
-                            f"{type(self.r).__name__}")
-        if self.r < 1:
-            raise ValueError("rank labels are 1-based")
-        if type(self.hit) is not bool:
-            raise TypeError(f"rank label hit must be a bool, got "
-                            f"{type(self.hit).__name__}")
-
-
 @dataclass
 class TrainingExample:
     qid: str
     question: str
     candidates: CandidateSet
-    labels: list[RankLabel]
+    labels: list[int]  # each candidate's rank label, 1-based
     # first two (pid, score) entries of each candidate's labeling retrieval
     top2: list[list[tuple[str, float]]]
 
@@ -219,7 +202,7 @@ def search_candidates(index: Index, question: str, cs: CandidateSet,
 
 def label_candidates(index: Index, store: PassageStore, qa: QAExample,
                      cs: CandidateSet, k: int,
-                     ) -> tuple[list[RankLabel], list[RankedList]]:
+                     ) -> tuple[list[int], list[RankedList]]:
     """Rank label and top-``max(k, 2)`` retrieval of every candidate.
 
     One answer matcher serves all the candidates' lists, which share most
@@ -229,13 +212,9 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
     is taken within the first ``k``, and a miss is labeled ``k + 1``.
     """
     matcher = AnswerMatcher(qa.answers, qa.qid, index)
-    labels = []
     lists = search_candidates(index, qa.question, cs, max(k, 2))
-    for i, rl in enumerate(lists):
-        rank = matcher.first_rank(rl.iter_pids(), store)
-        hit = rank is not None and rank <= k
-        labels.append(RankLabel(index=i, r=rank if hit else k + 1, hit=hit))
-    return labels, lists
+    ranks = (matcher.first_rank(rl.iter_pids(), store) for rl in lists)
+    return [r if r is not None and r <= k else k + 1 for r in ranks], lists
 
 
 def assign_folds(qids, folds: int, seed: int) -> dict[str, int]:
@@ -279,8 +258,7 @@ def save_training_set(examples, path) -> None:
                     {"text": c.text, "generator_tag": c.generator_tag}
                     for c in ex.candidates.candidates
                 ],
-                "labels": [{"index": l.index, "r": l.r, "hit": l.hit}
-                           for l in ex.labels],
+                "labels": ex.labels,
                 "top2": ex.top2,
             }
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
@@ -301,13 +279,15 @@ def _parse_example(obj, known_pids=None) -> TrainingExample:
     if len(cs) != len(cands):
         raise ValueError("a candidate repeats the normalized text of an "
                          "earlier one")
-    labels = [RankLabel(**l) for l in obj["labels"]]
+    labels = obj["labels"]
     top2 = obj["top2"]
     if not len(cands) == len(labels) == len(top2):
         raise ValueError(f"{len(cands)} candidates, {len(labels)} labels and "
                          f"{len(top2)} top-2 lists do not agree")
-    if [l.index for l in labels] != list(range(len(labels))):
-        raise ValueError("label indexes are not 0, 1, 2, ... in order")
+    for i, r in enumerate(labels):
+        if type(r) is not int or r < 1:
+            raise ValueError(f"rank labels are 1-based integers, but "
+                             f"labels[{i}] is {r!r}; re-run make-train")
     for i, entries in enumerate(top2):
         if not isinstance(entries, list) or len(entries) > 2 or not all(
                 isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)

@@ -99,7 +99,7 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
     if spec.kind == "oracle":
         k = spec.k_retrieve
         labels, lists = label_candidates(index, store, qa, cs, k)
-        best = min(labels, key=lambda l: (l.r, l.index)).index
+        best = labels.index(min(labels))  # ties go to the earliest
         return Choice(expanded_query(q, cs.candidates[best].text),
                       lists[best].head(k, spec.kind))  # searched at max(k, 2)
     chosen = (cs.candidates[0] if spec.kind == "greedy"

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PassageStore
-from .expansion import (CandidateSet, ExpansionCandidate, RankLabel,
-                        finite_number, search_candidates)
+from .expansion import (CandidateSet, ExpansionCandidate, finite_number,
+                        search_candidates)
 from .index import Index
 from .text import normalize
 
@@ -242,15 +242,15 @@ class ScorerModel:
                    np.array(doc["feature_mean"]), np.array(doc["feature_std"]))
 
 
-def rank_loss(scores, labels, alpha: float) -> tuple[float, np.ndarray]:
+def rank_loss(scores, ranks, alpha: float) -> tuple[float, np.ndarray]:
     """Pairwise hinge loss and its (sub)gradient with respect to the scores.
 
     Subgradient at the hinge kink is 0.
     """
     s = np.asarray(scores, dtype=np.float64)
-    ranks = np.array([l.r for l in labels], dtype=np.float64)
+    ranks = np.asarray(ranks, dtype=np.float64)
     if s.shape[0] != ranks.shape[0]:
-        raise ValueError("scores and labels must align")
+        raise ValueError("scores and ranks must align")
     gap = ranks[None, :] - ranks[:, None]  # [i, j] = r_j - r_i
     hinge = s[:, None] - s[None, :] + gap * alpha
     active = (gap > 0) & (hinge > 0)

@@ -18,7 +18,7 @@ from expandrank.evalbench import (bench_latency, min_answer_rank, read_run,
                                   topk_accuracy, write_run)
 from expandrank.index import Bm25Params, RankedList, build_index
 from expandrank.pipeline import StrategySpec, fuse, run_dataset, run_strategy
-from expandrank.reranker import RankLabel, rank_loss
+from expandrank.reranker import rank_loss
 from expandrank.synth import (make_planted, make_random_corpus,
                               make_random_queries, write_corpus,
                               write_questions, write_expansions)
@@ -47,7 +47,7 @@ def top5(runs, questions, store):
 
 
 def labels_of(ranks):
-    return [RankLabel(index=i, r=r, hit=r < 101) for i, r in enumerate(ranks)]
+    return list(ranks)
 
 
 @criterion(1, "BM25 matches brute-force oracle on random corpora")
@@ -85,9 +85,9 @@ def test_c2_rank_loss():
         scores = rng.normal(scale=2.0, size=n)
         labels = labels_of(rng.integers(1, 102, size=n).tolist())
         alpha = 0.01
-        if any(abs(scores[i] - scores[j] + (labels[j].r - labels[i].r) * alpha)
+        if any(abs(scores[i] - scores[j] + (labels[j] - labels[i]) * alpha)
                < 1e-4
-               for i in range(n) for j in range(n) if labels[i].r < labels[j].r):
+               for i in range(n) for j in range(n) if labels[i] < labels[j]):
             continue  # resample draws landing on a hinge kink
         checked += 1
         _, grad = rank_loss(scores, labels, alpha)

@@ -114,6 +114,30 @@ class TestMakeTrainCmd:
             assert len(obj["labels"]) == len(obj["candidates"])
             assert len(obj["top2"]) == len(obj["candidates"])
 
+    def test_label_objects_of_an_older_version_exit_1(self, workdir, capsys):
+        assert run("make-train", "--index", workdir / "idx.bin",
+                   "--corpus", workdir / "corpus.jsonl",
+                   "--questions", workdir / "questions.jsonl",
+                   "--expansions", workdir / "expansions.jsonl",
+                   "--out", workdir / "train_ints.jsonl") == 0
+        capsys.readouterr()
+        rows = [json.loads(line) for line in
+                (workdir / "train_ints.jsonl").read_text().splitlines()]
+        for row in rows:
+            row["labels"] = [{"index": i, "r": r, "hit": r <= 100}
+                             for i, r in enumerate(row["labels"])]
+        old = workdir / "label_objects.jsonl"
+        old.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        rc = run("train", "--train", old, "--index", workdir / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--out", workdir / "never.json")
+        assert rc == 1
+        label = rows[0]["labels"][0]
+        assert capsys.readouterr().err == (
+            f"error: {old}:1: rank labels are 1-based integers, but "
+            f"labels[0] is {label!r}; re-run make-train\n")
+        assert not (workdir / "never.json").exists()
+
 
 class TestPipelineCmds:
     def test_full_pipeline(self, workdir, capsys):

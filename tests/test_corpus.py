@@ -75,7 +75,7 @@ class TestLoadQuestions:
 TRAIN_ROW = {
     "qid": "q0", "question": "why",
     "candidates": [{"text": "a b", "generator_tag": "stub"}],
-    "labels": [{"index": 0, "r": 1, "hit": True}],
+    "labels": [1],
     "top2": [[["p1", 2.5]]],
 }
 
@@ -149,8 +149,7 @@ LOADER_ROWS = {
         ("[]", "expected a JSON object"),
         (json.dumps({k: v for k, v in TRAIN_ROW.items() if k != "labels"}),
          "missing field 'labels'"),
-        (json.dumps({**TRAIN_ROW, "labels": [{"index": 0, "r": 0,
-                                              "hit": False}]}),
+        (json.dumps({**TRAIN_ROW, "labels": [0]}),
          "rank labels are 1-based"),
         (json.dumps({**TRAIN_ROW, "question": None}),
          "question must be a str, got NoneType"),
@@ -194,6 +193,17 @@ class TestReadJsonl:
         with pytest.raises(CorpusError) as info:
             load(path)
         assert str(info.value).startswith(f"{path}:3: {message}")
+
+    @pytest.mark.parametrize("loader", sorted(LOADER_ROWS))
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, loader):
+        # a CRLF line, then a lone CR, which text mode also counts as a line
+        load, good, _ = LOADER_ROWS[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_bytes(json.dumps(good).encode() + b"\r\n\r"
+                         + json.dumps(good).encode()[:-1] + b'\xff"\n')
+        with pytest.raises(CorpusError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:3: not valid UTF-8"
 
 
 class TestIntegerIds:
@@ -354,14 +364,14 @@ class TestAnswerMatcherWithIndex:
             ExpansionCandidate("hops"), ExpansionCandidate("oregon hops")])
         qa = QAExample(qid="q", question="hops", answers=("Oregon",))
         labels, _ = label_candidates(index, store, qa, cs, 3)
-        assert [l.r for l in labels] == [1, 1]
+        assert labels == [1, 1]
         assert reads == []
         # no list holds the answer: one read, on the first miss
         qa = QAExample(qid="q", question="malt", answers=("oregon",))
         labels, _ = label_candidates(index, store, qa, CandidateSet(
             qid="q", candidates=[ExpansionCandidate("barley"),
                                  ExpansionCandidate("malt")]), 3)
-        assert [l.r for l in labels] == [4, 4] and len(reads) == 1
+        assert labels == [4, 4] and len(reads) == 1
 
     def test_passages_off_the_answer_lists_are_not_normalized(
             self, tiny_store, monkeypatch):

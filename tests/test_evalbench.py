@@ -252,6 +252,14 @@ class TestRunFiles:
         with pytest.raises(RunFormatError, match=":2"):
             read_run(path)
 
+    def test_invalid_utf8_names_path_and_line(self, tmp_path):
+        # a CRLF line, then a lone CR, which text mode also counts as a line
+        path = tmp_path / "bad.trec"
+        path.write_bytes(b"q1 Q0 a 1 2.0 t\r\n\rq1 Q0 \xff 2 1.0 t\n")
+        with pytest.raises(RunFormatError) as exc:
+            read_run(path)
+        assert str(exc.value) == f"{path}:3: not valid UTF-8"
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_rejected(self, tmp_path, score):
         path = tmp_path / "bad.trec"

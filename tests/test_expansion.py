@@ -208,16 +208,16 @@ class TestLabelCandidates:
         qa = QAExample(qid="q", question="blue", answers=("goldtoken",))
         cands = cs(["goldtoken", "blue", "absentterm"])
         labels, lists = label_candidates(index, store, qa, cands, 100)
-        assert labels[0].r == 1            # answer passage pulled to the top
-        assert labels[1].r == 15           # tie-broken pid order
-        assert labels[2].r == 15           # unknown term adds nothing
+        assert labels[0] == 1            # answer passage pulled to the top
+        assert labels[1] == 15           # tie-broken pid order
+        assert labels[2] == 15           # unknown term adds nothing
         assert lists[0].pids()[:2] == ["p15", "p01"]
 
     def test_sentinel_for_miss(self, rank_fixture):
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("neverthere",))
         labels, _ = label_candidates(index, store, qa, cs(["blue", "x"]), 10)
-        assert all(l.r == 11 and not l.hit for l in labels)
+        assert labels == [11, 11]
 
     def test_labels_reproducible(self, planted, planted_store, planted_index,
                                  planted_cfg):
@@ -349,7 +349,7 @@ class TestStoredPair:
         store, index = rank_fixture
         qa = QAExample(qid="q", question="blue", answers=("goldtoken",))
         labels, lists = label_candidates(index, store, qa, cs(["blue"]), 1)
-        assert labels[0].r == 2 and not labels[0].hit  # answer at rank 15
+        assert labels == [2]  # answer at rank 15
         assert len(lists[0]) == 2
 
 
@@ -360,8 +360,7 @@ class TestLoadTrainingSet:
             "qid": "q1", "question": "who",
             "candidates": [{"text": "a b", "generator_tag": "stub"},
                            {"text": "c d", "generator_tag": "stub"}],
-            "labels": [{"index": 0, "r": 1, "hit": True},
-                       {"index": 1, "r": 101, "hit": False}],
+            "labels": [1, 101],
             "top2": [[["p1", 2.5], ["p2", 1.0]], []],
         }
 
@@ -386,22 +385,19 @@ class TestLoadTrainingSet:
         lambda r: r.pop("labels"),
         lambda r: r["labels"].pop(),
         lambda r: r["top2"].pop(),
-        lambda r: r["labels"][1].update(index=0),
-        lambda r: r["labels"][0].update(r=0),
+        lambda r: r["labels"].__setitem__(0, 0),
         lambda r: r["candidates"][0].update(extra=1),
         lambda r: r["top2"][1].extend([["p1", 2.0]] * 3),
         lambda r: r["top2"][0][1].__setitem__(1, float("nan")),
         lambda r: r["top2"][0][1].__setitem__(1, "1.0"),
         lambda r: r["top2"][0][1].__setitem__(0, 7),
         lambda r: r["top2"].__setitem__(1, "p1"),
-        lambda r: r["labels"][0].update(r=2.5),
-        lambda r: r["labels"][0].update(r=True),
-        lambda r: r["labels"][0].update(hit="yes"),
-        lambda r: r["labels"][0].update(hit=1),
-    ], ids=["missing-key", "labels-short", "top2-short", "label-index",
+        lambda r: r["labels"].__setitem__(0, 2.5),
+        lambda r: r["labels"].__setitem__(0, True),
+    ], ids=["missing-key", "labels-short", "top2-short",
             "rank-zero", "unknown-candidate-key", "three-entries",
             "nan-score", "string-score", "int-pid", "not-a-list",
-            "float-rank", "bool-rank", "string-hit", "int-hit"])
+            "float-rank", "bool-rank"])
     def test_damage_rejected_with_line(self, row, tmp_path, damage):
         intact = copy.deepcopy(row)
         damage(row)
@@ -486,8 +482,8 @@ class TestBuildTrainingSet:
         gen = lambda q, f: planted.candidates[q.qid]
         a = build_training_set(planted_store, planted_index, qa, planted_cfg, gen)
         b = build_training_set(planted_store, planted_index, qa, planted_cfg, gen)
-        assert [(ex.qid, [l.r for l in ex.labels]) for ex in a] == \
-            [(ex.qid, [l.r for l in ex.labels]) for ex in b]
+        assert [(ex.qid, ex.labels) for ex in a] == \
+            [(ex.qid, ex.labels) for ex in b]
 
     def test_question_without_answers_named(self, planted20, no_answers):
         fx, store, index = planted20
@@ -499,8 +495,8 @@ class TestBuildTrainingSet:
     def test_planted_candidate_dominates(self, planted, planted_train_set):
         wins = sum(
             1 for ex in planted_train_set
-            if ex.labels[planted.useful_index[ex.qid]].r
-            < min(l.r for i, l in enumerate(ex.labels)
+            if ex.labels[planted.useful_index[ex.qid]]
+            < min(r for i, r in enumerate(ex.labels)
                   if i != planted.useful_index[ex.qid])
         )
         assert wins / len(planted_train_set) >= 0.95
@@ -508,7 +504,7 @@ class TestBuildTrainingSet:
     def test_min_label_is_oracle_rank(self, planted_train_set):
         # cross-module consistency: best label equals the best single-query rank
         for ex in planted_train_set[:20]:
-            assert min(l.r for l in ex.labels) == 1
+            assert min(ex.labels) == 1
 
     def test_jsonl_round_trip(self, planted_train_set, tmp_path):
         path = tmp_path / "train.jsonl"
@@ -517,7 +513,7 @@ class TestBuildTrainingSet:
         assert len(loaded) == 5
         for a, b in zip(planted_train_set[:5], loaded):
             assert a.qid == b.qid
-            assert [l.r for l in a.labels] == [l.r for l in b.labels]
+            assert a.labels == b.labels
             assert a.top2 == b.top2
 
 

@@ -28,22 +28,18 @@ import pytest
 from expandrank.cli import main
 from expandrank.corpus import QAExample
 from expandrank.expansion import CandidateSet, ExpansionCandidate
+from expandrank.pipeline import STRATEGIES
 from expandrank.synth import (make_planted, make_random_corpus, write_corpus,
                               write_expansions, write_questions)
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
 
-# variant -> (strategy, expansion model, with the passage reranker)
-VARIANTS = {
-    "bm25": ("bm25", None, False),
-    "greedy": ("greedy", None, False),
-    "concat": ("concat", None, False),
-    "oracle": ("oracle", None, False),
-    "ear_ri": ("ear_ri", "RI", False),
-    "ear_rd": ("ear_rd", "RD", False),
-    "ear_rd_pr": ("ear_rd", "RD", True),
-}
+# variant -> (strategy, expansion model, with the passage reranker): every
+# strategy in ``STRATEGIES`` with the model it runs, then ``ear_rd`` with PR
+VARIANTS = {kind: (kind, needs.scorer, False)
+            for kind, needs in STRATEGIES.items()}
+VARIANTS["ear_rd_pr"] = ("ear_rd", "RD", True)
 # strategy -> its expansion model, for the ``ablate`` stages
 ABLATIONS = {"oracle": None, "ear_rd": "RD"}
 ABLATE_NS = "1,2,5"

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expandrank import expansion, text
-from expandrank.corpus import QAExample
+from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.evalbench import min_answer_rank, read_run, topk_accuracy, write_run
-from expandrank.expansion import (CandidateSet, expanded_query,
-                                  label_candidates, truncate)
+from expandrank.expansion import (CandidateSet, ExpansionCandidate,
+                                  expanded_query, label_candidates, truncate)
 from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.pipeline import (STRATEGIES, StrategySpec, choose, fuse,
                                  run_dataset, run_strategy)
@@ -125,6 +125,24 @@ class TestRunStrategy:
         greedy = run_strategy(StrategySpec(kind="greedy"), planted_index,
                               planted_store, qa, single)
         assert oracle.entries == greedy.entries
+
+    def test_oracle_tie_goes_to_the_earliest_candidate(self):
+        # both candidates lift the answer passage to rank 1, and their lists
+        # differ below it, so the run shows which candidate won the tie
+        store = PassageStore([Passage("p1", "", "blue gold"),
+                              Passage("p2", "", "blue red"),
+                              Passage("p3", "", "blue green")])
+        index = build_index(store, Bm25Params())
+        qa = QAExample(qid="q", question="blue", answers=("gold",))
+        cs = CandidateSet(qid="q", candidates=[
+            ExpansionCandidate("gold red"), ExpansionCandidate("gold green")])
+        labels, lists = label_candidates(index, store, qa, cs, 3)
+        assert labels == [1, 1]
+        assert lists[0].pids() == ["p1", "p2", "p3"]
+        assert lists[1].pids() == ["p1", "p3", "p2"]
+        run = run_strategy(StrategySpec(kind="oracle", k_retrieve=3), index,
+                           store, qa, cs)
+        assert run == lists[0].head(3, "oracle")
 
     def test_oracle_needs_answers(self, planted, planted_store, planted_index):
         qa = planted.questions[0]

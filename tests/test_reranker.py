@@ -8,18 +8,13 @@ from hypothesis import strategies as st
 
 from expandrank.corpus import Passage, PassageStore
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
-                                  ExpansionCandidate, RankLabel,
-                                  expanded_query, label_candidates,
-                                  search_candidates)
+                                  ExpansionCandidate, expanded_query,
+                                  label_candidates, search_candidates)
 from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.passage_reranker import PassageScorer
 from expandrank.reranker import (RD_SCHEMA, RI_SCHEMA, Featurizer, ScorerModel,
                                  TrainConfig, rank_loss, select_best, train)
 from oracles import reference_rd, reference_ri
-
-
-def labels_of(ranks):
-    return [RankLabel(index=i, r=r, hit=r < 101) for i, r in enumerate(ranks)]
 
 
 def ri_row(featurizer, question, expansion):
@@ -298,16 +293,16 @@ class TestModelFiles:
 
 class TestRankLoss:
     def test_tied_scores_pay_margin(self):
-        loss, _ = rank_loss([0.0, 0.0], labels_of([1, 3]), alpha=0.5)
+        loss, _ = rank_loss([0.0, 0.0], [1, 3], alpha=0.5)
         assert loss == pytest.approx(1.0)
 
     def test_satisfied_margin(self):
-        loss, grad = rank_loss([-2.0, 0.0], labels_of([1, 3]), alpha=0.5)
+        loss, grad = rank_loss([-2.0, 0.0], [1, 3], alpha=0.5)
         assert loss == 0.0
         assert np.all(grad == 0)
 
     def test_equal_ranks_no_pairs(self):
-        loss, grad = rank_loss([5.0, -1.0, 2.0], labels_of([7, 7, 7]), alpha=0.5)
+        loss, grad = rank_loss([5.0, -1.0, 2.0], [7, 7, 7], alpha=0.5)
         assert loss == 0.0
         assert np.all(grad == 0)
 
@@ -317,16 +312,16 @@ class TestRankLoss:
             n = rng.integers(2, 10)
             scores = rng.normal(size=n)
             ranks = rng.integers(1, 101, size=n).tolist()
-            loss, _ = rank_loss(scores, labels_of(ranks), 0.01)
+            loss, _ = rank_loss(scores, ranks, 0.01)
             assert loss >= 0
             perm = rng.permutation(n)
             ploss, _ = rank_loss(scores[perm],
-                                 labels_of([ranks[i] for i in perm]), 0.01)
+                                 [ranks[i] for i in perm], 0.01)
             assert ploss == pytest.approx(loss)
 
     def test_alpha_doubles_threshold(self):
         # inactive at alpha, active at 2*alpha: s_i - s_j = -(r_j - r_i)*1.5*alpha
-        ranks = labels_of([1, 11])
+        ranks = [1, 11]
         alpha = 0.1
         scores = [-(10 * 1.5 * alpha), 0.0]
         assert rank_loss(scores, ranks, alpha)[0] == 0.0
@@ -339,15 +334,15 @@ class TestRankLoss:
         while checked < 100:
             n = int(rng.integers(2, 51))
             scores = rng.normal(scale=2.0, size=n)
-            labels = labels_of(rng.integers(1, 102, size=n).tolist())
+            labels = rng.integers(1, 102, size=n).tolist()
             alpha = 0.01
             # skip draws landing near a hinge kink, where the subgradient
             # convention and the finite difference legitimately disagree
             near_kink = any(
-                abs(scores[i] - scores[j] + (labels[j].r - labels[i].r) * alpha)
+                abs(scores[i] - scores[j] + (labels[j] - labels[i]) * alpha)
                 < 1e-4
                 for i in range(n) for j in range(n)
-                if labels[i].r < labels[j].r
+                if labels[i] < labels[j]
             )
             if near_kink:
                 continue
@@ -370,13 +365,13 @@ class TestRankLoss:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 8))
         scores = rng.normal(size=n)
-        labels = labels_of(rng.integers(1, 20, size=n).tolist())
+        labels = rng.integers(1, 20, size=n).tolist()
         alpha = 0.05
         loss, _ = rank_loss(scores, labels, alpha)
         met = all(
-            scores[i] - scores[j] <= -(labels[j].r - labels[i].r) * alpha
+            scores[i] - scores[j] <= -(labels[j] - labels[i]) * alpha
             for i in range(n) for j in range(n)
-            if labels[i].r < labels[j].r
+            if labels[i] < labels[j]
         )
         assert (loss == 0.0) == met
 
@@ -450,9 +445,9 @@ def selection_accuracy(model, qa_list, planted, store, index, cfg, featurizer):
     for qa in qa_list:
         cands = planted.candidates[qa.qid]
         labels, _ = label_candidates(index, store, qa, cands, cfg.k_retrieve)
-        min_r = min(l.r for l in labels)
+        min_r = min(labels)
         chosen = select_best(model, qa.question, cands, featurizer)
-        if labels[cands.candidates.index(chosen)].r == min_r:
+        if labels[cands.candidates.index(chosen)] == min_r:
             correct += 1
     return correct / len(qa_list)
 
