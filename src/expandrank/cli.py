@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -301,6 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="expandrank",
         description="BM25 retrieval with reranked query expansions",
     )
+    parser.add_argument("--log-level", type=str.upper, default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="least severe log record written to stderr "
+                             "(default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build and persist a BM25 index")
@@ -405,9 +410,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _setup_logging(level: str) -> None:
+    """Write the package's log records at ``level`` and above to stderr.
+
+    ``main`` owns the package logger's handlers: it replaces them on each
+    call, so a second run in one process prints each record once, to the
+    ``sys.stderr`` of its own run.
+    """
+    logger = logging.getLogger(__package__)
+    for handler in logger.handlers[:]:
+        logger.removeHandler(handler)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _setup_logging(args.log_level)
     _print_config(args)
     try:
         return args.func(args)

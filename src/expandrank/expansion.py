@@ -1,8 +1,9 @@
 """Expansion candidate sets and rank-labeled training data.
 
 A candidate expansion is judged by the rank the answer passage reaches when
-"question + expansion" is issued to the retriever; a candidate whose answer
-passage is not in the top ``k_retrieve`` gets the sentinel ``k_retrieve + 1``.
+"question + expansion" is issued to the retriever, scored by parts (see
+``search_candidates``); a candidate whose answer passage is not in the top
+``k_retrieve`` gets the sentinel ``k_retrieve + 1``.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ class ConstructionConfig:
             raise ValueError(f"k_retrieve must be >= 1, got {self.k_retrieve}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-
-
-def expanded_query(question: str, *expansions: str) -> str:
-    """The question followed by each expansion, single-space separated."""
-    return " ".join((question, *expansions))
 
 
 def _norm_key(text: str) -> str:
@@ -190,14 +186,15 @@ def search_candidates(index: Index, question: str, cs: CandidateSet,
     """Top-``k`` retrieval of "question + candidate" for every candidate.
 
     The one place that searches a question's candidate expansions.  The
-    question's term ids are read once and each candidate's once; together
-    they are the term ids of ``expanded_query(question, candidate)``.  The
-    set is searched in one ``Index.search_many``, which packs it into one
-    scoring pass when its posting lists are short.
+    expanded query is scored by parts, ``Index.search_expanded``: a
+    document scores fl(S_q + S_c), the question's BM25 score plus the
+    candidate's, each summed over its own term ids.  So the question is
+    scored once per set and each candidate gathers only its own postings;
+    the question's k-th best score is every candidate's floor.
     """
-    q_ids = index.term_ids(question)
-    return index.search_many([q_ids + index.term_ids(c.text)
-                              for c in cs.candidates], k)
+    return index.search_expanded(
+        index.term_ids(question),
+        [index.term_ids(c.text) for c in cs.candidates], k)
 
 
 def label_candidates(index: Index, store: PassageStore, qa: QAExample,

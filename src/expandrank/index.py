@@ -299,6 +299,23 @@ class Index:
             self.post_offsets, self.post_docs, self._impact, self._counted,
             self.doc_count)
 
+    def score_parts(self, question_ids, expansion_ids) -> np.ndarray:
+        """Dense score vector of "question + expansion" by parts,
+        fl(S_q + S_e), each part summed as ``score_all`` sums it, from one
+        gather of both parts."""
+        parts = [Counter(question_ids), Counter(expansion_ids)]
+        tids = [sorted(part) for part in parts]
+        docs, contributions, sizes = kernels.gather_postings(
+            np.array(tids[0] + tids[1], dtype=np.int64),
+            [part[t] for part, ts in zip(parts, tids) for t in ts],
+            self.post_offsets, self.post_docs, self._impact, self._counted)
+        n, split = self.doc_count, int(sizes[:len(tids[0])].sum())
+        scores = np.bincount(docs[:split], contributions[:split],
+                             minlength=n).astype(np.float64, copy=False)
+        scores += np.bincount(docs[split:], contributions[split:],
+                              minlength=n)
+        return scores
+
     def search(self, query_text: str, k: int, tag: str = "run") -> RankedList:
         """``search_ids`` of ``query_text``'s term ids."""
         return self.search_ids(self.term_ids(query_text), k, tag)
@@ -308,8 +325,15 @@ class Index:
         to the smaller pid."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        scores = self.score_all(term_ids)
-        pos = np.flatnonzero(scores > 0.0)
+        return self._top(self.score_all(term_ids), 0.0, k, tag)
+
+    def _top(self, scores: np.ndarray, floor: float, k: int,
+             tag: str) -> RankedList:
+        """The top ``k`` of the dense ``scores``, ties to the smaller pid,
+        among the documents scoring above 0 and at least ``floor``; the
+        caller knows that at least ``k`` documents score ``floor`` or more
+        whenever ``floor`` is positive."""
+        pos = np.flatnonzero(scores >= floor if floor > 0.0 else scores > 0.0)
         top = scores[pos]
         if len(pos) > k:
             # Only documents scoring at least the k-th largest score can
@@ -321,60 +345,99 @@ class Index:
                                    docs.astype(_row_type(self.doc_count)),
                                    scores[docs], tag)
 
-    def search_many(self, term_id_lists, k: int,
-                    tag: str = "run") -> list[RankedList]:
-        """``search_ids(ids, k, tag)`` of each of ``term_id_lists``, equal
-        to it list for list and bit for bit.
+    def search_expanded(self, question_ids, expansion_id_lists, k: int,
+                        tag: str = "run") -> list[RankedList]:
+        """Top-``k`` of "question + expansion" for each of
+        ``expansion_id_lists``, scored by parts: a document's score is
+        fl(S_q + S_e), where S_q is ``score_all(question_ids)`` and S_e is
+        ``score_all`` of the expansion's term ids, each part summed in
+        term-id order.  Ties go to the smaller pid.
 
-        When the queries' posting lists are short next to the corpus, that
-        is when the number of queries times the postings of their distinct
-        terms is at most ``doc_count``, all of them are scored in one
-        ``bincount`` (``_search_packed``).  The rule reads only
-        ``post_offsets``, and it bounds the packed (queries × documents)
-        score matrix by the size of one dense score vector.  Otherwise, or
-        for a single query, each query runs through ``search_ids``.
+        The question is scored once.  Its k-th largest positive score θ is
+        a floor for every expansion: S_e >= 0 and rounding is monotone, so
+        each of the question's top k scores at least θ with any expansion,
+        and every document of an expansion's top k, ties included, scores
+        θ or more.  Only those are selected from.  With fewer than k
+        positive question scores θ is 0, and every positive document is.
+
+        When a set of several expansions has short posting lists next to
+        the corpus, that is when the question and the expansions, one row
+        each, times the postings of their distinct terms are at most
+        ``doc_count``, all of them are scored in one ``bincount``
+        (``_search_packed``), list for list and bit for bit the same.  The rule reads only
+        ``post_offsets``, and it bounds the packed (rows × documents) score
+        matrix by the size of one dense score vector.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        n = len(term_id_lists)
+        n = len(expansion_id_lists)
         if n > 1:
-            terms = np.fromiter(set().union(*term_id_lists), dtype=np.int64)
+            terms = np.fromiter(set(question_ids).union(*expansion_id_lists),
+                                dtype=np.int64)
             offsets = self.post_offsets
             postings = int((offsets[terms + 1] - offsets[terms]).sum())
-            if n * postings <= self.doc_count:
-                return self._search_packed(term_id_lists, k, tag)
-        return [self.search_ids(ids, k, tag) for ids in term_id_lists]
+            if (n + 1) * postings <= self.doc_count:
+                return self._search_packed(question_ids, expansion_id_lists,
+                                           k, tag)
+        return self._search_dense(question_ids, expansion_id_lists, k, tag)
 
-    def _search_packed(self, term_id_lists, k: int,
+    def _search_dense(self, question_ids, expansion_id_lists, k: int,
+                      tag: str) -> list[RankedList]:
+        """``search_expanded`` over dense score vectors: the question's
+        once, then each expansion's plus the question's, selected above
+        the question's floor."""
+        if len(expansion_id_lists) == 1:
+            # no floor: it costs a pass over the question's scores, which
+            # pays only when several expansions select above it
+            return [self._top(self.score_parts(question_ids,
+                                               expansion_id_lists[0]),
+                              0.0, k, tag)]
+        question = self.score_all(question_ids)
+        positive = question[question > 0.0]
+        floor = 0.0
+        if len(positive) >= k:
+            floor = np.partition(positive, len(positive) - k)[
+                len(positive) - k]
+        lists = []
+        for ids in expansion_id_lists:
+            scores = self.score_all(ids)
+            scores += question
+            lists.append(self._top(scores, floor, k, tag))
+        return lists
+
+    def _search_packed(self, question_ids, expansion_id_lists, k: int,
                        tag: str) -> list[RankedList]:
-        """``search_many`` in one ``bincount`` over the documents on the
-        queries' posting lists.
+        """``search_expanded`` in one ``bincount`` over the documents on
+        the parts' posting lists.
 
-        Each query's postings are gathered in its own term order, as
-        ``score_all`` gathers them, and its row is keyed apart from the
-        others, so every row is summed exactly as its own search sums it.
-        Each list owns its rows and scores, so keeping one keeps nothing
-        else of the set alive.
+        The question is one more row.  Each row's postings are gathered in
+        its own term order, as ``score_all`` gathers them, and keyed apart
+        from the others, so every row is summed exactly as its dense vector
+        is; each expansion's row then adds the question's.  Each list owns
+        its rows and scores, so keeping one keeps nothing else of the set
+        alive.
         """
-        # each query's distinct terms ascending with their counts, as
-        # ``score_all`` counts them, from one sort of (query, term) keys
+        # each row's distinct terms ascending with their counts, as
+        # ``score_all`` counts them, from one sort of (row, term) keys
+        term_id_lists = [question_ids, *expansion_id_lists]
         n, vocab_size = len(term_id_lists), len(self.terms)
         sizes = list(map(len, term_id_lists))
         keys = np.fromiter(chain.from_iterable(term_id_lists), dtype=np.int64,
                            count=sum(sizes))
         keys += np.repeat(np.arange(n, dtype=np.int64) * vocab_size, sizes)
         keys, weights = np.unique(keys, return_counts=True)
-        term_query = keys // vocab_size
+        term_row = keys // vocab_size
         docs, contributions, counts = kernels.gather_postings(
-            keys - term_query * vocab_size, weights.tolist(),
+            keys - term_row * vocab_size, weights.tolist(),
             self.post_offsets, self.post_docs, self._impact, self._counted)
-        query_of = np.repeat(term_query, counts)
+        row_of = np.repeat(term_row, counts)
         # columns follow doc id, so a tie goes to the smaller pid
         cols, col_of = np.unique(docs, return_inverse=True)
         width = len(cols)
-        scores = np.bincount(query_of * width + col_of, contributions,
-                             minlength=n * width).astype(
+        parts = np.bincount(row_of * width + col_of, contributions,
+                            minlength=n * width).astype(
             np.float64, copy=False).reshape(n, width)
+        scores = parts[1:] + parts[0]
         keep = scores > 0.0
         if width > k:
             # only a row's documents scoring at least its k-th largest score
@@ -384,7 +447,7 @@ class Index:
         rows, at = np.nonzero(keep)
         top = scores[rows, at]
         order = np.lexsort((at, -top, rows))
-        kept = np.bincount(rows, minlength=n)
+        kept = np.bincount(rows, minlength=len(scores))
         rank = np.arange(len(order)) - np.repeat(np.cumsum(kept) - kept, kept)
         order = order[rank < k]
         found = cols[at[order]].astype(_row_type(self.doc_count))

@@ -9,8 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import PassageStore, QAExample
-from .expansion import (CandidateSet, expanded_query, label_candidates,
-                        truncate)
+from .expansion import CandidateSet, label_candidates, truncate
 from .index import Index, RankedList
 from .passage_reranker import PassageScorer, rerank_passages
 from .reranker import Featurizer, ScorerModel, select_best
@@ -76,8 +75,15 @@ def check_strategy(spec: StrategySpec, questions,
 
 @dataclass(frozen=True, slots=True)
 class Choice:
-    """What a strategy chose for one question."""
-    query: str                 # the text the strategy issues
+    """What a strategy chose for one question: the parts of the query it
+    issues.  An expanded query is scored by parts, as labeling scores it
+    (``Index.search_expanded``): the question's BM25 score plus the
+    expansion's, so a chosen candidate's final list is its labeling list
+    at the same k."""
+    question: str
+    # the chosen candidate, the joined candidates for ``concat``, or None
+    # for a bare search
+    expansion: str | None
     ranked: RankedList | None  # its top k, if choosing already retrieved it
 
 
@@ -89,29 +95,35 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
     ``check_strategy``.  ``oracle`` keeps the winner's labeling list."""
     q = qa.question
     if not spec.needs.candidates:
-        return Choice(q, None)
+        return Choice(q, None, None)
     if cs is None:
         raise ValueError(f"strategy {spec.kind} needs candidates for {qa.qid}")
     if spec.cap_n is not None:
         cs = truncate(cs, spec.cap_n)
     if spec.kind == "concat":
-        return Choice(expanded_query(q, *(c.text for c in cs.candidates)), None)
+        return Choice(q, " ".join(c.text for c in cs.candidates), None)
     if spec.kind == "oracle":
         k = spec.k_retrieve
         labels, lists = label_candidates(index, store, qa, cs, k)
         best = labels.index(min(labels))  # ties go to the earliest
-        return Choice(expanded_query(q, cs.candidates[best].text),
+        return Choice(q, cs.candidates[best].text,
                       lists[best].head(k, spec.kind))  # searched at max(k, 2)
     chosen = (cs.candidates[0] if spec.kind == "greedy"
               else select_best(model, q, cs, featurizer))  # ear_ri / ear_rd
-    return Choice(expanded_query(q, chosen.text), None)
+    return Choice(q, chosen.text, None)
 
 
 def retrieve(spec: StrategySpec, index: Index, choice: Choice) -> RankedList:
     """``choice``'s top ``spec.k_retrieve``, tagged ``spec.kind``: the list
-    choosing kept, else a search."""
-    return choice.ranked if choice.ranked is not None else index.search(
-        choice.query, spec.k_retrieve, spec.kind)
+    choosing kept, else a search of its parts."""
+    k, tag = spec.k_retrieve, spec.kind
+    if choice.ranked is not None:
+        return choice.ranked
+    if choice.expansion is None:
+        return index.search(choice.question, k, tag)
+    return index.search_expanded(index.term_ids(choice.question),
+                                 [index.term_ids(choice.expansion)], k,
+                                 tag)[0]
 
 
 def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,

@@ -5,7 +5,6 @@ from collections import Counter
 
 import numpy as np
 
-from expandrank.expansion import expanded_query
 from expandrank.index import Bm25Params, Index, IndexError_, RankedList
 from expandrank.reranker import _char3, select_best
 from expandrank.text import normalize
@@ -94,13 +93,36 @@ def reference_score_all(index, term_ids):
     return scores
 
 
-def reference_search(index, query_text, k):
-    """(pid, score) pairs of ``Index.search`` from a full tie-stable sort of
-    every positive document: score descending, then doc id (= pid order)."""
-    scores = reference_score_all(index, reference_term_ids(index, query_text))
+def reference_top(index, scores, k):
+    """(pid, score) pairs of the top ``k`` of a dense score vector, from a
+    full tie-stable sort of every positive document: score descending,
+    then doc id (= pid order)."""
     pos = np.flatnonzero(scores > 0.0)
     docs = pos[np.lexsort((pos, -scores[pos]))[:k]]
     return [(index.pids[d], float(scores[d])) for d in docs]
+
+
+def reference_search(index, query_text, k):
+    """(pid, score) pairs of ``Index.search``."""
+    return reference_top(
+        index, reference_score_all(index, reference_term_ids(index, query_text)),
+        k)
+
+
+def reference_parts_scores(index, question_ids, expansion_ids):
+    """The score of "question + expansion" by parts, which
+    ``Index.search_expanded`` must equal bit for bit: the question's loop
+    sum plus the expansion's, fl(S_q + S_e), one addition per document."""
+    return (reference_score_all(index, question_ids)
+            + reference_score_all(index, expansion_ids))
+
+
+def reference_expanded_search(index, question, expansion, k):
+    """(pid, score) pairs of the top ``k`` of "question + expansion" by
+    parts; an empty ``expansion`` gives the bare question's search."""
+    return reference_top(index, reference_parts_scores(
+        index, reference_term_ids(index, question),
+        reference_term_ids(index, expansion)), k)
 
 
 def reference_build_index(store, params=None):
@@ -162,31 +184,34 @@ def reference_contains_answer(passage_text, answers):
 
 
 def reference_strategy_query(spec, index, store, qa, cs, model, featurizer):
-    """The query text ``spec``'s strategy issues for one question, from the
-    candidate set ``cs`` as given (no cap applied).
+    """The parts (question, expansion) of the query ``spec``'s strategy
+    issues for one question, from the candidate set ``cs`` as given (no cap
+    applied); the expansion is None for a bare search.
 
     ``oracle`` labels each candidate by a plain top-``k_retrieve`` search of
-    its expanded query, the rank of the first passage that holds an answer,
-    or ``k_retrieve + 1``; the first candidate of the lowest label wins.
+    its expanded query by parts, the rank of the first passage that holds
+    an answer, or ``k_retrieve + 1``; the first candidate of the lowest
+    label wins.
     """
     q = qa.question
     if spec.kind == "bm25":
-        return q
+        return q, None
     if spec.kind == "concat":
-        return expanded_query(q, *(c.text for c in cs.candidates))
+        return q, " ".join(c.text for c in cs.candidates)
     if spec.kind == "greedy":
         chosen = cs.candidates[0]
     elif spec.kind == "oracle":
         def label(c):
-            rl = index.search(expanded_query(q, c.text), spec.k_retrieve)
-            return next((rank for rank, pid in enumerate(rl.pids(), start=1)
+            entries = reference_expanded_search(index, q, c.text,
+                                                spec.k_retrieve)
+            return next((rank for rank, (pid, _) in enumerate(entries, 1)
                          if reference_contains_answer(store.get(pid).text,
                                                       qa.answers)),
                         spec.k_retrieve + 1)
         chosen = min(cs.candidates, key=label)
     else:  # ear_ri / ear_rd
         chosen = select_best(model, q, cs, featurizer)
-    return expanded_query(q, chosen.text)
+    return q, chosen.text
 
 
 def reference_passage_features(index, store, question, pid, retrieval_score):

@@ -26,6 +26,28 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def models(workdir):
+    """What the stages read, built once from the planted workdir: the index
+    ``idx.bin``, the training set ``train.jsonl``, the ``RI.json`` and
+    ``RD.json`` models and the ``bm25.trec`` run.  Each test reads these,
+    not files an earlier test wrote, so it passes alone and in any order."""
+    root = workdir / "models"
+    root.mkdir()
+    inputs = ("--index", root / "idx.bin", "--corpus", workdir / "corpus.jsonl")
+    assert run("index", "--corpus", workdir / "corpus.jsonl",
+               "--out", root / "idx.bin") == 0
+    assert run("make-train", *inputs, "--questions",
+               workdir / "questions.jsonl", "--expansions",
+               workdir / "expansions.jsonl", "--out", root / "train.jsonl") == 0
+    for variant in ("RI", "RD"):
+        assert run("train", "--train", root / "train.jsonl", *inputs,
+                   "--variant", variant, "--out", root / f"{variant}.json") == 0
+    assert run("retrieve", *inputs, "--questions", workdir / "questions.jsonl",
+               "--strategy", "bm25", "--out", root / "bm25.trec") == 0
+    return root
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -88,19 +110,19 @@ class TestIndexCmd:
 
 
 class TestMakeTrainCmd:
-    def test_too_few_questions_exit_2(self, workdir):
+    def test_too_few_questions_exit_2(self, workdir, models):
         few = workdir / "few.jsonl"
         lines = (workdir / "questions.jsonl").read_text().splitlines()[:3]
         few.write_text("\n".join(lines) + "\n")
-        rc = run("make-train", "--index", workdir / "idx.bin",
+        rc = run("make-train", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", few, "--out", workdir / "t.jsonl",
                  "--folds", 5)
         assert rc == 2
 
-    def test_output_schema_and_determinism(self, workdir, capsys):
+    def test_output_schema_and_determinism(self, workdir, models, capsys):
         for name in ("train_a.jsonl", "train_b.jsonl"):
-            rc = run("make-train", "--index", workdir / "idx.bin",
+            rc = run("make-train", "--index", models / "idx.bin",
                      "--corpus", workdir / "corpus.jsonl",
                      "--questions", workdir / "questions.jsonl",
                      "--expansions", workdir / "expansions.jsonl",
@@ -114,8 +136,9 @@ class TestMakeTrainCmd:
             assert len(obj["labels"]) == len(obj["candidates"])
             assert len(obj["top2"]) == len(obj["candidates"])
 
-    def test_label_objects_of_an_older_version_exit_1(self, workdir, capsys):
-        assert run("make-train", "--index", workdir / "idx.bin",
+    def test_label_objects_of_an_older_version_exit_1(self, workdir, models,
+                                                      capsys):
+        assert run("make-train", "--index", models / "idx.bin",
                    "--corpus", workdir / "corpus.jsonl",
                    "--questions", workdir / "questions.jsonl",
                    "--expansions", workdir / "expansions.jsonl",
@@ -128,7 +151,7 @@ class TestMakeTrainCmd:
                              for i, r in enumerate(row["labels"])]
         old = workdir / "label_objects.jsonl"
         old.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        rc = run("train", "--train", old, "--index", workdir / "idx.bin",
+        rc = run("train", "--train", old, "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--out", workdir / "never.json")
         assert rc == 1
@@ -140,13 +163,13 @@ class TestMakeTrainCmd:
 
 
 class TestPipelineCmds:
-    def test_full_pipeline(self, workdir, capsys):
-        rc = run("train", "--train", workdir / "train_a.jsonl",
-                 "--index", workdir / "idx.bin",
+    def test_full_pipeline(self, workdir, models, capsys):
+        rc = run("train", "--train", models / "train.jsonl",
+                 "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--variant", "RD", "--out", workdir / "rd.json")
         assert rc == 0
-        rc = run("retrieve", "--index", workdir / "idx.bin",
+        rc = run("retrieve", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
                  "--expansions", workdir / "expansions.jsonl",
@@ -163,15 +186,15 @@ class TestPipelineCmds:
                                                         key=int)]
         assert accs == sorted(accs)
 
-    def test_ear_without_model_exit_2(self, workdir, capsys):
-        rc = run("retrieve", "--index", workdir / "idx.bin",
+    def test_ear_without_model_exit_2(self, workdir, models, capsys):
+        rc = run("retrieve", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
                  "--strategy", "ear_ri",
                  "--out", workdir / "x.trec")
         assert rc == 2
 
-    def test_oracle_without_answers_exit_2(self, workdir):
+    def test_oracle_without_answers_exit_2(self, workdir, models):
         bare = workdir / "bare.jsonl"
         rows = [json.loads(l) for l in
                 (workdir / "questions.jsonl").read_text().splitlines()]
@@ -179,7 +202,7 @@ class TestPipelineCmds:
             for row in rows:
                 del row["answers"]
                 fh.write(json.dumps(row) + "\n")
-        rc = run("retrieve", "--index", workdir / "idx.bin",
+        rc = run("retrieve", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", bare, "--strategy", "oracle",
                  "--expansions", workdir / "expansions.jsonl",
@@ -193,9 +216,10 @@ class TestPipelineCmds:
         (("ablate", "--ns", "0,5"), "cap_n must be >= 1"),
         (("retrieve", "--pr-depth", 0), "pr_depth must be >= 1"),
     ])
-    def test_bad_strategy_spec_exit_2(self, workdir, capsys, argv, message):
+    def test_bad_strategy_spec_exit_2(self, workdir, models, capsys, argv,
+                                      message):
         inputs = {
-            "--index": workdir / "idx.bin",
+            "--index": models / "idx.bin",
             "--corpus": workdir / "corpus.jsonl",
             "--questions": workdir / "questions.jsonl",
             "--out": workdir / "spec.out",
@@ -240,7 +264,7 @@ class TestPipelineCmds:
         (("eval", "--ks", "5,5,20"), "ks lists 5 more than once"),
         (("ablate", "--ns", "10,5,10"), "cap_n lists 10 more than once"),
     ])
-    def test_bad_flag_exit_2(self, workdir, capsys, argv, message):
+    def test_bad_flag_exit_2(self, workdir, models, capsys, argv, message):
         """A flag value is checked before any input is read or output
         written."""
         inputs = {
@@ -254,12 +278,14 @@ class TestPipelineCmds:
             "bench": ("--corpus", "--questions"),
             "fuse": ("--runs",),
         }[argv[0]]
-        files = {"--index": "idx.bin", "--corpus": "corpus.jsonl",
-                 "--questions": "questions.jsonl", "--train": "train_a.jsonl",
-                 "--run": "rd.trec", "--runs": "rd.trec"}
+        files = {"--index": models / "idx.bin",
+                 "--corpus": workdir / "corpus.jsonl",
+                 "--questions": workdir / "questions.jsonl",
+                 "--train": models / "train.jsonl",
+                 "--run": models / "bm25.trec", "--runs": models / "bm25.trec"}
         out = () if argv[0] == "bench" else ("--out", workdir / "flag.out")
         rc = run(*argv, *out,
-                 *(a for flag in inputs for a in (flag, workdir / files[flag])))
+                 *(a for flag in inputs for a in (flag, files[flag])))
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "flag.out").exists()
@@ -274,11 +300,11 @@ class TestPipelineCmds:
                 == f"error: {bad}:2: expected a JSON object\n")
         assert not (workdir / "bad.bin").exists()
 
-    def test_bad_expansions_row_exit_1(self, workdir, capsys):
+    def test_bad_expansions_row_exit_1(self, workdir, models, capsys):
         bad = workdir / "bad_expansions.jsonl"
         bad.write_text('{"qid": "q0", "generator_tag": "stub", "text": "x"}\n'
                        '{"generator_tag": "stub", "text": "y"}\n')
-        rc = run("retrieve", "--index", workdir / "idx.bin",
+        rc = run("retrieve", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
                  "--expansions", bad, "--strategy", "greedy",
@@ -286,8 +312,8 @@ class TestPipelineCmds:
         assert rc == 1
         assert f"{bad}:2: missing field 'qid'" in capsys.readouterr().err
 
-    def test_ablate_csv(self, workdir, capsys):
-        rc = run("ablate", "--index", workdir / "idx.bin",
+    def test_ablate_csv(self, workdir, models, capsys):
+        rc = run("ablate", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
                  "--expansions", workdir / "expansions.jsonl",
@@ -296,13 +322,15 @@ class TestPipelineCmds:
         assert rc == 0
         assert (workdir / "ablate.csv").read_text().startswith("N,top1")
 
-    def test_fuse_cmd(self, workdir):
-        run("retrieve", "--index", workdir / "idx.bin",
+    def test_fuse_cmd(self, workdir, models):
+        run("retrieve", "--index", models / "idx.bin",
             "--corpus", workdir / "corpus.jsonl",
             "--questions", workdir / "questions.jsonl",
-            "--strategy", "bm25", "--out", workdir / "bm25.trec")
-        rc = run("fuse", "--runs", workdir / "rd.trec", workdir / "bm25.trec",
-                 "--out", workdir / "fused.trec", "--k", 50)
+            "--expansions", workdir / "expansions.jsonl",
+            "--strategy", "greedy", "--out", workdir / "greedy.trec")
+        rc = run("fuse", "--runs", workdir / "greedy.trec",
+                 models / "bm25.trec", "--out", workdir / "fused.trec",
+                 "--k", 50)
         assert rc == 0
         assert (workdir / "fused.trec").exists()
 
@@ -317,9 +345,9 @@ class TestPipelineCmds:
         assert [l.split()[:3] for l in lines] == [
             ["q1", "Q0", "a"], ["q1", "Q0", "b"], ["q2", "Q0", "c"]]
 
-    def test_damaged_model_exit_1(self, workdir, capsys):
-        rc = run("train", "--train", workdir / "train_a.jsonl",
-                 "--index", workdir / "idx.bin",
+    def test_damaged_model_exit_1(self, workdir, models, capsys):
+        rc = run("train", "--train", models / "train.jsonl",
+                 "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--variant", "RI", "--out", workdir / "ri.json")
         assert rc == 0
@@ -327,7 +355,7 @@ class TestPipelineCmds:
         doc["weights"] = doc["weights"][:5]
         bad = workdir / "ri_short.json"
         bad.write_text(json.dumps(doc))
-        rc = run("retrieve", "--index", workdir / "idx.bin",
+        rc = run("retrieve", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
                  "--expansions", workdir / "expansions.jsonl",
@@ -349,7 +377,7 @@ class TestPipelineCmds:
         assert capsys.readouterr().err == "error: no training questions\n"
         assert not (workdir / "empty_ri.json").exists()
 
-    def fails_one_question(self, workdir, capsys, strategy):
+    def fails_one_question(self, workdir, models, capsys, strategy):
         """``retrieve`` with one qid's expansions removed writes the other
         39 lists and exits 1."""
         rows = (workdir / "expansions.jsonl").read_text().splitlines()
@@ -358,7 +386,7 @@ class TestPipelineCmds:
         partial.write_text("".join(
             row + "\n" for row in rows if json.loads(row)["qid"] != dropped))
         out = workdir / f"partial-{strategy}.trec"
-        rc = run("retrieve", "--index", workdir / "idx.bin",
+        rc = run("retrieve", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
                  "--expansions", partial, "--strategy", strategy,
@@ -368,11 +396,11 @@ class TestPipelineCmds:
         qids = {line.split()[0] for line in out.read_text().splitlines()}
         assert len(qids) == 39 and dropped not in qids
 
-    def test_failed_questions_exit_1(self, workdir, capsys):
-        self.fails_one_question(workdir, capsys, "greedy")
+    def test_failed_questions_exit_1(self, workdir, models, capsys):
+        self.fails_one_question(workdir, models, capsys, "greedy")
 
-    def test_concat_without_candidates_fails(self, workdir, capsys):
-        self.fails_one_question(workdir, capsys, "concat")
+    def test_concat_without_candidates_fails(self, workdir, models, capsys):
+        self.fails_one_question(workdir, models, capsys, "concat")
 
     def test_eval_warns_of_questions_without_a_list(self, workdir, capsys):
         empty = workdir / "empty.trec"
@@ -397,8 +425,8 @@ class TestPipelineCmds:
         payload = json.loads("\n".join(lines[lines.index("{"):]))
         assert payload["queries_measured"] == 40
 
-    def test_train_pr_cmd(self, workdir):
-        rc = run("train-pr", "--index", workdir / "idx.bin",
+    def test_train_pr_cmd(self, workdir, models):
+        rc = run("train-pr", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
                  "--questions", workdir / "questions.jsonl",
                  "--out", workdir / "pr.json")
@@ -485,21 +513,6 @@ class TestUnknownPassages:
             f"the stub sampler can compose from {words} corpus words\n")
 
 
-@pytest.fixture(scope="module")
-def models(workdir):
-    """RI and RD model files trained on the planted workdir."""
-    root = workdir / "models"
-    root.mkdir()
-    inputs = ("--index", root / "idx.bin", "--corpus", workdir / "corpus.jsonl")
-    assert run("index", "--corpus", workdir / "corpus.jsonl",
-               "--out", root / "idx.bin") == 0
-    assert run("make-train", *inputs, "--questions",
-               workdir / "questions.jsonl", "--expansions",
-               workdir / "expansions.jsonl", "--out", root / "train.jsonl") == 0
-    for variant in ("RI", "RD"):
-        assert run("train", "--train", root / "train.jsonl", *inputs,
-                   "--variant", variant, "--out", root / f"{variant}.json") == 0
-    return root
 
 
 def _no_candidates_or_index(monkeypatch):
@@ -553,6 +566,32 @@ class TestStrategyNeeds:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "strategy oracle needs questions with answers" in errors[0]
+
+
+class TestLogging:
+    def test_unknown_qid_warned_once_with_its_line(self, workdir, models,
+                                                   capsys):
+        """Log records reach stderr through the handler ``main`` sets up:
+        a qid the questions lack is named once, at its first line, however
+        many rows it has and however often ``main`` runs; ``--log-level
+        ERROR`` silences it."""
+        rows = (workdir / "expansions.jsonl").read_text().splitlines()
+        extra = workdir / "unknown_qid_expansions.jsonl"
+        extra.write_text("".join(row + "\n" for row in rows) + "".join(
+            json.dumps({"qid": "nosuch", "generator_tag": "stub",
+                        "text": text}) + "\n" for text in ("one", "two")))
+        argv = ("retrieve", "--index", models / "idx.bin",
+                "--corpus", workdir / "corpus.jsonl",
+                "--questions", workdir / "questions.jsonl",
+                "--expansions", extra, "--strategy", "greedy",
+                "--out", workdir / "unknown_qid.trec")
+        warning = (f"WARNING: {extra}:{len(rows) + 1}: qid nosuch not in QA "
+                   f"set; keeping row\n")
+        for _ in range(2):
+            assert run(*argv) == 0
+            assert capsys.readouterr().err == warning
+        assert run("--log-level", "error", *argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestTrainPrDeterminism:

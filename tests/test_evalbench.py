@@ -183,15 +183,15 @@ class TestBenchLatency:
     @pytest.mark.parametrize("kind", ["concat", "oracle"])
     def test_times_the_query_the_strategy_issues(self, planted, planted_store,
                                                  monkeypatch, kind):
-        """The retrieval ``bench`` times is the strategy's own: the query it
-        issues, which is not the bare question, and the list ``retrieve``
-        gives for it, whether searched or kept by the oracle."""
+        """The retrieval ``bench`` times is the strategy's own: the parts
+        it issues, which carry an expansion, and the list ``retrieve``
+        gives for them, whether searched or kept by the oracle."""
         timed = []
         retrieve = evalbench.retrieve
 
         def spy(spec, index, choice):
             rl = retrieve(spec, index, choice)
-            timed.append((choice.query, rl))
+            timed.append(((choice.question, choice.expansion), rl))
             return rl
 
         monkeypatch.setattr(evalbench, "retrieve", spy)
@@ -202,11 +202,12 @@ class TestBenchLatency:
         assert report.query_expand_s > 0.0 and report.query_rerank_s > 0.0
 
         index = build_index(planted_store, Bm25Params())
-        for qa, (query, rl) in zip(questions, timed, strict=True):
+        for qa, (parts, rl) in zip(questions, timed, strict=True):
             cs = sample_expansions_stub(qa.question, 10, 0, index,
                                         planted_store)
-            assert query == reference_strategy_query(
-                spec, index, planted_store, qa, cs, None, None) != qa.question
+            assert parts == reference_strategy_query(
+                spec, index, planted_store, qa, cs, None, None)
+            assert parts[1] is not None
             assert rl == run_strategy(spec, index, planted_store, qa, cs)
 
     def test_repetitions_validated(self, planted, planted_store):

@@ -2,6 +2,7 @@ import copy
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from expandrank import corpus
 from expandrank.corpus import CorpusError, Passage, PassageStore, QAExample
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   ExpansionCandidate, assign_folds,
-                                  build_training_set, dedup, expanded_query,
+                                  build_training_set, dedup,
                                   label_candidates, load_expansions,
                                   load_training_set, sample_expansions_stub,
                                   save_training_set, search_candidates,
@@ -19,6 +20,7 @@ from expandrank.index import Bm25Params, Index, build_index
 from expandrank.pipeline import StrategySpec, run_strategy
 from expandrank.synth import make_random_corpus, make_random_queries
 from expandrank.text import normalize
+from oracles import reference_expanded_search
 from test_golden import _zipf
 
 
@@ -258,6 +260,12 @@ class TestAnswerMatchingOncePerQuestion:
             assert set(seen) <= texts | set(qa.answers)
 
 
+# Few distinct words and duplicated passages, so scores tie often, at the
+# question's k-th score too.
+_WORD = st.sampled_from(("red", "blue", "green", "gold", "the", "of"))
+_PHRASE = st.lists(_WORD, min_size=1, max_size=5).map(" ".join)
+
+
 class TestSearchCandidates:
     @pytest.fixture(scope="class")
     def small_corpus(self):
@@ -269,8 +277,7 @@ class TestSearchCandidates:
         store, index = small_corpus
         q, e = make_random_queries(2, list(store), seed=4)
         got = search_candidates(index, q, cs([e]), 10)
-        assert got[0].entries == \
-            index.search(expanded_query(q, e), 10).entries
+        assert got[0].entries == reference_expanded_search(index, q, e, 10)
 
     def test_matches_sequential(self, small_corpus):
         store, index = small_corpus
@@ -278,7 +285,7 @@ class TestSearchCandidates:
         lists = search_candidates(index, q, cs(texts), 20)
         assert len(lists) == len(texts)
         for text, rl in zip(texts, lists):
-            assert rl.entries == index.search(expanded_query(q, text), 20).entries
+            assert rl.entries == reference_expanded_search(index, q, text, 20)
 
     def test_empty_set(self, small_corpus):
         """No empty set reaches a search, and a repeat is searched once."""
@@ -287,38 +294,81 @@ class TestSearchCandidates:
             search_candidates(index, "q", cs([]), 10)
         assert len(search_candidates(index, "q", cs(["w a", "W A!"]), 10)) == 1
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(_PHRASE, st.integers(1, 3)), min_size=1,
+                    max_size=8),
+           _PHRASE, st.lists(_PHRASE, min_size=1, max_size=4),
+           st.sampled_from((1, 2, 100)), st.integers(0, 40))
+    def test_by_parts_equals_the_reference(self, texts, question, others, k,
+                                           filler):
+        """Every path of a set's search equals the parts reference,
+        fl(S_q + S_c) and a full tie-stable sort, bit for bit: candidates
+        that repeat question terms, stopword-only (empty) parts, questions
+        with fewer than k positive documents, and ties at the question's
+        k-th score.  Selecting above that floor equals selecting from
+        every positive document."""
+        passages = [Passage(id=f"p{i:02d}.{j}", title="", text=text)
+                    for i, (text, copies) in enumerate(texts)
+                    for j in range(copies)]
+        # passages on no list make posting lists short next to the corpus
+        passages += [Passage(id=f"w{i:02d}", title="", text="white")
+                     for i in range(filler)]
+        index = build_index(PassageStore(passages), Bm25Params())
+        # the first candidate repeats a question term
+        candidate_set = cs([question.split()[0], *others])
+        candidates = [c.text for c in candidate_set.candidates]
+        q_ids = index.term_ids(question)
+        ids = [index.term_ids(c) for c in candidates]
+        for lists in (search_candidates(index, question, candidate_set, k),
+                      index._search_packed(q_ids, ids, k, "run"),
+                      index._search_dense(q_ids, ids, k, "run")):
+            for rl, c in zip(lists, candidates, strict=True):
+                want = reference_expanded_search(index, question, c, k)
+                assert rl.pids() == [pid for pid, _ in want]
+                assert rl.scores.tobytes() == \
+                    np.array([s for _, s in want]).tobytes()
+        question_scores = index.score_all(q_ids)
+        positive = np.sort(question_scores[question_scores > 0.0])
+        floor = positive[-k] if len(positive) >= k else 0.0
+        for c_ids in ids:
+            scores = index.score_all(c_ids) + question_scores
+            assert index._top(scores, floor, k, "run") == \
+                index._top(scores, 0.0, k, "run")
+
     def test_short_lists_pack_and_long_ones_do_not(self, planted,
                                                    planted_index,
                                                    monkeypatch):
-        """A set whose queries times their postings fit in the corpus is
-        scored in one pass with no per-query search: every planted set.  A
-        set over dense posting lists is searched query by query: every set
-        of the golden Zipf workload."""
+        """A set whose rows, the question's and each candidate's, times
+        their postings fit in the corpus is scored in one pass: every
+        planted set.  A set over dense posting lists is scored on dense
+        vectors: every set of the golden Zipf workload.  Both equal the
+        parts reference."""
         passages, questions, sets = _zipf()
         zipf_index = build_index(PassageStore(passages), Bm25Params())
-        calls = []
-        search_ids = Index.search_ids
+        packed = []
+        search_packed = Index._search_packed
 
         def counting(self, *args, **kwargs):
-            calls.append(args)
-            return search_ids(self, *args, **kwargs)
+            packed.append(args)
+            return search_packed(self, *args, **kwargs)
 
-        for index, qas, set_of, per_query in (
-                (planted_index, planted.questions, planted.candidates, 0),
-                (zipf_index, questions, sets, 1)):
-            for qa in qas:
+        for index, qas, set_of, n_packed, n_checked in (
+                (planted_index, planted.questions, planted.candidates, 1,
+                 len(planted.questions)),
+                (zipf_index, questions, sets, 0, 5)):
+            for i, qa in enumerate(qas):
                 candidates = set_of[qa.qid]
                 with monkeypatch.context() as m:
-                    m.setattr(Index, "search_ids", counting)
+                    m.setattr(Index, "_search_packed", counting)
                     lists = search_candidates(index, qa.question,
                                               candidates, 100)
-                assert len(calls) == per_query * len(candidates)
-                calls.clear()
+                assert len(packed) == n_packed
+                packed.clear()
+                if i >= n_checked:
+                    continue  # the reference is slow on dense lists
                 for c, rl in zip(candidates.candidates, lists):
-                    one = index.search(expanded_query(qa.question, c.text),
-                                       100)
-                    assert rl.pids() == one.pids()
-                    assert rl.scores.tobytes() == one.scores.tobytes()
+                    assert rl.entries == reference_expanded_search(
+                        index, qa.question, c.text, 100)
 
 
 class TestStoredPair:
@@ -331,8 +381,8 @@ class TestStoredPair:
             lambda qa, fold: planted.candidates[qa.qid])
         for ex in examples:
             for c, pair in zip(ex.candidates.candidates, ex.top2):
-                assert pair == planted_index.search(
-                    expanded_query(ex.question, c.text), 2).entries
+                assert pair == reference_expanded_search(
+                    planted_index, ex.question, c.text, 2)
 
     @pytest.mark.parametrize("k_retrieve", [1, 2, 100])
     def test_lists_equal_the_expanded_searches(
@@ -342,8 +392,9 @@ class TestStoredPair:
             _, lists = label_candidates(planted_index, planted_store, qa,
                                         cands, k_retrieve)
             for c, rl in zip(cands.candidates, lists):
-                assert rl == planted_index.search(
-                    expanded_query(qa.question, c.text), max(k_retrieve, 2))
+                assert rl.tag == "run"
+                assert rl.entries == reference_expanded_search(
+                    planted_index, qa.question, c.text, max(k_retrieve, 2))
 
     def test_rank_counts_only_first_k_retrieve(self, rank_fixture):
         store, index = rank_fixture
@@ -515,8 +566,3 @@ class TestBuildTrainingSet:
             assert a.qid == b.qid
             assert a.labels == b.labels
             assert a.top2 == b.top2
-
-
-class TestExpandedQuery:
-    def test_single_space_concat(self):
-        assert expanded_query("who won", "the 1998 final") == "who won the 1998 final"

@@ -20,8 +20,9 @@ from expandrank.index import (Bm25Params, Index, IndexError_, RankedList, build_
 from expandrank.synth import make_random_corpus, make_random_queries
 from expandrank.text import Analyzer, normalize
 from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
-                     reference_build_index, reference_score_all,
-                     reference_search, reference_term_ids)
+                     reference_build_index, reference_expanded_search,
+                     reference_parts_scores, reference_score_all,
+                     reference_search, reference_term_ids, reference_top)
 
 PARAMS = Bm25Params()
 
@@ -442,8 +443,8 @@ class TestKernelParity:
     def test_counted_terms_match_loop(self, index, data):
         """Query terms counted 1 to 7 times, an empty query and terms with
         empty posting lists: ``score_all`` equals the loop bit for bit, and
-        ``search_many`` equals ``search_ids`` query for query on both its
-        packed and its per-query path."""
+        ``search_expanded`` of the first query plus each of the others
+        equals the parts reference on its packed and its dense path."""
         vocab_size = len(index.terms)
         query = st.lists(st.tuples(st.integers(0, vocab_size - 1),
                                    st.integers(1, 7)),
@@ -456,13 +457,21 @@ class TestKernelParity:
             assert index.score_all(ids).tobytes() == \
                 reference_score_all(index, ids).tobytes()
         k = data.draw(st.integers(1, index.doc_count + 1))
-        single = [index.search_ids(ids, k) for ids in queries]
-        for lists in (index.search_many(queries, k),
-                      index._search_packed(queries, k, "run")):
-            for rl, one in zip(lists, single, strict=True):
-                assert rl._rows.dtype == one._rows.dtype
-                assert rl._rows.tobytes() == one._rows.tobytes()
-                assert rl.scores.tobytes() == one.scores.tobytes()
+        question, *expansions = queries
+        for ids in expansions:
+            assert index.score_parts(question, ids).tobytes() == \
+                reference_parts_scores(index, question, ids).tobytes()
+        dtype = index.search_ids(question, k)._rows.dtype
+        for lists in (index.search_expanded(question, expansions, k),
+                      index._search_packed(question, expansions, k, "run"),
+                      index._search_dense(question, expansions, k, "run")):
+            for rl, ids in zip(lists, expansions, strict=True):
+                assert rl._rows.dtype == dtype
+                want = reference_top(index, reference_parts_scores(
+                    index, question, ids), k)
+                assert rl.pids() == [pid for pid, _ in want]
+                assert rl.scores.tobytes() == \
+                    np.array([s for _, s in want]).tobytes()
 
     def test_one_postings_sized_float_array(self, small_corpus):
         """The index holds each posting's contribution once: no second
@@ -500,54 +509,59 @@ class TestPartialTopK:
            st.integers(0, 60))
     def test_search_matches_full_sort(self, texts, query, others, filler):
         # ``filler`` passages on no query's list make the set's lists short
-        # next to the corpus, so ``search_many`` packs some sets
+        # next to the corpus, so ``search_expanded`` packs some sets
         passages = [Passage(id=f"p{i:02d}.{j}", title="", text=text)
                     for i, (text, copies) in enumerate(texts)
                     for j in range(copies)]
         passages += [Passage(id=f"w{i:02d}", title="", text="white")
                      for i in range(filler)]
         index = build_index(PassageStore(passages), PARAMS)
-        # a query with no term ids, and one with a repeated term
-        queries = [query, "the zebra", f"{query} {query.split()[0]}",
-                   *others]
-        ids = [index.term_ids(q) for q in queries]
-        n_pos = max(len(reference_search(index, q, len(passages)))
-                    for q in queries)
+        # expansions with no term ids, one that repeats a question term,
+        # and the question itself
+        expansions = [query, "the zebra", f"{query.split()[0]} blue",
+                      *others]
+        q_ids = index.term_ids(query)
+        ids = [index.term_ids(e) for e in expansions]
+        n_pos = max(len(reference_expanded_search(index, query, e,
+                                                  len(passages)))
+                    for e in expansions)
         # every cut, through ties or not, and k past the positive docs
         for k in range(1, n_pos + 3):
             assert index.search(query, k).entries == \
                 reference_search(index, query, k)
-            single = [index.search_ids(i, k) for i in ids]
-            for lists in (index.search_many(ids, k),
-                          index._search_packed(ids, k, "run")):
-                assert len(lists) == len(queries)
-                for q, rl, one in zip(queries, lists, single):
-                    assert rl.entries == reference_search(index, q, k)
-                    assert rl.pids() == one.pids()
-                    assert rl.scores.tobytes() == one.scores.tobytes()
-                    assert rl._rows.dtype == one._rows.dtype
+            dtype = index.search(query, k)._rows.dtype
+            for lists in (index.search_expanded(q_ids, ids, k),
+                          index._search_packed(q_ids, ids, k, "run"),
+                          index._search_dense(q_ids, ids, k, "run")):
+                assert len(lists) == len(expansions)
+                for e, rl in zip(expansions, lists):
+                    assert rl.entries == \
+                        reference_expanded_search(index, query, e, k)
+                    assert rl._rows.dtype == dtype
 
-    def test_search_many_edges(self, small_corpus):
+    def test_search_expanded_edges(self, small_corpus):
         store, index = small_corpus
         queries = make_random_queries(3, list(store), seed=2)
-        ids = [index.term_ids(q) for q in queries]
+        q_ids, *ids = [index.term_ids(q) for q in queries]
         with pytest.raises(ValueError, match="k must be >= 1"):
-            index.search_many(ids, 0)
-        assert index.search_many([], 5) == []
-        assert index.search_many(ids[:1], 5, "t") == \
-            [index.search_ids(ids[0], 5, "t")]
-        for rl in index._search_packed([[], []], 5, "t"):
-            assert len(rl) == 0 and rl.tag == "t"
-            assert rl.scores.dtype == np.float64
-            assert rl._rows.dtype == np.uint16
+            index.search_expanded(q_ids, ids, 0)
+        assert index.search_expanded(q_ids, [], 5) == []
+        # an empty expansion part searches the bare question
+        assert index.search_expanded(q_ids, [[]], 5, "t") == \
+            [index.search_ids(q_ids, 5, "t")]
+        for search in (index._search_packed, index._search_dense):
+            for rl in search([], [[], []], 5, "t"):
+                assert len(rl) == 0 and rl.tag == "t"
+                assert rl.scores.dtype == np.float64
+                assert rl._rows.dtype == np.uint16
 
     def test_packed_lists_own_their_arrays(self, small_corpus):
         """A kept list holds its own rows and scores, not views of the
         set's arrays, so it keeps nothing else of the set alive."""
         store, index = small_corpus
-        ids = [index.term_ids(q)
-               for q in make_random_queries(4, list(store), seed=3)]
-        for rl in index._search_packed(ids, 10, "run"):
+        q_ids, *ids = [index.term_ids(q)
+                       for q in make_random_queries(5, list(store), seed=3)]
+        for rl in index._search_packed(q_ids, ids, 10, "run"):
             assert len(rl) and rl._rows.base is None and rl.scores.base is None
 
     def test_boundary_cuts_through_ties(self):

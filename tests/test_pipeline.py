@@ -10,13 +10,14 @@ from expandrank import expansion, text
 from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.evalbench import min_answer_rank, read_run, topk_accuracy, write_run
 from expandrank.expansion import (CandidateSet, ExpansionCandidate,
-                                  expanded_query, label_candidates, truncate)
+                                  label_candidates, truncate)
 from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.pipeline import (STRATEGIES, StrategySpec, choose, fuse,
-                                 run_dataset, run_strategy)
+                                 retrieve, run_dataset, run_strategy)
 from expandrank.reranker import Featurizer
 from expandrank.text import normalize
-from oracles import reference_fuse, reference_strategy_query
+from oracles import (reference_expanded_search, reference_fuse,
+                     reference_strategy_query)
 
 
 def rl(pids, tag="t"):
@@ -107,8 +108,8 @@ class TestStrategySpec:
             cands = planted.candidates[qa.qid]
             choice = choose(spec, planted_index, planted_store, qa, cands,
                             None, None)
-            assert choice.query == expanded_query(
-                qa.question, *(c.text for c in cands.candidates[:5]))
+            assert (choice.question, choice.expansion) == (
+                qa.question, " ".join(c.text for c in cands.candidates[:5]))
             run_strategy(spec, planted_index, planted_store, qa, cands)
         assert calls == []
 
@@ -215,27 +216,23 @@ class TestChoose:
     def test_oracle_searches_each_candidate_once(self, planted20,
                                                  monkeypatch):
         """The oracle's run is the chosen candidate's labeling list, so n
-        candidates cost n queries scored, not n + 1: the rows of
-        ``search_many`` plus any ``search_ids`` call outside it."""
+        candidates cost n expansions scored, not n + 1: the expansion rows
+        of ``search_expanded`` plus any ``search_ids`` call."""
         fx, store, index = planted20
         scored = []
-        depth = []  # one entry per ``search_many`` call under way
-        search_many, search_ids = Index.search_many, Index.search_ids
+        search_expanded, search_ids = Index.search_expanded, Index.search_ids
 
-        def many(self, term_id_lists, *args, **kwargs):
-            scored.extend(term_id_lists)
-            depth.append(1)
-            try:
-                return search_many(self, term_id_lists, *args, **kwargs)
-            finally:
-                depth.pop()
+        def expanded(self, question_ids, expansion_id_lists, *args,
+                     **kwargs):
+            scored.extend(expansion_id_lists)
+            return search_expanded(self, question_ids, expansion_id_lists,
+                                   *args, **kwargs)
 
         def single(self, *args, **kwargs):
-            if not depth:
-                scored.append(args)
+            scored.append(args)
             return search_ids(self, *args, **kwargs)
 
-        monkeypatch.setattr(Index, "search_many", many)
+        monkeypatch.setattr(Index, "search_expanded", expanded)
         monkeypatch.setattr(Index, "search_ids", single)
         spec = StrategySpec(kind="oracle")
         for qa in fx.questions:
@@ -290,16 +287,49 @@ class TestChoose:
         for qa in qa_test[:15]:
             cands = planted.candidates[qa.qid]
             capped = cands if cap_n is None else truncate(cands, cap_n)
-            query = reference_strategy_query(spec, planted_index,
-                                             planted_store, qa, capped,
-                                             model, featurizer)
+            question, expansion = reference_strategy_query(
+                spec, planted_index, planted_store, qa, capped, model,
+                featurizer)
             got = run_strategy(spec, planted_index, planted_store, qa, cands,
                                model, featurizer)
-            assert got == planted_index.search(query, k, kind)
+            assert got.tag == kind
+            assert got.entries == reference_expanded_search(
+                planted_index, question, expansion or "", k)
             choice = choose(spec, planted_index, planted_store, qa, cands,
                             model, featurizer)
-            assert choice.query == query
+            assert (choice.question, choice.expansion) == (question,
+                                                           expansion)
             assert (choice.ranked is not None) == (kind == "oracle")
+
+
+class TestComposition:
+    def test_retrieve_and_labels_share_one_score(self, planted,
+                                                 planted_store,
+                                                 planted_index, rd_model,
+                                                 featurizer):
+        """``retrieve`` and labeling score "question + candidate" by one
+        definition: ``ear_rd``'s final list is the k=100 labeling list of
+        the candidate it chose, pids and score bits, and its answer rank is
+        that candidate's label.  So ``oracle``, which takes the lowest
+        label, ranks the answer no lower than ``ear_rd``."""
+        spec = StrategySpec(kind="ear_rd")
+        k = spec.k_retrieve
+        for qa in planted.questions:
+            cs = planted.candidates[qa.qid]
+            choice = choose(spec, planted_index, planted_store, qa, cs,
+                            rd_model, featurizer)
+            got = retrieve(spec, planted_index, choice)
+            labels, lists = label_candidates(planted_index, planted_store, qa,
+                                             cs, k)
+            chosen = [c.text for c in cs.candidates].index(choice.expansion)
+            assert got.pids() == lists[chosen].pids()
+            assert got.scores.tobytes() == lists[chosen].scores.tobytes()
+            rank = min_answer_rank(got, qa.answers, planted_store) or k + 1
+            assert rank == labels[chosen]
+            oracle = run_strategy(StrategySpec(kind="oracle"), planted_index,
+                                  planted_store, qa, cs)
+            assert (min_answer_rank(oracle, qa.answers, planted_store)
+                    or k + 1) <= rank
 
 
 class TestRankedListLayout:

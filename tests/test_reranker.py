@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from expandrank.corpus import Passage, PassageStore
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
-                                  ExpansionCandidate, expanded_query,
-                                  label_candidates, search_candidates)
+                                  ExpansionCandidate, label_candidates,
+                                  search_candidates)
 from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.passage_reranker import PassageScorer
 from expandrank.reranker import (RD_SCHEMA, RI_SCHEMA, Featurizer, ScorerModel,
                                  TrainConfig, rank_loss, select_best, train)
-from oracles import reference_rd, reference_ri
+from oracles import reference_expanded_search, reference_rd, reference_ri
 
 
 def ri_row(featurizer, question, expansion):
@@ -91,8 +91,8 @@ class TestFeaturizeRD:
 
     def test_stored_pairs_match_search(self, planted_train_set, featurizer):
         for ex in planted_train_set[:20]:
-            searched = [featurizer.index.search(
-                expanded_query(ex.question, c.text), 2).entries
+            searched = [reference_expanded_search(
+                featurizer.index, ex.question, c.text, 2)
                 for c in ex.candidates.candidates]
             np.testing.assert_array_equal(
                 featurizer.features("RD", ex.question, texts_of(ex.candidates),
