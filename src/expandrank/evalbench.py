@@ -12,7 +12,9 @@ from array import array
 from dataclasses import asdict, dataclass, replace
 
 from .corpus import AnswerMatcher, PassageStore, open_utf8
-from .expansion import min_answer_rank, sample_expansions_stub  # noqa: F401 (re-export)
+# min_answer_rank is a re-export, for callers that import it from here
+from .expansion import min_answer_rank  # noqa: F401
+from .expansion import sample_expansions_stub
 from .index import (Bm25Params, Index, RankedList, build_index,
                     lists_on_table)
 from .pipeline import (StrategySpec, check_strategy, choose, retrieve,

@@ -190,7 +190,8 @@ def search_candidates(index: Index, question: str, cs: CandidateSet,
     document scores fl(S_q + S_c), the question's BM25 score plus the
     candidate's, each summed over its own term ids.  So the question is
     scored once per set and each candidate gathers only its own postings;
-    the question's k-th best score is every candidate's floor.
+    in a set of several, the question's k-th best score is every
+    candidate's floor.
     """
     return index.search_expanded(
         index.term_ids(question),

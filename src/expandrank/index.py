@@ -299,23 +299,6 @@ class Index:
             self.post_offsets, self.post_docs, self._impact, self._counted,
             self.doc_count)
 
-    def score_parts(self, question_ids, expansion_ids) -> np.ndarray:
-        """Dense score vector of "question + expansion" by parts,
-        fl(S_q + S_e), each part summed as ``score_all`` sums it, from one
-        gather of both parts."""
-        parts = [Counter(question_ids), Counter(expansion_ids)]
-        tids = [sorted(part) for part in parts]
-        docs, contributions, sizes = kernels.gather_postings(
-            np.array(tids[0] + tids[1], dtype=np.int64),
-            [part[t] for part, ts in zip(parts, tids) for t in ts],
-            self.post_offsets, self.post_docs, self._impact, self._counted)
-        n, split = self.doc_count, int(sizes[:len(tids[0])].sum())
-        scores = np.bincount(docs[:split], contributions[:split],
-                             minlength=n).astype(np.float64, copy=False)
-        scores += np.bincount(docs[split:], contributions[split:],
-                              minlength=n)
-        return scores
-
     def search(self, query_text: str, k: int, tag: str = "run") -> RankedList:
         """``search_ids`` of ``query_text``'s term ids."""
         return self.search_ids(self.term_ids(query_text), k, tag)
@@ -357,21 +340,24 @@ class Index:
         a floor for every expansion: S_e >= 0 and rounding is monotone, so
         each of the question's top k scores at least θ with any expansion,
         and every document of an expansion's top k, ties included, scores
-        θ or more.  Only those are selected from.  With fewer than k
-        positive question scores θ is 0, and every positive document is.
+        θ or more.  With fewer than k positive question scores θ is 0, and
+        every positive document is selected from.
 
-        When a set of several expansions has short posting lists next to
-        the corpus, that is when the question and the expansions, one row
+        One rule decides both choices that depend on the set's size: only
+        when several expansions share the question is θ taken, since it
+        costs a pass over the question's scores, and may the set be
+        packed.  A packed set, whose question and expansions, one row
         each, times the postings of their distinct terms are at most
-        ``doc_count``, all of them are scored in one ``bincount``
-        (``_search_packed``), list for list and bit for bit the same.  The rule reads only
+        ``doc_count``, is scored in one ``bincount`` (``_search_packed``),
+        list for list and bit for bit the same.  That reads only
         ``post_offsets``, and it bounds the packed (rows × documents) score
         matrix by the size of one dense score vector.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         n = len(expansion_id_lists)
-        if n > 1:
+        shared = n > 1
+        if shared:
             terms = np.fromiter(set(question_ids).union(*expansion_id_lists),
                                 dtype=np.int64)
             offsets = self.post_offsets
@@ -379,25 +365,21 @@ class Index:
             if (n + 1) * postings <= self.doc_count:
                 return self._search_packed(question_ids, expansion_id_lists,
                                            k, tag)
-        return self._search_dense(question_ids, expansion_id_lists, k, tag)
+        return self._search_dense(question_ids, expansion_id_lists, k, tag,
+                                  shared)
 
     def _search_dense(self, question_ids, expansion_id_lists, k: int,
-                      tag: str) -> list[RankedList]:
+                      tag: str, floored: bool) -> list[RankedList]:
         """``search_expanded`` over dense score vectors: the question's
         once, then each expansion's plus the question's, selected above
-        the question's floor."""
-        if len(expansion_id_lists) == 1:
-            # no floor: it costs a pass over the question's scores, which
-            # pays only when several expansions select above it
-            return [self._top(self.score_parts(question_ids,
-                                               expansion_id_lists[0]),
-                              0.0, k, tag)]
+        the question's floor θ when ``floored``."""
         question = self.score_all(question_ids)
-        positive = question[question > 0.0]
         floor = 0.0
-        if len(positive) >= k:
-            floor = np.partition(positive, len(positive) - k)[
-                len(positive) - k]
+        if floored:
+            positive = question[question > 0.0]
+            if len(positive) >= k:
+                floor = np.partition(positive, len(positive) - k)[
+                    len(positive) - k]
         lists = []
         for ids in expansion_id_lists:
             scores = self.score_all(ids)

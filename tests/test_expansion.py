@@ -321,7 +321,7 @@ class TestSearchCandidates:
         ids = [index.term_ids(c) for c in candidates]
         for lists in (search_candidates(index, question, candidate_set, k),
                       index._search_packed(q_ids, ids, k, "run"),
-                      index._search_dense(q_ids, ids, k, "run")):
+                      index._search_dense(q_ids, ids, k, "run", True)):
             for rl, c in zip(lists, candidates, strict=True):
                 want = reference_expanded_search(index, question, c, k)
                 assert rl.pids() == [pid for pid, _ in want]
@@ -369,6 +369,22 @@ class TestSearchCandidates:
                 for c, rl in zip(candidates.candidates, lists):
                     assert rl.entries == reference_expanded_search(
                         index, qa.question, c.text, 100)
+
+    def test_one_candidate_is_never_packed(self, planted, planted_index,
+                                           monkeypatch):
+        """A set of one candidate, as ``retrieve`` searches its choice, is
+        scored on dense vectors even where every planted set of several
+        packs, and equals the parts reference."""
+        def no_packing(*args, **kwargs):
+            raise AssertionError("a one-candidate set was packed")
+
+        monkeypatch.setattr(Index, "_search_packed", no_packing)
+        for qa in planted.questions:
+            candidate = planted.candidates[qa.qid].candidates[0]
+            (rl,) = search_candidates(planted_index, qa.question,
+                                      cs([candidate.text]), 100)
+            assert rl.entries == reference_expanded_search(
+                planted_index, qa.question, candidate.text, 100)
 
 
 class TestStoredPair:

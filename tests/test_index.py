@@ -443,8 +443,9 @@ class TestKernelParity:
     def test_counted_terms_match_loop(self, index, data):
         """Query terms counted 1 to 7 times, an empty query and terms with
         empty posting lists: ``score_all`` equals the loop bit for bit, and
-        ``search_expanded`` of the first query plus each of the others
-        equals the parts reference on its packed and its dense path."""
+        ``search_expanded`` of the first query plus each of the others,
+        alone and as a set, equals the parts reference on its packed and
+        its dense path."""
         vocab_size = len(index.terms)
         query = st.lists(st.tuples(st.integers(0, vocab_size - 1),
                                    st.integers(1, 7)),
@@ -458,14 +459,17 @@ class TestKernelParity:
                 reference_score_all(index, ids).tobytes()
         k = data.draw(st.integers(1, index.doc_count + 1))
         question, *expansions = queries
-        for ids in expansions:
-            assert index.score_parts(question, ids).tobytes() == \
-                reference_parts_scores(index, question, ids).tobytes()
         dtype = index.search_ids(question, k)._rows.dtype
-        for lists in (index.search_expanded(question, expansions, k),
-                      index._search_packed(question, expansions, k, "run"),
-                      index._search_dense(question, expansions, k, "run")):
-            for rl, ids in zip(lists, expansions, strict=True):
+        # each expansion alone, as ``retrieve`` searches its choice, then
+        # the set on every path
+        searches = [([ids], index.search_expanded(question, [ids], k))
+                    for ids in expansions]
+        searches += [(expansions, lists) for lists in (
+            index.search_expanded(question, expansions, k),
+            index._search_packed(question, expansions, k, "run"),
+            index._search_dense(question, expansions, k, "run", True))]
+        for expansion_id_lists, lists in searches:
+            for rl, ids in zip(lists, expansion_id_lists, strict=True):
                 assert rl._rows.dtype == dtype
                 want = reference_top(index, reference_parts_scores(
                     index, question, ids), k)
@@ -532,7 +536,11 @@ class TestPartialTopK:
             dtype = index.search(query, k)._rows.dtype
             for lists in (index.search_expanded(q_ids, ids, k),
                           index._search_packed(q_ids, ids, k, "run"),
-                          index._search_dense(q_ids, ids, k, "run")):
+                          index._search_dense(q_ids, ids, k, "run", True),
+                          # each expansion alone: one dense list, no floor
+                          [rl for e_ids in ids
+                           for rl in index.search_expanded(q_ids, [e_ids],
+                                                           k)]):
                 assert len(lists) == len(expansions)
                 for e, rl in zip(expansions, lists):
                     assert rl.entries == \
@@ -549,8 +557,9 @@ class TestPartialTopK:
         # an empty expansion part searches the bare question
         assert index.search_expanded(q_ids, [[]], 5, "t") == \
             [index.search_ids(q_ids, 5, "t")]
-        for search in (index._search_packed, index._search_dense):
-            for rl in search([], [[], []], 5, "t"):
+        for lists in (index._search_packed([], [[], []], 5, "t"),
+                      index._search_dense([], [[], []], 5, "t", True)):
+            for rl in lists:
                 assert len(rl) == 0 and rl.tag == "t"
                 assert rl.scores.dtype == np.float64
                 assert rl._rows.dtype == np.uint16

@@ -491,6 +491,50 @@ class TestSelectBest:
         assert select_best(m, question, cs, featurizer) \
             is cs.candidates[0]
 
+    def test_rd_selects_on_exact_k2_lists(self, planted, planted_split,
+                                          rd_model, featurizer, monkeypatch):
+        """RD selection featurizes each candidate's exact k=2 list of
+        "question + candidate" and picks the first argmin of the model's
+        scores over those rows: on the planted test questions, and on a
+        corpus where one candidate's expanded query retrieves one passage
+        only."""
+        store = PassageStore([
+            Passage(id="p0", title="", text="river bank loans"),
+            Passage(id="p1", title="", text="river fish swim"),
+            Passage(id="p2", title="", text="mountain snow peak"),
+            Passage(id="p3", title="", text="desert sand dune"),
+        ])
+        small = Featurizer(build_index(store, Bm25Params()), store)
+        # "snow" and "peak" are on p2's list alone; the others add passages
+        one_hit = CandidateSet(qid="s", candidates=[
+            ExpansionCandidate(text=t) for t in ("river fish", "peak",
+                                                 "sand")])
+        _, qa_test = planted_split
+        cases = [(featurizer, qa.question, planted.candidates[qa.qid])
+                 for qa in qa_test]
+        cases.append((small, "what is the snow", one_hit))
+        seen = []
+        features = Featurizer.features
+
+        def spy(self, variant, question, texts, tops=None):
+            seen.append(tops)
+            return features(self, variant, question, texts, tops)
+
+        monkeypatch.setattr(Featurizer, "features", spy)
+        sizes = set()
+        for f, question, cands in cases:
+            seen.clear()
+            pick = select_best(rd_model, question, cands, f)
+            (tops,) = seen
+            texts = texts_of(cands)
+            assert tops == [reference_expanded_search(f.index, question, t, 2)
+                            for t in texts]
+            sizes.update(map(len, tops))
+            scores = rd_model.score(features(f, "RD", question, texts, tops))
+            assert pick is cands.candidates[
+                int(np.flatnonzero(scores == scores.min())[0])]
+        assert sizes == {1, 2}
+
     def test_affine_score_invariance(self, planted, ri_model, featurizer):
         qa = planted.questions[5]
         cs = planted.candidates[qa.qid]
