@@ -199,7 +199,8 @@ def cmd_retrieve(args) -> int:
                   if spec.needs.candidates else {})
     runs = pipeline.run_dataset(spec, index, store, questions, candidates,
                                 model, Featurizer(index, store), scorer)
-    evalbench.write_run(runs, args.out)
+    evalbench.write_run(runs, args.out,
+                        spec.kind if scorer is None else f"{spec.kind}+pr")
     print(f"wrote {sum(len(rl) for rl in runs.values())} entries for "
           f"{len(runs)} questions -> {args.out}")
     failed = len(questions) - len(runs)  # qids are unique, see load_questions
@@ -215,6 +216,12 @@ def cmd_eval(args) -> int:
     store = load_corpus(_require_file(args.corpus, "corpus"))
     questions = load_questions(_require_file(args.questions, "questions"))
     runs = evalbench.read_run(_require_file(args.run, "run file"))
+    for qid, rl in runs.items():
+        # every pid, not only those the answer matcher reaches
+        missing = next((pid for pid in rl.pids() if pid not in store), None)
+        if missing is not None:
+            raise CorpusError(f"{args.run}: qid {qid} names passage "
+                              f"{missing!r}, which the corpus lacks")
     report = evalbench.topk_accuracy(runs, questions, store, ks=ks,
                                      tag=os.path.basename(args.run))
     unlisted = sum(qa.qid not in runs for qa in questions)
@@ -271,7 +278,7 @@ def cmd_fuse(args) -> int:
     qids = dict.fromkeys(qid for runs in loaded for qid in runs)  # first seen
     fused = {qid: pipeline.fuse([runs[qid] for runs in loaded if qid in runs],
                                 args.k) for qid in qids}
-    evalbench.write_run(fused, args.out)
+    evalbench.write_run(fused, args.out, "fusion")
     print(f"fused {len(args.runs)} runs over {len(fused)} questions -> {args.out}")
     return 0
 

@@ -169,16 +169,23 @@ def bench_latency(store: PassageStore, params: Bm25Params, spec: StrategySpec,
 
 # -- TREC run files ---------------------------------------------------------
 
-def write_run(runs: dict[str, RankedList], path) -> None:
+def write_run(runs: dict[str, RankedList], path, tag: str = "run") -> None:
+    """``runs`` as a TREC run file whose sixth column, the run's name, is
+    ``tag`` on every line.  A tag that is empty or holds whitespace would
+    change the lines' column count, so it raises ValueError."""
+    if tag.split() != [tag]:
+        raise ValueError(f"run tag must be one non-empty word, got {tag!r}")
     with open(path, "w", encoding="utf-8") as fh:
         for qid, rl in runs.items():
             fh.writelines(
-                f"{qid} Q0 {pid} {rank} {score:.6f} {rl.tag}\n"
+                f"{qid} Q0 {pid} {rank} {score:.6f} {tag}\n"
                 for rank, (pid, score) in enumerate(
                     zip(rl.pids(), rl.scores.tolist()), start=1))
 
 
 def read_run(path) -> dict[str, RankedList]:
+    """The lists of a TREC run file, by qid in first-seen order.  A qid's
+    lines must carry one tag, the run's name; the lists do not keep it."""
     # qid -> (tag, rows, scores), in first-seen order.  Each distinct pid
     # gets the next row as it is first met, so the file's one pid -> row
     # map is built while parsing; rows and scores are unboxed ints and
@@ -218,7 +225,7 @@ def read_run(path) -> dict[str, RankedList]:
     pids, qids = list(row_of), list(columns)
     del row_of
     runs = dict(zip(qids, lists_on_table(pids, (
-        (rows, scores, tag) for tag, rows, scores in map(columns.pop, qids)))))
+        (rows, scores) for _tag, rows, scores in map(columns.pop, qids)))))
     for qid, rl in runs.items():
         try:
             rl.validate()

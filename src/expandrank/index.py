@@ -87,15 +87,15 @@ class RankedList:
     entry.  ``entries`` and ``pids()`` build the pids on
     demand; a reader of the first few entries takes ``head(n)`` or
     ``iter_pids()``.  ``head`` and ``reorder`` make lists that share the
-    table.  A list carries no qid: a run is a ``{qid: RankedList}`` map,
-    whose key names the question.
+    table.  A list is its pids and scores: it carries no qid, since a run
+    is a ``{qid: RankedList}`` map whose key names the question, and no run
+    name, which ``evalbench.write_run`` takes.
     """
 
-    __slots__ = ("tag", "_table", "_rows", "scores")
+    __slots__ = ("_table", "_rows", "scores")
 
-    def __init__(self, pids, scores, tag: str = "run"):
+    def __init__(self, pids, scores):
         """A list of ``pids`` with the aligned ``scores``."""
-        self.tag = tag
         self.scores: np.ndarray = _score_column(pids, scores)
         # the distinct pids in first-seen order, and each entry's position
         row_of: dict[str, int] = {}
@@ -105,9 +105,9 @@ class RankedList:
 
     @classmethod
     def _of_rows(cls, table: np.ndarray, rows: np.ndarray,
-                 scores: np.ndarray, tag: str) -> "RankedList":
+                 scores: np.ndarray) -> "RankedList":
         rl = cls.__new__(cls)
-        rl.tag, rl._table, rl._rows, rl.scores = tag, table, rows, scores
+        rl._table, rl._rows, rl.scores = table, rows, scores
         return rl
 
     @property
@@ -120,14 +120,13 @@ class RankedList:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankedList):
             return NotImplemented
-        return (self.tag == other.tag and self.pids() == other.pids()
+        return (self.pids() == other.pids()
                 and self.scores.tolist() == other.scores.tolist())
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"RankedList({self.pids()!r}, {self.scores.tolist()!r}, "
-                f"tag={self.tag!r})")
+        return f"RankedList({self.pids()!r}, {self.scores.tolist()!r})"
 
     def pids(self) -> list[str]:
         return self._table[self._rows].tolist()
@@ -140,20 +139,19 @@ class RankedList:
             yield table[rows[0]]
             yield from table[rows[1:]].tolist()
 
-    def head(self, n: int, tag: str | None = None) -> "RankedList":
-        """The first ``n`` entries, tagged ``tag`` (default: this list's)."""
+    def head(self, n: int) -> "RankedList":
+        """The first ``n`` entries."""
         return RankedList._of_rows(self._table, self._rows[:n],
-                                   self.scores[:n],
-                                   self.tag if tag is None else tag)
+                                   self.scores[:n])
 
-    def reorder(self, order, scores, tag: str) -> "RankedList":
+    def reorder(self, order, scores) -> "RankedList":
         """This list with its first ``len(order)`` entries taken in
         ``order`` (positions into this list) and the rest in place, scored
-        ``scores`` and tagged ``tag``."""
+        ``scores``."""
         rows = self._rows.copy()
         rows[:len(order)] = self._rows[order]
         return RankedList._of_rows(self._table, rows,
-                                   np.asarray(scores, dtype=np.float64), tag)
+                                   np.asarray(scores, dtype=np.float64))
 
     def validate(self) -> None:
         if np.any(self.scores[:-1] < self.scores[1:]):
@@ -165,7 +163,7 @@ class RankedList:
 
 
 def lists_on_table(pids, columns) -> list[RankedList]:
-    """A list for each ``(rows, scores, tag)`` of ``columns``, all sharing
+    """A list for each ``(rows, scores)`` of ``columns``, all sharing
     one table of ``pids``, which are distinct; ``rows`` are positions in
     ``pids``.  ``read_run`` numbers each pid as it first meets it, so it
     holds one pid -> row map and no per-entry pid strings."""
@@ -173,8 +171,8 @@ def lists_on_table(pids, columns) -> list[RankedList]:
     row_type = _row_type(len(table))
     # rows and scores are copied, so no list holds a view of a buffer
     return [RankedList._of_rows(table, np.array(rows, dtype=row_type),
-                                _score_column(rows, np.array(scores)), tag)
-            for rows, scores, tag in columns]
+                                _score_column(rows, np.array(scores)))
+            for rows, scores in columns]
 
 
 class Index:
@@ -299,19 +297,18 @@ class Index:
             self.post_offsets, self.post_docs, self._impact, self._counted,
             self.doc_count)
 
-    def search(self, query_text: str, k: int, tag: str = "run") -> RankedList:
+    def search(self, query_text: str, k: int) -> RankedList:
         """``search_ids`` of ``query_text``'s term ids."""
-        return self.search_ids(self.term_ids(query_text), k, tag)
+        return self.search_ids(self.term_ids(query_text), k)
 
-    def search_ids(self, term_ids, k: int, tag: str = "run") -> RankedList:
+    def search_ids(self, term_ids, k: int) -> RankedList:
         """Top-``k`` positively scoring passages for a query's term ids, ties
         to the smaller pid."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        return self._top(self.score_all(term_ids), 0.0, k, tag)
+        return self._top(self.score_all(term_ids), 0.0, k)
 
-    def _top(self, scores: np.ndarray, floor: float, k: int,
-             tag: str) -> RankedList:
+    def _top(self, scores: np.ndarray, floor: float, k: int) -> RankedList:
         """The top ``k`` of the dense ``scores``, ties to the smaller pid,
         among the documents scoring above 0 and at least ``floor``; the
         caller knows that at least ``k`` documents score ``floor`` or more
@@ -326,10 +323,10 @@ class Index:
         docs = pos[np.lexsort((pos, -top))[:k]]
         return RankedList._of_rows(self._pid_objs,
                                    docs.astype(_row_type(self.doc_count)),
-                                   scores[docs], tag)
+                                   scores[docs])
 
-    def search_expanded(self, question_ids, expansion_id_lists, k: int,
-                        tag: str = "run") -> list[RankedList]:
+    def search_expanded(self, question_ids, expansion_id_lists,
+                        k: int) -> list[RankedList]:
         """Top-``k`` of "question + expansion" for each of
         ``expansion_id_lists``, scored by parts: a document's score is
         fl(S_q + S_e), where S_q is ``score_all(question_ids)`` and S_e is
@@ -364,12 +361,11 @@ class Index:
             postings = int((offsets[terms + 1] - offsets[terms]).sum())
             if (n + 1) * postings <= self.doc_count:
                 return self._search_packed(question_ids, expansion_id_lists,
-                                           k, tag)
-        return self._search_dense(question_ids, expansion_id_lists, k, tag,
-                                  shared)
+                                           k)
+        return self._search_dense(question_ids, expansion_id_lists, k, shared)
 
     def _search_dense(self, question_ids, expansion_id_lists, k: int,
-                      tag: str, floored: bool) -> list[RankedList]:
+                      floored: bool) -> list[RankedList]:
         """``search_expanded`` over dense score vectors: the question's
         once, then each expansion's plus the question's, selected above
         the question's floor θ when ``floored``."""
@@ -384,11 +380,11 @@ class Index:
         for ids in expansion_id_lists:
             scores = self.score_all(ids)
             scores += question
-            lists.append(self._top(scores, floor, k, tag))
+            lists.append(self._top(scores, floor, k))
         return lists
 
-    def _search_packed(self, question_ids, expansion_id_lists, k: int,
-                       tag: str) -> list[RankedList]:
+    def _search_packed(self, question_ids, expansion_id_lists,
+                       k: int) -> list[RankedList]:
         """``search_expanded`` in one ``bincount`` over the documents on
         the parts' posting lists.
 
@@ -436,7 +432,7 @@ class Index:
         top = top[order]
         ends = np.cumsum(np.minimum(kept, k)).tolist()
         return [RankedList._of_rows(self._pid_objs, found[a:b].copy(),
-                                    top[a:b].copy(), tag)
+                                    top[a:b].copy())
                 for a, b in zip([0, *ends], ends)]
 
     # -- persistence --------------------------------------------------------

@@ -188,7 +188,8 @@ def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
     Ties keep original rank order; entries past the depth keep their place
     and score.  A reranked entry's score is its probability plus the score
     of the first entry past the depth (0 when there is none), so scores
-    never increase down the list.
+    never increase down the list.  The list names no run: ``expandrank
+    retrieve`` writes a reranked run as its strategy plus "+pr".
     """
     depth = min(depth, len(rl))
     head = rl.head(depth)
@@ -198,4 +199,4 @@ def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
     order = np.argsort(-probs, kind="stable")
     reranked = rl.scores.copy()
     reranked[:depth] = floor + probs[order]
-    return rl.reorder(order, reranked, f"{rl.tag}+pr")
+    return rl.reorder(order, reranked)

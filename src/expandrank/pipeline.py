@@ -107,23 +107,22 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
         labels, lists = label_candidates(index, store, qa, cs, k)
         best = labels.index(min(labels))  # ties go to the earliest
         return Choice(q, cs.candidates[best].text,
-                      lists[best].head(k, spec.kind))  # searched at max(k, 2)
+                      lists[best].head(k))  # searched at max(k, 2)
     chosen = (cs.candidates[0] if spec.kind == "greedy"
               else select_best(model, q, cs, featurizer))  # ear_ri / ear_rd
     return Choice(q, chosen.text, None)
 
 
 def retrieve(spec: StrategySpec, index: Index, choice: Choice) -> RankedList:
-    """``choice``'s top ``spec.k_retrieve``, tagged ``spec.kind``: the list
-    choosing kept, else a search of its parts."""
-    k, tag = spec.k_retrieve, spec.kind
+    """``choice``'s top ``spec.k_retrieve``: the list choosing kept, else a
+    search of its parts."""
+    k = spec.k_retrieve
     if choice.ranked is not None:
         return choice.ranked
     if choice.expansion is None:
-        return index.search(choice.question, k, tag)
+        return index.search(choice.question, k)
     return index.search_expanded(index.term_ids(choice.question),
-                                 [index.term_ids(choice.expansion)], k,
-                                 tag)[0]
+                                 [index.term_ids(choice.expansion)], k)[0]
 
 
 def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
@@ -159,7 +158,7 @@ def fuse(lists, k: int) -> RankedList:
               for pids in columns if i < len(pids))
     out = list(dict.fromkeys(offers))[:k]
     scores = 1.0 / np.arange(1, len(out) + 1, dtype=np.float64)
-    return RankedList(out, scores, "fusion")
+    return RankedList(out, scores)
 
 
 def run_dataset(spec: StrategySpec, index: Index, store: PassageStore,

@@ -37,9 +37,7 @@ class PlantedFixture:
     passages: list[Passage]
     questions: list[QAExample]
     candidates: dict[str, CandidateSet]
-    easy_qids: set[str]
     trapped_qids: set[str]
-    late_qids: set[str]
     useful_index: dict[str, int]
 
     def store(self) -> PassageStore:
@@ -70,7 +68,7 @@ def make_planted(n_questions: int = 200, seed: int = 0) -> PlantedFixture:
     passages: list[Passage] = []
     questions: list[QAExample] = []
     candidates: dict[str, CandidateSet] = {}
-    easy, trapped, late = set(), set(), set()
+    trapped = set()
     useful_index: dict[str, int] = {}
 
     for i in range(n_questions):
@@ -79,8 +77,6 @@ def make_planted(n_questions: int = 200, seed: int = 0) -> PlantedFixture:
         topic_a, topic_b = f"topika{c}", f"topikb{c}"
         key, trap, ans = f"keyaa{c}", f"trapa{c}", f"answa{c}"
         n_related = 2 if _is_easy(i) else 10
-        if _is_easy(i):
-            easy.add(qid)
 
         passages.append(Passage(
             id=f"q{i:04d}-z-ans", title=f"answer {c}",
@@ -115,8 +111,6 @@ def make_planted(n_questions: int = 200, seed: int = 0) -> PlantedFixture:
         if _is_trapped(i):
             cands[1] = ExpansionCandidate(text=trap, generator_tag="stub")
         u_idx = 7 if _is_late(i) else 2
-        if _is_late(i):
-            late.add(qid)
         cands[u_idx] = ExpansionCandidate(text=key, generator_tag="stub")
         useful_index[qid] = u_idx
         noise_iter = iter(noise_tokens)
@@ -128,8 +122,7 @@ def make_planted(n_questions: int = 200, seed: int = 0) -> PlantedFixture:
         candidates[qid] = CandidateSet(qid=qid, candidates=cands)
 
     return PlantedFixture(passages=passages, questions=questions,
-                          candidates=candidates, easy_qids=easy,
-                          trapped_qids=trapped, late_qids=late,
+                          candidates=candidates, trapped_qids=trapped,
                           useful_index=useful_index)
 
 

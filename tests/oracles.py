@@ -312,7 +312,7 @@ def reference_fuse(lists, k):
             if pid not in seen:
                 seen.add(pid)
                 out.append((pid, 1.0 / (len(out) + 1)))
-    return RankedList([pid for pid, _ in out], [s for _, s in out], "fusion")
+    return RankedList([pid for pid, _ in out], [s for _, s in out])
 
 
 # -- Porter stemmer: the plain per-character implementation ------------------

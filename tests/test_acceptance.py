@@ -183,13 +183,13 @@ def test_c6_passage_rerank(planted, planted_store, planted_index,
 
 @criterion(7, "round-robin fusion pattern, duplicate skip, TREC round trip")
 def test_c7_fusion(tmp_path):
-    def rl(pids, tag="t"):
+    def rl(pids):
         n = len(pids)
-        return RankedList(pids, [float(n - i) for i in range(n)], tag)
+        return RankedList(pids, [float(n - i) for i in range(n)])
 
-    s = rl(["s1", "s2", "s3"], "sentence")
-    a = rl(["a1", "a2", "a3"], "answer")
-    t = rl(["t1", "t2", "t3"], "title")
+    s = rl(["s1", "s2", "s3"])
+    a = rl(["a1", "a2", "a3"])
+    t = rl(["t1", "t2", "t3"])
     assert fuse([s, a, t], k=9).pids() == \
         ["s1", "a1", "t1", "s2", "a2", "t2", "s3", "a3", "t3"]
     # forced duplicate: the answer list's first entry repeats s1, so the

@@ -56,6 +56,11 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_tags(path):
+    """The distinct run names in the tag column of a run file."""
+    return {line.split()[5] for line in path.read_text().splitlines()}
+
+
 class Hung(Exception):
     """Not a ValueError or OSError, so ``main`` does not turn it into 1."""
 
@@ -332,7 +337,27 @@ class TestPipelineCmds:
                  models / "bm25.trec", "--out", workdir / "fused.trec",
                  "--k", 50)
         assert rc == 0
-        assert (workdir / "fused.trec").exists()
+        assert run_tags(workdir / "fused.trec") == {"fusion"}
+
+    def test_retrieve_names_the_run_after_its_strategy(self, workdir, models):
+        """The tag column holds the strategy, with "+pr" when passages are
+        reranked; the lists themselves carry no name."""
+        inputs = ("--index", models / "idx.bin",
+                  "--corpus", workdir / "corpus.jsonl",
+                  "--questions", workdir / "questions.jsonl")
+        assert run_tags(models / "bm25.trec") == {"bm25"}
+        for kind in ("greedy", "oracle"):
+            out = workdir / f"named_{kind}.trec"
+            assert run("retrieve", *inputs, "--expansions",
+                       workdir / "expansions.jsonl", "--strategy", kind,
+                       "--out", out) == 0
+            assert run_tags(out) == {kind}
+        pr = workdir / "named_pr.json"
+        assert run("train-pr", *inputs, "--out", pr) == 0
+        out = workdir / "named_bm25_pr.trec"
+        assert run("retrieve", *inputs, "--strategy", "bm25",
+                   "--pr-model", pr, "--out", out) == 0
+        assert run_tags(out) == {"bm25+pr"}
 
     def test_fuse_keeps_qids_missing_from_first_run(self, workdir):
         (workdir / "one.trec").write_text("q1 Q0 a 1 2.0 t\n")
@@ -441,8 +466,23 @@ class TestUnknownPassages:
                  "--questions", workdir / "questions.jsonl",
                  "--corpus", workdir / "corpus.jsonl")
         assert rc == 1
-        assert capsys.readouterr().err == \
-            "error: unknown passage id 'nosuch'\n"
+        assert capsys.readouterr().err == (
+            f"error: {run_file}: qid q0000 names passage 'nosuch', which "
+            f"the corpus lacks\n")
+
+    def test_eval_unknown_pid_after_the_answer_exit_1(self, workdir, capsys):
+        """Every pid is checked, not only those the answer matcher reads
+        before it reaches the answer."""
+        run_file = workdir / "unknown_pid_late.trec"
+        run_file.write_text("q0000 Q0 q0000-z-ans 1 2.0 t\n"
+                            "q0000 Q0 nosuch 2 1.0 t\n")
+        rc = run("eval", "--run", run_file,
+                 "--questions", workdir / "questions.jsonl",
+                 "--corpus", workdir / "corpus.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {run_file}: qid q0000 names passage 'nosuch', which "
+            f"the corpus lacks\n")
 
     def test_train_top2_names_unknown_pid_exit_1(self, workdir, models,
                                                  capsys):

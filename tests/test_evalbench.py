@@ -16,9 +16,9 @@ from expandrank.pipeline import StrategySpec, run_strategy
 from oracles import reference_strategy_query
 
 
-def rl(pids, tag="t"):
+def rl(pids):
     n = len(pids)
-    return RankedList(pids, [float(n - i) for i in range(n)], tag)
+    return RankedList(pids, [float(n - i) for i in range(n)])
 
 
 class TestMinAnswerRank:
@@ -231,21 +231,20 @@ class TestRunFiles:
             st.lists(st.text(alphabet="abcp0123", min_size=1, max_size=4),
                      min_size=1, max_size=20, unique=True),
             st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                     min_size=20, max_size=20),
-            st.sampled_from(["t", "bm25", "ear_rd+pr"])),
-        max_size=5))
+                     min_size=20, max_size=20)),
+        max_size=5), st.sampled_from(["t", "bm25", "ear_rd+pr"]))
     @settings(max_examples=50, deadline=None)
-    def test_round_trip_keeps_six_decimals(self, tmp_path_factory, lists):
-        runs = {qid: RankedList(pids, sorted(scores, reverse=True)[:len(pids)],
-                                tag)
-                for qid, (pids, scores, tag) in lists.items()}
+    def test_round_trip_keeps_six_decimals(self, tmp_path_factory, lists,
+                                           tag):
+        runs = {qid: RankedList(pids, sorted(scores, reverse=True)[:len(pids)])
+                for qid, (pids, scores) in lists.items()}
         path = tmp_path_factory.mktemp("runs") / "run.trec"
-        write_run(runs, path)
+        write_run(runs, path, tag)
         loaded = read_run(path)
         assert list(loaded) == list(runs)
         for qid, rl in runs.items():
             assert loaded[qid] == RankedList(
-                rl.pids(), [round(s, 6) for s in rl.scores.tolist()], rl.tag)
+                rl.pids(), [round(s, 6) for s in rl.scores.tolist()])
 
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "bad.trec"
@@ -279,8 +278,18 @@ class TestRunFiles:
     def test_tag_may_differ_between_lists(self, tmp_path):
         path = tmp_path / "two.trec"
         path.write_text("q1 Q0 a 1 2.0 bm25\nq2 Q0 b 1 1.0 oracle\n")
-        assert {qid: rl.tag for qid, rl in read_run(path).items()} == {
-            "q1": "bm25", "q2": "oracle"}
+        assert {qid: rl.pids() for qid, rl in read_run(path).items()} == {
+            "q1": ["a"], "q2": ["b"]}
+
+    @pytest.mark.parametrize("tag", ["", "ear rd", "bm25\n", "\tt", "a\u00a0b"])
+    def test_write_run_rejects_a_tag_that_is_not_one_word(self, tmp_path,
+                                                          tag):
+        path = tmp_path / "run.trec"
+        with pytest.raises(ValueError) as exc:
+            write_run({"q1": rl(["a", "b"])}, path, tag)
+        assert str(exc.value) == \
+            f"run tag must be one non-empty word, got {tag!r}"
+        assert not path.exists()
 
     def test_column_count_enforced(self, tmp_path):
         path = tmp_path / "bad.trec"
@@ -340,7 +349,7 @@ class TestRunFiles:
     def test_imported_run_fusable(self, tmp_path):
         from expandrank.pipeline import fuse
         path = tmp_path / "ext.trec"
-        write_run({"q1": rl(["x", "y"], tag="dense")}, path)
+        write_run({"q1": rl(["x", "y"])}, path, "dense")
         external = read_run(path)
         fused = fuse([rl(["a", "x"]), external["q1"]], k=10)
         assert fused.pids() == ["a", "x", "y"]

@@ -320,8 +320,8 @@ class TestSearchCandidates:
         q_ids = index.term_ids(question)
         ids = [index.term_ids(c) for c in candidates]
         for lists in (search_candidates(index, question, candidate_set, k),
-                      index._search_packed(q_ids, ids, k, "run"),
-                      index._search_dense(q_ids, ids, k, "run", True)):
+                      index._search_packed(q_ids, ids, k),
+                      index._search_dense(q_ids, ids, k, True)):
             for rl, c in zip(lists, candidates, strict=True):
                 want = reference_expanded_search(index, question, c, k)
                 assert rl.pids() == [pid for pid, _ in want]
@@ -332,8 +332,8 @@ class TestSearchCandidates:
         floor = positive[-k] if len(positive) >= k else 0.0
         for c_ids in ids:
             scores = index.score_all(c_ids) + question_scores
-            assert index._top(scores, floor, k, "run") == \
-                index._top(scores, 0.0, k, "run")
+            assert index._top(scores, floor, k) == \
+                index._top(scores, 0.0, k)
 
     def test_short_lists_pack_and_long_ones_do_not(self, planted,
                                                    planted_index,
@@ -408,7 +408,6 @@ class TestStoredPair:
             _, lists = label_candidates(planted_index, planted_store, qa,
                                         cands, k_retrieve)
             for c, rl in zip(cands.candidates, lists):
-                assert rl.tag == "run"
                 assert rl.entries == reference_expanded_search(
                     planted_index, qa.question, c.text, max(k_retrieve, 2))
 

@@ -466,8 +466,8 @@ class TestKernelParity:
                     for ids in expansions]
         searches += [(expansions, lists) for lists in (
             index.search_expanded(question, expansions, k),
-            index._search_packed(question, expansions, k, "run"),
-            index._search_dense(question, expansions, k, "run", True))]
+            index._search_packed(question, expansions, k),
+            index._search_dense(question, expansions, k, True))]
         for expansion_id_lists, lists in searches:
             for rl, ids in zip(lists, expansion_id_lists, strict=True):
                 assert rl._rows.dtype == dtype
@@ -535,8 +535,8 @@ class TestPartialTopK:
                 reference_search(index, query, k)
             dtype = index.search(query, k)._rows.dtype
             for lists in (index.search_expanded(q_ids, ids, k),
-                          index._search_packed(q_ids, ids, k, "run"),
-                          index._search_dense(q_ids, ids, k, "run", True),
+                          index._search_packed(q_ids, ids, k),
+                          index._search_dense(q_ids, ids, k, True),
                           # each expansion alone: one dense list, no floor
                           [rl for e_ids in ids
                            for rl in index.search_expanded(q_ids, [e_ids],
@@ -555,12 +555,12 @@ class TestPartialTopK:
             index.search_expanded(q_ids, ids, 0)
         assert index.search_expanded(q_ids, [], 5) == []
         # an empty expansion part searches the bare question
-        assert index.search_expanded(q_ids, [[]], 5, "t") == \
-            [index.search_ids(q_ids, 5, "t")]
-        for lists in (index._search_packed([], [[], []], 5, "t"),
-                      index._search_dense([], [[], []], 5, "t", True)):
+        assert index.search_expanded(q_ids, [[]], 5) == \
+            [index.search_ids(q_ids, 5)]
+        for lists in (index._search_packed([], [[], []], 5),
+                      index._search_dense([], [[], []], 5, True)):
             for rl in lists:
-                assert len(rl) == 0 and rl.tag == "t"
+                assert len(rl) == 0
                 assert rl.scores.dtype == np.float64
                 assert rl._rows.dtype == np.uint16
 
@@ -570,7 +570,7 @@ class TestPartialTopK:
         store, index = small_corpus
         q_ids, *ids = [index.term_ids(q)
                        for q in make_random_queries(5, list(store), seed=3)]
-        for rl in index._search_packed(q_ids, ids, 10, "run"):
+        for rl in index._search_packed(q_ids, ids, 10):
             assert len(rl) and rl._rows.base is None and rl.scores.base is None
 
     def test_boundary_cuts_through_ties(self):
@@ -657,27 +657,26 @@ class TestTermMap:
         assert ref() is None
 
 
-def _ranked(entries, tag="run"):
-    return RankedList([pid for pid, _ in entries], [s for _, s in entries], tag)
+def _ranked(entries):
+    return RankedList([pid for pid, _ in entries], [s for _, s in entries])
 
 
 class TestRankedList:
     @given(_entries())
     def test_entries_round_trip(self, entries):
-        rl = _ranked(entries, "t")
+        rl = _ranked(entries)
         assert rl.entries == entries
         assert rl.pids() == [pid for pid, _ in entries]
         assert len(rl) == len(entries)
         table = list(dict.fromkeys(rl.pids()))
         rows = [table.index(pid) for pid in rl.pids()]
-        (shared,) = lists_on_table(table, [(rows, rl.scores, "t")])
+        (shared,) = lists_on_table(table, [(rows, rl.scores)])
         assert shared.entries == entries
         assert shared == rl
 
     @given(_entries(), _entries())
     def test_equality_matches_tuples(self, a, b):
         assert (_ranked(a) == _ranked(b)) == (a == b)
-        assert _ranked(a, "t") != _ranked(a, "u")
 
     @given(_entries())
     def test_validate_matches_tuples(self, entries):
@@ -695,7 +694,7 @@ class TestRankedList:
         with pytest.raises(ValueError, match="2 pids but 1 scores"):
             RankedList(["a", "b"], [1.0])
         with pytest.raises(ValueError, match="1 pids but 2 scores"):
-            lists_on_table(["a"], [([0], [2.0, 1.0], "t")])
+            lists_on_table(["a"], [([0], [2.0, 1.0])])
 
     def test_search_result_holds_no_per_entry_objects(self):
         """Entries cost their pid reference and one float64: no tuple or

@@ -20,9 +20,9 @@ from oracles import (reference_expanded_search, reference_fuse,
                      reference_strategy_query)
 
 
-def rl(pids, tag="t"):
+def rl(pids):
     n = len(pids)
-    return RankedList(pids, [float(n - i) for i in range(n)], tag)
+    return RankedList(pids, [float(n - i) for i in range(n)])
 
 
 class TestFuse:
@@ -58,7 +58,7 @@ class TestFuse:
                              unique=True), min_size=1, max_size=4),
            st.integers(min_value=1, max_value=25))
     def test_matches_tuple_reference(self, pid_lists, k):
-        lists = [rl(pids, tag=f"t{i}") for i, pids in enumerate(pid_lists)]
+        lists = [rl(pids) for pids in pid_lists]
         assert fuse(lists, k) == reference_fuse(lists, k)
 
     def test_validation(self):
@@ -143,7 +143,7 @@ class TestRunStrategy:
         assert lists[1].pids() == ["p1", "p3", "p2"]
         run = run_strategy(StrategySpec(kind="oracle", k_retrieve=3), index,
                            store, qa, cs)
-        assert run == lists[0].head(3, "oracle")
+        assert run == lists[0].head(3)
 
     def test_oracle_needs_answers(self, planted, planted_store, planted_index):
         qa = planted.questions[0]
@@ -292,7 +292,6 @@ class TestChoose:
                 featurizer)
             got = run_strategy(spec, planted_index, planted_store, qa, cands,
                                model, featurizer)
-            assert got.tag == kind
             assert got.entries == reference_expanded_search(
                 planted_index, question, expansion or "", k)
             choice = choose(spec, planted_index, planted_store, qa, cands,
@@ -353,11 +352,11 @@ class TestRankedListLayout:
         choice = choose(StrategySpec(kind="oracle", k_retrieve=1),
                         planted_index, planted_store, qa, cs, None, None)
         assert self._rows_into(choice.ranked, table)
-        assert len(choice.ranked) == 1 and choice.ranked.tag == "oracle"
+        assert len(choice.ranked) == 1
         out = run_strategy(StrategySpec(kind="bm25", pr_depth=5),
                            planted_index, planted_store, qa,
                            passage_scorer=pr_scorer)
-        assert self._rows_into(out, table) and out.tag == "bm25+pr"
+        assert self._rows_into(out, table)
 
     def test_read_run_shares_one_table_per_file(self, planted,
                                                 planted_store,

@@ -197,7 +197,7 @@ class TestAnalyzer:
         q_ids, c_ids = index.term_ids(question), index.term_ids(candidate)
         assert (q_ids, c_ids) == (reference_term_ids(index, question),
                                   reference_term_ids(index, candidate))
-        got = index.search_expanded(q_ids, [c_ids], 10, "t")[0]
+        got = index.search_expanded(q_ids, [c_ids], 10)[0]
         assert got.entries == \
             reference_expanded_search(index, question, candidate, 10)
 
