@@ -216,6 +216,11 @@ def cmd_eval(args) -> int:
     store = load_corpus(_require_file(args.corpus, "corpus"))
     questions = load_questions(_require_file(args.questions, "questions"))
     runs = evalbench.read_run(_require_file(args.run, "run file"))
+    asked = {qa.qid for qa in questions}
+    unasked = next((qid for qid in runs if qid not in asked), None)
+    if unasked is not None:
+        raise ValueError(f"{args.run}: qid {unasked} is not in "
+                         f"{args.questions}")
     for qid, rl in runs.items():
         # every pid, not only those the answer matcher reaches
         missing = next((pid for pid in rl.pids() if pid not in store), None)

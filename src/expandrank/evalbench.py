@@ -15,8 +15,7 @@ from .corpus import AnswerMatcher, PassageStore, open_utf8
 # min_answer_rank is a re-export, for callers that import it from here
 from .expansion import min_answer_rank  # noqa: F401
 from .expansion import sample_expansions_stub
-from .index import (Bm25Params, Index, RankedList, build_index,
-                    lists_on_table)
+from .index import Bm25Params, Index, RankedList, build_index
 from .pipeline import (StrategySpec, check_strategy, choose, retrieve,
                        run_strategy)
 from .reranker import Featurizer
@@ -83,7 +82,7 @@ def topk_accuracy(runs: dict[str, RankedList], qa_list, store: PassageStore,
         rl = runs.get(qa.qid)
         if rl is None:
             continue  # missing question counts as a miss at every k
-        rank = matcher.first_rank(rl.iter_pids(), store)
+        rank = matcher.first_rank(rl.pids(), store)
         if rank is None:
             continue
         for k in ks:
@@ -186,12 +185,11 @@ def write_run(runs: dict[str, RankedList], path, tag: str = "run") -> None:
 def read_run(path) -> dict[str, RankedList]:
     """The lists of a TREC run file, by qid in first-seen order.  A qid's
     lines must carry one tag, the run's name; the lists do not keep it."""
-    # qid -> (tag, rows, scores), in first-seen order.  Each distinct pid
-    # gets the next row as it is first met, so the file's one pid -> row
-    # map is built while parsing; rows and scores are unboxed ints and
-    # doubles, and the lists share one table of the distinct pids.
-    columns: dict[str, tuple[str, array, array]] = {}
-    row_of: dict[str, int] = {}
+    # qid -> (tag, pids, scores), in first-seen order.  Each pid is kept
+    # as the str first read for it, so the lists share their pid strings;
+    # scores are unboxed doubles.
+    columns: dict[str, tuple[str, list[str], array]] = {}
+    pid_of: dict[str, str] = {}
     with open_utf8(path, RunFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -208,24 +206,20 @@ def read_run(path) -> dict[str, RankedList]:
             if not math.isfinite(score):
                 raise RunFormatError(
                     f"{path}:{lineno}: score {score_s} is not finite")
-            first_tag, rows, scores = columns.setdefault(
-                qid, (tag, array("i"), array("d")))
+            first_tag, pids, scores = columns.setdefault(
+                qid, (tag, [], array("d")))
             if tag != first_tag:
                 raise RunFormatError(f"{path}:{lineno}: tag {tag} differs "
                                      f"from qid {qid}'s tag {first_tag}")
-            if rank != len(rows) + 1:
+            if rank != len(pids) + 1:
                 raise RunFormatError(
                     f"{path}:{lineno}: rank {rank} breaks the 1-based "
                     f"contiguous order for qid {qid}"
                 )
-            rows.append(row_of.setdefault(pid, len(row_of)))
+            pids.append(pid_of.setdefault(pid, pid))
             scores.append(score)
-    # The map and each list's buffers are let go before and as the lists
-    # are made from them, so they are never held next to all the lists.
-    pids, qids = list(row_of), list(columns)
-    del row_of
-    runs = dict(zip(qids, lists_on_table(pids, (
-        (rows, scores) for _tag, rows, scores in map(columns.pop, qids)))))
+    runs = {qid: RankedList(pids, scores)
+            for qid, (_tag, pids, scores) in columns.items()}
     for qid, rl in runs.items():
         try:
             rl.validate()

@@ -178,7 +178,7 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
 
 def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
     """1-based rank of the first answer-containing passage, or None."""
-    return AnswerMatcher(answers).first_rank(rl.iter_pids(), store)
+    return AnswerMatcher(answers).first_rank(rl.pids(), store)
 
 
 def search_candidates(index: Index, question: str, cs: CandidateSet,
@@ -211,7 +211,7 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
     """
     matcher = AnswerMatcher(qa.answers, qa.qid, index)
     lists = search_candidates(index, qa.question, cs, max(k, 2))
-    ranks = (matcher.first_rank(rl.iter_pids(), store) for rl in lists)
+    ranks = (matcher.first_rank(rl.pids(), store) for rl in lists)
     return [r if r is not None and r <= k else k + 1 for r in ranks], lists
 
 

@@ -69,34 +69,27 @@ def _row_type(table_size: int) -> type:
     return np.uint16 if table_size <= 1 << 16 else np.int32
 
 
-def _score_column(pids, scores) -> np.ndarray:
-    """``scores`` as float64, one per pid of ``pids``."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(pids) != len(scores):
-        raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
-    return scores
-
-
 class RankedList:
     """Ordered (pid, score) pairs; the common currency of retrieval and fusion.
 
     Stored as two columns: one row per entry into a table of distinct pids
     (uint16 while the table holds at most 65,536 pids, else int32), which
-    lists share (search results share ``Index._pid_objs``, and the lists
-    of one ``lists_on_table`` call share one table), and one float64 per
-    entry.  ``entries`` and ``pids()`` build the pids on
-    demand; a reader of the first few entries takes ``head(n)`` or
-    ``iter_pids()``.  ``head`` and ``reorder`` make lists that share the
-    table.  A list is its pids and scores: it carries no qid, since a run
-    is a ``{qid: RankedList}`` map whose key names the question, and no run
-    name, which ``evalbench.write_run`` takes.
+    lists may share (search results share ``Index._pid_objs``), and one
+    float64 per entry.  ``entries`` and ``pids()`` build the pids on
+    demand; a reader of the first few entries takes ``head(n)``.  ``head``
+    and ``reorder`` make lists that share the table.  A list is its pids
+    and scores: it carries no qid, since a run is a ``{qid: RankedList}``
+    map whose key names the question, and no run name, which
+    ``evalbench.write_run`` takes.
     """
 
     __slots__ = ("_table", "_rows", "scores")
 
     def __init__(self, pids, scores):
         """A list of ``pids`` with the aligned ``scores``."""
-        self.scores: np.ndarray = _score_column(pids, scores)
+        self.scores: np.ndarray = np.asarray(scores, dtype=np.float64)
+        if len(pids) != len(self.scores):
+            raise ValueError(f"{len(pids)} pids but {len(self.scores)} scores")
         # the distinct pids in first-seen order, and each entry's position
         row_of: dict[str, int] = {}
         rows = [row_of.setdefault(pid, len(row_of)) for pid in pids]
@@ -131,14 +124,6 @@ class RankedList:
     def pids(self) -> list[str]:
         return self._table[self._rows].tolist()
 
-    def iter_pids(self):
-        """The pids in rank order: the first on its own, the rest in one
-        step when the reader goes past it."""
-        table, rows = self._table, self._rows
-        if len(rows):
-            yield table[rows[0]]
-            yield from table[rows[1:]].tolist()
-
     def head(self, n: int) -> "RankedList":
         """The first ``n`` entries."""
         return RankedList._of_rows(self._table, self._rows[:n],
@@ -160,19 +145,6 @@ class RankedList:
         rows = np.sort(self._rows)
         if np.any(rows[1:] == rows[:-1]):
             raise ValueError("duplicate pids")
-
-
-def lists_on_table(pids, columns) -> list[RankedList]:
-    """A list for each ``(rows, scores)`` of ``columns``, all sharing
-    one table of ``pids``, which are distinct; ``rows`` are positions in
-    ``pids``.  ``read_run`` numbers each pid as it first meets it, so it
-    holds one pid -> row map and no per-entry pid strings."""
-    table = np.array(pids, dtype=object)
-    row_type = _row_type(len(table))
-    # rows and scores are copied, so no list holds a view of a buffer
-    return [RankedList._of_rows(table, np.array(rows, dtype=row_type),
-                                _score_column(rows, np.array(scores)))
-            for rows, scores in columns]
 
 
 class Index:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .corpus import AnswerMatcher, PassageStore
 from .index import Index, RankedList
-from .reranker import linear_scores, read_model_file, write_model_file
+from .reranker import (linear_model_columns, linear_scores, read_model_file,
+                       write_model_file)
 from .text import fold, has_token, normalize
 
 log = logging.getLogger(__name__)
@@ -121,11 +122,9 @@ class PRTrainConfig:
 class PassageScorer:
     def __init__(self, weights: np.ndarray, feature_mean: np.ndarray,
                  feature_std: np.ndarray):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.feature_mean = np.asarray(feature_mean, dtype=np.float64)
-        self.feature_std = np.asarray(feature_std, dtype=np.float64)
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("non-finite scorer weights")
+        self.weights, self.feature_mean, self.feature_std = \
+            linear_model_columns(PR_SCHEMA, None, {PR_SCHEMA: PR_DIM},
+                                 weights, feature_mean, feature_std)
 
     def probability(self, features: np.ndarray) -> np.ndarray:
         """One probability per row of a reranked list's feature matrix."""
@@ -139,9 +138,13 @@ class PassageScorer:
 
     @classmethod
     def load(cls, path) -> "PassageScorer":
-        doc = read_model_file(path, "passage_scorer", {PR_SCHEMA: PR_DIM})
-        return cls(np.array(doc["weights"]), np.array(doc["feature_mean"]),
-                   np.array(doc["feature_std"]))
+        def make(doc):
+            # the file names its schema; the constructor assumes it
+            return cls(*linear_model_columns(
+                doc.get("schema_id"), None, {PR_SCHEMA: PR_DIM},
+                doc["weights"], doc["feature_mean"], doc["feature_std"]))
+
+        return read_model_file(path, "passage_scorer", make)
 
 
 def train_passage_reranker(index: Index, store: PassageStore, qa_train,

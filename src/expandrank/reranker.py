@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PassageStore
-from .expansion import (CandidateSet, ExpansionCandidate, finite_number,
-                        search_candidates)
+from .expansion import CandidateSet, ExpansionCandidate, search_candidates
 from .index import Index
 from .text import normalize
 
@@ -27,6 +26,7 @@ RI_SCHEMA = "ri-v1"   # 9 features
 RD_SCHEMA = "rd-v1"   # RI block + 5 retrieval-dependent features
 SCHEMA_DIMS = {RI_SCHEMA: 9, RD_SCHEMA: 14}
 VARIANT_SCHEMA = {"RI": RI_SCHEMA, "RD": RD_SCHEMA}
+_SCHEMA_VARIANT = {schema: variant for variant, schema in VARIANT_SCHEMA.items()}
 
 
 def _char3(tokens) -> set[str]:
@@ -171,9 +171,42 @@ def linear_scores(features, weights: np.ndarray, feature_mean: np.ndarray,
     return ((f - feature_mean) / feature_std * weights).sum(axis=1)
 
 
-def read_model_file(path, kind: str, dims: dict[str, int]) -> dict:
-    """A model file of ``kind`` whose schema is one of ``dims`` (schema id ->
-    feature count), with weights and standardization checked against it.
+def linear_model_columns(schema_id: str, variant: str | None,
+                         dims: dict[str, int], weights, feature_mean,
+                         feature_std) -> list[np.ndarray]:
+    """The weights, feature means and feature stds of a linear model over
+    schema ``schema_id``, one of ``dims`` (schema id -> feature count), as
+    float64 arrays.
+
+    The rules every model keeps, trained, built or loaded: ``variant`` is
+    the one the schema scores (None for a schema no expansion variant
+    scores), each column holds one finite value per feature of the schema,
+    and every std is positive.  Raises ValueError "field: why".
+    """
+    if type(schema_id) is not str or schema_id not in dims:
+        raise ValueError(f"schema_id: unknown schema {schema_id!r}")
+    if variant != _SCHEMA_VARIANT.get(schema_id):
+        raise ValueError(f"variant: {variant!r} does not match schema "
+                         f"{schema_id}")
+    columns = []
+    for field, values in (("weights", weights), ("feature_mean", feature_mean),
+                          ("feature_std", feature_std)):
+        column = np.asarray(values, dtype=np.float64)
+        if column.shape != (dims[schema_id],):
+            raise ValueError(f"{field}: expected {dims[schema_id]} values "
+                             f"for {schema_id}")
+        if not np.all(np.isfinite(column)):
+            raise ValueError(f"{field}: values must be finite")
+        columns.append(column)
+    if np.any(columns[2] <= 0):
+        raise ValueError("feature_std: values must be positive")
+    return columns
+
+
+def read_model_file(path, kind: str, make):
+    """``make(doc)`` of the model file ``doc`` of ``kind``.  The file's
+    weights and standardization are lists of numbers; ``make``, which
+    builds the model through ``linear_model_columns``, checks the rest.
 
     Raises ValueError naming the path and the field that is wrong.
     """
@@ -190,32 +223,26 @@ def read_model_file(path, kind: str, dims: dict[str, int]) -> dict:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         fail("format_version", f"{doc.get('format_version')!r} is not "
                                f"{MODEL_FORMAT_VERSION}")
-    schema = doc.get("schema_id")
-    if schema not in dims:
-        fail("schema_id", f"unknown schema {schema!r}")
     for field in ("weights", "feature_mean", "feature_std"):
         values = doc.get(field)
-        if not isinstance(values, list) or len(values) != dims[schema]:
-            fail(field, f"expected {dims[schema]} values for {schema}")
-        if not all(finite_number(v) for v in values):
-            fail(field, "values must be finite numbers")
-    if min(doc["feature_std"]) <= 0:
-        fail("feature_std", "values must be positive")
-    return doc
+        # bools are ints to Python, but not numbers in a model file
+        if not (isinstance(values, list)
+                and all(type(v) in (int, float) for v in values)):
+            fail(field, "expected a list of numbers")
+    try:
+        return make(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class ScorerModel:
     def __init__(self, variant: str, schema_id: str, weights: np.ndarray,
                  feature_mean: np.ndarray, feature_std: np.ndarray):
-        if variant not in VARIANT_SCHEMA:
-            raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self.schema_id = schema_id
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.feature_mean = np.asarray(feature_mean, dtype=np.float64)
-        self.feature_std = np.asarray(feature_std, dtype=np.float64)
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("non-finite model weights")
+        self.weights, self.feature_mean, self.feature_std = \
+            linear_model_columns(schema_id, variant, SCHEMA_DIMS, weights,
+                                 feature_mean, feature_std)
 
     def score(self, features: np.ndarray) -> np.ndarray:
         """One score per row of a candidate set's feature matrix."""
@@ -229,17 +256,17 @@ class ScorerModel:
 
     @classmethod
     def load(cls, path) -> "ScorerModel":
-        doc = read_model_file(path, "expansion_scorer", SCHEMA_DIMS)
-        variant = doc.get("variant")
-        if VARIANT_SCHEMA.get(variant) != doc["schema_id"]:
-            raise ValueError(f"{path}: variant: {variant!r} does not match "
-                             f"schema {doc['schema_id']}")
-        # files from before hidden layers were removed carry "hidden": null;
-        # older files also carry a "generator_tag", which is ignored
-        if doc.get("hidden") is not None:
-            raise ValueError(f"{path}: hidden: hidden layers are not supported")
-        return cls(variant, doc["schema_id"], np.array(doc["weights"]),
-                   np.array(doc["feature_mean"]), np.array(doc["feature_std"]))
+        def make(doc):
+            # files from before hidden layers were removed carry "hidden":
+            # null; older files also carry a "generator_tag", which is
+            # ignored
+            if doc.get("hidden") is not None:
+                raise ValueError("hidden: hidden layers are not supported")
+            return cls(doc.get("variant"), doc.get("schema_id"),
+                       doc["weights"], doc["feature_mean"],
+                       doc["feature_std"])
+
+        return read_model_file(path, "expansion_scorer", make)
 
 
 def rank_loss(scores, ranks, alpha: float) -> tuple[float, np.ndarray]:

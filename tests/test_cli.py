@@ -470,6 +470,18 @@ class TestUnknownPassages:
             f"error: {run_file}: qid q0000 names passage 'nosuch', which "
             f"the corpus lacks\n")
 
+    def test_eval_run_names_unknown_qid_exit_1(self, workdir, capsys):
+        """A qid the questions file lacks is named with both files."""
+        run_file = workdir / "unknown_qid.trec"
+        run_file.write_text("q0000 Q0 q0000-z-ans 1 2.0 t\n"
+                            "nosuch Q0 q0000-z-ans 1 2.0 t\n")
+        questions = workdir / "questions.jsonl"
+        rc = run("eval", "--run", run_file, "--questions", questions,
+                 "--corpus", workdir / "corpus.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {run_file}: qid nosuch is not in {questions}\n")
+
     def test_eval_unknown_pid_after_the_answer_exit_1(self, workdir, capsys):
         """Every pid is checked, not only those the answer matcher reads
         before it reaches the answer."""

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from expandrank import index as index_module
 from expandrank.corpus import Passage, PassageStore
-from expandrank.index import (Bm25Params, Index, IndexError_, RankedList, build_index,
-                             lists_on_table)
+from expandrank.index import (Bm25Params, Index, IndexError_, RankedList,
+                             build_index)
 from expandrank.synth import make_random_corpus, make_random_queries
 from expandrank.text import Analyzer, normalize
 from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
@@ -668,11 +668,6 @@ class TestRankedList:
         assert rl.entries == entries
         assert rl.pids() == [pid for pid, _ in entries]
         assert len(rl) == len(entries)
-        table = list(dict.fromkeys(rl.pids()))
-        rows = [table.index(pid) for pid in rl.pids()]
-        (shared,) = lists_on_table(table, [(rows, rl.scores)])
-        assert shared.entries == entries
-        assert shared == rl
 
     @given(_entries(), _entries())
     def test_equality_matches_tuples(self, a, b):
@@ -694,7 +689,7 @@ class TestRankedList:
         with pytest.raises(ValueError, match="2 pids but 1 scores"):
             RankedList(["a", "b"], [1.0])
         with pytest.raises(ValueError, match="1 pids but 2 scores"):
-            lists_on_table(["a"], [([0], [2.0, 1.0])])
+            RankedList(["a"], [2.0, 1.0])
 
     def test_search_result_holds_no_per_entry_objects(self):
         """Entries cost their pid reference and one float64: no tuple or

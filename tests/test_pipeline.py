@@ -332,10 +332,10 @@ class TestComposition:
 
 
 class TestRankedListLayout:
-    """Lists are rows into a shared pid table, uint16 for these small
-    tables: a search result, the oracle's prefix of its labeling list and a
+    """Lists are rows into a pid table, uint16 for these small tables: a
+    search result, the oracle's prefix of its labeling list and a
     passage-reranked list share the index's, and a run file's lists share
-    one table of their own."""
+    their pid strings."""
 
     @staticmethod
     def _rows_into(rl, table):
@@ -358,22 +358,25 @@ class TestRankedListLayout:
                            passage_scorer=pr_scorer)
         assert self._rows_into(out, table)
 
-    def test_read_run_shares_one_table_per_file(self, planted,
-                                                planted_store,
-                                                planted_index, tmp_path):
+    def test_read_run_lists_share_pid_strings(self, planted, planted_store,
+                                              planted_index, tmp_path):
         runs = run_dataset(StrategySpec(kind="bm25", k_retrieve=20),
                            planted_index, planted_store,
                            planted.questions[:5])
+        # each list twice, so the file's lists hold common pids
+        runs.update({f"{q}-again": rl for q, rl in list(runs.items())})
         write_run(runs, tmp_path / "a.trec")
-        write_run(runs, tmp_path / "b.trec")
-        a, b = read_run(tmp_path / "a.trec"), read_run(tmp_path / "b.trec")
-        table = next(iter(a.values()))._table
-        assert all(self._rows_into(rl, table) for rl in a.values())
-        assert next(iter(b.values()))._table is not table
-        assert len(table) == len({pid for rl in a.values()
-                                  for pid in rl.pids()})
+        a = read_run(tmp_path / "a.trec")
+        # the file holds each score to 6 decimals
         assert {q: rl.entries for q, rl in a.items()} == \
-            {q: rl.entries for q, rl in b.items()}
+            {q: [(pid, float(f"{score:.6f}")) for pid, score in rl.entries]
+             for q, rl in runs.items()}
+        assert all(rl._rows.dtype == np.uint16 for rl in a.values())
+        # one str per distinct pid in the file, however many lists hold it
+        held = [pid for rl in a.values() for pid in rl.pids()]
+        first: dict[str, str] = {}
+        assert all(first.setdefault(pid, pid) is pid for pid in held)
+        assert len(held) > len(first)
 
 
 class TestOracleDominance:

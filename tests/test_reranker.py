@@ -284,6 +284,42 @@ class TestModelFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {field}: ")):
             PassageScorer.load(path)
 
+    @pytest.mark.parametrize("field, make", [
+        ("variant", lambda: ScorerModel("RI", RD_SCHEMA, np.zeros(14),
+                                        np.zeros(14), np.ones(14))),
+        ("variant", lambda: ScorerModel(None, RI_SCHEMA, np.zeros(9),
+                                        np.zeros(9), np.ones(9))),
+        ("feature_std", lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(9),
+                                            np.zeros(9), np.zeros(9))),
+        ("feature_mean", lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(9),
+                                             np.full(9, np.nan), np.ones(9))),
+        ("weights", lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(4),
+                                        np.zeros(9), np.ones(9))),
+        ("weights", lambda: PassageScorer(np.zeros(3), np.zeros(5),
+                                          np.ones(5))),
+    ])
+    def test_constructor_rejects_what_load_rejects(self, field, make):
+        """A model that could be made but not loaded back is refused when
+        it is made, naming the same field as ``load``."""
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9),
+                            np.ones(9)),
+        lambda: ScorerModel("RD", RD_SCHEMA, np.zeros(14), np.zeros(14),
+                            np.ones(14)),
+        lambda: PassageScorer(np.zeros(5), np.zeros(5), np.ones(5)),
+    ])
+    def test_untrained_models_round_trip(self, make, tmp_path):
+        model = make()
+        path = tmp_path / "m.json"
+        model.save(path)
+        loaded = type(model).load(path)
+        for field in ("weights", "feature_mean", "feature_std"):
+            np.testing.assert_array_equal(getattr(loaded, field),
+                                          getattr(model, field))
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{")
