@@ -145,15 +145,12 @@ def cmd_make_train(args) -> int:
             f"{len(questions)} questions cannot fill {cfg.folds} folds"
         )
     loaded = _load_candidates(args, index, store, questions)
-
-    def generator(qa, fold):
-        cs = loaded.get(qa.qid)
-        if cs is None:
-            raise CorpusError(f"no expansions for qid {qa.qid}")
-        return cs
-
+    missing = next((qa.qid for qa in questions if qa.qid not in loaded), None)
+    if missing is not None:
+        raise CorpusError(f"{args.expansions}: no candidates for qid "
+                          f"{missing} of {args.questions}")
     examples = expansion.build_training_set(store, index, questions, cfg,
-                                            generator)
+                                            lambda qa, fold: loaded[qa.qid])
     expansion.save_training_set(examples, args.out)
     hist = Counter(r for ex in examples for r in ex.labels)
     print("rank histogram (r: count):")

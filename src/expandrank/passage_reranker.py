@@ -15,8 +15,8 @@ import numpy as np
 
 from .corpus import AnswerMatcher, PassageStore
 from .index import Index, RankedList
-from .reranker import (linear_model_columns, linear_scores, read_model_file,
-                       write_model_file)
+from .reranker import (check_schema, linear_model_columns, linear_scores,
+                       read_model_file, standardizer, write_model_file)
 from .text import fold, has_token, normalize
 
 log = logging.getLogger(__name__)
@@ -140,9 +140,9 @@ class PassageScorer:
     def load(cls, path) -> "PassageScorer":
         def make(doc):
             # the file names its schema; the constructor assumes it
-            return cls(*linear_model_columns(
-                doc.get("schema_id"), None, {PR_SCHEMA: PR_DIM},
-                doc["weights"], doc["feature_mean"], doc["feature_std"]))
+            check_schema(doc.get("schema_id"), {PR_SCHEMA: PR_DIM})
+            return cls(doc["weights"], doc["feature_mean"],
+                       doc["feature_std"])
 
         return read_model_file(path, "passage_scorer", make)
 
@@ -165,12 +165,10 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
     x = np.concatenate(feats)
     y = np.array(labels)
 
-    # A constant feature column standardizes to 0, so it carries no weight;
-    # left at its raw value (passage length on a fixed-length corpus) it
-    # would act as a second, badly scaled bias.  The bias column stays 1.
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std[std < 1e-12] = 1.0
+    # A constant column (passage length on a fixed-length corpus) carries no
+    # weight; left at its raw value it would act as a second, badly scaled
+    # bias.  The bias column, constant too, is the one kept at 1.
+    mean, std = standardizer(x)
     mean[BIAS], std[BIAS] = 0.0, 1.0
     z = (x - mean) / std
 

@@ -22,9 +22,9 @@ from .expansion import CandidateSet, ExpansionCandidate, search_candidates
 from .index import Index
 from .text import normalize
 
-RI_SCHEMA = "ri-v1"   # 9 features
-RD_SCHEMA = "rd-v1"   # RI block + 5 retrieval-dependent features
-SCHEMA_DIMS = {RI_SCHEMA: 9, RD_SCHEMA: 14}
+RI_SCHEMA = "ri-v2"   # 8 features
+RD_SCHEMA = "rd-v2"   # RI block + 5 retrieval-dependent features
+SCHEMA_DIMS = {RI_SCHEMA: 8, RD_SCHEMA: 13}
 VARIANT_SCHEMA = {"RI": RI_SCHEMA, "RD": RD_SCHEMA}
 _SCHEMA_VARIANT = {schema: variant for variant, schema in VARIANT_SCHEMA.items()}
 
@@ -88,7 +88,6 @@ class Featurizer:
                 float(sum(t.isdigit() for t in et)),
                 float(sum(w[:1].isupper() for w in text.split())),
                 len(qg & eg) / union if union else 0.0,
-                1.0,
             ]
             if rd and tops[i]:
                 # top-1 score, overlaps with and length of top-1, margin
@@ -171,6 +170,15 @@ def linear_scores(features, weights: np.ndarray, feature_mean: np.ndarray,
     return ((f - feature_mean) / feature_std * weights).sum(axis=1)
 
 
+def check_schema(schema_id, dims: dict[str, int]) -> None:
+    """Raise ValueError "schema_id: why" unless ``schema_id`` is one of
+    ``dims``.  A model of any other schema, an older version's included,
+    is not read: it must be trained again."""
+    if type(schema_id) is not str or schema_id not in dims:
+        raise ValueError(f"schema_id: unknown schema {schema_id!r}; "
+                         f"re-train the model")
+
+
 def linear_model_columns(schema_id: str, variant: str | None,
                          dims: dict[str, int], weights, feature_mean,
                          feature_std) -> list[np.ndarray]:
@@ -183,8 +191,7 @@ def linear_model_columns(schema_id: str, variant: str | None,
     scores), each column holds one finite value per feature of the schema,
     and every std is positive.  Raises ValueError "field: why".
     """
-    if type(schema_id) is not str or schema_id not in dims:
-        raise ValueError(f"schema_id: unknown schema {schema_id!r}")
+    check_schema(schema_id, dims)
     if variant != _SCHEMA_VARIANT.get(schema_id):
         raise ValueError(f"variant: {variant!r} does not match schema "
                          f"{schema_id}")
@@ -256,17 +263,9 @@ class ScorerModel:
 
     @classmethod
     def load(cls, path) -> "ScorerModel":
-        def make(doc):
-            # files from before hidden layers were removed carry "hidden":
-            # null; older files also carry a "generator_tag", which is
-            # ignored
-            if doc.get("hidden") is not None:
-                raise ValueError("hidden: hidden layers are not supported")
-            return cls(doc.get("variant"), doc.get("schema_id"),
-                       doc["weights"], doc["feature_mean"],
-                       doc["feature_std"])
-
-        return read_model_file(path, "expansion_scorer", make)
+        return read_model_file(path, "expansion_scorer", lambda doc: cls(
+            doc.get("variant"), doc.get("schema_id"), doc["weights"],
+            doc["feature_mean"], doc["feature_std"]))
 
 
 def rank_loss(scores, ranks, alpha: float) -> tuple[float, np.ndarray]:
@@ -285,12 +284,14 @@ def rank_loss(scores, ranks, alpha: float) -> tuple[float, np.ndarray]:
     return float(hinge[active].sum()), grad
 
 
-def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column means and stds that standardize a linear scorer's
+    training matrix ``features``.  A column that is constant over it keeps
+    its mean and gets std 1, so it standardizes to 0 and training leaves
+    its weight at 0."""
     mean = features.mean(axis=0)
     std = features.std(axis=0)
-    constant = std < 1e-12
-    mean[constant] = 0.0
-    std[constant] = 1.0
+    std[std < 1e-12] = 1.0
     return mean, std
 
 
@@ -314,8 +315,8 @@ def train(examples, cfg: TrainConfig, variant: str,
     if not groups:
         raise ValueError("no training questions")
 
-    all_feats = np.concatenate([f for f, _ in groups])
-    mean, std = _standardizer(all_feats)
+    mean, std = standardizer(np.concatenate([f for f, _ in groups]))
+    groups = [((feats - mean) / std, labels) for feats, labels in groups]
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(SCHEMA_DIMS[schema])
 
@@ -328,8 +329,7 @@ def train(examples, cfg: TrainConfig, variant: str,
             gw = np.zeros_like(w)
             pairs = 0
             for gi in batch:
-                feats, labels = groups[gi]
-                z = (feats - mean) / std
+                z, labels = groups[gi]
                 _, gscores = rank_loss(z @ w, labels, cfg.alpha)
                 pairs += max(1, len(labels) * (len(labels) - 1) // 2)
                 gw += gscores @ z

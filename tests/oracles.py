@@ -261,7 +261,6 @@ def reference_ri(featurizer, question, expansion):
         float(sum(t.isdigit() for t in et)),
         float(sum(w[:1].isupper() for w in expansion.split())),
         len(qg & eg) / union if union else 0.0,
-        1.0,
     ])
 
 

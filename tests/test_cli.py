@@ -3,14 +3,17 @@ import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from expandrank import cli, evalbench, expansion, pipeline
+from expandrank import cli, evalbench, expansion, pipeline, reranker
 from expandrank.cli import main
+from expandrank.corpus import load_corpus
+from expandrank.index import MAGIC, Index
 from expandrank.synth import (make_planted, write_corpus, write_expansions,
                               write_questions)
 
@@ -165,6 +168,30 @@ class TestMakeTrainCmd:
             f"error: {old}:1: rank labels are 1-based integers, but "
             f"labels[0] is {label!r}; re-run make-train\n")
         assert not (workdir / "never.json").exists()
+
+    def test_qid_without_candidates_exit_1(self, workdir, models, tmp_path,
+                                           monkeypatch, capsys):
+        """A training question the expansions file lacks is named, with
+        both files, before any question is labeled."""
+        rows = (workdir / "expansions.jsonl").read_text().splitlines()
+        dropped = json.loads(rows[-1])["qid"]
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("".join(
+            row + "\n" for row in rows if json.loads(row)["qid"] != dropped))
+        labeled = []
+        label = expansion.label_candidates
+        monkeypatch.setattr(expansion, "label_candidates",
+                            lambda *a: labeled.append(a) or label(*a))
+        rc = run("make-train", "--index", models / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--questions", workdir / "questions.jsonl",
+                 "--expansions", partial, "--out", tmp_path / "t.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {partial}: no candidates for qid {dropped} of "
+            f"{workdir / 'questions.jsonl'}\n")
+        assert labeled == []
+        assert not (tmp_path / "t.jsonl").exists()
 
 
 class TestPipelineCmds:
@@ -644,6 +671,118 @@ class TestLogging:
             assert capsys.readouterr().err == warning
         assert run("--log-level", "error", *argv) == 0
         assert capsys.readouterr().err == ""
+
+
+def _with_index_header(raw: bytes, **fields) -> bytes:
+    """The bytes of a saved index with ``fields`` set in its JSON header."""
+    magic = len(MAGIC)
+    (hlen,) = struct.unpack("<Q", raw[magic:magic + 8])
+    header = json.loads(raw[magic + 8:magic + 8 + hlen])
+    blob = json.dumps({**header, **fields}).encode()
+    return (raw[:magic] + struct.pack("<Q", len(blob)) + blob
+            + raw[magic + 8 + hlen:])
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("rank, score, why", [
+        ("two", "1.0", "invalid literal for int() with base 10: 'two'"),
+        ("2", "high", "could not convert string to float: 'high'"),
+    ])
+    def test_eval_non_numeric_rank_or_score_exit_1(self, workdir, tmp_path,
+                                                    capsys, rank, score, why):
+        bad = tmp_path / "bad.trec"
+        bad.write_text(f"q0000 Q0 a 1 2.0 t\nq0000 Q0 b {rank} {score} t\n")
+        rc = run("eval", "--run", bad,
+                 "--questions", workdir / "questions.jsonl",
+                 "--corpus", workdir / "corpus.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: {why}\n"
+
+    @pytest.mark.parametrize("fields, why", [
+        ({"pids": [0]}, "pids and terms must be lists of strings"),
+        ({"terms": None}, "pids and terms must be lists of strings"),
+        ({"postings": -1}, "postings must be a non-negative int, got -1"),
+        ({"postings": 1.5}, "postings must be a non-negative int, got 1.5"),
+    ])
+    def test_index_header_of_wrong_types_exit_1(self, workdir, models,
+                                                tmp_path, capsys, fields,
+                                                why):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(_with_index_header(
+            (models / "idx.bin").read_bytes(), **fields))
+        rc = run("retrieve", "--index", bad,
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--questions", workdir / "questions.jsonl",
+                 "--strategy", "bm25", "--out", tmp_path / "never.trec")
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: corrupt index: {why}\n"
+        assert not (tmp_path / "never.trec").exists()
+
+    def test_train_pr_without_retrieved_passages_exit_1(self, workdir, models,
+                                                         tmp_path, capsys):
+        """Questions none of whose terms any passage holds leave the
+        passage reranker nothing to train on."""
+        questions = tmp_path / "void.jsonl"
+        questions.write_text("".join(
+            json.dumps({"qid": f"v{i}", "question": f"xyzzy{i} quux",
+                        "answers": ["nothing"]}) + "\n" for i in range(2)))
+        rc = run("train-pr", "--index", models / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--questions", questions, "--out", tmp_path / "pr.json")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "WARNING: question v0 retrieved no passages; skipped\n"
+            "WARNING: question v1 retrieved no passages; skipped\n"
+            "error: no training instances\n")
+        assert not (tmp_path / "pr.json").exists()
+
+    @pytest.mark.parametrize("variant", ["RI", "RD"])
+    def test_v1_model_must_be_retrained_exit_1(self, workdir, models,
+                                               tmp_path, capsys, variant):
+        """A model file from before the bias column was dropped: its
+        schema's v1 id and one more column, the bias, at index 8."""
+        doc = json.loads((models / f"{variant}.json").read_text())
+        schema = f"{variant.lower()}-v1"
+        doc["schema_id"] = schema
+        for field, value in (("weights", 0.0), ("feature_mean", 0.0),
+                             ("feature_std", 1.0)):
+            doc[field].insert(8, value)
+        old = tmp_path / f"{variant}-v1.json"
+        old.write_text(json.dumps(doc))
+        rc = run("retrieve", "--index", models / "idx.bin",
+                 "--corpus", workdir / "corpus.jsonl",
+                 "--questions", workdir / "questions.jsonl",
+                 "--expansions", workdir / "expansions.jsonl",
+                 "--strategy", f"ear_{variant.lower()}", "--model", old,
+                 "--out", tmp_path / "never.trec")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {old}: schema_id: unknown schema '{schema}'; "
+            f"re-train the model\n")
+        assert not (tmp_path / "never.trec").exists()
+
+
+class TestTrainEpochs:
+    def test_epochs_flag_sets_the_epoch_count(self, workdir, models,
+                                              tmp_path):
+        """``train --epochs 1`` writes the model that one epoch of
+        ``reranker.train`` gives, not the default three-epoch RD model."""
+        out = tmp_path / "rd1.json"
+        assert run("train", "--train", models / "train.jsonl",
+                   "--index", models / "idx.bin",
+                   "--corpus", workdir / "corpus.jsonl", "--variant", "RD",
+                   "--epochs", 1, "--out", out) == 0
+        store = load_corpus(workdir / "corpus.jsonl")
+        expected = tmp_path / "expected.json"
+        reranker.train(
+            expansion.load_training_set(models / "train.jsonl"),
+            reranker.TrainConfig(epochs=1), "RD",
+            reranker.Featurizer(Index.load(models / "idx.bin"), store),
+        ).save(expected)
+        assert out.read_bytes() == expected.read_bytes()
+        default = json.loads((models / "RD.json").read_text())
+        assert json.loads(out.read_text())["weights"] != default["weights"]
 
 
 class TestTrainPrDeterminism:

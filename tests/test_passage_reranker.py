@@ -274,9 +274,21 @@ class TestConstantFeature:
         return store, build_index(store, Bm25Params()), questions
 
     def test_trains_and_reranks(self, fixed_length):
+        """The length column, constant at 40, keeps 40 as its mean and gets
+        std 1 and weight 0; the bias column, constant too, keeps mean 0 and
+        std 1 and is the one constant column with a weight."""
         store, index, questions = fixed_length
         scorer = train_passage_reranker(index, store, questions)
-        assert scorer.weights[LENGTH] == 0.0
+        rows = np.concatenate([list_features(index, store, qa.question,
+                                             index.search(qa.question, 10))
+                               for qa in questions])
+        constant = np.flatnonzero((rows == rows[0]).all(axis=0)).tolist()
+        assert constant == [LENGTH, BIAS]
+        assert rows[0, LENGTH] == 40.0
+        assert [scorer.feature_mean[LENGTH], scorer.feature_std[LENGTH],
+                scorer.weights[LENGTH]] == [40.0, 1.0, 0.0]
+        assert [scorer.feature_mean[BIAS], scorer.feature_std[BIAS]] == \
+            [0.0, 1.0]
         assert scorer.weights[BIAS] != 0.0
         for qa in questions:
             rl = index.search(qa.question, 10)

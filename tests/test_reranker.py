@@ -45,7 +45,6 @@ class TestFeaturizeRI:
         assert f[0] == 4.0   # token count
         assert f[5] == 2.0   # numeric tokens
         assert f[6] == 2.0   # capitalized raw words
-        assert f[8] == 1.0   # bias
 
     def test_planted_trap_matches_useful(self, planted, featurizer):
         # the fixture is engineered so trap and useful candidates are
@@ -66,7 +65,7 @@ class TestFeaturizeRD:
         qa = planted.questions[0]
         rl = planted_index.search(qa.question + " zn0x0a", k=2)
         f = rd_row(featurizer, qa.question, "keyaa" + "bbb", rl)
-        assert f[10] == 0.0
+        assert f[9] == 0.0
 
     def test_hand_computed_fixture(self, planted, planted_index, planted_store,
                                    featurizer):
@@ -77,11 +76,11 @@ class TestFeaturizeRD:
         rl = planted_index.search(f"{qa.question} {useful.text}", k=2)
         f = rd_row(featurizer, qa.question, useful.text, rl)
         assert rl.entries[0][0].endswith("-z-ans")
-        assert f[9] == pytest.approx(rl.entries[0][1])
-        assert f[10] == 1.0             # the key term is in the answer passage
-        assert f[11] == pytest.approx(0.5)  # both topic terms, not "what is"
-        assert f[12] == 12.0            # fixed passage length
-        assert f[13] == 1.0             # clear top-1 margin
+        assert f[8] == pytest.approx(rl.entries[0][1])
+        assert f[9] == 1.0              # the key term is in the answer passage
+        assert f[10] == pytest.approx(0.5)  # both topic terms, not "what is"
+        assert f[11] == 12.0            # fixed passage length
+        assert f[12] == 1.0             # clear top-1 margin
 
     def test_rd_needs_retrieval(self, featurizer):
         with pytest.raises(ValueError, match="retrieval"):
@@ -104,7 +103,7 @@ class TestFeaturizeRD:
         qa = planted.questions[0]
         e = "keyaabbb"
         rl = featurizer.index.search(f"{qa.question} {e}", k=2)
-        np.testing.assert_array_equal(rd_row(featurizer, qa.question, e, rl)[:9],
+        np.testing.assert_array_equal(rd_row(featurizer, qa.question, e, rl)[:8],
                                       ri_row(featurizer, qa.question, e))
 
 
@@ -152,7 +151,7 @@ class TestFeatureMatrix:
         tops = [top for _, top in cands]
         ri = small_featurizer.features("RI", question, texts)
         rd = small_featurizer.features("RD", question, texts, tops)
-        assert ri.shape == (len(texts), 9) and rd.shape == (len(texts), 14)
+        assert ri.shape == (len(texts), 8) and rd.shape == (len(texts), 13)
         for i, (text, top) in enumerate(cands):
             assert ri[i].tobytes() == reference_ri(
                 small_featurizer, question, text).tobytes()
@@ -161,8 +160,8 @@ class TestFeatureMatrix:
                 small_featurizer, question, text, rl).tobytes()
 
     def test_empty_candidate_list(self, small_featurizer):
-        assert small_featurizer.features("RI", "q", []).shape == (0, 9)
-        assert small_featurizer.features("RD", "q", [], []).shape == (0, 14)
+        assert small_featurizer.features("RI", "q", []).shape == (0, 8)
+        assert small_featurizer.features("RD", "q", [], []).shape == (0, 13)
 
     @pytest.mark.parametrize("stemming", [True, False])
     @pytest.mark.parametrize("stopwords", [True, False])
@@ -184,29 +183,29 @@ class TestFeatureMatrix:
 
 class TestScore:
     def test_zero_weights(self, featurizer):
-        m = ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9), np.ones(9))
+        m = ScorerModel("RI", RI_SCHEMA, np.zeros(8), np.zeros(8), np.ones(8))
         assert m.score(featurizer.features("RI", "q", ["e word"])).tolist() \
             == [0.0]
 
     def test_linearity(self):
-        w = np.arange(9, dtype=float)
-        m = ScorerModel("RI", RI_SCHEMA, w, np.zeros(9), np.ones(9))
-        f = np.linspace(0.1, 0.9, 18).reshape(2, 9)
+        w = np.arange(8, dtype=float)
+        m = ScorerModel("RI", RI_SCHEMA, w, np.zeros(8), np.ones(8))
+        f = np.linspace(0.1, 0.9, 16).reshape(2, 8)
         np.testing.assert_allclose(m.score(2 * f), 2 * m.score(f))
 
     def test_schema_mismatch(self):
-        m = ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9), np.ones(9))
+        m = ScorerModel("RI", RI_SCHEMA, np.zeros(8), np.zeros(8), np.ones(8))
         with pytest.raises(ValueError):
-            m.score(np.zeros((1, 14)))
+            m.score(np.zeros((1, 13)))
         with pytest.raises(ValueError):
-            m.score(np.zeros(9))  # a row, not a matrix
+            m.score(np.zeros(8))  # a row, not a matrix
 
     def test_equal_rows_equal_scores(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            m = ScorerModel("RD", RD_SCHEMA, rng.normal(size=14),
-                            rng.normal(size=14), rng.uniform(0.5, 2, 14))
-            row = rng.normal(size=14) * rng.choice([1e-3, 1.0, 1e3], 14)
+            m = ScorerModel("RD", RD_SCHEMA, rng.normal(size=13),
+                            rng.normal(size=13), rng.uniform(0.5, 2, 13))
+            row = rng.normal(size=13) * rng.choice([1e-3, 1.0, 1e3], 13)
             scores = m.score(np.tile(row, (37, 1)))
             assert np.all(scores == scores[0])
 
@@ -214,7 +213,7 @@ class TestScore:
         path = tmp_path / "m.json"
         ri_model.save(path)
         loaded = ScorerModel.load(path)
-        f = np.linspace(0.0, 1.0, 18).reshape(2, 9)
+        f = np.linspace(0.0, 1.0, 16).reshape(2, 8)
         np.testing.assert_array_equal(loaded.score(f), ri_model.score(f))
         assert loaded.variant == "RI"
 
@@ -223,46 +222,47 @@ def _damage(doc, field, value):
     doc[field] = value
 
 
+def _v1(doc):
+    """A model file of the schema before the bias column was dropped."""
+    doc.update(schema_id="ri-v1", weights=doc["weights"] + [0.0],
+               feature_mean=doc["feature_mean"] + [0.0],
+               feature_std=doc["feature_std"] + [1.0])
+
+
+# case -> (field, damage, the message after "path: field: ")
 _SCORER_DAMAGES = {
-    "kind": lambda d: _damage(d, "kind", "passage_scorer"),
-    "format_version": lambda d: _damage(d, "format_version", 2),
-    "schema_id": lambda d: _damage(d, "schema_id", "ri-v9"),
-    "variant": lambda d: _damage(d, "variant", "RD"),
-    "weights": lambda d: _damage(d, "weights", d["weights"][:5]),
-    "feature_mean": lambda d: d["feature_mean"].__setitem__(2, float("nan")),
-    "feature_std": lambda d: d["feature_std"].__setitem__(0, 0.0),
-    "hidden": lambda d: _damage(d, "hidden", {"w": [[0.0] * 9], "b": [0.0]}),
+    "kind": ("kind", lambda d: _damage(d, "kind", "passage_scorer"),
+             "not a expansion_scorer model"),
+    "format_version": ("format_version",
+                       lambda d: _damage(d, "format_version", 2),
+                       "2 is not 1"),
+    "schema_id": ("schema_id", lambda d: _damage(d, "schema_id", "ri-v9"),
+                  "unknown schema 'ri-v9'; re-train the model"),
+    "ri-v1": ("schema_id", _v1, "unknown schema 'ri-v1'; re-train the model"),
+    "variant": ("variant", lambda d: _damage(d, "variant", "RD"),
+                f"'RD' does not match schema {RI_SCHEMA}"),
+    "weights": ("weights", lambda d: _damage(d, "weights", d["weights"][:5]),
+                f"expected 8 values for {RI_SCHEMA}"),
+    "feature_mean": ("feature_mean",
+                     lambda d: d["feature_mean"].__setitem__(2, float("nan")),
+                     "values must be finite"),
+    "feature_std": ("feature_std",
+                    lambda d: d["feature_std"].__setitem__(0, 0.0),
+                    "values must be positive"),
 }
 
 
 class TestModelFiles:
-    def test_old_file_with_null_hidden_loads(self, ri_model, tmp_path):
+    @pytest.mark.parametrize("case", sorted(_SCORER_DAMAGES))
+    def test_damaged_scorer_rejected(self, ri_model, tmp_path, case):
+        field, damage, why = _SCORER_DAMAGES[case]
         path = tmp_path / "m.json"
         ri_model.save(path)
         doc = json.loads(path.read_text())
-        assert "hidden" not in doc
-        path.write_text(json.dumps(dict(doc, hidden=None)))
-        np.testing.assert_array_equal(ScorerModel.load(path).weights,
-                                      ri_model.weights)
-
-    def test_old_file_with_generator_tag_loads(self, ri_model, tmp_path):
-        path = tmp_path / "m.json"
-        ri_model.save(path)
-        doc = json.loads(path.read_text())
-        assert "generator_tag" not in doc
-        path.write_text(json.dumps(dict(doc, generator_tag="stub")))
-        loaded = ScorerModel.load(path)
-        np.testing.assert_array_equal(loaded.weights, ri_model.weights)
-        assert not hasattr(loaded, "generator_tag")
-
-    @pytest.mark.parametrize("field", sorted(_SCORER_DAMAGES))
-    def test_damaged_scorer_rejected(self, ri_model, tmp_path, field):
-        path = tmp_path / "m.json"
-        ri_model.save(path)
-        doc = json.loads(path.read_text())
-        _SCORER_DAMAGES[field](doc)
+        damage(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {field}: ")):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{path}: {field}: {why}')}$"):
             ScorerModel.load(path)
 
     @pytest.mark.parametrize("field, damage", [
@@ -285,16 +285,16 @@ class TestModelFiles:
             PassageScorer.load(path)
 
     @pytest.mark.parametrize("field, make", [
-        ("variant", lambda: ScorerModel("RI", RD_SCHEMA, np.zeros(14),
-                                        np.zeros(14), np.ones(14))),
-        ("variant", lambda: ScorerModel(None, RI_SCHEMA, np.zeros(9),
-                                        np.zeros(9), np.ones(9))),
-        ("feature_std", lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(9),
-                                            np.zeros(9), np.zeros(9))),
-        ("feature_mean", lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(9),
-                                             np.full(9, np.nan), np.ones(9))),
+        ("variant", lambda: ScorerModel("RI", RD_SCHEMA, np.zeros(13),
+                                        np.zeros(13), np.ones(13))),
+        ("variant", lambda: ScorerModel(None, RI_SCHEMA, np.zeros(8),
+                                        np.zeros(8), np.ones(8))),
+        ("feature_std", lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(8),
+                                            np.zeros(8), np.zeros(8))),
+        ("feature_mean", lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(8),
+                                             np.full(8, np.nan), np.ones(8))),
         ("weights", lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(4),
-                                        np.zeros(9), np.ones(9))),
+                                        np.zeros(8), np.ones(8))),
         ("weights", lambda: PassageScorer(np.zeros(3), np.zeros(5),
                                           np.ones(5))),
     ])
@@ -305,10 +305,10 @@ class TestModelFiles:
             make()
 
     @pytest.mark.parametrize("make", [
-        lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9),
-                            np.ones(9)),
-        lambda: ScorerModel("RD", RD_SCHEMA, np.zeros(14), np.zeros(14),
-                            np.ones(14)),
+        lambda: ScorerModel("RI", RI_SCHEMA, np.zeros(8), np.zeros(8),
+                            np.ones(8)),
+        lambda: ScorerModel("RD", RD_SCHEMA, np.zeros(13), np.zeros(13),
+                            np.ones(13)),
         lambda: PassageScorer(np.zeros(5), np.zeros(5), np.ones(5)),
     ])
     def test_untrained_models_round_trip(self, make, tmp_path):
@@ -442,8 +442,8 @@ class TestTrain:
                     ex.labels, 0.01)[0]
                 for ex in subset)
 
-        start = loss(ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9),
-                                 np.ones(9)))
+        start = loss(ScorerModel("RI", RI_SCHEMA, np.zeros(8), np.zeros(8),
+                                 np.ones(8)))
         end = loss(train(subset, TrainConfig(), "RI", featurizer))
         assert end <= start + 1e-9
 
@@ -471,6 +471,27 @@ class TestTrain:
             train([broken], TrainConfig(), "RI", featurizer)
 
     @pytest.mark.parametrize("variant", ["RI", "RD"])
+    def test_constant_columns_standardize_to_zero(
+            self, planted_train_set, featurizer, ri_model, rd_model, variant):
+        """A column constant over the training rows keeps its value as its
+        mean and gets std 1 and weight 0.  On planted these are the
+        overlap (0), 1 - overlap (1), the digit and capital counts (0) and
+        RD's top-1 passage length (12)."""
+        model = {"RI": ri_model, "RD": rd_model}[variant]
+        rows = np.concatenate([
+            featurizer.features(variant, ex.question, texts_of(ex.candidates),
+                                ex.top2) for ex in planted_train_set])
+        constant = (rows == rows[0]).all(axis=0)
+        assert np.flatnonzero(constant).tolist() == \
+            {"RI": [1, 2, 5, 6], "RD": [1, 2, 5, 6, 11]}[variant]
+        n = int(constant.sum())
+        assert model.weights[constant].tolist() == [0.0] * n
+        assert model.feature_mean[constant].tolist() == \
+            rows[0, constant].tolist()
+        assert model.feature_std[constant].tolist() == [1.0] * n
+        assert np.all(model.weights[~constant] != 0.0)
+
+    @pytest.mark.parametrize("variant", ["RI", "RD"])
     def test_no_questions_rejected(self, featurizer, variant):
         with pytest.raises(ValueError, match="^no training questions$"):
             train([], TrainConfig(), variant, featurizer)
@@ -495,7 +516,7 @@ class TestSelectBest:
         assert select_best(ri_model, "a question", cs, featurizer) is only
 
     def test_tie_goes_to_earliest(self, featurizer):
-        m = ScorerModel("RI", RI_SCHEMA, np.zeros(9), np.zeros(9), np.ones(9))
+        m = ScorerModel("RI", RI_SCHEMA, np.zeros(8), np.zeros(8), np.ones(8))
         cs = CandidateSet(qid="q", candidates=[
             ExpansionCandidate(text="first"), ExpansionCandidate(text="second"),
         ])
@@ -504,7 +525,7 @@ class TestSelectBest:
     @pytest.mark.parametrize("variant", ["RI", "RD"])
     def test_equal_rows_go_to_index_0(self, featurizer, variant):
         schema = {"RI": RI_SCHEMA, "RD": RD_SCHEMA}[variant]
-        dim = {"RI": 9, "RD": 14}[variant]
+        dim = {"RI": 8, "RD": 13}[variant]
         rng = np.random.default_rng(1)
         m = ScorerModel(variant, schema, rng.normal(size=dim),
                         rng.normal(size=dim), rng.uniform(0.5, 2, dim))
