@@ -17,7 +17,8 @@ from . import evalbench, expansion, pipeline
 from .corpus import CorpusError, load_corpus, load_questions
 from .evalbench import DEFAULT_KS
 from .index import Bm25Params, Index, build_index
-from .passage_reranker import PassageScorer, PRTrainConfig, train_passage_reranker
+from .passage_reranker import (NothingRetrieved, PassageScorer, PRTrainConfig,
+                               train_passage_reranker)
 from .pipeline import STRATEGIES, StrategySpec
 from .reranker import Featurizer, ScorerModel, TrainConfig, train
 
@@ -178,7 +179,12 @@ def cmd_train_pr(args) -> int:
                   epochs=args.epochs, learning_rate=args.learning_rate,
                   seed=args.seed)
     store, index, questions = _load_inputs(args)
-    scorer = train_passage_reranker(index, store, questions, cfg)
+    try:
+        scorer = train_passage_reranker(index, store, questions, cfg)
+    except NothingRetrieved:
+        raise ValueError(f"no training instances: none of the "
+                         f"{len(questions)} questions of {args.questions} "
+                         f"retrieved a passage from {args.index}") from None
     scorer.save(args.out)
     print(f"trained passage scorer on {len(questions)} questions -> {args.out}")
     return 0

@@ -26,6 +26,10 @@ PR_DIM = 5
 BIAS = PR_DIM - 1
 
 
+class NothingRetrieved(ValueError):
+    """No training question retrieved a passage: nothing to train on."""
+
+
 def _sigmoid(t: float) -> float:
     """Logistic function without overflow: exp is only taken of -|t|."""
     if t >= 0.0:
@@ -151,17 +155,21 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
                            cfg: PRTrainConfig | None = None) -> PassageScorer:
     cfg = cfg or PRTrainConfig()
     feats, labels = [], []
+    skipped = 0
     for qa in qa_train:
         matcher = AnswerMatcher(qa.answers, qa.qid, index)
         rl = index.search(qa.question, k=cfg.train_depth)
         if not len(rl):
             log.warning("question %s retrieved no passages; skipped", qa.qid)
+            skipped += 1
             continue
         pids = rl.pids()
         feats.append(passage_features(index, store, qa.question, pids, rl.scores))
         labels += [float(matcher(store.get(p))) for p in pids]
     if not feats:
-        raise ValueError("no training instances")
+        raise NothingRetrieved(f"no training instances: none of the "
+                               f"{skipped} questions retrieved a "
+                               f"passage")
     x = np.concatenate(feats)
     y = np.array(labels)
 

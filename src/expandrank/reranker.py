@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,25 @@ VARIANT_SCHEMA = {"RI": RI_SCHEMA, "RD": RD_SCHEMA}
 _SCHEMA_VARIANT = {schema: variant for variant, schema in VARIANT_SCHEMA.items()}
 
 
+# _GRAM_SLICES[n] slices every character 3-gram out of a token of length
+# n; a token shorter than 3 is its own one gram, which t[0:3] also gives.
+_SLICED_LEN = 40
+_GRAM_SLICES = tuple(tuple(slice(i, i + 3) for i in range(max(n - 2, 1)))
+                     for n in range(_SLICED_LEN + 1))
+_first_char = operator.itemgetter(0)
+
+
 def _char3(tokens) -> set[str]:
+    """The character 3-grams of ``tokens``, non-empty strings; a token
+    shorter than 3 counts as one gram."""
     grams = set()
+    update = grams.update
     for t in tokens:
-        if len(t) < 3:
-            grams.add(t)
+        n = len(t)
+        if n <= _SLICED_LEN:
+            update(map(t.__getitem__, _GRAM_SLICES[n]))
         else:
-            grams.update(t[i : i + 3] for i in range(len(t) - 2))
+            update([t[i : i + 3] for i in range(n - 2)])
     return grams
 
 
@@ -61,33 +74,46 @@ class Featurizer:
     def features(self, variant: str, question: str, texts,
                  tops=None) -> np.ndarray:
         """(len(texts), d) features of expansions ``texts``; RD needs
-        ``tops``, each text's first two retrieved (pid, score) pairs."""
+        ``tops``, each text's first two retrieved (pid, score) pairs.
+
+        The question and each text are normalized once, and the idfs of all
+        the set's novel tokens are looked up together; nothing is kept
+        past the call."""
         if variant not in VARIANT_SCHEMA:
             raise ValueError(f"unknown variant {variant!r}")
         rd = variant == "RD"
         if rd and (tops is None or len(tops) != len(texts)):
             raise ValueError("RD features need each expanded query's retrieval")
-        q_tokens = normalize(question)
-        qt, qg = set(q_tokens), _char3(q_tokens)
-        top1 = {}  # top-1 pid -> (token set, question overlap, length)
-        rows = []
-        for i, text in enumerate(texts):
+        qt = set(normalize(question))
+        qg = _char3(qt)
+        parsed = []  # (text, tokens, token set, novel tokens) per text
+        all_novel = set()
+        for text in texts:
             et = normalize(text)
             et_set = set(et)
-            overlap = len(et_set & qt) / len(et_set) if et_set else 0.0
             novel = et_set - qt
-            novel_idfs = self._idfs(sorted(novel))
-            eg = _char3(et)
-            union = len(qg | eg)
+            all_novel |= novel
+            parsed.append((text, et, et_set, novel))
+        set_novel = sorted(all_novel)
+        idf_of = dict(zip(set_novel, self._idfs(set_novel)))
+        top1 = {}  # top-1 pid -> (token set, question overlap, length)
+        rows = []
+        for i, (text, et, et_set, novel) in enumerate(parsed):
+            n_et = len(et_set)
+            overlap = (n_et - len(novel)) / n_et if n_et else 0.0
+            novel_idfs = list(map(idf_of.__getitem__, sorted(novel)))
+            eg = _char3(et_set)
+            inter = len(qg & eg)
+            union = len(qg) + len(eg) - inter
             row = [
                 float(len(et)),
                 overlap,
-                1.0 - overlap if et_set else 0.0,
+                1.0 - overlap if n_et else 0.0,
                 max(novel_idfs) if novel_idfs else 0.0,
                 sum(novel_idfs) / len(novel_idfs) if novel_idfs else 0.0,
-                float(sum(t.isdigit() for t in et)),
-                float(sum(w[:1].isupper() for w in text.split())),
-                len(qg & eg) / union if union else 0.0,
+                float(sum(map(str.isdigit, et))),
+                float(sum(map(str.isupper, map(_first_char, text.split())))),
+                inter / union if union else 0.0,
             ]
             if rd and tops[i]:
                 # top-1 score, overlaps with and length of top-1, margin

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 
 from expandrank.index import Bm25Params, Index, IndexError_, RankedList
-from expandrank.reranker import _char3, select_best
+from expandrank.reranker import select_best
 from expandrank.text import normalize
 
 
@@ -242,6 +242,18 @@ def reference_idf(index, token):
     return float(index.idf[tid])
 
 
+def reference_char3(tokens):
+    """Every ``t[i:i+3]`` of every token ``t``, plus each token shorter
+    than 3 whole."""
+    grams = set()
+    for t in tokens:
+        if len(t) < 3:
+            grams.add(t)
+        for i in range(len(t) - 2):
+            grams.add(t[i:i + 3])
+    return grams
+
+
 def reference_ri(featurizer, question, expansion):
     """One RI feature row, built from scratch for one candidate."""
     qt = set(normalize(question))
@@ -250,7 +262,7 @@ def reference_ri(featurizer, question, expansion):
     overlap = len(et_set & qt) / len(et_set) if et_set else 0.0
     novel = sorted(et_set - qt)
     novel_idfs = [reference_idf(featurizer.index, t) for t in novel]
-    qg, eg = _char3(normalize(question)), _char3(et)
+    qg, eg = reference_char3(normalize(question)), reference_char3(et)
     union = len(qg | eg)
     return np.array([
         float(len(et)),

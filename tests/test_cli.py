@@ -734,7 +734,8 @@ class TestRejectedInputs:
         assert capsys.readouterr().err == (
             "WARNING: question v0 retrieved no passages; skipped\n"
             "WARNING: question v1 retrieved no passages; skipped\n"
-            "error: no training instances\n")
+            f"error: no training instances: none of the 2 questions of "
+            f"{questions} retrieved a passage from {models / 'idx.bin'}\n")
         assert not (tmp_path / "pr.json").exists()
 
     @pytest.mark.parametrize("variant", ["RI", "RD"])

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from expandrank import passage_reranker, text
 from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.index import Bm25Params, build_index
-from expandrank.passage_reranker import (_STATS, BIAS, PassageScorer,
-                                         PRTrainConfig, passage_features,
+from expandrank.passage_reranker import (_STATS, BIAS, NothingRetrieved,
+                                         PassageScorer, PRTrainConfig,
+                                         passage_features,
                                          rerank_passages,
                                          train_passage_reranker)
 from expandrank.synth import make_random_corpus
@@ -121,6 +122,15 @@ class TestTraining:
                                        answers=("nothing",))]
         train_passage_reranker(index, store, mixed)
         assert any("void" in rec.message for rec in caplog.records)
+
+    def test_nothing_retrieved_counts_the_questions(self, deep_fixture):
+        store, index, _ = deep_fixture
+        void = [QAExample(qid=f"v{i}", question=f"xyzzy{i} quux",
+                          answers=("nothing",)) for i in range(3)]
+        with pytest.raises(NothingRetrieved,
+                           match="^no training instances: none of the 3 "
+                                 "questions retrieved a passage$"):
+            train_passage_reranker(index, store, void)
 
     def test_question_without_answers_named(self, planted20, no_answers):
         fx, store, index = planted20

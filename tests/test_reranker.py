@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expandrank import reranker
 from expandrank.corpus import Passage, PassageStore
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   ExpansionCandidate, label_candidates,
@@ -107,14 +108,21 @@ class TestFeaturizeRD:
                                       ri_row(featurizer, qa.question, e))
 
 
-# Stopwords, digits, capitals, an NFKC ligature and punctuation-joined tokens.
+# Stopwords, digits, capitals, NFKC-folded words (a ligature, fullwidth
+# letters, a roman numeral, a superscript, a circled digit), punctuation-joined
+# tokens and a token longer than any trigram slice table.
+_LONG = "Pneumonoultramicroscopicsilicovolcanoconiosis"
 _WORDS = ("the", "of", "is", "Running", "runs", "ponies", "sky", "2018",
-          "\ufb01ve", "x1", "Deadpool-2", "May")
-_text = st.lists(
-    st.one_of(st.sampled_from(_WORDS),
-              st.text(alphabet="abeinrst19", min_size=1, max_size=6)),
-    min_size=1, max_size=6,
-).map(" ".join)
+          "\ufb01ve", "x1", "Deadpool-2", "May", "\uff34okyo", "\u216b",
+          "x\u00b2", "\u2460", _LONG)
+_ALPHABET = "abeinrst19AE"
+_token = st.one_of(st.sampled_from(_WORDS),
+                   st.text(alphabet=_ALPHABET, min_size=1, max_size=3),
+                   st.text(alphabet=_ALPHABET, min_size=1, max_size=40),
+                   st.text(alphabet=_ALPHABET, min_size=30, max_size=40))
+# 1-6 tokens; sometimes the first again at the end
+_text = st.tuples(st.lists(_token, min_size=1, max_size=6), st.booleans()).map(
+    lambda drawn: " ".join(drawn[0] + drawn[0][:1] * drawn[1]))
 _PASSAGES = ["the sky runs x1", "ponies of May 2018", "\ufb01ve Deadpool-2 sky",
              "bin rest tab"]
 _pair = st.tuples(st.sampled_from([f"p{i}" for i in range(len(_PASSAGES))]),
@@ -145,8 +153,14 @@ class TestFeatureMatrix:
                     ("\ufb01ve rest", [("p1", 4.0), ("p3", 4.0)])])
     @example(question="?! --",  # a question with no tokens
              cands=[("sky", [("p0", 1.0), ("p2", 0.0)]), ("?", [])])
+    @example(question=f"\uff34okyo {_LONG} ab",  # long, short, repeated
+             cands=[(f"{_LONG}s ab ab x\u00b2 \u2460", [("p2", 1.0)]),
+                    ("e e e 99 \u216b", [("p0", 0.5), ("p2", 0.5)])])
     @settings(max_examples=150, deadline=None)
     def test_rows_equal_reference(self, small_featurizer, question, cands):
+        # one more candidate repeats the question, so that its trigrams
+        # meet the question's
+        cands = cands + [(f"{question} {cands[0][0]}", cands[0][1])]
         texts = [text for text, _ in cands]
         tops = [top for _, top in cands]
         ri = small_featurizer.features("RI", question, texts)
@@ -158,6 +172,28 @@ class TestFeatureMatrix:
             rl = RankedList([pid for pid, _ in top], [s for _, s in top])
             assert rd[i].tobytes() == reference_rd(
                 small_featurizer, question, text, rl).tobytes()
+
+    def test_one_normalize_per_text(self, small_featurizer, monkeypatch):
+        """One call normalizes the question once, each text once and the
+        passage of each distinct RD top-1 pid once."""
+        calls = []
+        original = reranker.normalize
+
+        def counting(raw):
+            calls.append(raw)
+            return original(raw)
+
+        monkeypatch.setattr(reranker, "normalize", counting)
+        question = "ponies of may"
+        texts = ["sky 2018", "x1 sky", "bin rest", "tab"]
+        tops = [[("p1", 4.0), ("p0", 1.0)], [("p1", 2.0)],
+                [("p3", 3.0), ("p1", 1.0)], []]
+        small_featurizer.features("RI", question, texts)
+        assert sorted(calls) == sorted([question, *texts])
+        calls.clear()
+        small_featurizer.features("RD", question, texts, tops)
+        assert sorted(calls) == sorted([question, *texts, _PASSAGES[1],
+                                        _PASSAGES[3]])
 
     def test_empty_candidate_list(self, small_featurizer):
         assert small_featurizer.features("RI", "q", []).shape == (0, 8)
