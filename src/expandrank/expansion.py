@@ -2,8 +2,8 @@
 
 A candidate expansion is judged by the rank the answer passage reaches when
 "question + expansion" is issued to the retriever, scored by parts (see
-``search_candidates``); a candidate whose answer passage is not in the top
-``k_retrieve`` gets the sentinel ``k_retrieve + 1``.
+``Index.search_expanded``); a candidate whose answer passage is not in the
+top ``k_retrieve`` gets the sentinel ``k_retrieve + 1``.
 """
 
 from __future__ import annotations
@@ -181,23 +181,6 @@ def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
     return AnswerMatcher(answers).first_rank(rl.pids(), store)
 
 
-def search_candidates(index: Index, question: str, cs: CandidateSet,
-                      k: int) -> list[RankedList]:
-    """Top-``k`` retrieval of "question + candidate" for every candidate.
-
-    The one place that searches a question's candidate expansions.  The
-    expanded query is scored by parts, ``Index.search_expanded``: a
-    document scores fl(S_q + S_c), the question's BM25 score plus the
-    candidate's, each summed over its own term ids.  So the question is
-    scored once per set and each candidate gathers only its own postings;
-    in a set of several, the question's k-th best score is every
-    candidate's floor.
-    """
-    return index.search_expanded(
-        index.term_ids(question),
-        [index.term_ids(c.text) for c in cs.candidates], k)
-
-
 def label_candidates(index: Index, store: PassageStore, qa: QAExample,
                      cs: CandidateSet, k: int,
                      ) -> tuple[list[int], list[RankedList]]:
@@ -210,7 +193,8 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
     is taken within the first ``k``, and a miss is labeled ``k + 1``.
     """
     matcher = AnswerMatcher(qa.answers, qa.qid, index)
-    lists = search_candidates(index, qa.question, cs, max(k, 2))
+    lists = index.search_expanded(
+        qa.question, [c.text for c in cs.candidates], max(k, 2))
     ranks = (matcher.first_rank(rl.pids(), store) for rl in lists)
     return [r if r is not None and r <= k else k + 1 for r in ranks], lists
 

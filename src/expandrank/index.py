@@ -172,6 +172,8 @@ class Index:
         n = float(self.doc_count)
         df = np.diff(post_offsets).astype(np.float64)
         self.idf = np.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        # the idf of a term no passage holds, df 0
+        self.unseen_idf = math.log(1.0 + (n + 0.5) / 0.5)
         avgdl = self.avg_doc_length if self.avg_doc_length > 0 else 1.0
         dl = doc_lengths.astype(np.float64)
         self.len_norm = params.k1 * (1.0 - params.b + params.b * dl / avgdl)
@@ -226,6 +228,15 @@ class Index:
         ``self.analyzer(text)``'s terms that are in the vocabulary."""
         return [i for i in self.surface_terms(normalize(text)) if i is not None]
 
+    def token_idfs(self, tokens) -> list[float]:
+        """The idf of each normalized token, in order: 0.0 for a stopword,
+        ``unseen_idf`` for a term outside the vocabulary."""
+        idf, unseen, is_stopword = (self.idf, self.unseen_idf,
+                                    self.analyzer.is_stopword)
+        return [float(idf[tid]) if tid is not None
+                else 0.0 if is_stopword(t) else unseen
+                for t, tid in zip(tokens, self.surface_terms(tokens))]
+
     def surface_terms(self, tokens) -> list[int | None]:
         """The term id of each normalized surface token, in order: None for
         a stopword (``self.analyzer.is_stopword``) or a term outside the
@@ -270,15 +281,11 @@ class Index:
             self.doc_count)
 
     def search(self, query_text: str, k: int) -> RankedList:
-        """``search_ids`` of ``query_text``'s term ids."""
-        return self.search_ids(self.term_ids(query_text), k)
-
-    def search_ids(self, term_ids, k: int) -> RankedList:
-        """Top-``k`` positively scoring passages for a query's term ids, ties
-        to the smaller pid."""
+        """Top-``k`` positively scoring passages for ``query_text``, ties to
+        the smaller pid."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        return self._top(self.score_all(term_ids), 0.0, k)
+        return self._top(self.score_all(self.term_ids(query_text)), 0.0, k)
 
     def _top(self, scores: np.ndarray, floor: float, k: int) -> RankedList:
         """The top ``k`` of the dense ``scores``, ties to the smaller pid,
@@ -297,13 +304,15 @@ class Index:
                                    docs.astype(_row_type(self.doc_count)),
                                    scores[docs])
 
-    def search_expanded(self, question_ids, expansion_id_lists,
+    def search_expanded(self, question: str, expansions,
                         k: int) -> list[RankedList]:
-        """Top-``k`` of "question + expansion" for each of
-        ``expansion_id_lists``, scored by parts: a document's score is
-        fl(S_q + S_e), where S_q is ``score_all(question_ids)`` and S_e is
-        ``score_all`` of the expansion's term ids, each part summed in
-        term-id order.  Ties go to the smaller pid.
+        """Top-``k`` of "``question`` + expansion" for each text of
+        ``expansions``, scored by parts: a document's score is
+        fl(S_q + S_e), where S_q is ``score_all`` of the question's term
+        ids and S_e that of the expansion's, each part summed in term-id
+        order.  Ties go to the smaller pid.  Every expanded query is
+        searched here: a candidate's label, RD's top 2 and a strategy's
+        final list.
 
         The question is scored once.  Its k-th largest positive score θ is
         a floor for every expansion: S_e >= 0 and rounding is monotone, so
@@ -324,6 +333,8 @@ class Index:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        question_ids = self.term_ids(question)
+        expansion_id_lists = [self.term_ids(e) for e in expansions]
         n = len(expansion_id_lists)
         shared = n > 1
         if shared:
@@ -338,9 +349,9 @@ class Index:
 
     def _search_dense(self, question_ids, expansion_id_lists, k: int,
                       floored: bool) -> list[RankedList]:
-        """``search_expanded`` over dense score vectors: the question's
-        once, then each expansion's plus the question's, selected above
-        the question's floor θ when ``floored``."""
+        """``search_expanded`` of term ids over dense score vectors: the
+        question's once, then each expansion's plus the question's,
+        selected above the question's floor θ when ``floored``."""
         question = self.score_all(question_ids)
         floor = 0.0
         if floored:
@@ -357,8 +368,8 @@ class Index:
 
     def _search_packed(self, question_ids, expansion_id_lists,
                        k: int) -> list[RankedList]:
-        """``search_expanded`` in one ``bincount`` over the documents on
-        the parts' posting lists.
+        """``search_expanded`` of term ids in one ``bincount`` over the
+        documents on the parts' posting lists.
 
         The question is one more row.  Each row's postings are gathered in
         its own term order, as ``score_all`` gathers them, and keyed apart

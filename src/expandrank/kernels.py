@@ -13,15 +13,10 @@ round differently.
 ``bincount`` adds in array order, so every document's score is summed in
 query-term order, exactly as a term-at-a-time loop would sum it.
 
-An expanded query, "question + expansion", is scored by parts: a
-document's score is fl(S_q + S_e), the question's vector plus the
-expansion's, each summed as above over its own terms.  So
-``Index.search_expanded`` scores the question once per candidate set and
-each expansion gathers only its own postings.  S_e >= 0 and rounding is
-monotone, so no document scores below S_q with any expansion, and the
-question's k-th largest score is a floor for every expansion's top k.
-Packed, the question is one more row of a single ``bincount`` over the
-same gather, summed the same way.
+An expanded query, "question + expansion", is scored by parts, by the
+rule ``Index.search_expanded`` states: each part is summed as above over
+its own terms.  Packed, the question is one more row of a single
+``bincount`` over the same gather, summed the same way.
 """
 
 from __future__ import annotations

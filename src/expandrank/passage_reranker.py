@@ -114,7 +114,8 @@ class PRTrainConfig:
 
     def __post_init__(self):
         if self.train_depth < 1:
-            raise ValueError("train_depth must be >= 1")
+            raise ValueError(f"train_depth must be >= 1, got "
+                             f"{self.train_depth}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not math.isfinite(self.learning_rate):

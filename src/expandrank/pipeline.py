@@ -76,10 +76,9 @@ def check_strategy(spec: StrategySpec, questions,
 @dataclass(frozen=True, slots=True)
 class Choice:
     """What a strategy chose for one question: the parts of the query it
-    issues.  An expanded query is scored by parts, as labeling scores it
-    (``Index.search_expanded``): the question's BM25 score plus the
-    expansion's, so a chosen candidate's final list is its labeling list
-    at the same k."""
+    issues.  An expanded query is searched by parts, as labeling searches
+    it (``Index.search_expanded``), so a chosen candidate's final list is
+    its labeling list at the same k."""
     question: str
     # the chosen candidate, the joined candidates for ``concat``, or None
     # for a bare search
@@ -121,8 +120,7 @@ def retrieve(spec: StrategySpec, index: Index, choice: Choice) -> RankedList:
         return choice.ranked
     if choice.expansion is None:
         return index.search(choice.question, k)
-    return index.search_expanded(index.term_ids(choice.question),
-                                 [index.term_ids(choice.expansion)], k)[0]
+    return index.search_expanded(choice.question, [choice.expansion], k)[0]
 
 
 def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,

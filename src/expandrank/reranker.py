@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PassageStore
-from .expansion import CandidateSet, ExpansionCandidate, search_candidates
+from .expansion import CandidateSet, ExpansionCandidate
 from .index import Index
 from .text import normalize
 
@@ -58,18 +58,6 @@ class Featurizer:
     def __init__(self, index: Index, store: PassageStore):
         self.index = index
         self.store = store
-        n = index.doc_count
-        self._unseen_idf = math.log(1.0 + (n + 0.5) / 0.5)
-
-    def _idfs(self, tokens) -> list[float]:
-        """The idf of each normalized token, looked up through the index's
-        surface-token map: 0.0 for a stopword, and for a term outside the
-        vocabulary the idf of a term no passage holds."""
-        index = self.index
-        is_stopword = index.analyzer.is_stopword
-        return [float(index.idf[tid]) if tid is not None
-                else 0.0 if is_stopword(t) else self._unseen_idf
-                for t, tid in zip(tokens, index.surface_terms(tokens))]
 
     def features(self, variant: str, question: str, texts,
                  tops=None) -> np.ndarray:
@@ -95,7 +83,7 @@ class Featurizer:
             all_novel |= novel
             parsed.append((text, et, et_set, novel))
         set_novel = sorted(all_novel)
-        idf_of = dict(zip(set_novel, self._idfs(set_novel)))
+        idf_of = dict(zip(set_novel, self.index.token_idfs(set_novel)))
         top1 = {}  # top-1 pid -> (token set, question overlap, length)
         rows = []
         for i, (text, et, et_set, novel) in enumerate(parsed):
@@ -148,7 +136,7 @@ class TrainConfig:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.epochs is not None and self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.group_batch < 1:
             raise ValueError(f"group_batch must be >= 1, got {self.group_batch}")
         if not math.isfinite(self.learning_rate):
@@ -366,9 +354,9 @@ def train(examples, cfg: TrainConfig, variant: str,
 def select_best(model: ScorerModel, question: str, cs: CandidateSet,
                 featurizer: Featurizer) -> ExpansionCandidate:
     """Argmin-score candidate; ties go to the earliest index."""
-    lists = (search_candidates(featurizer.index, question, cs, 2)
+    texts = [c.text for c in cs.candidates]
+    lists = (featurizer.index.search_expanded(question, texts, 2)
              if model.variant == "RD" else [])
-    feats = featurizer.features(model.variant, question,
-                                [c.text for c in cs.candidates],
+    feats = featurizer.features(model.variant, question, texts,
                                 [rl.entries for rl in lists])
     return cs.candidates[int(np.argmin(model.score(feats)))]

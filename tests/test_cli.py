@@ -295,6 +295,8 @@ class TestPipelineCmds:
         (("ablate", "--n-samples", 0), "n_samples must be >= 1, got 0"),
         (("eval", "--ks", "5,5,20"), "ks lists 5 more than once"),
         (("ablate", "--ns", "10,5,10"), "cap_n lists 10 more than once"),
+        (("train-pr", "--train-depth", 0), "train_depth must be >= 1, got 0"),
+        (("train", "--epochs", 0), "epochs must be >= 1, got 0"),
     ])
     def test_bad_flag_exit_2(self, workdir, models, capsys, argv, message):
         """A flag value is checked before any input is read or output

@@ -391,6 +391,11 @@ class TestPassageStore:
         with pytest.raises(CorpusError, match="unknown passage id 'missing'"):
             tiny_store.get("missing")
 
+    def test_empty_id_rejected(self):
+        with pytest.raises(CorpusError,
+                           match="^passage id must be nonempty$"):
+            Passage(id="", title="", text="x")
+
     def test_duplicate_in_memory(self):
         p = Passage(id="p", title="", text="x")
         with pytest.raises(CorpusError):

@@ -246,6 +246,17 @@ class TestRunFiles:
             assert loaded[qid] == RankedList(
                 rl.pids(), [round(s, 6) for s in rl.scores.tolist()])
 
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        """A blank line holds no entry, and an error past it names the
+        file's own line number."""
+        path = tmp_path / "blank.trec"
+        path.write_text("\nq1 Q0 a 1 2.0 t\n  \nq1 Q0 b 2 1.0 t\n\n")
+        assert read_run(path) == {"q1": rl(["a", "b"])}
+        path.write_text("q1 Q0 a 1 2.0 t\n\nq1 Q0 b 3 1.0 t\n")
+        with pytest.raises(RunFormatError) as exc:
+            read_run(path)
+        assert str(exc.value).startswith(f"{path}:3: rank 3 breaks")
+
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "bad.trec"
         path.write_text("q1 Q0 a 1 2.0 t\nq1 Q0 b 3 1.0 t\n")

@@ -14,8 +14,7 @@ from expandrank.expansion import (CandidateSet, ConstructionConfig,
                                   build_training_set, dedup,
                                   label_candidates, load_expansions,
                                   load_training_set, sample_expansions_stub,
-                                  save_training_set, search_candidates,
-                                  truncate)
+                                  save_training_set, truncate)
 from expandrank.index import Bm25Params, Index, build_index
 from expandrank.pipeline import StrategySpec, run_strategy
 from expandrank.synth import make_random_corpus, make_random_queries
@@ -118,6 +117,11 @@ class TestStubSampler:
         a = sample_expansions_stub("what is this", 50, 7, planted_index, planted_store)
         b = sample_expansions_stub("what is this", 50, 8, planted_index, planted_store)
         assert [c.text for c in a.candidates] != [c.text for c in b.candidates]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, planted_index, planted_store, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            sample_expansions_stub("q", n, 0, planted_index, planted_store)
 
     def test_singleton(self, planted_index, planted_store):
         out = sample_expansions_stub("q", 1, 0, planted_index, planted_store)
@@ -276,23 +280,26 @@ class TestSearchCandidates:
     def test_singleton_equals_search(self, small_corpus):
         store, index = small_corpus
         q, e = make_random_queries(2, list(store), seed=4)
-        got = search_candidates(index, q, cs([e]), 10)
+        got = index.search_expanded(q, [e], 10)
         assert got[0].entries == reference_expanded_search(index, q, e, 10)
 
     def test_matches_sequential(self, small_corpus):
         store, index = small_corpus
         q, *texts = make_random_queries(50, list(store), seed=6)
-        lists = search_candidates(index, q, cs(texts), 20)
+        lists = index.search_expanded(q, texts, 20)
         assert len(lists) == len(texts)
         for text, rl in zip(texts, lists):
             assert rl.entries == reference_expanded_search(index, q, text, 20)
 
     def test_empty_set(self, small_corpus):
         """No empty set reaches a search, and a repeat is searched once."""
-        _, index = small_corpus
+        store, index = small_corpus
         with pytest.raises(ValueError, match="empty candidate set for q1"):
-            search_candidates(index, "q", cs([]), 10)
-        assert len(search_candidates(index, "q", cs(["w a", "W A!"]), 10)) == 1
+            cs([])
+        labels, lists = label_candidates(index, store,
+                                         QAExample("q1", "q", ("a",)),
+                                         cs(["w a", "W A!"]), 10)
+        assert len(labels) == len(lists) == 1
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(_PHRASE, st.integers(1, 3)), min_size=1,
@@ -319,7 +326,7 @@ class TestSearchCandidates:
         candidates = [c.text for c in candidate_set.candidates]
         q_ids = index.term_ids(question)
         ids = [index.term_ids(c) for c in candidates]
-        for lists in (search_candidates(index, question, candidate_set, k),
+        for lists in (index.search_expanded(question, candidates, k),
                       index._search_packed(q_ids, ids, k),
                       index._search_dense(q_ids, ids, k, True)):
             for rl, c in zip(lists, candidates, strict=True):
@@ -360,8 +367,9 @@ class TestSearchCandidates:
                 candidates = set_of[qa.qid]
                 with monkeypatch.context() as m:
                     m.setattr(Index, "_search_packed", counting)
-                    lists = search_candidates(index, qa.question,
-                                              candidates, 100)
+                    lists = index.search_expanded(
+                        qa.question, [c.text for c in candidates.candidates],
+                        100)
                 assert len(packed) == n_packed
                 packed.clear()
                 if i >= n_checked:
@@ -381,8 +389,8 @@ class TestSearchCandidates:
         monkeypatch.setattr(Index, "_search_packed", no_packing)
         for qa in planted.questions:
             candidate = planted.candidates[qa.qid].candidates[0]
-            (rl,) = search_candidates(planted_index, qa.question,
-                                      cs([candidate.text]), 100)
+            (rl,) = planted_index.search_expanded(qa.question,
+                                                  [candidate.text], 100)
             assert rl.entries == reference_expanded_search(
                 planted_index, qa.question, candidate.text, 100)
 

@@ -18,11 +18,12 @@ from expandrank.corpus import Passage, PassageStore
 from expandrank.index import (Bm25Params, Index, IndexError_, RankedList,
                              build_index)
 from expandrank.synth import make_random_corpus, make_random_queries
-from expandrank.text import Analyzer, normalize
+from expandrank.text import STOPWORDS, Analyzer, normalize
 from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
                      reference_build_index, reference_expanded_search,
-                     reference_parts_scores, reference_score_all,
-                     reference_search, reference_term_ids, reference_top)
+                     reference_idf, reference_parts_scores,
+                     reference_score_all, reference_search,
+                     reference_term_ids, reference_top)
 
 PARAMS = Bm25Params()
 
@@ -459,13 +460,17 @@ class TestKernelParity:
                 reference_score_all(index, ids).tobytes()
         k = data.draw(st.integers(1, index.doc_count + 1))
         question, *expansions = queries
-        dtype = index.search_ids(question, k)._rows.dtype
+        # the queries as texts of their terms, which analyze to themselves
+        q_text, *texts = [" ".join(index.terms[t] for t in ids)
+                          for ids in queries]
+        assert [index.term_ids(t) for t in (q_text, *texts)] == queries
+        dtype = index.search(q_text, k)._rows.dtype
         # each expansion alone, as ``retrieve`` searches its choice, then
         # the set on every path
-        searches = [([ids], index.search_expanded(question, [ids], k))
-                    for ids in expansions]
+        searches = [([ids], index.search_expanded(q_text, [text], k))
+                    for ids, text in zip(expansions, texts)]
         searches += [(expansions, lists) for lists in (
-            index.search_expanded(question, expansions, k),
+            index.search_expanded(q_text, texts, k),
             index._search_packed(question, expansions, k),
             index._search_dense(question, expansions, k, True))]
         for expansion_id_lists, lists in searches:
@@ -534,13 +539,12 @@ class TestPartialTopK:
             assert index.search(query, k).entries == \
                 reference_search(index, query, k)
             dtype = index.search(query, k)._rows.dtype
-            for lists in (index.search_expanded(q_ids, ids, k),
+            for lists in (index.search_expanded(query, expansions, k),
                           index._search_packed(q_ids, ids, k),
                           index._search_dense(q_ids, ids, k, True),
                           # each expansion alone: one dense list, no floor
-                          [rl for e_ids in ids
-                           for rl in index.search_expanded(q_ids, [e_ids],
-                                                           k)]):
+                          [rl for e in expansions
+                           for rl in index.search_expanded(query, [e], k)]):
                 assert len(lists) == len(expansions)
                 for e, rl in zip(expansions, lists):
                     assert rl.entries == \
@@ -549,14 +553,13 @@ class TestPartialTopK:
 
     def test_search_expanded_edges(self, small_corpus):
         store, index = small_corpus
-        queries = make_random_queries(3, list(store), seed=2)
-        q_ids, *ids = [index.term_ids(q) for q in queries]
+        question, *others = make_random_queries(3, list(store), seed=2)
         with pytest.raises(ValueError, match="k must be >= 1"):
-            index.search_expanded(q_ids, ids, 0)
-        assert index.search_expanded(q_ids, [], 5) == []
-        # an empty expansion part searches the bare question
-        assert index.search_expanded(q_ids, [[]], 5) == \
-            [index.search_ids(q_ids, 5)]
+            index.search_expanded(question, others, 0)
+        assert index.search_expanded(question, [], 5) == []
+        # an expansion with no term ids searches the bare question
+        assert index.search_expanded(question, ["", "the of"], 5) == \
+            [index.search(question, 5)] * 2
         for lists in (index._search_packed([], [[], []], 5),
                       index._search_dense([], [[], []], 5, True)):
             for rl in lists:
@@ -595,6 +598,12 @@ _scores = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 def _entries(draw):
     pids = draw(_pid_lists)
     return [(pid, draw(_scores)) for pid in pids]
+
+
+_IDF_CORPUS = ("Ponies ran to the river bank", "running runs RUN over hills",
+               "a sky of 2018 stars", "relational caresses and hopping ponies")
+_IDF_CORPUS_TOKENS = sorted({t for text in _IDF_CORPUS
+                             for t in normalize(text)})
 
 
 class TestTermMap:
@@ -656,6 +665,29 @@ class TestTermMap:
         gc.collect()
         assert ref() is None
 
+    @pytest.mark.parametrize("stemming", [True, False])
+    @pytest.mark.parametrize("stopwords", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_IDF_CORPUS_TOKENS),
+                              st.sampled_from(sorted(STOPWORDS)),
+                              st.text(alphabet="abeinrsty", min_size=1,
+                                      max_size=8)),
+                    max_size=12))
+    def test_token_idfs_equal_the_reference(self, stemming, stopwords,
+                                            tokens):
+        """A token's idf, looked up through the term map, equals the
+        reference's, which analyzes the token itself, bit for bit: a
+        stopword's 0.0, the unseen idf of a term outside the vocabulary,
+        and a held term's idf, on a cold map and a filled one."""
+        index = build_index(PassageStore(
+            [Passage(id=f"p{i}", title="", text=text)
+             for i, text in enumerate(_IDF_CORPUS)]),
+            Bm25Params(stemming=stemming, stopwords=stopwords))
+        want = [reference_idf(index, t) for t in tokens]
+        for _ in range(2):
+            got = index.token_idfs(tokens)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 def _ranked(entries):
     return RankedList([pid for pid, _ in entries], [s for _, s in entries])
@@ -684,6 +716,11 @@ class TestRankedList:
             assert ok
         except ValueError:
             assert not ok
+
+    def test_not_equal_to_other_types(self):
+        rl = RankedList(["a"], [1.0])
+        assert rl.__eq__([("a", 1.0)]) is NotImplemented
+        assert rl != [("a", 1.0)] and rl != rl.entries
 
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="2 pids but 1 scores"):

@@ -217,23 +217,22 @@ class TestChoose:
                                                  monkeypatch):
         """The oracle's run is the chosen candidate's labeling list, so n
         candidates cost n expansions scored, not n + 1: the expansion rows
-        of ``search_expanded`` plus any ``search_ids`` call."""
+        of ``search_expanded`` plus any ``search`` call."""
         fx, store, index = planted20
         scored = []
-        search_expanded, search_ids = Index.search_expanded, Index.search_ids
+        search_expanded, search = Index.search_expanded, Index.search
 
-        def expanded(self, question_ids, expansion_id_lists, *args,
-                     **kwargs):
-            scored.extend(expansion_id_lists)
-            return search_expanded(self, question_ids, expansion_id_lists,
-                                   *args, **kwargs)
+        def expanded(self, question, expansions, *args, **kwargs):
+            scored.extend(expansions)
+            return search_expanded(self, question, expansions, *args,
+                                   **kwargs)
 
         def single(self, *args, **kwargs):
             scored.append(args)
-            return search_ids(self, *args, **kwargs)
+            return search(self, *args, **kwargs)
 
         monkeypatch.setattr(Index, "search_expanded", expanded)
-        monkeypatch.setattr(Index, "search_ids", single)
+        monkeypatch.setattr(Index, "search", single)
         spec = StrategySpec(kind="oracle")
         for qa in fx.questions:
             scored.clear()

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from expandrank import reranker
 from expandrank.corpus import Passage, PassageStore
 from expandrank.expansion import (CandidateSet, ConstructionConfig,
-                                  ExpansionCandidate, label_candidates,
-                                  search_candidates)
+                                  ExpansionCandidate, label_candidates)
 from expandrank.index import Bm25Params, Index, RankedList, build_index
 from expandrank.passage_reranker import PassageScorer
 from expandrank.reranker import (RD_SCHEMA, RI_SCHEMA, Featurizer, ScorerModel,
@@ -373,6 +372,11 @@ class TestRankLoss:
         assert loss == 0.0
         assert np.all(grad == 0)
 
+    def test_lengths_must_align(self):
+        with pytest.raises(ValueError,
+                           match="^scores and ranks must align$"):
+            rank_loss([0.0, 1.0], [1, 2, 3], alpha=0.5)
+
     def test_equal_ranks_no_pairs(self):
         loss, grad = rank_loss([5.0, -1.0, 2.0], [7, 7, 7], alpha=0.5)
         assert loss == 0.0
@@ -532,6 +536,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="^no training questions$"):
             train([], TrainConfig(), variant, featurizer)
 
+    @pytest.mark.parametrize("call", [
+        lambda f: f.features("RX", "q", ["e"]),
+        lambda f: train([], TrainConfig(), "RX", f),
+    ], ids=["features", "train"])
+    def test_unknown_variant_rejected(self, featurizer, call):
+        with pytest.raises(ValueError, match="^unknown variant 'RX'$"):
+            call(featurizer)
+
 
 def selection_accuracy(model, qa_list, planted, store, index, cfg, featurizer):
     correct = 0
@@ -575,8 +587,8 @@ class TestSelectBest:
         assert len(cs.candidates) == 37
         tops = None
         if variant == "RD":
-            tops = [rl.entries for rl in search_candidates(
-                featurizer.index, question, cs, 2)]
+            tops = [rl.entries for rl in featurizer.index.search_expanded(
+                question, texts_of(cs), 2)]
             assert all(len(t) == 2 for t in tops)
         rows = featurizer.features(variant, question,
                                    [c.text for c in cs.candidates], tops)

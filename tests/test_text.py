@@ -118,7 +118,8 @@ class TestPorter:
             "generalizations": "gener", "agreed": "agre", "filing": "file",
             "sensibility": "sensibl", "hopefulness": "hope",
             "electriciti": "electr", "buzzing": "buzz", "falling": "fall",
-            "hissing": "hiss",
+            "hissing": "hiss", "conflated": "conflat", "troubled": "troubl",
+            "sized": "size",
         }
         for word, stem in known.items():
             assert porter_stem(word) == stem
@@ -197,7 +198,7 @@ class TestAnalyzer:
         q_ids, c_ids = index.term_ids(question), index.term_ids(candidate)
         assert (q_ids, c_ids) == (reference_term_ids(index, question),
                                   reference_term_ids(index, candidate))
-        got = index.search_expanded(q_ids, [c_ids], 10)[0]
+        got = index.search_expanded(question, [candidate], 10)[0]
         assert got.entries == \
             reference_expanded_search(index, question, candidate, 10)
 
