@@ -12,8 +12,6 @@ from array import array
 from dataclasses import asdict, dataclass, replace
 
 from .corpus import AnswerMatcher, PassageStore, open_utf8
-# min_answer_rank is a re-export, for callers that import it from here
-from .expansion import min_answer_rank  # noqa: F401
 from .expansion import sample_expansions_stub
 from .index import Bm25Params, Index, RankedList, build_index
 from .pipeline import (StrategySpec, check_strategy, choose, retrieve,
@@ -66,6 +64,11 @@ class LatencyReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
+    """1-based rank of the first answer-containing passage, or None."""
+    return AnswerMatcher(answers).first_rank(rl.pids(), store)
 
 
 def topk_accuracy(runs: dict[str, RankedList], qa_list, store: PassageStore,

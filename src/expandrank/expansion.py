@@ -176,11 +176,6 @@ def load_expansions(path, known_qids=None) -> dict[str, CandidateSet]:
             for qid, cands in groups.items()}
 
 
-def min_answer_rank(rl: RankedList, answers, store: PassageStore) -> int | None:
-    """1-based rank of the first answer-containing passage, or None."""
-    return AnswerMatcher(answers).first_rank(rl.pids(), store)
-
-
 def label_candidates(index: Index, store: PassageStore, qa: QAExample,
                      cs: CandidateSet, k: int,
                      ) -> tuple[list[int], list[RankedList]]:

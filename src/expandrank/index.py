@@ -184,6 +184,7 @@ class Index:
         # sums its slice as it is; ``_counted`` serves other counts.
         n_post = len(post_docs)
         self._impact = np.empty(n_post, dtype=np.float64)
+        idf_sums = np.zeros(self.doc_count)
         for a in range(0, n_post, _SLICE):
             b = min(a + _SLICE, n_post)
             # each posting's idf, from the terms whose lists overlap a:b
@@ -193,6 +194,14 @@ class Index:
                             np.diff(np.clip(post_offsets[t0:t1 + 1], a, b)))
             np.multiply(self._impacts(slice(a, b)), idf,
                         out=self._impact[a:b])
+            # each document's idfs, summed in term-id order
+            np.add.at(idf_sums, post_docs[a:b], idf)
+        # each document's mean idf over its distinct terms, one posting
+        # each; 0.0 for a document with none
+        n_terms = np.bincount(post_docs, minlength=self.doc_count)
+        self.mean_idf = np.divide(idf_sums, n_terms,
+                                  out=np.zeros(self.doc_count),
+                                  where=n_terms > 0)
 
     def _impacts(self, span: slice) -> np.ndarray:
         """The BM25 impacts of postings ``span``,

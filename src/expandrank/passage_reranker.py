@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .text import fold, has_token, normalize
 
 log = logging.getLogger(__name__)
 
-PR_SCHEMA = "pr-v1"  # [retrieval score, q-overlap, mean idf, length, bias]
+PR_SCHEMA = "pr-v2"  # [retrieval score, q-overlap, mean idf, length, bias]
 PR_DIM = 5
 BIAS = PR_DIM - 1
 
@@ -38,63 +37,33 @@ def _sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
-class _PassageStats:
-    """What ``passage_features`` reuses across calls on one index and the
-    store it reads passages from: each passage's mean idf over its distinct
-    normalized tokens and its token count, filled on first use.  Term ids
-    come from the index's own surface-token map.
-
-    It holds no reference to its index, which is its key in ``_STATS``.
-    """
-
-    def __init__(self, index: Index, store: PassageStore):
-        self.store = store
-        self._row = index._pid_to_doc
-        self._stats = np.full((index.doc_count, 2), np.nan)
-
-    def mean_idf_and_length(self, index: Index, pids: list[str]) -> np.ndarray:
-        """The (len(pids), 2) [mean idf, length] rows of ``pids``."""
-        try:
-            rows = np.array([self._row[pid] for pid in pids], dtype=np.intp)
-        except KeyError as e:
-            raise ValueError(f"passage {e.args[0]!r} is not in the index") \
-                from None
-        stats = self._stats
-        for i in np.flatnonzero(np.isnan(stats[rows, 0])).tolist():
-            tokens = normalize(self.store.get(pids[i]).text)
-            # sorted distinct tokens: a fixed summation order
-            tids = index.surface_terms(sorted(set(tokens)))
-            idfs = index.idf[[t for t in tids if t is not None]].tolist()
-            stats[rows[i]] = (sum(idfs) / len(idfs) if idfs else 0.0,
-                              len(tokens))
-        return stats[rows]
-
-
-_STATS: weakref.WeakKeyDictionary[Index, _PassageStats] = \
-    weakref.WeakKeyDictionary()
-
-
 def passage_features(index: Index, store: PassageStore, question: str,
                      pids, scores) -> np.ndarray:
     """One row per passage of a reranked list, ``pids`` with their
     retrieval ``scores``: [retrieval score, question-token overlap, mean
     idf, length, bias].
 
-    Mean idf and length are computed once per passage for an (index, store)
-    pair; a call with another store than the last one on ``index`` starts
-    that index's cache afresh.  The overlap is the share of the question's
-    distinct tokens found by a scan of each passage's folded text.
+    Mean idf and length are the index's own statistics of each passage:
+    ``Index.mean_idf``, over its distinct indexed terms, and
+    ``Index.doc_lengths``, its indexed term count, titles included when
+    the index holds them.  The overlap is the share of the question's
+    distinct tokens found by a scan of each passage's folded text in
+    ``store``.
     """
     pids = list(pids)
     scores = np.asarray(scores, dtype=np.float64)
     if len(pids) != len(scores):
         raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
-    stats = _STATS.get(index)
-    if stats is None or stats.store is not store:
-        stats = _STATS[index] = _PassageStats(index, store)
+    try:
+        rows = np.array([index._pid_to_doc[pid] for pid in pids],
+                        dtype=np.intp)
+    except KeyError as e:
+        raise ValueError(f"passage {e.args[0]!r} is not in the index") \
+            from None
     x = np.empty((len(pids), PR_DIM), dtype=np.float64)
-    x[:, 2:4] = stats.mean_idf_and_length(index, pids)
     x[:, 0] = scores
+    x[:, 2] = index.mean_idf[rows]
+    x[:, 3] = index.doc_lengths[rows]
     qt = set(normalize(question))
     texts = [fold(store.get(pid).text) for pid in pids]
     hits = np.zeros(len(pids))

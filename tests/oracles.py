@@ -215,18 +215,22 @@ def reference_strategy_query(spec, index, store, qa, cs, model, featurizer):
 
 
 def reference_passage_features(index, store, question, pid, retrieval_score):
-    """Passage-reranker features computed from scratch on every call, the
-    mean idf summed over the passage's distinct tokens in sorted order."""
-    tokens = normalize(store.get(pid).text)
+    """Passage-reranker features computed from scratch on every call.  The
+    overlap reads the passage's text in ``store``; the mean idf and the
+    length read the passage's analysis, its title included under
+    ``index_titles``, the idfs of its distinct terms summed one by one in
+    sorted order."""
+    p = store.get(pid)
     qt = set(normalize(question))
-    overlap = len(qt & set(tokens)) / len(qt) if qt else 0.0
-    idfs = []
-    for t in sorted(set(tokens)):
-        stemmed = index.analyzer(t)
-        if stemmed and stemmed[0] in index.vocab:
-            idfs.append(float(index.idf[index.vocab[stemmed[0]]]))
-    mean_idf = sum(idfs) / len(idfs) if idfs else 0.0
-    return np.array([retrieval_score, overlap, mean_idf, float(len(tokens)),
+    overlap = len(qt & set(normalize(p.text))) / len(qt) if qt else 0.0
+    titled = index.params.index_titles and p.title
+    terms = index.analyzer(f"{p.title} {p.text}" if titled else p.text)
+    distinct = sorted(set(terms))
+    total = 0.0
+    for t in distinct:
+        total += float(index.idf[index.vocab[t]])
+    mean_idf = total / len(distinct) if distinct else 0.0
+    return np.array([retrieval_score, overlap, mean_idf, float(len(terms)),
                      1.0])
 
 

@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from expandrank import cli, evalbench, expansion, pipeline, reranker
 from expandrank.cli import main
 from expandrank.corpus import load_corpus
 from expandrank.index import MAGIC, Index
+from expandrank.passage_reranker import PR_DIM, PassageScorer
 from expandrank.synth import (make_planted, write_corpus, write_expansions,
                               write_questions)
 
@@ -446,7 +448,10 @@ class TestPipelineCmds:
                  "--expansions", partial, "--strategy", strategy,
                  "--out", out)
         assert rc == 1
-        assert "1/40 questions failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if "questions failed" in line] == [
+            "ERROR: 1/40 questions failed"]
         qids = {line.split()[0] for line in out.read_text().splitlines()}
         assert len(qids) == 39 and dropped not in qids
 
@@ -740,24 +745,32 @@ class TestRejectedInputs:
             f"{questions} retrieved a passage from {models / 'idx.bin'}\n")
         assert not (tmp_path / "pr.json").exists()
 
-    @pytest.mark.parametrize("variant", ["RI", "RD"])
+    @pytest.mark.parametrize("variant", ["RI", "RD", "PR"])
     def test_v1_model_must_be_retrained_exit_1(self, workdir, models,
                                                tmp_path, capsys, variant):
-        """A model file from before the bias column was dropped: its
-        schema's v1 id and one more column, the bias, at index 8."""
-        doc = json.loads((models / f"{variant}.json").read_text())
+        """A model file of a v1 schema.  RI's and RD's are from before the
+        bias column was dropped: one more column, the bias, at index 8.
+        PR's has the same five columns, from before its mean idf and length
+        became index statistics."""
         schema = f"{variant.lower()}-v1"
-        doc["schema_id"] = schema
-        for field, value in (("weights", 0.0), ("feature_mean", 0.0),
-                             ("feature_std", 1.0)):
-            doc[field].insert(8, value)
         old = tmp_path / f"{variant}-v1.json"
+        if variant == "PR":
+            PassageScorer(np.ones(PR_DIM), np.zeros(PR_DIM),
+                          np.ones(PR_DIM)).save(old)
+            doc = json.loads(old.read_text())
+            model = ("--strategy", "bm25", "--pr-model", old)
+        else:
+            doc = json.loads((models / f"{variant}.json").read_text())
+            for field, value in (("weights", 0.0), ("feature_mean", 0.0),
+                                 ("feature_std", 1.0)):
+                doc[field].insert(8, value)
+            model = ("--expansions", workdir / "expansions.jsonl",
+                     "--strategy", f"ear_{variant.lower()}", "--model", old)
+        doc["schema_id"] = schema
         old.write_text(json.dumps(doc))
         rc = run("retrieve", "--index", models / "idx.bin",
                  "--corpus", workdir / "corpus.jsonl",
-                 "--questions", workdir / "questions.jsonl",
-                 "--expansions", workdir / "expansions.jsonl",
-                 "--strategy", f"ear_{variant.lower()}", "--model", old,
+                 "--questions", workdir / "questions.jsonl", *model,
                  "--out", tmp_path / "never.trec")
         assert rc == 1
         assert capsys.readouterr().err == (

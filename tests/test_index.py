@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import struct
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from expandrank.text import STOPWORDS, Analyzer, normalize
 from oracles import (brute_bm25_scores, brute_search, brute_term_counts,
                      reference_build_index, reference_expanded_search,
                      reference_idf, reference_parts_scores,
+                     reference_passage_features,
                      reference_score_all, reference_search,
                      reference_term_ids, reference_top)
 
@@ -207,6 +209,47 @@ class TestSearch:
         q = make_random_queries(1, list(store), seed=9)[0]
         again = build_index(store, PARAMS)
         assert index.search(q, 50).entries == again.search(q, 50).entries
+
+
+class TestPassageStatistics:
+    @pytest.fixture(scope="class")
+    def many_postings(self):
+        """Titled passages of stopwords and inflected forms that stem to
+        one term, one of them all stopwords, over more postings than one
+        ``_SLICE``."""
+        rng = random.Random(11)
+        stems = [f"w{j}x" for j in range(3000)]
+        words = [s + suffix for s in stems for suffix in ("", "s", "ing")]
+        words += sorted(STOPWORDS)
+        passages = [Passage(id=f"d{d:05d}", title=" ".join(rng.choices(
+            words, k=3)) if d % 2 else "", text=" ".join(rng.choices(
+                words, k=30))) for d in range(1500)]
+        passages.append(Passage(id="stop", title="", text="the of and"))
+        store = PassageStore(passages)
+        params = Bm25Params(index_titles=True)
+        index = build_index(store, params)
+        assert len(index.post_docs) > index_module._SLICE
+        return store, index
+
+    def test_mean_idf_and_length_equal_brute_analysis(self, many_postings):
+        """Each passage's mean idf is its distinct terms' idfs summed and
+        averaged; its length is its term count, title included."""
+        store, index = many_postings
+        want = np.array([reference_passage_features(index, store, "", pid,
+                                                    0.0)[2:4]
+                         for pid in index.pids])
+        assert want[index._pid_to_doc["stop"]].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(index.mean_idf, want[:, 0], rtol=1e-12,
+                                   atol=0)
+        assert index.doc_lengths.tolist() == want[:, 1].tolist()
+
+    def test_loaded_statistics_bit_equal(self, many_postings, tmp_path):
+        _, index = many_postings
+        path = tmp_path / "idx.bin"
+        index.save(path)
+        loaded = Index.load(path)
+        assert loaded.mean_idf.tobytes() == index.mean_idf.tobytes()
+        assert loaded.doc_lengths.tobytes() == index.doc_lengths.tobytes()
 
 
 class TestPersistence:

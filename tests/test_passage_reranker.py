@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from expandrank import passage_reranker, text
 from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.index import Bm25Params, build_index
-from expandrank.passage_reranker import (_STATS, BIAS, NothingRetrieved,
+from expandrank.passage_reranker import (BIAS, NothingRetrieved,
                                          PassageScorer, PRTrainConfig,
                                          passage_features,
                                          rerank_passages,
@@ -165,8 +165,11 @@ class TestPassageFeatures:
 
     def test_each_surface_token_analyzed_once(self, deep_fixture, pr_scorer,
                                               monkeypatch):
+        """The passage statistics are the index's own, so reranking
+        analyzes no passage token: only the searches analyze, each question
+        token once through the index's token map."""
         store, _, questions = deep_fixture
-        index = build_index(store, Bm25Params())  # nothing cached yet
+        index = build_index(store, Bm25Params())  # no token looked up yet
         calls = Counter()
         analyze = Analyzer.term
 
@@ -175,42 +178,42 @@ class TestPassageFeatures:
             return analyze(self, token)
 
         monkeypatch.setattr(Analyzer, "term", counting)
-        reranked = set()
         for _ in range(2):
             for qa in questions:
                 rl = index.search(qa.question, 40)
                 rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
-                reranked.update(rl.pids())
-        # the searches and the passage stats share the index's token map
-        surface = {t for pid in reranked for t in normalize(store.get(pid).text)}
-        surface.update(t for qa in questions for t in normalize(qa.question))
-        assert set(calls) == surface
-        assert all(calls[t] == 1 for t in surface)
+        asked = {t for qa in questions for t in normalize(qa.question)}
+        assert calls == Counter(dict.fromkeys(asked, 1))
 
     def test_another_store_is_read_not_the_cached_one(self):
+        """The mean idf and the length follow the index, built from
+        ``first``; the overlap follows the store passed in."""
         params = Bm25Params()
         first = PassageStore([Passage(id="p0", title="", text="alpha beta"),
                               Passage(id="p1", title="", text="gamma")])
         index = build_index(first, params)
         edited = PassageStore([Passage(id="p0", title="",
-                                       text="gamma gamma delta alpha"),
-                               Passage(id="p1", title="", text="gamma")])
-        for store in (first, edited, first):
+                                       text="gamma gamma delta"),
+                               Passage(id="p1", title="", text="alpha")])
+        indexed = reference_matrix(index, first, "alpha",
+                                   [("p0", 1.0), ("p1", 0.5)])
+        for store, overlap in ((first, [1.0, 0.0]), (edited, [0.0, 1.0]),
+                               (first, [1.0, 0.0])):
+            want = indexed.copy()
+            want[:, 1] = overlap
             np.testing.assert_array_equal(
                 passage_features(index, store, "alpha", ["p0", "p1"],
-                                 [1.0, 0.5]),
-                reference_matrix(index, store, "alpha",
-                                 [("p0", 1.0), ("p1", 0.5)]))
+                                 [1.0, 0.5]), want)
 
     def test_one_normalize_per_list_once_warm(self, deep_fixture, pr_scorer,
                                               monkeypatch):
-        """Warm stats leave only the question to normalize: the overlap
-        scans each passage's folded text."""
-        store, index, questions = deep_fixture
+        """Every call, on a fresh index or a used one, normalizes only the
+        question: the statistics come from the index and the overlap scans
+        each passage's folded text."""
+        store, _, questions = deep_fixture
+        index = build_index(store, Bm25Params())
         lists = [(qa.question, index.search(qa.question, 40))
                  for qa in questions]
-        for question, rl in lists:
-            rerank_passages(pr_scorer, index, store, question, rl, 40)
         calls = []
         original = text.normalize
 
@@ -220,10 +223,11 @@ class TestPassageFeatures:
 
         for module in (text, passage_reranker):
             monkeypatch.setattr(module, "normalize", counting)
-        for question, rl in lists:
-            calls.clear()
-            rerank_passages(pr_scorer, index, store, question, rl, 40)
-            assert calls == [question]
+        for _ in range(2):
+            for question, rl in lists:
+                calls.clear()
+                rerank_passages(pr_scorer, index, store, question, rl, 40)
+                assert calls == [question]
 
     def test_unknown_pid_named(self, deep_fixture):
         store, index, _ = deep_fixture
@@ -242,6 +246,7 @@ class TestPassageFeatures:
                              np.array([3.0, 2.0, 1.0]))
 
     def test_cache_dies_with_its_index(self, deep_fixture):
+        """Featurizing keeps no reference to the index."""
         store, _, questions = deep_fixture
         index = build_index(store, Bm25Params())
         passage_features(index, store, questions[0].question,
@@ -250,19 +255,6 @@ class TestPassageFeatures:
         del index
         gc.collect()
         assert ref() is None
-
-    def test_stats_keep_no_token_map(self, deep_fixture):
-        """The stats read term ids from the index's map; every dict they
-        hold is one of the index's own."""
-        store, _, questions = deep_fixture
-        index = build_index(store, Bm25Params())
-        passage_features(index, store, questions[0].question,
-                         index.pids[:3], [3.0, 2.0, 1.0])
-        stats = _STATS[index]
-        own = [v for v in vars(stats).values() if isinstance(v, dict)
-               and not any(v is w for w in vars(index).values())]
-        assert own == []
-        assert index._term_of
 
 
 class TestConstantFeature:
