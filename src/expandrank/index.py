@@ -300,7 +300,30 @@ class Index:
         """The top ``k`` of the dense ``scores``, ties to the smaller pid,
         among the documents scoring above 0 and at least ``floor``; the
         caller knows that at least ``k`` documents score ``floor`` or more
-        whenever ``floor`` is positive."""
+        whenever ``floor`` is positive.  ``scores`` is left as it came.
+
+        A list of at most 2 (RD's, for every candidate of a set) takes k
+        ``argmax`` passes, each the first maximum, so the smaller pid, and
+        stops at the first that is not above 0.  The floor only bounds
+        where the top k lies, so this ignores it; each pick is set to -inf
+        for the next pass and restored after the last.  A vector of no
+        documents, which has no argmax, takes the general path.
+        """
+        if k <= 2 and len(scores):
+            docs, top = [], []
+            for _ in range(k):
+                doc = int(scores.argmax())
+                score = float(scores[doc])
+                if not score > 0.0:
+                    break
+                docs.append(doc)
+                top.append(score)
+                scores[doc] = -np.inf
+            for doc, score in zip(docs, top):
+                scores[doc] = score
+            return RankedList._of_rows(
+                self._pid_objs, np.array(docs, _row_type(self.doc_count)),
+                np.array(top, np.float64))
         pos = np.flatnonzero(scores >= floor if floor > 0.0 else scores > 0.0)
         top = scores[pos]
         if len(pos) > k:
@@ -331,14 +354,16 @@ class Index:
         every positive document is selected from.
 
         One rule decides both choices that depend on the set's size: only
-        when several expansions share the question is θ taken, since it
-        costs a pass over the question's scores, and may the set be
-        packed.  A packed set, whose question and expansions, one row
-        each, times the postings of their distinct terms are at most
-        ``doc_count``, is scored in one ``bincount`` (``_search_packed``),
-        list for list and bit for bit the same.  That reads only
-        ``post_offsets``, and it bounds the packed (rows × documents) score
-        matrix by the size of one dense score vector.
+        when several expansions share the question may the set be packed
+        and is θ taken, since it costs a pass over the question's scores;
+        θ also needs k > 2, because a list of at most 2 is selected by
+        ``argmax`` passes that read no floor (``_top``).  A packed set,
+        whose question and expansions, one row each, times the postings of
+        their distinct terms are at most ``doc_count``, is scored in one
+        ``bincount`` (``_search_packed``), list for list and bit for bit
+        the same.  That reads only ``post_offsets``, and it bounds the
+        packed (rows × documents) score matrix by the size of one dense
+        score vector.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -360,10 +385,11 @@ class Index:
                       floored: bool) -> list[RankedList]:
         """``search_expanded`` of term ids over dense score vectors: the
         question's once, then each expansion's plus the question's,
-        selected above the question's floor θ when ``floored``."""
+        selected above the question's floor θ when ``floored`` and k > 2.
+        At k <= 2 ``_top`` reads no floor, so θ's pass would be waste."""
         question = self.score_all(question_ids)
         floor = 0.0
-        if floored:
+        if floored and k > 2:
             positive = question[question > 0.0]
             if len(positive) >= k:
                 floor = np.partition(positive, len(positive) - k)[

@@ -378,6 +378,41 @@ class TestSearchCandidates:
                     assert rl.entries == reference_expanded_search(
                         index, qa.question, c.text, 100)
 
+    def test_labels_at_k1_through_the_argmax_branch(self, monkeypatch):
+        """A set over dense posting lists, every set of the golden Zipf
+        workload, is scored on dense vectors, and at k=1 labeling searches
+        at k=2, where ``_top`` takes argmax passes.  Each label is the
+        k=100 label capped at 2, and each list is the first 2 entries of
+        the k=100 list."""
+        passages, questions, sets = _zipf()
+        store = PassageStore(passages)
+        index = build_index(store, Bm25Params())
+        depths = []
+        search_dense = Index._search_dense
+
+        def counting(self, question_ids, expansion_id_lists, k, floored):
+            depths.append(k)
+            return search_dense(self, question_ids, expansion_id_lists, k,
+                                floored)
+
+        def no_packing(*args, **kwargs):
+            raise AssertionError("a dense set was packed")
+
+        monkeypatch.setattr(Index, "_search_dense", counting)
+        monkeypatch.setattr(Index, "_search_packed", no_packing)
+        seen = Counter()
+        for qa in questions:
+            candidates = sets[qa.qid]
+            labels, lists = label_candidates(index, store, qa, candidates, 1)
+            labels_100, lists_100 = label_candidates(index, store, qa,
+                                                     candidates, 100)
+            assert labels == [min(r, 2) for r in labels_100]
+            assert lists == [rl.head(2) for rl in lists_100]
+            seen.update(labels_100)
+        assert depths == [2, 100] * len(questions)
+        # hits at rank 1, hits below it and misses all occur
+        assert seen[1] and seen[101] and len(seen) > 2
+
     def test_one_candidate_is_never_packed(self, planted, planted_index,
                                            monkeypatch):
         """A set of one candidate, as ``retrieve`` searches its choice, is

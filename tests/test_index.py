@@ -553,6 +553,14 @@ _tie_texts = st.lists(st.sampled_from(("red", "blue", "green", "gold")),
                       min_size=1, max_size=5).map(" ".join)
 
 
+def _index_without_terms(n: int, terms=()) -> Index:
+    """An index of ``n`` passages that hold no term: ``terms`` have empty
+    posting lists."""
+    return Index([f"p{i:03d}" for i in range(n)], list(terms),
+                 np.zeros(len(terms) + 1, np.int64), np.zeros(0, np.int32),
+                 np.zeros(0, np.int32), np.zeros(n, np.int32), PARAMS)
+
+
 class TestPartialTopK:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(_tie_texts, st.integers(1, 3)), min_size=1,
@@ -630,6 +638,56 @@ class TestPartialTopK:
             expected = reference_search(index, "gold", k)
             assert index.search("gold", k).entries == expected
         assert index.search("gold", 3).pids() == ["a", "t0", "t1"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0)),
+                              st.floats(0.0, 4.0)),
+                    min_size=1, max_size=40),
+           st.integers(1, 4),
+           st.sampled_from(("none", "at", "just below", "half")))
+    def test_top_equals_a_full_sort(self, values, k, floor_at):
+        """``_top`` of a score vector with heavy ties and zeros of both
+        signs equals a full tie-stable sort of its positive entries, on
+        both sides of the k <= 2 branch, with no floor or a floor at or
+        below the k-th score, and leaves the vector's bytes unchanged."""
+        index = _index_without_terms(len(values))
+        scores = np.array(values)
+        positive = np.sort(scores[scores > 0.0])[::-1]
+        floor = 0.0
+        if floor_at != "none" and len(positive) >= k:
+            kth = positive[k - 1]
+            floor = {"at": kth, "just below": np.nextafter(kth, 0.0),
+                     "half": kth / 2}[floor_at]
+        before = scores.tobytes()
+        rl = index._top(scores, floor, k)
+        assert scores.tobytes() == before
+        assert rl.entries == reference_top(index, scores, k)
+        assert rl._rows.dtype == np.uint16 and rl.scores.dtype == np.float64
+
+
+class TestZeroDocuments:
+    """``Index.load`` accepts a file of no passages; every search of such
+    an index is empty, through the argmax branch of ``_top`` (k <= 2)
+    too."""
+
+    @pytest.fixture(params=["constructed", "loaded"])
+    def empty_index(self, request, tmp_path):
+        index = _index_without_terms(0, ["gold", "red"])
+        if request.param == "loaded":
+            index.save(tmp_path / "idx.bin")
+            index = Index.load(tmp_path / "idx.bin")
+        assert index.doc_count == 0 and index.term_ids("red gold") == [1, 0]
+        return index
+
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    def test_every_search_is_empty(self, empty_index, k):
+        empty = RankedList([], [])
+        assert empty_index.search("red gold", k) == empty
+        for expansions in (["gold"], ["gold", "red blue"]):
+            assert empty_index.search_expanded("red gold", expansions,
+                                               k) == [empty] * len(expansions)
+        assert empty_index._search_dense([1], [[0], [0, 1]], k, True) == \
+            [empty] * 2
 
 
 _pid_lists = st.lists(st.text(alphabet="abcp0123", min_size=1, max_size=4),
