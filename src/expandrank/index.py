@@ -267,6 +267,40 @@ class Index:
             term_of[t] = tid
         return list(map(term_of.__getitem__, tokens))
 
+    def term_overlap(self, tokens, docs) -> np.ndarray:
+        """For each of the internal doc ids ``docs``, the share of the
+        distinct terms of the normalized ``tokens`` whose posting list holds
+        it; 0.0 when no token has a term.
+
+        The terms are the distinct term ids of the tokens in the vocabulary
+        (``surface_terms``), plus one per distinct token outside it that is
+        not a stopword: such a term is on no list, so it counts in the
+        share's denominator and never in its numerator.  A stopword counts
+        in neither.
+        """
+        distinct = list(dict.fromkeys(tokens))
+        term_ids, unseen = set(), 0
+        is_stopword = self.analyzer.is_stopword
+        for t, tid in zip(distinct, self.surface_terms(distinct)):
+            if tid is not None:
+                term_ids.add(tid)
+            elif not is_stopword(t):
+                unseen += 1
+        n_terms = len(term_ids) + unseen
+        if not n_terms:
+            return np.zeros(len(docs))
+        offsets, post_docs = self.post_offsets, self.post_docs
+        docs = np.asarray(docs, dtype=post_docs.dtype)
+        hits = np.zeros(len(docs), dtype=np.intp)
+        for t in term_ids:
+            posting = post_docs[offsets[t]:offsets[t + 1]]
+            # a loaded index may hold a term on no document's list
+            if len(posting):
+                # posting lists ascend, so each doc is looked up by bisection
+                at = posting.searchsorted(docs)
+                hits += posting[np.minimum(at, len(posting) - 1)] == docs
+        return hits / n_terms
+
     def pids_on_every_list(self, term_ids) -> list[str]:
         """Pids of the documents on the posting list of every term in
         ``term_ids`` (at least one)."""

@@ -1,7 +1,9 @@
 """Post-retrieval passage reranking with a trainable logistic scorer.
 
 Training instances are the top-``train_depth`` BM25 passages for each training
-question, labeled positive iff they contain an answer.
+question, labeled positive iff they contain an answer.  A passage's features,
+bar its retrieval score, are statistics of the ``Index``, so reranking a list
+reads posting lists and per-document arrays, never passage text.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from .corpus import AnswerMatcher, PassageStore
 from .index import Index, RankedList
 from .reranker import (check_schema, linear_model_columns, linear_scores,
                        read_model_file, standardizer, write_model_file)
-from .text import fold, has_token, normalize
+from .text import normalize
 
 log = logging.getLogger(__name__)
 
-PR_SCHEMA = "pr-v2"  # [retrieval score, q-overlap, mean idf, length, bias]
+PR_SCHEMA = "pr-v3"  # [retrieval score, q-overlap, mean idf, length, bias]
 PR_DIM = 5
 BIAS = PR_DIM - 1
 
@@ -37,18 +39,17 @@ def _sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
-def passage_features(index: Index, store: PassageStore, question: str,
-                     pids, scores) -> np.ndarray:
+def passage_features(index: Index, question: str, pids, scores) -> np.ndarray:
     """One row per passage of a reranked list, ``pids`` with their
-    retrieval ``scores``: [retrieval score, question-token overlap, mean
+    retrieval ``scores``: [retrieval score, question-term overlap, mean
     idf, length, bias].
 
-    Mean idf and length are the index's own statistics of each passage:
-    ``Index.mean_idf``, over its distinct indexed terms, and
-    ``Index.doc_lengths``, its indexed term count, titles included when
-    the index holds them.  The overlap is the share of the question's
-    distinct tokens found by a scan of each passage's folded text in
-    ``store``.
+    Every column but the score is a statistic of the index, gathered by
+    row: the overlap is ``Index.term_overlap``, the share of the
+    question's distinct terms whose posting list holds the passage; the
+    mean idf is ``Index.mean_idf``, over the passage's distinct indexed
+    terms; the length is ``Index.doc_lengths``, its indexed term count.
+    Titles count when the index holds them.
     """
     pids = list(pids)
     scores = np.asarray(scores, dtype=np.float64)
@@ -62,14 +63,9 @@ def passage_features(index: Index, store: PassageStore, question: str,
             from None
     x = np.empty((len(pids), PR_DIM), dtype=np.float64)
     x[:, 0] = scores
+    x[:, 1] = index.term_overlap(normalize(question), rows)
     x[:, 2] = index.mean_idf[rows]
     x[:, 3] = index.doc_lengths[rows]
-    qt = set(normalize(question))
-    texts = [fold(store.get(pid).text) for pid in pids]
-    hits = np.zeros(len(pids))
-    for t in qt:
-        hits += [has_token(text, t) for text in texts]
-    x[:, 1] = hits / len(qt) if qt else 0.0
     x[:, BIAS] = 1.0
     return x
 
@@ -134,7 +130,7 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
             skipped += 1
             continue
         pids = rl.pids()
-        feats.append(passage_features(index, store, qa.question, pids, rl.scores))
+        feats.append(passage_features(index, qa.question, pids, rl.scores))
         labels += [float(matcher(store.get(p))) for p in pids]
     if not feats:
         raise NothingRetrieved(f"no training instances: none of the "
@@ -160,8 +156,8 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
     return PassageScorer(w, mean, std)
 
 
-def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
-                    question: str, rl: RankedList, depth: int) -> RankedList:
+def rerank_passages(scorer: PassageScorer, index: Index, question: str,
+                    rl: RankedList, depth: int) -> RankedList:
     """Reorder the first ``depth`` entries by descending scorer probability.
 
     Ties keep original rank order; entries past the depth keep their place
@@ -173,7 +169,7 @@ def rerank_passages(scorer: PassageScorer, index: Index, store: PassageStore,
     depth = min(depth, len(rl))
     head = rl.head(depth)
     probs = scorer.probability(passage_features(
-        index, store, question, head.pids(), head.scores))
+        index, question, head.pids(), head.scores))
     floor = float(rl.scores[depth]) if depth < len(rl) else 0.0
     order = np.argsort(-probs, kind="stable")
     reranked = rl.scores.copy()

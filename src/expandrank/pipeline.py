@@ -133,7 +133,7 @@ def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,
     rl = retrieve(spec, index, choose(spec, index, store, qa, candidates,
                                       model, featurizer))
     if passage_scorer is not None:
-        rl = rerank_passages(passage_scorer, index, store, qa.question, rl,
+        rl = rerank_passages(passage_scorer, index, qa.question, rl,
                              spec.pr_depth)
     return rl
 

@@ -300,12 +300,15 @@ def rank_loss(scores, ranks, alpha: float) -> tuple[float, np.ndarray]:
 
 def standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The column means and stds that standardize a linear scorer's
-    training matrix ``features``.  A column that is constant over it keeps
-    its mean and gets std 1, so it standardizes to 0 and training leaves
-    its weight at 0."""
+    training matrix ``features``.  A column that is constant over it takes
+    its value as its mean, which a computed mean of a value such as 2/3
+    need not equal, and gets std 1, so it standardizes to exactly 0 and
+    training leaves its weight at 0."""
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std < 1e-12] = 1.0
+    constant = (features == features[:1]).all(axis=0)
+    mean[constant] = features[0, constant]
     return mean, std
 
 

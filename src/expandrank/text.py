@@ -2,12 +2,9 @@
 
 Two layers are deliberately kept apart:
 
-* ``normalize`` is the answer-matching convention: ``fold`` (NFKC, then
-  lowercase), then split into maximal ``[0-9a-z]+`` runs.  No stemming, no
+* ``normalize`` is the answer-matching convention: NFKC, then lowercase,
+  then split into maximal ``[0-9a-z]+`` runs.  No stemming, no
   stopword removal — answer strings like dates must survive verbatim.
-  ``has_token`` asks whether one token is among a folded text's tokens
-  without splitting it, by a scan of the folded text; the passage reranker's
-  question-overlap feature reads passages this way.
 * ``Analyzer`` is the indexing convention: ``normalize`` plus optional English
   stopword removal and Porter stemming.  ``Analyzer.term`` is its one rule:
   a normalized token indexes as no term (a stopword) or as exactly one term.
@@ -24,7 +21,6 @@ import unicodedata
 from dataclasses import dataclass
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
-_TOKEN_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 # The classic short English stopword list used by Lucene's StandardAnalyzer.
 STOPWORDS = frozenset(
@@ -33,29 +29,10 @@ STOPWORDS = frozenset(
 )
 
 
-def fold(raw: str) -> str:
-    """NFKC-normalize, then lowercase: the text ``normalize`` splits."""
-    return unicodedata.normalize("NFKC", raw).lower()
-
-
 def normalize(raw: str) -> list[str]:
-    """The maximal ``[0-9a-z]+`` runs of ``fold(raw)``, in order."""
-    return _TOKEN_RE.findall(fold(raw))
-
-
-def has_token(folded: str, token: str) -> bool:
-    """True iff ``token``, a non-empty ``[0-9a-z]+`` string, occurs in
-    ``folded`` as a maximal ``[0-9a-z]+`` run: for ``folded == fold(raw)``,
-    iff ``token in normalize(raw)``."""
-    n = len(folded)
-    at = folded.find(token)
-    while at >= 0:
-        after = at + len(token)
-        if ((at == 0 or folded[at - 1] not in _TOKEN_CHARS)
-                and (after == n or folded[after] not in _TOKEN_CHARS)):
-            return True
-        at = folded.find(token, at + 1)
-    return False
+    """The maximal ``[0-9a-z]+`` runs of ``raw``, NFKC-normalized and
+    lowercased, in order."""
+    return _TOKEN_RE.findall(unicodedata.normalize("NFKC", raw).lower())
 
 
 # ---------------------------------------------------------------------------

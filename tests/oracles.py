@@ -215,16 +215,28 @@ def reference_strategy_query(spec, index, store, qa, cs, model, featurizer):
 
 
 def reference_passage_features(index, store, question, pid, retrieval_score):
-    """Passage-reranker features computed from scratch on every call.  The
-    overlap reads the passage's text in ``store``; the mean idf and the
-    length read the passage's analysis, its title included under
-    ``index_titles``, the idfs of its distinct terms summed one by one in
-    sorted order."""
+    """Passage-reranker features computed from scratch on every call, from
+    the passage's analysis, its title included under ``index_titles``.
+
+    The overlap analyzes each distinct normalized question token alone: a
+    stopword is no term, a term in the vocabulary counts once however many
+    tokens stem to it, and one outside it counts once per token and is in
+    no passage.  The mean idf sums the idfs of the passage's distinct terms
+    one by one in sorted order."""
     p = store.get(pid)
-    qt = set(normalize(question))
-    overlap = len(qt & set(normalize(p.text))) / len(qt) if qt else 0.0
     titled = index.params.index_titles and p.title
     terms = index.analyzer(f"{p.title} {p.text}" if titled else p.text)
+    known, unseen = set(), 0
+    for token in set(normalize(question)):
+        analyzed = index.analyzer(token)
+        if not analyzed:
+            continue
+        if analyzed[0] in index.vocab:
+            known.add(analyzed[0])
+        else:
+            unseen += 1
+    n_terms = len(known) + unseen
+    overlap = len(known & set(terms)) / n_terms if n_terms else 0.0
     distinct = sorted(set(terms))
     total = 0.0
     for t in distinct:

@@ -748,12 +748,12 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("variant", ["RI", "RD", "PR"])
     def test_v1_model_must_be_retrained_exit_1(self, workdir, models,
                                                tmp_path, capsys, variant):
-        """A model file of a v1 schema.  RI's and RD's are from before the
-        bias column was dropped: one more column, the bias, at index 8.
-        PR's has the same five columns, from before its mean idf and length
-        became index statistics."""
-        schema = f"{variant.lower()}-v1"
-        old = tmp_path / f"{variant}-v1.json"
+        """A model file of an older schema.  RI's and RD's are v1, from
+        before the bias column was dropped: one more column, the bias, at
+        index 8.  PR's is v2, with the same five columns, from before its
+        question overlap became an index statistic."""
+        schema = "pr-v2" if variant == "PR" else f"{variant.lower()}-v1"
+        old = tmp_path / f"{schema}.json"
         if variant == "PR":
             PassageScorer(np.ones(PR_DIM), np.zeros(PR_DIM),
                           np.ones(PR_DIM)).save(old)

@@ -690,6 +690,25 @@ class TestZeroDocuments:
             [empty] * 2
 
 
+class TestTermOverlap:
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_a_term_on_no_list_counts_and_never_hits(self, loaded,
+                                                     tmp_path):
+        """``Index.load`` accepts a term with an empty posting list.  In the
+        overlap it counts like any term of the vocabulary, and no passage
+        holds it; a token outside the vocabulary counts and never hits, and
+        a stopword does not count."""
+        index = Index(["p0", "p1"], ["gold", "red", "sky"],
+                      np.array([0, 0, 0, 1], np.int64), np.zeros(1, np.int32),
+                      np.ones(1, np.int32), np.array([1, 0], np.int32), PARAMS)
+        if loaded:
+            index.save(tmp_path / "idx.bin")
+            index = Index.load(tmp_path / "idx.bin")
+        overlap = index.term_overlap(normalize("The sky, red gold blue sky"),
+                                     np.array([1, 0]))
+        assert overlap.tolist() == [0.0, 0.25]
+
+
 _pid_lists = st.lists(st.text(alphabet="abcp0123", min_size=1, max_size=4),
                      max_size=30)
 _scores = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)

@@ -58,8 +58,8 @@ def reference_matrix(index, store, question, entries):
         for pid, score in entries]).reshape(len(entries), 5)
 
 
-def list_features(index, store, question, rl):
-    return passage_features(index, store, question, rl.pids(), rl.scores)
+def list_features(index, question, rl):
+    return passage_features(index, question, rl.pids(), rl.scores)
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +92,7 @@ class TestTraining:
         correct = total = 0
         for qa in questions:
             rl = index.search(qa.question, 40)
-            probs = scorer.probability(list_features(index, store,
-                                                     qa.question, rl))
+            probs = scorer.probability(list_features(index, qa.question, rl))
             for pid, p in zip(rl.pids(), probs):
                 is_answer = pid.endswith("zans")
                 correct += (p >= 0.5) == is_answer
@@ -106,8 +105,7 @@ class TestTraining:
                               answers=("neverpresent",))]
         scorer = train_passage_reranker(index, store, hopeless)
         rl = index.search("about subject00", 10)
-        probs = scorer.probability(list_features(index, store,
-                                                 "about subject00", rl))
+        probs = scorer.probability(list_features(index, "about subject00", rl))
         assert all(p < 0.5 for p in probs)
 
     def test_deterministic(self, deep_fixture):
@@ -138,6 +136,27 @@ class TestTraining:
             train_passage_reranker(index, store, fx.questions + [no_answers])
 
 
+# Word forms that stem to one term, stopwords, and words found only in titles;
+# question tokens that no passage holds, two of them stem-merged; text with no
+# token at all.
+_BODY_WORDS = ("run", "runs", "running", "Running", "pony", "ponies", "hop",
+               "hopping", "sky", "2018", "\ufb01ve", "the", "of", "is")
+_TITLE_WORDS = ("ledger", "ledgers", "atlas", "the", "runs")
+_UNSEEN_WORDS = ("zebra", "zebras", "quux")
+_NO_TOKEN = ("", " ", "-", "?!", "\u2014")
+
+
+def _words(pool, min_size):
+    return st.lists(st.sampled_from(pool), min_size=min_size,
+                    max_size=6).map(" ".join)
+
+
+_overlap_question = st.one_of(
+    _words(_BODY_WORDS + _TITLE_WORDS + _UNSEEN_WORDS, 1),
+    _words(sorted(text.STOPWORDS), 1),
+    st.sampled_from(_NO_TOKEN))
+
+
 class TestPassageFeatures:
     @given(passages=st.lists(st.tuples(st.one_of(st.just(""), _text), _text),
                              min_size=1, max_size=6),
@@ -154,14 +173,37 @@ class TestPassageFeatures:
         # a whole list per question, then one passage per call, passage-major
         # so that the question changes between consecutive calls
         for q in questions:
-            assert passage_features(index, store, q, index.pids,
+            assert passage_features(index, q, index.pids,
                                     scores).tobytes() == reference_matrix(
                 index, store, q, list(zip(index.pids, scores))).tobytes()
         for (pid, score), q in itertools.product(zip(index.pids, scores),
                                                  questions):
             np.testing.assert_array_equal(
-                passage_features(index, store, q, [pid], [score]),
+                passage_features(index, q, [pid], [score]),
                 reference_matrix(index, store, q, [(pid, score)]))
+
+    @given(passages=st.lists(st.tuples(_words(_TITLE_WORDS, 0),
+                                       _words(_BODY_WORDS, 1)),
+                             min_size=1, max_size=6),
+           questions=st.lists(_overlap_question, min_size=1, max_size=4),
+           params=st.builds(Bm25Params, stemming=st.booleans(),
+                            stopwords=st.booleans(),
+                            index_titles=st.booleans()))
+    @settings(max_examples=200, deadline=None)
+    def test_overlap_equals_brute_analysis(self, passages, questions, params):
+        """The overlap column, with the rest of the matrix, equals the
+        share the reference finds by analyzing each passage and question
+        token: stopwords and stem-merged forms, question tokens outside
+        the vocabulary, questions of stopwords only or of no token, and
+        terms found only in a title."""
+        store = PassageStore([Passage(id=f"p{i}", title=title, text=body)
+                              for i, (title, body) in enumerate(passages)])
+        index = build_index(store, params)
+        scores = [float(i) for i in range(len(index.pids))]
+        for q in questions:
+            assert passage_features(index, q, index.pids,
+                                    scores).tobytes() == reference_matrix(
+                index, store, q, list(zip(index.pids, scores))).tobytes()
 
     def test_each_surface_token_analyzed_once(self, deep_fixture, pr_scorer,
                                               monkeypatch):
@@ -181,35 +223,35 @@ class TestPassageFeatures:
         for _ in range(2):
             for qa in questions:
                 rl = index.search(qa.question, 40)
-                rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
+                rerank_passages(pr_scorer, index, qa.question, rl, 40)
         asked = {t for qa in questions for t in normalize(qa.question)}
         assert calls == Counter(dict.fromkeys(asked, 1))
 
-    def test_another_store_is_read_not_the_cached_one(self):
-        """The mean idf and the length follow the index, built from
-        ``first``; the overlap follows the store passed in."""
+    def test_every_column_follows_the_index(self):
+        """A list's matrix is the one the store that built its index gives,
+        whatever another store holds for the same pids, and calls on two
+        indexes in turn keep nothing of each other."""
         params = Bm25Params()
         first = PassageStore([Passage(id="p0", title="", text="alpha beta"),
                               Passage(id="p1", title="", text="gamma")])
-        index = build_index(first, params)
         edited = PassageStore([Passage(id="p0", title="",
                                        text="gamma gamma delta"),
                                Passage(id="p1", title="", text="alpha")])
-        indexed = reference_matrix(index, first, "alpha",
-                                   [("p0", 1.0), ("p1", 0.5)])
-        for store, overlap in ((first, [1.0, 0.0]), (edited, [0.0, 1.0]),
-                               (first, [1.0, 0.0])):
-            want = indexed.copy()
-            want[:, 1] = overlap
-            np.testing.assert_array_equal(
-                passage_features(index, store, "alpha", ["p0", "p1"],
-                                 [1.0, 0.5]), want)
+        indexed = [(store, build_index(store, params), overlap)
+                   for store, overlap in ((first, [1.0, 0.0]),
+                                          (edited, [0.0, 1.0]))]
+        entries = [("p0", 1.0), ("p1", 0.5)]
+        for store, index, overlap in indexed + indexed[:1]:
+            want = reference_matrix(index, store, "alpha", entries)
+            assert want[:, 1].tolist() == overlap
+            assert passage_features(index, "alpha", ["p0", "p1"],
+                                    [1.0, 0.5]).tobytes() == want.tobytes()
 
     def test_one_normalize_per_list_once_warm(self, deep_fixture, pr_scorer,
                                               monkeypatch):
         """Every call, on a fresh index or a used one, normalizes only the
-        question: the statistics come from the index and the overlap scans
-        each passage's folded text."""
+        question: every column but the score comes from the index, the
+        overlap from the question's terms' posting lists."""
         store, _, questions = deep_fixture
         index = build_index(store, Bm25Params())
         lists = [(qa.question, index.search(qa.question, 40))
@@ -226,30 +268,30 @@ class TestPassageFeatures:
         for _ in range(2):
             for question, rl in lists:
                 calls.clear()
-                rerank_passages(pr_scorer, index, store, question, rl, 40)
+                rerank_passages(pr_scorer, index, question, rl, 40)
                 assert calls == [question]
 
     def test_unknown_pid_named(self, deep_fixture):
         store, index, _ = deep_fixture
         with pytest.raises(ValueError,
                            match="^passage 'nope' is not in the index$"):
-            passage_features(index, store, "about subject00",
+            passage_features(index, "about subject00",
                              ["t00-a00", "nope"], [2.0, 1.0])
 
     def test_unequal_lengths_named(self, deep_fixture):
         store, index, _ = deep_fixture
         with pytest.raises(ValueError, match="^2 pids but 1 scores$"):
-            passage_features(index, store, "about subject00",
+            passage_features(index, "about subject00",
                              ["t00-a00", "t00-a01"], [2.0])
         with pytest.raises(ValueError, match="^1 pids but 3 scores$"):
-            passage_features(index, store, "about subject00", ["t00-a00"],
+            passage_features(index, "about subject00", ["t00-a00"],
                              np.array([3.0, 2.0, 1.0]))
 
     def test_cache_dies_with_its_index(self, deep_fixture):
         """Featurizing keeps no reference to the index."""
         store, _, questions = deep_fixture
         index = build_index(store, Bm25Params())
-        passage_features(index, store, questions[0].question,
+        passage_features(index, questions[0].question,
                          index.pids[:1], [1.0])
         ref = weakref.ref(index)
         del index
@@ -281,7 +323,7 @@ class TestConstantFeature:
         std 1 and is the one constant column with a weight."""
         store, index, questions = fixed_length
         scorer = train_passage_reranker(index, store, questions)
-        rows = np.concatenate([list_features(index, store, qa.question,
+        rows = np.concatenate([list_features(index, qa.question,
                                              index.search(qa.question, 10))
                                for qa in questions])
         constant = np.flatnonzero((rows == rows[0]).all(axis=0)).tolist()
@@ -294,8 +336,25 @@ class TestConstantFeature:
         assert scorer.weights[BIAS] != 0.0
         for qa in questions:
             rl = index.search(qa.question, 10)
-            out = rerank_passages(scorer, index, store, qa.question, rl, 10)
+            out = rerank_passages(scorer, index, qa.question, rl, 10)
             assert all(0.0 <= p <= 1.0 for _, p in out.entries)
+
+    def test_constant_overlap_keeps_its_value(self, planted_index,
+                                              planted_split, pr_scorer):
+        """On planted every training row's overlap is 2/3, whose computed
+        mean over the rows is not 2/3: the column keeps 2/3 as its mean
+        and gets std 1 and weight 0, like the length column."""
+        qa_train, _ = planted_split
+        rows = np.concatenate([
+            list_features(planted_index, qa.question,
+                          planted_index.search(qa.question, 10))
+            for qa in qa_train])
+        constant = np.flatnonzero((rows == rows[0]).all(axis=0)).tolist()
+        assert constant == [1, LENGTH, BIAS]
+        assert rows[0, 1] == 2 / 3 and rows.mean(axis=0)[1] != 2 / 3
+        assert pr_scorer.feature_mean[constant].tolist() == [2 / 3, 12.0, 0.0]
+        assert pr_scorer.feature_std[constant].tolist() == [1.0] * 3
+        assert pr_scorer.weights[[1, LENGTH]].tolist() == [0.0, 0.0]
 
     def test_probability_saturates_without_overflow(self):
         scorer = PassageScorer(np.array([1000.0, 0, 0, 0, 0]), np.zeros(5),
@@ -310,7 +369,7 @@ class TestRerank:
         store, index, questions = deep_fixture
         qa = questions[0]
         rl = index.search(qa.question, 40)
-        out = rerank_passages(pr_scorer, index, store, qa.question, rl, depth=1)
+        out = rerank_passages(pr_scorer, index, qa.question, rl, depth=1)
         assert out.pids() == rl.pids()
 
     def test_bm25_only_scorer_preserves_order(self, deep_fixture):
@@ -319,7 +378,7 @@ class TestRerank:
                                np.zeros(5), np.ones(5))
         qa = questions[0]
         rl = index.search(qa.question, 40)
-        out = rerank_passages(scorer, index, store, qa.question, rl,
+        out = rerank_passages(scorer, index, qa.question, rl,
                               depth=len(rl))
         assert out.pids() == rl.pids()
 
@@ -328,7 +387,7 @@ class TestRerank:
         store, index, questions = deep_fixture
         for qa in questions:
             rl = index.search(qa.question, 40)
-            out = rerank_passages(pr_scorer, index, store, qa.question, rl,
+            out = rerank_passages(pr_scorer, index, qa.question, rl,
                                   depth)
             out.validate()
             assert out.entries[depth:] == rl.entries[depth:]
@@ -338,10 +397,10 @@ class TestRerank:
         store, index, questions = deep_fixture
         qa = questions[3]
         rl = index.search(qa.question, 40)
-        out = rerank_passages(pr_scorer, index, store, qa.question, rl, 40)
+        out = rerank_passages(pr_scorer, index, qa.question, rl, 40)
         by_pid = dict(rl.entries)
         assert [s for _, s in out.entries] == pr_scorer.probability(
-            passage_features(index, store, qa.question, out.pids(),
+            passage_features(index, qa.question, out.pids(),
                              [by_pid[pid] for pid in out.pids()])).tolist()
 
     @pytest.mark.parametrize("depth", [1, 7, 40, 100])
@@ -349,8 +408,8 @@ class TestRerank:
             self, planted, planted_store, planted_index, pr_scorer, depth):
         for qa in planted.questions[:40]:
             rl = planted_index.search(qa.question, 60)
-            out = rerank_passages(pr_scorer, planted_index, planted_store,
-                                  qa.question, rl, depth)
+            out = rerank_passages(pr_scorer, planted_index, qa.question, rl,
+                                  depth)
             assert out.entries == reference_rerank(
                 pr_scorer, planted_index, planted_store, qa.question, rl,
                 depth)
@@ -361,7 +420,7 @@ class TestRerank:
                                         PRTrainConfig(train_depth=40))
         qa = questions[1]
         rl = index.search(qa.question, 40)
-        out = rerank_passages(scorer, index, store, qa.question, rl, depth=20)
+        out = rerank_passages(scorer, index, qa.question, rl, depth=20)
         assert sorted(out.pids()[:20]) == sorted(rl.pids()[:20])
         assert out.pids()[20:] == rl.pids()[20:]
 
@@ -373,7 +432,7 @@ class TestRerank:
         for qa in questions:
             rl = index.search(qa.question, 100)
             assert rl.pids().index(f"{qa.qid}-zans") == 39  # buried by ties
-            out = rerank_passages(scorer, index, store, qa.question, rl,
+            out = rerank_passages(scorer, index, qa.question, rl,
                                   depth=100)
             if f"{qa.qid}-zans" in out.pids()[:5]:
                 lifted += 1
@@ -384,15 +443,15 @@ class TestRerank:
         scorer = train_passage_reranker(index, store, questions)
         qa = questions[2]
         rl = index.search(qa.question, 40)
-        once = rerank_passages(scorer, index, store, qa.question, rl, depth=40)
-        twice = rerank_passages(scorer, index, store, qa.question, once, depth=40)
+        once = rerank_passages(scorer, index, qa.question, rl, depth=40)
+        twice = rerank_passages(scorer, index, qa.question, once, depth=40)
         assert twice.pids() == once.pids()
 
     def test_depth_clamped(self, deep_fixture, pr_scorer):
         store, index, questions = deep_fixture
         qa = questions[0]
         rl = index.search(qa.question, 10)
-        out = rerank_passages(pr_scorer, index, store, qa.question, rl, depth=999)
+        out = rerank_passages(pr_scorer, index, qa.question, rl, depth=999)
         assert len(out) == len(rl)
 
 

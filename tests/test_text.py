@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from expandrank import synth
 from expandrank.corpus import Passage, PassageStore
 from expandrank.index import Bm25Params, build_index
-from expandrank.text import (Analyzer, STOPWORDS, fold, has_token, normalize,
-                             porter_stem)
+from expandrank.text import Analyzer, STOPWORDS, normalize, porter_stem
 from oracles import (reference_expanded_search, reference_porter_stem,
                      reference_term_ids)
 
@@ -70,37 +69,6 @@ class TestNormalize:
         for t in normalize(raw):
             assert t
             assert " " not in t
-
-
-# Raw text that folds into token boundaries: a ligature, fullwidth forms, a
-# dotted capital I (lowercased to i plus a combining dot), a sharp s (kept by
-# NFKC, so it splits a word), combining marks, and tokens joined by
-# punctuation or made of digits, some a prefix, a suffix or an infix of
-# another.
-_FOLDING_TEXT = st.lists(st.one_of(st.text(max_size=5), st.sampled_from([
-    "\ufb01ve", "\uff32\uff35\uff2e\uff33", "\uff15", "\u0130s",
-    "stra\u00dfe", "e\u0301", "\u0301", "run-runs", "runs", "run", "x1x",
-    "1x", "x1", "2018", "Deadpool-2", "a.b", " ", "-"])),
-    max_size=8).map("".join)
-
-
-def _substrings(token):
-    return [token[i:j] for i in range(len(token))
-            for j in range(i + 1, len(token) + 1)]
-
-
-class TestHasToken:
-    @given(raw=_FOLDING_TEXT, other=_FOLDING_TEXT)
-    @settings(max_examples=300, deadline=None)
-    def test_equals_membership_in_normalize(self, raw, other):
-        """Every token of ``raw``, every prefix, suffix and infix of one,
-        and every token of another text."""
-        tokens = normalize(raw)
-        folded = fold(raw)
-        candidates = {s for t in tokens for s in _substrings(t)}
-        candidates.update(normalize(other))
-        for token in candidates:
-            assert has_token(folded, token) == (token in tokens), token
 
 
 class TestPorter:
