@@ -301,6 +301,20 @@ class Index:
                 hits += posting[np.minimum(at, len(posting) - 1)] == docs
         return hits / n_terms
 
+    def docs_of(self, rl: RankedList) -> np.ndarray:
+        """The internal doc id of each entry of ``rl``: its rows, when they
+        index this index's pid table, as a search result's do; else its
+        pids, looked up.  A pid the index lacks raises ValueError naming
+        it."""
+        if rl._table is self._pid_objs:
+            return rl._rows
+        try:
+            return np.array([self._pid_to_doc[pid] for pid in rl.pids()],
+                            dtype=np.intp)
+        except KeyError as e:
+            raise ValueError(f"passage {e.args[0]!r} is not in the index") \
+                from None
+
     def pids_on_every_list(self, term_ids) -> list[str]:
         """Pids of the documents on the posting list of every term in
         ``term_ids`` (at least one)."""
@@ -330,11 +344,15 @@ class Index:
             raise ValueError("k must be >= 1")
         return self._top(self.score_all(self.term_ids(query_text)), 0.0, k)
 
-    def _top(self, scores: np.ndarray, floor: float, k: int) -> RankedList:
+    def _top(self, scores: np.ndarray, floor: float, k: int,
+             cols: np.ndarray | None = None) -> RankedList:
         """The top ``k`` of the dense ``scores``, ties to the smaller pid,
         among the documents scoring above 0 and at least ``floor``; the
         caller knows that at least ``k`` documents score ``floor`` or more
         whenever ``floor`` is positive.  ``scores`` is left as it came.
+        Position i of ``scores`` is document ``cols[i]``, or document i
+        when ``cols`` is None; ``cols`` ascends (a packed set's columns),
+        so the smaller position is the smaller pid.
 
         A list of at most 2 (RD's, for every candidate of a set) takes k
         ``argmax`` passes, each the first maximum, so the smaller pid, and
@@ -344,31 +362,33 @@ class Index:
         documents, which has no argmax, takes the general path.
         """
         if k <= 2 and len(scores):
-            docs, top = [], []
+            at, top = [], []
             for _ in range(k):
-                doc = int(scores.argmax())
-                score = float(scores[doc])
+                i = int(scores.argmax())
+                score = float(scores[i])
                 if not score > 0.0:
                     break
-                docs.append(doc)
+                at.append(i)
                 top.append(score)
-                scores[doc] = -np.inf
-            for doc, score in zip(docs, top):
-                scores[doc] = score
-            return RankedList._of_rows(
-                self._pid_objs, np.array(docs, _row_type(self.doc_count)),
-                np.array(top, np.float64))
-        pos = np.flatnonzero(scores >= floor if floor > 0.0 else scores > 0.0)
-        top = scores[pos]
-        if len(pos) > k:
-            # Only documents scoring at least the k-th largest score can
-            # rank in the top k; the tie-stable sort below orders just those.
-            keep = top >= np.partition(top, len(top) - k)[len(top) - k]
-            pos, top = pos[keep], top[keep]
-        docs = pos[np.lexsort((pos, -top))[:k]]
-        return RankedList._of_rows(self._pid_objs,
-                                   docs.astype(_row_type(self.doc_count)),
-                                   scores[docs])
+                scores[i] = -np.inf
+            for i, score in zip(at, top):
+                scores[i] = score
+            top = np.array(top, np.float64)
+        else:
+            pos = np.flatnonzero(scores >= floor if floor > 0.0
+                                 else scores > 0.0)
+            top = scores[pos]
+            if len(pos) > k:
+                # Only documents scoring at least the k-th largest score can
+                # rank in the top k; the tie-stable sort below orders just
+                # those.
+                keep = top >= np.partition(top, len(top) - k)[len(top) - k]
+                pos, top = pos[keep], top[keep]
+            at = pos[np.lexsort((pos, -top))[:k]]
+            top = scores[at]
+        docs = at if cols is None else cols[at]
+        return RankedList._of_rows(
+            self._pid_objs, np.array(docs, _row_type(self.doc_count)), top)
 
     def search_expanded(self, question: str, expansions,
                         k: int) -> list[RankedList]:
@@ -378,7 +398,8 @@ class Index:
         ids and S_e that of the expansion's, each part summed in term-id
         order.  Ties go to the smaller pid.  Every expanded query is
         searched here: a candidate's label, RD's top 2 and a strategy's
-        final list.
+        final list, which RD cuts from the scores of its top-2 search
+        (``search_set``).
 
         The question is scored once.  Its k-th largest positive score θ is
         a floor for every expansion: S_e >= 0 and rounding is monotone, so
@@ -399,6 +420,13 @@ class Index:
         packed (rows × documents) score matrix by the size of one dense
         score vector.
         """
+        return self.search_set(question, expansions, k).lists
+
+    def search_set(self, question: str, expansions, k: int) -> "SetSearch":
+        """``search_expanded``, with the scores its lists were cut from
+        kept until the caller drops the set: RD selects on the top 2 and
+        cuts its chosen candidate's final list from them
+        (``SetSearch.top``)."""
         if k < 1:
             raise ValueError("k must be >= 1")
         question_ids = self.term_ids(question)
@@ -416,11 +444,12 @@ class Index:
         return self._search_dense(question_ids, expansion_id_lists, k, shared)
 
     def _search_dense(self, question_ids, expansion_id_lists, k: int,
-                      floored: bool) -> list[RankedList]:
-        """``search_expanded`` of term ids over dense score vectors: the
+                      floored: bool) -> "SetSearch":
+        """``search_set`` of term ids over dense score vectors: the
         question's once, then each expansion's plus the question's,
         selected above the question's floor θ when ``floored`` and k > 2.
-        At k <= 2 ``_top`` reads no floor, so θ's pass would be waste."""
+        At k <= 2 ``_top`` reads no floor, so θ's pass would be waste.
+        The set keeps the question's vector."""
         question = self.score_all(question_ids)
         floor = 0.0
         if floored and k > 2:
@@ -433,11 +462,12 @@ class Index:
             scores = self.score_all(ids)
             scores += question
             lists.append(self._top(scores, floor, k))
-        return lists
+        return SetSearch(self, lists, k, question=question,
+                         expansion_ids=expansion_id_lists)
 
     def _search_packed(self, question_ids, expansion_id_lists,
-                       k: int) -> list[RankedList]:
-        """``search_expanded`` of term ids in one ``bincount`` over the
+                       k: int) -> "SetSearch":
+        """``search_set`` of term ids in one ``bincount`` over the
         documents on the parts' posting lists.
 
         The question is one more row.  Each row's postings are gathered in
@@ -445,7 +475,7 @@ class Index:
         from the others, so every row is summed exactly as its dense vector
         is; each expansion's row then adds the question's.  Each list owns
         its rows and scores, so keeping one keeps nothing else of the set
-        alive.
+        alive.  The set keeps the expansions' score matrix and its columns.
         """
         # each row's distinct terms ascending with their counts, as
         # ``score_all`` counts them, from one sort of (row, term) keys
@@ -483,9 +513,10 @@ class Index:
         found = cols[at[order]].astype(_row_type(self.doc_count))
         top = top[order]
         ends = np.cumsum(np.minimum(kept, k)).tolist()
-        return [RankedList._of_rows(self._pid_objs, found[a:b].copy(),
-                                    top[a:b].copy())
-                for a, b in zip([0, *ends], ends)]
+        lists = [RankedList._of_rows(self._pid_objs, found[a:b].copy(),
+                                     top[a:b].copy())
+                 for a, b in zip([0, *ends], ends)]
+        return SetSearch(self, lists, k, scores=scores, cols=cols)
 
     # -- persistence --------------------------------------------------------
 
@@ -587,6 +618,47 @@ class Index:
                    docs.astype(np.int32, copy=False),
                    tfs.astype(np.int32, copy=False),
                    dls.astype(np.int32, copy=False), params)
+
+
+class SetSearch:
+    """A candidate set's search by parts (``Index.search_set``): each
+    expansion's top-k list, ``lists``, and the scores they were cut from,
+    so that one expansion's deeper list (``top``) takes no second search
+    of the set.
+
+    A packed set keeps its (expansions × columns) score matrix and the
+    doc id of each column; a dense set keeps the question's score vector
+    and each expansion's term ids.  That is no more than the search
+    allocated; a caller drops the set once it has the list it needs.
+    """
+
+    __slots__ = ("lists", "_index", "_k", "_scores", "_cols", "_question",
+                 "_expansion_ids")
+
+    def __init__(self, index: Index, lists: list[RankedList], k: int, *,
+                 scores=None, cols=None, question=None, expansion_ids=None):
+        self.lists = lists
+        self._index, self._k = index, k
+        self._scores, self._cols = scores, cols
+        self._question, self._expansion_ids = question, expansion_ids
+
+    def top(self, i: int, k: int) -> RankedList:
+        """Expansion ``i``'s top ``k``, equal bit for bit to
+        ``Index.search_expanded(question, [expansions[i]], k)[0]``: a
+        prefix of its list when ``k`` is no deeper than the set's, else
+        ``_top`` of its scores, a packed set's row or, for a dense set,
+        the expansion's vector plus the kept question's.  No floor is
+        read: the set's θ bounds only its own depth."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k <= self._k:
+            return self.lists[i].head(k)
+        index = self._index
+        if self._cols is not None:
+            return index._top(self._scores[i], 0.0, k, self._cols)
+        scores = index.score_all(self._expansion_ids[i])
+        scores += self._question
+        return index._top(scores, 0.0, k)
 
 
 def build_index(store: PassageStore, params: Bm25Params | None = None) -> Index:

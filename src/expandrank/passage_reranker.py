@@ -39,30 +39,24 @@ def _sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
-def passage_features(index: Index, question: str, pids, scores) -> np.ndarray:
-    """One row per passage of a reranked list, ``pids`` with their
-    retrieval ``scores``: [retrieval score, question-term overlap, mean
-    idf, length, bias].
+def passage_features(index: Index, question: str,
+                     rl: RankedList) -> np.ndarray:
+    """One row per entry of the ranked list ``rl``, a passage with its
+    retrieval score: [retrieval score, question-term overlap, mean idf,
+    length, bias].
 
     Every column but the score is a statistic of the index, gathered by
-    row: the overlap is ``Index.term_overlap``, the share of the
-    question's distinct terms whose posting list holds the passage; the
-    mean idf is ``Index.mean_idf``, over the passage's distinct indexed
-    terms; the length is ``Index.doc_lengths``, its indexed term count.
-    Titles count when the index holds them.
+    the passages' internal doc ids (``Index.docs_of``: a search result's
+    own rows, else its pids looked up): the overlap is
+    ``Index.term_overlap``, the share of the question's distinct terms
+    whose posting list holds the passage; the mean idf is
+    ``Index.mean_idf``, over the passage's distinct indexed terms; the
+    length is ``Index.doc_lengths``, its indexed term count.  Titles count
+    when the index holds them.
     """
-    pids = list(pids)
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(pids) != len(scores):
-        raise ValueError(f"{len(pids)} pids but {len(scores)} scores")
-    try:
-        rows = np.array([index._pid_to_doc[pid] for pid in pids],
-                        dtype=np.intp)
-    except KeyError as e:
-        raise ValueError(f"passage {e.args[0]!r} is not in the index") \
-            from None
-    x = np.empty((len(pids), PR_DIM), dtype=np.float64)
-    x[:, 0] = scores
+    rows = index.docs_of(rl)
+    x = np.empty((len(rl), PR_DIM), dtype=np.float64)
+    x[:, 0] = rl.scores
     x[:, 1] = index.term_overlap(normalize(question), rows)
     x[:, 2] = index.mean_idf[rows]
     x[:, 3] = index.doc_lengths[rows]
@@ -129,9 +123,8 @@ def train_passage_reranker(index: Index, store: PassageStore, qa_train,
             log.warning("question %s retrieved no passages; skipped", qa.qid)
             skipped += 1
             continue
-        pids = rl.pids()
-        feats.append(passage_features(index, qa.question, pids, rl.scores))
-        labels += [float(matcher(store.get(p))) for p in pids]
+        feats.append(passage_features(index, qa.question, rl))
+        labels += [float(matcher(store.get(p))) for p in rl.pids()]
     if not feats:
         raise NothingRetrieved(f"no training instances: none of the "
                                f"{skipped} questions retrieved a "
@@ -167,9 +160,8 @@ def rerank_passages(scorer: PassageScorer, index: Index, question: str,
     retrieve`` writes a reranked run as its strategy plus "+pr".
     """
     depth = min(depth, len(rl))
-    head = rl.head(depth)
-    probs = scorer.probability(passage_features(
-        index, question, head.pids(), head.scores))
+    probs = scorer.probability(passage_features(index, question,
+                                                rl.head(depth)))
     floor = float(rl.scores[depth]) if depth < len(rl) else 0.0
     order = np.argsort(-probs, kind="stable")
     reranked = rl.scores.copy()

@@ -76,9 +76,12 @@ def check_strategy(spec: StrategySpec, questions,
 @dataclass(frozen=True, slots=True)
 class Choice:
     """What a strategy chose for one question: the parts of the query it
-    issues.  An expanded query is searched by parts, as labeling searches
-    it (``Index.search_expanded``), so a chosen candidate's final list is
-    its labeling list at the same k."""
+    issues, and that query's top k when choosing already retrieved it.
+    An expanded query is searched by parts, as labeling searches it
+    (``Index.search_expanded``), so a chosen candidate's final list is its
+    labeling list at the same k: ``oracle`` keeps the winner's labeling
+    list, and ``ear_rd`` cuts the winner's list from the scores of its
+    top-2 set search (``reranker.select_best``)."""
     question: str
     # the chosen candidate, the joined candidates for ``concat``, or None
     # for a bare search
@@ -91,7 +94,8 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
            featurizer: Featurizer | None) -> Choice:
     """What ``spec``'s strategy issues for one question, chosen from ``cs``
     capped at ``spec.cap_n``; the caller has passed it through
-    ``check_strategy``.  ``oracle`` keeps the winner's labeling list."""
+    ``check_strategy``.  ``oracle`` and ``ear_rd`` keep the winner's
+    list."""
     q = qa.question
     if not spec.needs.candidates:
         return Choice(q, None, None)
@@ -101,15 +105,16 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
         cs = truncate(cs, spec.cap_n)
     if spec.kind == "concat":
         return Choice(q, " ".join(c.text for c in cs.candidates), None)
+    k = spec.k_retrieve
     if spec.kind == "oracle":
-        k = spec.k_retrieve
         labels, lists = label_candidates(index, store, qa, cs, k)
         best = labels.index(min(labels))  # ties go to the earliest
         return Choice(q, cs.candidates[best].text,
                       lists[best].head(k))  # searched at max(k, 2)
-    chosen = (cs.candidates[0] if spec.kind == "greedy"
-              else select_best(model, q, cs, featurizer))  # ear_ri / ear_rd
-    return Choice(q, chosen.text, None)
+    if spec.kind == "greedy":
+        return Choice(q, cs.candidates[0].text, None)
+    chosen, ranked = select_best(model, q, cs, featurizer, k)  # ear_ri/_rd
+    return Choice(q, chosen.text, ranked)
 
 
 def retrieve(spec: StrategySpec, index: Index, choice: Choice) -> RankedList:

@@ -15,12 +15,13 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import PassageStore
 from .expansion import CandidateSet, ExpansionCandidate
-from .index import Index
+from .index import Index, RankedList
 from .text import normalize
 
 RI_SCHEMA = "ri-v2"   # 8 features
@@ -354,12 +355,30 @@ def train(examples, cfg: TrainConfig, variant: str,
     return ScorerModel(variant, schema, w, mean, std)
 
 
+class Selection(NamedTuple):
+    """What ``select_best`` chose, and its list when selecting searched."""
+    candidate: ExpansionCandidate
+    ranked: RankedList | None  # RD: the chosen query's top k; RI: None
+
+
 def select_best(model: ScorerModel, question: str, cs: CandidateSet,
-                featurizer: Featurizer) -> ExpansionCandidate:
-    """Argmin-score candidate; ties go to the earliest index."""
+                featurizer: Featurizer, k: int = 2) -> Selection:
+    """The argmin-score candidate, ties to the earliest index.
+
+    RD featurizes each candidate's top 2 of "question + candidate", from
+    one search of the set (``Index.search_set``), and returns the chosen
+    candidate's top ``k`` cut from the scores that search kept
+    (``SetSearch.top``), equal bit for bit to
+    ``Index.search_expanded(question, [chosen], k)``; so ``ear_rd``'s n
+    candidates cost n expansions scored, not n + 1.  RI searches nothing
+    and returns no list.
+    """
     texts = [c.text for c in cs.candidates]
-    lists = (featurizer.index.search_expanded(question, texts, 2)
-             if model.variant == "RD" else [])
+    found = (featurizer.index.search_set(question, texts, 2)
+             if model.variant == "RD" else None)
+    lists = found.lists if found else []
     feats = featurizer.features(model.variant, question, texts,
                                 [rl.entries for rl in lists])
-    return cs.candidates[int(np.argmin(model.score(feats)))]
+    best = int(np.argmin(model.score(feats)))
+    return Selection(cs.candidates[best],
+                     found.top(best, k) if found else None)

@@ -210,7 +210,7 @@ def reference_strategy_query(spec, index, store, qa, cs, model, featurizer):
                         spec.k_retrieve + 1)
         chosen = min(cs.candidates, key=label)
     else:  # ear_ri / ear_rd
-        chosen = select_best(model, q, cs, featurizer)
+        chosen = select_best(model, q, cs, featurizer).candidate
     return q, chosen.text
 
 

@@ -327,8 +327,8 @@ class TestSearchCandidates:
         q_ids = index.term_ids(question)
         ids = [index.term_ids(c) for c in candidates]
         for lists in (index.search_expanded(question, candidates, k),
-                      index._search_packed(q_ids, ids, k),
-                      index._search_dense(q_ids, ids, k, True)):
+                      index._search_packed(q_ids, ids, k).lists,
+                      index._search_dense(q_ids, ids, k, True).lists):
             for rl, c in zip(lists, candidates, strict=True):
                 want = reference_expanded_search(index, question, c, k)
                 assert rl.pids() == [pid for pid, _ in want]
@@ -341,6 +341,39 @@ class TestSearchCandidates:
             scores = index.score_all(c_ids) + question_scores
             assert index._top(scores, floor, k) == \
                 index._top(scores, 0.0, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_PHRASE, st.integers(1, 3)), min_size=1,
+                    max_size=8),
+           _PHRASE, st.lists(_PHRASE, min_size=1, max_size=4),
+           st.sampled_from((1, 2)), st.integers(0, 40))
+    def test_a_deeper_cut_equals_the_reference(self, texts, question, others,
+                                               k, filler):
+        """``SetSearch.top`` cuts any expansion's list at any depth from
+        what the set's search kept, on every path, equal bit for bit to
+        the parts reference at that depth: prefixes of the set's lists,
+        and deeper lists from a packed row or the kept question vector,
+        which no floor of the set's depth may cut short."""
+        passages = [Passage(id=f"p{i:02d}.{j}", title="", text=text)
+                    for i, (text, copies) in enumerate(texts)
+                    for j in range(copies)]
+        passages += [Passage(id=f"w{i:02d}", title="", text="white")
+                     for i in range(filler)]
+        index = build_index(PassageStore(passages), Bm25Params())
+        candidates = [question.split()[0], question, *others]
+        q_ids = index.term_ids(question)
+        ids = [index.term_ids(c) for c in candidates]
+        for found in (index.search_set(question, candidates, k),
+                      index._search_packed(q_ids, ids, k),
+                      index._search_dense(q_ids, ids, k, True)):
+            for i, c in enumerate(candidates):
+                for depth in (1, 2, 3, 100):
+                    want = reference_expanded_search(index, question, c,
+                                                     depth)
+                    rl = found.top(i, depth)
+                    assert rl.pids() == [pid for pid, _ in want]
+                    assert rl.scores.tobytes() == \
+                        np.array([s for _, s in want]).tobytes()
 
     def test_short_lists_pack_and_long_ones_do_not(self, planted,
                                                    planted_index,

@@ -514,8 +514,8 @@ class TestKernelParity:
                     for ids, text in zip(expansions, texts)]
         searches += [(expansions, lists) for lists in (
             index.search_expanded(q_text, texts, k),
-            index._search_packed(question, expansions, k),
-            index._search_dense(question, expansions, k, True))]
+            index._search_packed(question, expansions, k).lists,
+            index._search_dense(question, expansions, k, True).lists)]
         for expansion_id_lists, lists in searches:
             for rl, ids in zip(lists, expansion_id_lists, strict=True):
                 assert rl._rows.dtype == dtype
@@ -591,8 +591,8 @@ class TestPartialTopK:
                 reference_search(index, query, k)
             dtype = index.search(query, k)._rows.dtype
             for lists in (index.search_expanded(query, expansions, k),
-                          index._search_packed(q_ids, ids, k),
-                          index._search_dense(q_ids, ids, k, True),
+                          index._search_packed(q_ids, ids, k).lists,
+                          index._search_dense(q_ids, ids, k, True).lists,
                           # each expansion alone: one dense list, no floor
                           [rl for e in expansions
                            for rl in index.search_expanded(query, [e], k)]):
@@ -611,8 +611,8 @@ class TestPartialTopK:
         # an expansion with no term ids searches the bare question
         assert index.search_expanded(question, ["", "the of"], 5) == \
             [index.search(question, 5)] * 2
-        for lists in (index._search_packed([], [[], []], 5),
-                      index._search_dense([], [[], []], 5, True)):
+        for lists in (index._search_packed([], [[], []], 5).lists,
+                      index._search_dense([], [[], []], 5, True).lists):
             for rl in lists:
                 assert len(rl) == 0
                 assert rl.scores.dtype == np.float64
@@ -624,7 +624,7 @@ class TestPartialTopK:
         store, index = small_corpus
         q_ids, *ids = [index.term_ids(q)
                        for q in make_random_queries(5, list(store), seed=3)]
-        for rl in index._search_packed(q_ids, ids, 10):
+        for rl in index._search_packed(q_ids, ids, 10).lists:
             assert len(rl) and rl._rows.base is None and rl.scores.base is None
 
     def test_boundary_cuts_through_ties(self):
@@ -686,8 +686,18 @@ class TestZeroDocuments:
         for expansions in (["gold"], ["gold", "red blue"]):
             assert empty_index.search_expanded("red gold", expansions,
                                                k) == [empty] * len(expansions)
-        assert empty_index._search_dense([1], [[0], [0, 1]], k, True) == \
-            [empty] * 2
+        assert empty_index._search_dense([1], [[0], [0, 1]], k,
+                                         True).lists == [empty] * 2
+
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    def test_every_cut_of_a_set_is_empty(self, empty_index, k):
+        """A set of no documents, packed or dense, cuts an empty list at
+        any depth."""
+        empty = RankedList([], [])
+        for found in (empty_index._search_packed([1], [[0], [0, 1]], k),
+                      empty_index._search_dense([1], [[0], [0, 1]], k, True)):
+            assert [found.top(i, depth) for i in (0, 1)
+                    for depth in (1, 2, 3, 100)] == [empty] * 8
 
 
 class TestTermOverlap:
@@ -707,6 +717,30 @@ class TestTermOverlap:
         overlap = index.term_overlap(normalize("The sky, red gold blue sky"),
                                      np.array([1, 0]))
         assert overlap.tolist() == [0.0, 0.25]
+
+
+class TestDocsOf:
+    def test_search_rows_as_they_are_other_tables_by_pid(self, planted,
+                                                         planted_index):
+        """A search result's rows index the index's own pid table, so they
+        are its doc ids as they are.  A list with a table of its own, as a
+        run file's lists have, or another index's maps its pids, and a pid
+        the index lacks is named."""
+        rl = planted_index.search(planted.questions[0].question, 20)
+        assert len(rl) and planted_index.docs_of(rl) is rl._rows
+        want = [planted_index._pid_to_doc[pid] for pid in rl.pids()]
+        assert planted_index.docs_of(
+            RankedList(rl.pids(), rl.scores)).tolist() == want
+        assert rl._rows.tolist() == want
+        other = build_index(PassageStore([
+            Passage(id=rl.pids()[0], title="", text="gold"),
+            Passage(id="zz-not-planted", title="", text="gold red")]))
+        found = other.search("gold", 2)
+        assert found.pids() == [rl.pids()[0], "zz-not-planted"]
+        assert planted_index.docs_of(found.head(1)).tolist() == want[:1]
+        with pytest.raises(ValueError, match="^passage 'zz-not-planted' is "
+                                             "not in the index$"):
+            planted_index.docs_of(found)
 
 
 _pid_lists = st.lists(st.text(alphabet="abcp0123", min_size=1, max_size=4),

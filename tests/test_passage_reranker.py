@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from expandrank import passage_reranker, text
 from expandrank.corpus import Passage, PassageStore, QAExample
-from expandrank.index import Bm25Params, build_index
+from expandrank.index import Bm25Params, RankedList, build_index
 from expandrank.passage_reranker import (BIAS, NothingRetrieved,
                                          PassageScorer, PRTrainConfig,
                                          passage_features,
@@ -58,10 +58,6 @@ def reference_matrix(index, store, question, entries):
         for pid, score in entries]).reshape(len(entries), 5)
 
 
-def list_features(index, question, rl):
-    return passage_features(index, question, rl.pids(), rl.scores)
-
-
 @pytest.fixture(scope="module")
 def deep_fixture():
     """Answer passage buried at rank 40 behind 39 tied relatives."""
@@ -92,7 +88,8 @@ class TestTraining:
         correct = total = 0
         for qa in questions:
             rl = index.search(qa.question, 40)
-            probs = scorer.probability(list_features(index, qa.question, rl))
+            probs = scorer.probability(passage_features(index, qa.question,
+                                                        rl))
             for pid, p in zip(rl.pids(), probs):
                 is_answer = pid.endswith("zans")
                 correct += (p >= 0.5) == is_answer
@@ -105,7 +102,8 @@ class TestTraining:
                               answers=("neverpresent",))]
         scorer = train_passage_reranker(index, store, hopeless)
         rl = index.search("about subject00", 10)
-        probs = scorer.probability(list_features(index, "about subject00", rl))
+        probs = scorer.probability(passage_features(index, "about subject00",
+                                                    rl))
         assert all(p < 0.5 for p in probs)
 
     def test_deterministic(self, deep_fixture):
@@ -173,13 +171,13 @@ class TestPassageFeatures:
         # a whole list per question, then one passage per call, passage-major
         # so that the question changes between consecutive calls
         for q in questions:
-            assert passage_features(index, q, index.pids,
-                                    scores).tobytes() == reference_matrix(
+            assert passage_features(index, q, RankedList(
+                index.pids, scores)).tobytes() == reference_matrix(
                 index, store, q, list(zip(index.pids, scores))).tobytes()
         for (pid, score), q in itertools.product(zip(index.pids, scores),
                                                  questions):
             np.testing.assert_array_equal(
-                passage_features(index, q, [pid], [score]),
+                passage_features(index, q, RankedList([pid], [score])),
                 reference_matrix(index, store, q, [(pid, score)]))
 
     @given(passages=st.lists(st.tuples(_words(_TITLE_WORDS, 0),
@@ -201,8 +199,8 @@ class TestPassageFeatures:
         index = build_index(store, params)
         scores = [float(i) for i in range(len(index.pids))]
         for q in questions:
-            assert passage_features(index, q, index.pids,
-                                    scores).tobytes() == reference_matrix(
+            assert passage_features(index, q, RankedList(
+                index.pids, scores)).tobytes() == reference_matrix(
                 index, store, q, list(zip(index.pids, scores))).tobytes()
 
     def test_each_surface_token_analyzed_once(self, deep_fixture, pr_scorer,
@@ -244,8 +242,8 @@ class TestPassageFeatures:
         for store, index, overlap in indexed + indexed[:1]:
             want = reference_matrix(index, store, "alpha", entries)
             assert want[:, 1].tolist() == overlap
-            assert passage_features(index, "alpha", ["p0", "p1"],
-                                    [1.0, 0.5]).tobytes() == want.tobytes()
+            assert passage_features(index, "alpha", RankedList(
+                ["p0", "p1"], [1.0, 0.5])).tobytes() == want.tobytes()
 
     def test_one_normalize_per_list_once_warm(self, deep_fixture, pr_scorer,
                                               monkeypatch):
@@ -276,23 +274,23 @@ class TestPassageFeatures:
         with pytest.raises(ValueError,
                            match="^passage 'nope' is not in the index$"):
             passage_features(index, "about subject00",
-                             ["t00-a00", "nope"], [2.0, 1.0])
+                             RankedList(["t00-a00", "nope"], [2.0, 1.0]))
 
     def test_unequal_lengths_named(self, deep_fixture):
         store, index, _ = deep_fixture
         with pytest.raises(ValueError, match="^2 pids but 1 scores$"):
             passage_features(index, "about subject00",
-                             ["t00-a00", "t00-a01"], [2.0])
+                             RankedList(["t00-a00", "t00-a01"], [2.0]))
         with pytest.raises(ValueError, match="^1 pids but 3 scores$"):
-            passage_features(index, "about subject00", ["t00-a00"],
-                             np.array([3.0, 2.0, 1.0]))
+            passage_features(index, "about subject00", RankedList(
+                ["t00-a00"], np.array([3.0, 2.0, 1.0])))
 
     def test_cache_dies_with_its_index(self, deep_fixture):
         """Featurizing keeps no reference to the index."""
         store, _, questions = deep_fixture
         index = build_index(store, Bm25Params())
         passage_features(index, questions[0].question,
-                         index.pids[:1], [1.0])
+                         RankedList(index.pids[:1], [1.0]))
         ref = weakref.ref(index)
         del index
         gc.collect()
@@ -323,8 +321,8 @@ class TestConstantFeature:
         std 1 and is the one constant column with a weight."""
         store, index, questions = fixed_length
         scorer = train_passage_reranker(index, store, questions)
-        rows = np.concatenate([list_features(index, qa.question,
-                                             index.search(qa.question, 10))
+        rows = np.concatenate([passage_features(index, qa.question,
+                                                index.search(qa.question, 10))
                                for qa in questions])
         constant = np.flatnonzero((rows == rows[0]).all(axis=0)).tolist()
         assert constant == [LENGTH, BIAS]
@@ -346,8 +344,8 @@ class TestConstantFeature:
         and gets std 1 and weight 0, like the length column."""
         qa_train, _ = planted_split
         rows = np.concatenate([
-            list_features(planted_index, qa.question,
-                          planted_index.search(qa.question, 10))
+            passage_features(planted_index, qa.question,
+                             planted_index.search(qa.question, 10))
             for qa in qa_train])
         constant = np.flatnonzero((rows == rows[0]).all(axis=0)).tolist()
         assert constant == [1, LENGTH, BIAS]
@@ -400,8 +398,8 @@ class TestRerank:
         out = rerank_passages(pr_scorer, index, qa.question, rl, 40)
         by_pid = dict(rl.entries)
         assert [s for _, s in out.entries] == pr_scorer.probability(
-            passage_features(index, qa.question, out.pids(),
-                             [by_pid[pid] for pid in out.pids()])).tolist()
+            passage_features(index, qa.question, RankedList(
+                out.pids(), [by_pid[pid] for pid in out.pids()]))).tolist()
 
     @pytest.mark.parametrize("depth", [1, 7, 40, 100])
     def test_equals_reranking_with_reference_features(

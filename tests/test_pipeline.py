@@ -18,6 +18,17 @@ from expandrank.reranker import Featurizer
 from expandrank.text import normalize
 from oracles import (reference_expanded_search, reference_fuse,
                      reference_strategy_query)
+from test_golden import _zipf
+
+
+@pytest.fixture(scope="module")
+def golden_zipf():
+    """The golden Zipf workload's index, store, featurizer, questions and
+    candidate sets: every set is scored on dense vectors."""
+    passages, questions, sets = _zipf()
+    store = PassageStore(passages)
+    index = build_index(store, Bm25Params())
+    return index, store, Featurizer(index, store), questions, sets
 
 
 def rl(pids):
@@ -239,6 +250,55 @@ class TestChoose:
             run_strategy(spec, index, store, qa, fx.candidates[qa.qid])
             assert len(scored) == len(fx.candidates[qa.qid])
 
+    def test_ear_rd_searches_each_candidate_once(self, planted,
+                                                 planted_store, planted_index,
+                                                 featurizer, planted20,
+                                                 rd_model, monkeypatch):
+        """``ear_rd``'s run is cut from the scores of its top-2 set search,
+        so n candidates cost n expansions searched, not n + 1: the question
+        and each candidate are analyzed into term ids once, by that one
+        search, and no ``search`` runs.  A packed set (every set of
+        ``planted``) scores no dense vector after it; a dense one (every
+        set of the 20-question fixture) scores the chosen candidate's
+        vector again, and no other."""
+        analyzed, dense = [], []
+        term_ids, score_all = Index.term_ids, Index.score_all
+
+        def analyzing(self, text):
+            analyzed.append(text)
+            return term_ids(self, text)
+
+        def scoring(self, ids):
+            dense.append(ids)
+            return score_all(self, ids)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("ear_rd searched its choice again")
+
+        monkeypatch.setattr(Index, "term_ids", analyzing)
+        monkeypatch.setattr(Index, "score_all", scoring)
+        monkeypatch.setattr(Index, "search", no_search)
+        spec = StrategySpec(kind="ear_rd")
+        fx, store20, index20 = planted20
+        for questions, set_of, store, index, f, packs in (
+                (planted.questions[:40], planted.candidates, planted_store,
+                 planted_index, featurizer, True),
+                (fx.questions, fx.candidates, store20, index20,
+                 Featurizer(index20, store20), False)):
+            for qa in questions:
+                texts = [c.text for c in set_of[qa.qid].candidates]
+                analyzed.clear()
+                dense.clear()
+                run_strategy(spec, index, store, qa, set_of[qa.qid],
+                             rd_model, f)
+                assert analyzed == [qa.question, *texts]
+                scored = dense[:]
+                chosen = choose(spec, index, store, qa, set_of[qa.qid],
+                                rd_model, f).expansion
+                assert scored == ([] if packs else [
+                    term_ids(index, t) for t in (qa.question, *texts,
+                                                 chosen)])
+
     def test_ear_rd_stems_each_surface_token_once(self, planted20, rd_model,
                                                   monkeypatch):
         """RD's k=2 candidate searches, its features' idfs and the final
@@ -297,7 +357,67 @@ class TestChoose:
                             model, featurizer)
             assert (choice.question, choice.expansion) == (question,
                                                            expansion)
-            assert (choice.ranked is not None) == (kind == "oracle")
+            assert (choice.ranked is not None) == (kind in ("oracle",
+                                                            "ear_rd"))
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 100])
+    @pytest.mark.parametrize("cap_n", [None, 1, 3])
+    def test_ear_rd_list_is_the_reference_list(
+            self, planted, planted_store, planted_index, featurizer,
+            golden_zipf, rd_model, monkeypatch, cap_n, k):
+        """``ear_rd``'s list, cut from the scores its top-2 set search
+        kept, is the chosen query's own search and the parts reference,
+        pids and score bits, and shares no memory with those scores: on
+        packed sets (planted), dense ones (the golden Zipf workload, and
+        every set capped at one candidate) and candidates that repeat each
+        question term, so that it is counted 2 and 3 times in their
+        part."""
+        echo = {}
+        for i, qa in enumerate(planted.questions[:40]):
+            q = qa.question
+            repeats = [f"{q} {q}", f"{q} {q} {q}"][::1 if i % 2 else -1]
+            echo[qa.qid] = CandidateSet(qa.qid, [
+                *map(ExpansionCandidate, repeats),
+                *planted.candidates[qa.qid].candidates[:2]])
+        cases = [(planted_index, planted_store, featurizer,
+                  planted.questions[:40], set_of)
+                 for set_of in (planted.candidates, echo)]
+        cases.append(golden_zipf)
+        kept = []
+        search_set = Index.search_set
+
+        def keeping(self, *args, **kwargs):
+            kept.append(search_set(self, *args, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr(Index, "search_set", keeping)
+        spec = StrategySpec(kind="ear_rd", cap_n=cap_n, k_retrieve=k)
+        packed = dense = 0
+        for index, store, f, questions, set_of in cases:
+            for qa in questions:
+                choice = choose(spec, index, store, qa, set_of[qa.qid],
+                                rd_model, f)
+                (found,) = kept
+                kept.clear()
+                got = choice.ranked
+                (want,) = index.search_expanded(qa.question,
+                                                [choice.expansion], k)
+                kept.clear()
+                assert got.pids() == want.pids()
+                assert got.scores.tobytes() == want.scores.tobytes()
+                ref = reference_expanded_search(index, qa.question,
+                                                choice.expansion, k)
+                assert got.pids() == [pid for pid, _ in ref]
+                assert got.scores.tobytes() == \
+                    np.array([s for _, s in ref], np.float64).tobytes()
+                held = [a for a in (found._scores, found._cols,
+                                    found._question) if a is not None]
+                assert not any(np.shares_memory(a, b) for a in held
+                               for b in (got.scores, got._rows))
+                packed += found._cols is not None
+                dense += found._question is not None
+        assert dense and (packed or cap_n == 1)
 
 
 class TestComposition:
