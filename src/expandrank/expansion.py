@@ -2,7 +2,7 @@
 
 A candidate expansion is judged by the rank the answer passage reaches when
 "question + expansion" is issued to the retriever, scored by parts (see
-``Index.search_expanded``); a candidate whose answer passage is not in the
+``Index.search_set``); a candidate whose answer passage is not in the
 top ``k_retrieve`` gets the sentinel ``k_retrieve + 1``.
 """
 
@@ -188,8 +188,8 @@ def label_candidates(index: Index, store: PassageStore, qa: QAExample,
     is taken within the first ``k``, and a miss is labeled ``k + 1``.
     """
     matcher = AnswerMatcher(qa.answers, qa.qid, index)
-    lists = index.search_expanded(
-        qa.question, [c.text for c in cs.candidates], max(k, 2))
+    lists = index.search_set(
+        qa.question, [c.text for c in cs.candidates], max(k, 2)).lists
     ranks = (matcher.first_rank(rl.pids(), store) for rl in lists)
     return [r if r is not None and r <= k else k + 1 for r in ranks], lists
 

@@ -390,16 +390,18 @@ class Index:
         return RankedList._of_rows(
             self._pid_objs, np.array(docs, _row_type(self.doc_count)), top)
 
-    def search_expanded(self, question: str, expansions,
-                        k: int) -> list[RankedList]:
+    def search_set(self, question: str, expansions, k: int) -> "SetSearch":
         """Top-``k`` of "``question`` + expansion" for each text of
-        ``expansions``, scored by parts: a document's score is
-        fl(S_q + S_e), where S_q is ``score_all`` of the question's term
-        ids and S_e that of the expansion's, each part summed in term-id
-        order.  Ties go to the smaller pid.  Every expanded query is
-        searched here: a candidate's label, RD's top 2 and a strategy's
-        final list, which RD cuts from the scores of its top-2 search
-        (``search_set``).
+        ``expansions``, one list each (``lists``), scored by parts: a
+        document's score is fl(S_q + S_e), where S_q is ``score_all`` of
+        the question's term ids and S_e that of the expansion's, each part
+        summed in term-id order.  Ties go to the smaller pid.  Every
+        expanded query is searched here: a candidate's label, RD's top 2
+        and a strategy's final list.  The set keeps the scores its lists
+        were cut from until the caller drops it, so one expansion's deeper
+        list takes no second search (``SetSearch.top``): RD selects on
+        the top 2, and ``pipeline.choose`` cuts the chosen candidate's
+        final list from them.
 
         The question is scored once.  Its k-th largest positive score θ is
         a floor for every expansion: S_e >= 0 and rounding is monotone, so
@@ -420,20 +422,12 @@ class Index:
         packed (rows × documents) score matrix by the size of one dense
         score vector.
         """
-        return self.search_set(question, expansions, k).lists
-
-    def search_set(self, question: str, expansions, k: int) -> "SetSearch":
-        """``search_expanded``, with the scores its lists were cut from
-        kept until the caller drops the set: RD selects on the top 2 and
-        cuts its chosen candidate's final list from them
-        (``SetSearch.top``)."""
         if k < 1:
             raise ValueError("k must be >= 1")
         question_ids = self.term_ids(question)
         expansion_id_lists = [self.term_ids(e) for e in expansions]
         n = len(expansion_id_lists)
-        shared = n > 1
-        if shared:
+        if n > 1:
             terms = np.fromiter(set(question_ids).union(*expansion_id_lists),
                                 dtype=np.int64)
             offsets = self.post_offsets
@@ -441,18 +435,18 @@ class Index:
             if (n + 1) * postings <= self.doc_count:
                 return self._search_packed(question_ids, expansion_id_lists,
                                            k)
-        return self._search_dense(question_ids, expansion_id_lists, k, shared)
+        return self._search_dense(question_ids, expansion_id_lists, k)
 
-    def _search_dense(self, question_ids, expansion_id_lists, k: int,
-                      floored: bool) -> "SetSearch":
+    def _search_dense(self, question_ids, expansion_id_lists,
+                      k: int) -> "SetSearch":
         """``search_set`` of term ids over dense score vectors: the
         question's once, then each expansion's plus the question's,
-        selected above the question's floor θ when ``floored`` and k > 2.
-        At k <= 2 ``_top`` reads no floor, so θ's pass would be waste.
-        The set keeps the question's vector."""
+        selected above the question's floor θ when there are several
+        expansions and k > 2.  At k <= 2 ``_top`` reads no floor, so θ's
+        pass would be waste.  The set keeps the question's vector."""
         question = self.score_all(question_ids)
         floor = 0.0
-        if floored and k > 2:
+        if len(expansion_id_lists) > 1 and k > 2:
             positive = question[question > 0.0]
             if len(positive) >= k:
                 floor = np.partition(positive, len(positive) - k)[
@@ -644,7 +638,7 @@ class SetSearch:
 
     def top(self, i: int, k: int) -> RankedList:
         """Expansion ``i``'s top ``k``, equal bit for bit to
-        ``Index.search_expanded(question, [expansions[i]], k)[0]``: a
+        ``Index.search_set(question, [expansions[i]], k).lists[0]``: a
         prefix of its list when ``k`` is no deeper than the set's, else
         ``_top`` of its scores, a packed set's row or, for a dense set,
         the expansion's vector plus the kept question's.  No floor is

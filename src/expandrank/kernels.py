@@ -14,7 +14,7 @@ round differently.
 query-term order, exactly as a term-at-a-time loop would sum it.
 
 An expanded query, "question + expansion", is scored by parts, by the
-rule ``Index.search_expanded`` states: each part is summed as above over
+rule ``Index.search_set`` states: each part is summed as above over
 its own terms.  Packed, the question is one more row of a single
 ``bincount`` over the same gather, summed the same way.
 """

@@ -78,10 +78,11 @@ class Choice:
     """What a strategy chose for one question: the parts of the query it
     issues, and that query's top k when choosing already retrieved it.
     An expanded query is searched by parts, as labeling searches it
-    (``Index.search_expanded``), so a chosen candidate's final list is its
-    labeling list at the same k: ``oracle`` keeps the winner's labeling
-    list, and ``ear_rd`` cuts the winner's list from the scores of its
-    top-2 set search (``reranker.select_best``)."""
+    (``Index.search_set``), so a chosen candidate's final list is its
+    labeling list at the same k: ``choose`` cuts both lists it keeps,
+    ``oracle``'s from the winner's labeling list and ``ear_rd``'s from
+    the scores of the winner's top-2 set search
+    (``reranker.select_best``)."""
     question: str
     # the chosen candidate, the joined candidates for ``concat``, or None
     # for a bare search
@@ -95,7 +96,7 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
     """What ``spec``'s strategy issues for one question, chosen from ``cs``
     capped at ``spec.cap_n``; the caller has passed it through
     ``check_strategy``.  ``oracle`` and ``ear_rd`` keep the winner's
-    list."""
+    list, cut here to ``spec.k_retrieve``."""
     q = qa.question
     if not spec.needs.candidates:
         return Choice(q, None, None)
@@ -105,16 +106,17 @@ def choose(spec: StrategySpec, index: Index, store: PassageStore,
         cs = truncate(cs, spec.cap_n)
     if spec.kind == "concat":
         return Choice(q, " ".join(c.text for c in cs.candidates), None)
+    if spec.kind == "greedy":
+        return Choice(q, cs.candidates[0].text, None)
     k = spec.k_retrieve
     if spec.kind == "oracle":
         labels, lists = label_candidates(index, store, qa, cs, k)
         best = labels.index(min(labels))  # ties go to the earliest
         return Choice(q, cs.candidates[best].text,
                       lists[best].head(k))  # searched at max(k, 2)
-    if spec.kind == "greedy":
-        return Choice(q, cs.candidates[0].text, None)
-    chosen, ranked = select_best(model, q, cs, featurizer, k)  # ear_ri/_rd
-    return Choice(q, chosen.text, ranked)
+    best, found = select_best(model, q, cs, featurizer)  # ear_ri/_rd
+    return Choice(q, cs.candidates[best].text,
+                  found.top(best, k) if found else None)
 
 
 def retrieve(spec: StrategySpec, index: Index, choice: Choice) -> RankedList:
@@ -125,7 +127,7 @@ def retrieve(spec: StrategySpec, index: Index, choice: Choice) -> RankedList:
         return choice.ranked
     if choice.expansion is None:
         return index.search(choice.question, k)
-    return index.search_expanded(choice.question, [choice.expansion], k)[0]
+    return index.search_set(choice.question, [choice.expansion], k).lists[0]
 
 
 def run_strategy(spec: StrategySpec, index: Index, store: PassageStore,

@@ -15,13 +15,12 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import PassageStore
-from .expansion import CandidateSet, ExpansionCandidate
-from .index import Index, RankedList
+from .expansion import CandidateSet
+from .index import Index, SetSearch
 from .text import normalize
 
 RI_SCHEMA = "ri-v2"   # 8 features
@@ -355,23 +354,17 @@ def train(examples, cfg: TrainConfig, variant: str,
     return ScorerModel(variant, schema, w, mean, std)
 
 
-class Selection(NamedTuple):
-    """What ``select_best`` chose, and its list when selecting searched."""
-    candidate: ExpansionCandidate
-    ranked: RankedList | None  # RD: the chosen query's top k; RI: None
-
-
 def select_best(model: ScorerModel, question: str, cs: CandidateSet,
-                featurizer: Featurizer, k: int = 2) -> Selection:
-    """The argmin-score candidate, ties to the earliest index.
+                featurizer: Featurizer) -> tuple[int, SetSearch | None]:
+    """The position in ``cs`` of the argmin-score candidate, ties to the
+    earliest, and the set search it was chosen from.
 
     RD featurizes each candidate's top 2 of "question + candidate", from
-    one search of the set (``Index.search_set``), and returns the chosen
-    candidate's top ``k`` cut from the scores that search kept
-    (``SetSearch.top``), equal bit for bit to
-    ``Index.search_expanded(question, [chosen], k)``; so ``ear_rd``'s n
+    one search of the set (``Index.search_set``), and returns that
+    search, from whose scores ``pipeline.choose`` cuts the chosen
+    candidate's final list (``SetSearch.top``); so ``ear_rd``'s n
     candidates cost n expansions scored, not n + 1.  RI searches nothing
-    and returns no list.
+    and returns None.
     """
     texts = [c.text for c in cs.candidates]
     found = (featurizer.index.search_set(question, texts, 2)
@@ -379,6 +372,4 @@ def select_best(model: ScorerModel, question: str, cs: CandidateSet,
     lists = found.lists if found else []
     feats = featurizer.features(model.variant, question, texts,
                                 [rl.entries for rl in lists])
-    best = int(np.argmin(model.score(feats)))
-    return Selection(cs.candidates[best],
-                     found.top(best, k) if found else None)
+    return int(np.argmin(model.score(feats))), found

@@ -111,7 +111,7 @@ def reference_search(index, query_text, k):
 
 def reference_parts_scores(index, question_ids, expansion_ids):
     """The score of "question + expansion" by parts, which
-    ``Index.search_expanded`` must equal bit for bit: the question's loop
+    ``Index.search_set`` must equal bit for bit: the question's loop
     sum plus the expansion's, fl(S_q + S_e), one addition per document."""
     return (reference_score_all(index, question_ids)
             + reference_score_all(index, expansion_ids))
@@ -119,7 +119,9 @@ def reference_parts_scores(index, question_ids, expansion_ids):
 
 def reference_expanded_search(index, question, expansion, k):
     """(pid, score) pairs of the top ``k`` of "question + expansion" by
-    parts; an empty ``expansion`` gives the bare question's search."""
+    parts, which ``Index.search_set`` must equal for each expansion of a
+    set, and ``SetSearch.top`` at any depth; an empty ``expansion`` gives
+    the bare question's search."""
     return reference_top(index, reference_parts_scores(
         index, reference_term_ids(index, question),
         reference_term_ids(index, expansion)), k)
@@ -210,7 +212,7 @@ def reference_strategy_query(spec, index, store, qa, cs, model, featurizer):
                         spec.k_retrieve + 1)
         chosen = min(cs.candidates, key=label)
     else:  # ear_ri / ear_rd
-        chosen = select_best(model, q, cs, featurizer).candidate
+        chosen = cs.candidates[select_best(model, q, cs, featurizer)[0]]
     return q, chosen.text
 
 

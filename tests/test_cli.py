@@ -13,7 +13,7 @@ import pytest
 
 from expandrank import cli, evalbench, expansion, pipeline, reranker
 from expandrank.cli import main
-from expandrank.corpus import load_corpus
+from expandrank.corpus import Passage, QAExample, load_corpus
 from expandrank.index import MAGIC, Index
 from expandrank.passage_reranker import PR_DIM, PassageScorer
 from expandrank.synth import (make_planted, write_corpus, write_expansions,
@@ -389,6 +389,39 @@ class TestPipelineCmds:
         assert run("retrieve", *inputs, "--strategy", "bm25",
                    "--pr-model", pr, "--out", out) == 0
         assert run_tags(out) == {"bm25+pr"}
+
+    def test_cap_applies_after_dedup(self, tmp_path):
+        """``--cap-n`` keeps the first n distinct candidates: of the rows
+        "Blue cat", "blue CAT!" and "red dog", the second repeats the first
+        once normalized, so ``concat --cap-n 2`` issues the question plus
+        "Blue cat red dog".  Capping the rows before they are deduplicated
+        would issue "Blue cat" alone, which ranks the passages otherwise."""
+        write_corpus([Passage(id=f"p{i}", title="", text=text)
+                      for i, text in enumerate((
+                          "the blue cat sleeps", "a red dog barks",
+                          "the cat and the dog play", "pets play at home",
+                          "a red kite"))], tmp_path / "corpus.jsonl")
+        question = "which pets play"
+        write_questions([QAExample("q1", question, ("home",))],
+                        tmp_path / "questions.jsonl")
+        (tmp_path / "expansions.jsonl").write_text("".join(
+            json.dumps({"qid": "q1", "text": text}) + "\n"
+            for text in ("Blue cat", "blue CAT!", "red dog")))
+        assert run("index", "--corpus", tmp_path / "corpus.jsonl",
+                   "--out", tmp_path / "idx.bin") == 0
+        assert run("retrieve", "--index", tmp_path / "idx.bin",
+                   "--corpus", tmp_path / "corpus.jsonl",
+                   "--questions", tmp_path / "questions.jsonl",
+                   "--expansions", tmp_path / "expansions.jsonl",
+                   "--strategy", "concat", "--cap-n", 2,
+                   "--out", tmp_path / "capped.trec") == 0
+        index = Index.load(tmp_path / "idx.bin")
+        (want,) = index.search_set(question, ["Blue cat red dog"], 100).lists
+        (rows_capped,) = index.search_set(question, ["Blue cat"], 100).lists
+        assert want != rows_capped
+        evalbench.write_run({"q1": want}, tmp_path / "want.trec", "concat")
+        assert (tmp_path / "capped.trec").read_bytes() == \
+            (tmp_path / "want.trec").read_bytes()
 
     def test_fuse_keeps_qids_missing_from_first_run(self, workdir):
         (workdir / "one.trec").write_text("q1 Q0 a 1 2.0 t\n")

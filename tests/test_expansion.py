@@ -280,13 +280,13 @@ class TestSearchCandidates:
     def test_singleton_equals_search(self, small_corpus):
         store, index = small_corpus
         q, e = make_random_queries(2, list(store), seed=4)
-        got = index.search_expanded(q, [e], 10)
+        got = index.search_set(q, [e], 10).lists
         assert got[0].entries == reference_expanded_search(index, q, e, 10)
 
     def test_matches_sequential(self, small_corpus):
         store, index = small_corpus
         q, *texts = make_random_queries(50, list(store), seed=6)
-        lists = index.search_expanded(q, texts, 20)
+        lists = index.search_set(q, texts, 20).lists
         assert len(lists) == len(texts)
         for text, rl in zip(texts, lists):
             assert rl.entries == reference_expanded_search(index, q, text, 20)
@@ -326,9 +326,9 @@ class TestSearchCandidates:
         candidates = [c.text for c in candidate_set.candidates]
         q_ids = index.term_ids(question)
         ids = [index.term_ids(c) for c in candidates]
-        for lists in (index.search_expanded(question, candidates, k),
+        for lists in (index.search_set(question, candidates, k).lists,
                       index._search_packed(q_ids, ids, k).lists,
-                      index._search_dense(q_ids, ids, k, True).lists):
+                      index._search_dense(q_ids, ids, k).lists):
             for rl, c in zip(lists, candidates, strict=True):
                 want = reference_expanded_search(index, question, c, k)
                 assert rl.pids() == [pid for pid, _ in want]
@@ -365,7 +365,7 @@ class TestSearchCandidates:
         ids = [index.term_ids(c) for c in candidates]
         for found in (index.search_set(question, candidates, k),
                       index._search_packed(q_ids, ids, k),
-                      index._search_dense(q_ids, ids, k, True)):
+                      index._search_dense(q_ids, ids, k)):
             for i, c in enumerate(candidates):
                 for depth in (1, 2, 3, 100):
                     want = reference_expanded_search(index, question, c,
@@ -400,9 +400,9 @@ class TestSearchCandidates:
                 candidates = set_of[qa.qid]
                 with monkeypatch.context() as m:
                     m.setattr(Index, "_search_packed", counting)
-                    lists = index.search_expanded(
+                    lists = index.search_set(
                         qa.question, [c.text for c in candidates.candidates],
-                        100)
+                        100).lists
                 assert len(packed) == n_packed
                 packed.clear()
                 if i >= n_checked:
@@ -423,10 +423,9 @@ class TestSearchCandidates:
         depths = []
         search_dense = Index._search_dense
 
-        def counting(self, question_ids, expansion_id_lists, k, floored):
+        def counting(self, question_ids, expansion_id_lists, k):
             depths.append(k)
-            return search_dense(self, question_ids, expansion_id_lists, k,
-                                floored)
+            return search_dense(self, question_ids, expansion_id_lists, k)
 
         def no_packing(*args, **kwargs):
             raise AssertionError("a dense set was packed")
@@ -457,8 +456,8 @@ class TestSearchCandidates:
         monkeypatch.setattr(Index, "_search_packed", no_packing)
         for qa in planted.questions:
             candidate = planted.candidates[qa.qid].candidates[0]
-            (rl,) = planted_index.search_expanded(qa.question,
-                                                  [candidate.text], 100)
+            (rl,) = planted_index.search_set(qa.question,
+                                             [candidate.text], 100).lists
             assert rl.entries == reference_expanded_search(
                 planted_index, qa.question, candidate.text, 100)
 

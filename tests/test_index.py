@@ -487,7 +487,7 @@ class TestKernelParity:
     def test_counted_terms_match_loop(self, index, data):
         """Query terms counted 1 to 7 times, an empty query and terms with
         empty posting lists: ``score_all`` equals the loop bit for bit, and
-        ``search_expanded`` of the first query plus each of the others,
+        ``search_set`` of the first query plus each of the others,
         alone and as a set, equals the parts reference on its packed and
         its dense path."""
         vocab_size = len(index.terms)
@@ -510,12 +510,12 @@ class TestKernelParity:
         dtype = index.search(q_text, k)._rows.dtype
         # each expansion alone, as ``retrieve`` searches its choice, then
         # the set on every path
-        searches = [([ids], index.search_expanded(q_text, [text], k))
+        searches = [([ids], index.search_set(q_text, [text], k).lists)
                     for ids, text in zip(expansions, texts)]
         searches += [(expansions, lists) for lists in (
-            index.search_expanded(q_text, texts, k),
+            index.search_set(q_text, texts, k).lists,
             index._search_packed(question, expansions, k).lists,
-            index._search_dense(question, expansions, k, True).lists)]
+            index._search_dense(question, expansions, k).lists)]
         for expansion_id_lists, lists in searches:
             for rl, ids in zip(lists, expansion_id_lists, strict=True):
                 assert rl._rows.dtype == dtype
@@ -569,7 +569,7 @@ class TestPartialTopK:
            st.integers(0, 60))
     def test_search_matches_full_sort(self, texts, query, others, filler):
         # ``filler`` passages on no query's list make the set's lists short
-        # next to the corpus, so ``search_expanded`` packs some sets
+        # next to the corpus, so ``search_set`` packs some sets
         passages = [Passage(id=f"p{i:02d}.{j}", title="", text=text)
                     for i, (text, copies) in enumerate(texts)
                     for j in range(copies)]
@@ -590,29 +590,29 @@ class TestPartialTopK:
             assert index.search(query, k).entries == \
                 reference_search(index, query, k)
             dtype = index.search(query, k)._rows.dtype
-            for lists in (index.search_expanded(query, expansions, k),
+            for lists in (index.search_set(query, expansions, k).lists,
                           index._search_packed(q_ids, ids, k).lists,
-                          index._search_dense(q_ids, ids, k, True).lists,
+                          index._search_dense(q_ids, ids, k).lists,
                           # each expansion alone: one dense list, no floor
                           [rl for e in expansions
-                           for rl in index.search_expanded(query, [e], k)]):
+                           for rl in index.search_set(query, [e], k).lists]):
                 assert len(lists) == len(expansions)
                 for e, rl in zip(expansions, lists):
                     assert rl.entries == \
                         reference_expanded_search(index, query, e, k)
                     assert rl._rows.dtype == dtype
 
-    def test_search_expanded_edges(self, small_corpus):
+    def test_search_set_edges(self, small_corpus):
         store, index = small_corpus
         question, *others = make_random_queries(3, list(store), seed=2)
         with pytest.raises(ValueError, match="k must be >= 1"):
-            index.search_expanded(question, others, 0)
-        assert index.search_expanded(question, [], 5) == []
+            index.search_set(question, others, 0)
+        assert index.search_set(question, [], 5).lists == []
         # an expansion with no term ids searches the bare question
-        assert index.search_expanded(question, ["", "the of"], 5) == \
+        assert index.search_set(question, ["", "the of"], 5).lists == \
             [index.search(question, 5)] * 2
         for lists in (index._search_packed([], [[], []], 5).lists,
-                      index._search_dense([], [[], []], 5, True).lists):
+                      index._search_dense([], [[], []], 5).lists):
             for rl in lists:
                 assert len(rl) == 0
                 assert rl.scores.dtype == np.float64
@@ -684,10 +684,10 @@ class TestZeroDocuments:
         empty = RankedList([], [])
         assert empty_index.search("red gold", k) == empty
         for expansions in (["gold"], ["gold", "red blue"]):
-            assert empty_index.search_expanded("red gold", expansions,
-                                               k) == [empty] * len(expansions)
-        assert empty_index._search_dense([1], [[0], [0, 1]], k,
-                                         True).lists == [empty] * 2
+            assert empty_index.search_set("red gold", expansions,
+                                          k).lists == [empty] * len(expansions)
+        assert empty_index._search_dense([1], [[0], [0, 1]],
+                                         k).lists == [empty] * 2
 
     @pytest.mark.parametrize("k", [1, 2, 100])
     def test_every_cut_of_a_set_is_empty(self, empty_index, k):
@@ -695,7 +695,7 @@ class TestZeroDocuments:
         any depth."""
         empty = RankedList([], [])
         for found in (empty_index._search_packed([1], [[0], [0, 1]], k),
-                      empty_index._search_dense([1], [[0], [0, 1]], k, True)):
+                      empty_index._search_dense([1], [[0], [0, 1]], k)):
             assert [found.top(i, depth) for i in (0, 1)
                     for depth in (1, 2, 3, 100)] == [empty] * 8
 

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expandrank import expansion, text
+from expandrank import expansion, kernels, text
 from expandrank.corpus import Passage, PassageStore, QAExample
 from expandrank.evalbench import min_answer_rank, read_run, topk_accuracy, write_run
 from expandrank.expansion import (CandidateSet, ExpansionCandidate,
                                   label_candidates, truncate)
-from expandrank.index import Bm25Params, Index, RankedList, build_index
+from expandrank.index import (Bm25Params, Index, RankedList, SetSearch,
+                              build_index)
 from expandrank.pipeline import (STRATEGIES, StrategySpec, choose, fuse,
                                  retrieve, run_dataset, run_strategy)
 from expandrank.reranker import Featurizer
@@ -228,21 +229,20 @@ class TestChoose:
                                                  monkeypatch):
         """The oracle's run is the chosen candidate's labeling list, so n
         candidates cost n expansions scored, not n + 1: the expansion rows
-        of ``search_expanded`` plus any ``search`` call."""
+        of ``search_set`` plus any ``search`` call."""
         fx, store, index = planted20
         scored = []
-        search_expanded, search = Index.search_expanded, Index.search
+        search_set, search = Index.search_set, Index.search
 
         def expanded(self, question, expansions, *args, **kwargs):
             scored.extend(expansions)
-            return search_expanded(self, question, expansions, *args,
-                                   **kwargs)
+            return search_set(self, question, expansions, *args, **kwargs)
 
         def single(self, *args, **kwargs):
             scored.append(args)
             return search(self, *args, **kwargs)
 
-        monkeypatch.setattr(Index, "search_expanded", expanded)
+        monkeypatch.setattr(Index, "search_set", expanded)
         monkeypatch.setattr(Index, "search", single)
         spec = StrategySpec(kind="oracle")
         for qa in fx.questions:
@@ -298,6 +298,60 @@ class TestChoose:
                 assert scored == ([] if packs else [
                     term_ids(index, t) for t in (qa.question, *texts,
                                                  chosen)])
+
+    @pytest.mark.parametrize("reranked", [False, True])
+    @pytest.mark.parametrize("kind", sorted(STRATEGIES))
+    def test_one_search_call_per_question(self, request, planted,
+                                          planted_store, planted_index,
+                                          featurizer, planted20, pr_scorer,
+                                          monkeypatch, kind, reranked):
+        """Every strategy issues one search call per question, with or
+        without passage reranking: ``bm25`` one ``search``, every other
+        strategy one ``search_set``, from whose scores ``oracle`` and
+        ``ear_rd`` also cut their final list.  No posting is gathered
+        outside those calls and ``SetSearch.top``, so a second search path
+        fails here; on packed sets (``planted``) and dense ones (the
+        20-question fixture)."""
+        calls, depth = [], [0]
+
+        def entry(name, fn):
+            def wrapped(*args, **kwargs):
+                if name:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        gather = kernels.gather_postings
+
+        def gathering(*args, **kwargs):
+            assert depth[0], "postings gathered outside a search call"
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(Index, "search", entry("search", Index.search))
+        monkeypatch.setattr(Index, "search_set",
+                            entry("search_set", Index.search_set))
+        monkeypatch.setattr(SetSearch, "top", entry(None, SetSearch.top))
+        monkeypatch.setattr(kernels, "gather_postings", gathering)
+        scorer = STRATEGIES[kind].scorer
+        model = (request.getfixturevalue(f"{scorer.lower()}_model")
+                 if scorer else None)
+        spec = StrategySpec(kind=kind)
+        fx, store20, index20 = planted20
+        for questions, set_of, store, index, f in (
+                (planted.questions[:20], planted.candidates, planted_store,
+                 planted_index, featurizer),
+                (fx.questions, fx.candidates, store20, index20,
+                 Featurizer(index20, store20))):
+            for qa in questions:
+                calls.clear()
+                run_strategy(spec, index, store, qa, set_of[qa.qid], model, f,
+                             pr_scorer if reranked else None)
+                assert calls == ["search" if kind == "bm25"
+                                 else "search_set"]
 
     def test_ear_rd_stems_each_surface_token_once(self, planted20, rd_model,
                                                   monkeypatch):
@@ -401,8 +455,8 @@ class TestChoose:
                 (found,) = kept
                 kept.clear()
                 got = choice.ranked
-                (want,) = index.search_expanded(qa.question,
-                                                [choice.expansion], k)
+                (want,) = index.search_set(qa.question,
+                                           [choice.expansion], k).lists
                 kept.clear()
                 assert got.pids() == want.pids()
                 assert got.scores.tobytes() == want.scores.tobytes()

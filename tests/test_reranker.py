@@ -551,7 +551,8 @@ def selection_accuracy(model, qa_list, planted, store, index, cfg, featurizer):
         cands = planted.candidates[qa.qid]
         labels, _ = label_candidates(index, store, qa, cands, cfg.k_retrieve)
         min_r = min(labels)
-        chosen = select_best(model, qa.question, cands, featurizer).candidate
+        chosen = cands.candidates[select_best(model, qa.question, cands,
+                                              featurizer)[0]]
         if labels[cands.candidates.index(chosen)] == min_r:
             correct += 1
     return correct / len(qa_list)
@@ -561,15 +562,15 @@ class TestSelectBest:
     def test_singleton(self, ri_model, featurizer):
         only = ExpansionCandidate(text="sole expansion")
         cs = CandidateSet(qid="q", candidates=[only])
-        assert select_best(ri_model, "a question", cs,
-                           featurizer).candidate is only
+        assert cs.candidates[select_best(ri_model, "a question", cs,
+                                         featurizer)[0]] is only
 
     def test_tie_goes_to_earliest(self, featurizer):
         m = ScorerModel("RI", RI_SCHEMA, np.zeros(8), np.zeros(8), np.ones(8))
         cs = CandidateSet(qid="q", candidates=[
             ExpansionCandidate(text="first"), ExpansionCandidate(text="second"),
         ])
-        assert select_best(m, "q", cs, featurizer).candidate.text == "first"
+        assert select_best(m, "q", cs, featurizer)[0] == 0
 
     @pytest.mark.parametrize("variant", ["RI", "RD"])
     def test_equal_rows_go_to_index_0(self, featurizer, variant):
@@ -588,14 +589,13 @@ class TestSelectBest:
         assert len(cs.candidates) == 37
         tops = None
         if variant == "RD":
-            tops = [rl.entries for rl in featurizer.index.search_expanded(
-                question, texts_of(cs), 2)]
+            tops = [rl.entries for rl in featurizer.index.search_set(
+                question, texts_of(cs), 2).lists]
             assert all(len(t) == 2 for t in tops)
         rows = featurizer.features(variant, question,
                                    [c.text for c in cs.candidates], tops)
         assert (rows == rows[0]).all()
-        assert select_best(m, question, cs, featurizer).candidate \
-            is cs.candidates[0]
+        assert select_best(m, question, cs, featurizer)[0] == 0
 
     def test_rd_selects_on_exact_k2_lists(self, planted, planted_split,
                                           rd_model, featurizer, monkeypatch):
@@ -630,7 +630,8 @@ class TestSelectBest:
         sizes = set()
         for f, question, cands in cases:
             seen.clear()
-            pick = select_best(rd_model, question, cands, f).candidate
+            pick = cands.candidates[select_best(rd_model, question, cands,
+                                                f)[0]]
             (tops,) = seen
             texts = texts_of(cands)
             assert tops == [reference_expanded_search(f.index, question, t, 2)
@@ -644,14 +645,14 @@ class TestSelectBest:
     def test_affine_score_invariance(self, planted, ri_model, featurizer):
         qa = planted.questions[5]
         cs = planted.candidates[qa.qid]
-        base = select_best(ri_model, qa.question, cs, featurizer).candidate
+        base = select_best(ri_model, qa.question, cs, featurizer)[0]
         shifted = ScorerModel(
             ri_model.variant, ri_model.schema_id,
             ri_model.weights * 3.0,  # positive scaling preserves the argmin
             ri_model.feature_mean, ri_model.feature_std,
         )
         assert select_best(shifted, qa.question, cs,
-                           featurizer).candidate is base
+                           featurizer)[0] == base
 
     def test_empty_set_rejected(self, ri_model, featurizer):
         with pytest.raises(ValueError):

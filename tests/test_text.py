@@ -166,7 +166,7 @@ class TestAnalyzer:
         q_ids, c_ids = index.term_ids(question), index.term_ids(candidate)
         assert (q_ids, c_ids) == (reference_term_ids(index, question),
                                   reference_term_ids(index, candidate))
-        got = index.search_expanded(question, [candidate], 10)[0]
+        got = index.search_set(question, [candidate], 10).lists[0]
         assert got.entries == \
             reference_expanded_search(index, question, candidate, 10)
 
