@@ -190,18 +190,20 @@ def read_run(path) -> dict[str, RankedList]:
     lines must carry one tag, the run's name; the lists do not keep it."""
     # qid -> (tag, pids, scores), in first-seen order.  Each pid is kept
     # as the str first read for it, so the lists share their pid strings;
-    # scores are unboxed doubles.
+    # scores are unboxed doubles.  A run's lines come grouped by qid, so
+    # the current qid's column is held in locals and a qid is looked up
+    # only where it changes.
     columns: dict[str, tuple[str, list[str], array]] = {}
     pid_of: dict[str, str] = {}
+    qid = None
     with open_utf8(path, RunFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 6:
                 raise RunFormatError(f"{path}:{lineno}: expected 6 columns")
-            qid, _q0, pid, rank_s, score_s, tag = parts
+            line_qid, _q0, pid, rank_s, score_s, tag = parts
             try:
                 rank, score = int(rank_s), float(score_s)
             except ValueError as exc:
@@ -209,8 +211,10 @@ def read_run(path) -> dict[str, RankedList]:
             if not math.isfinite(score):
                 raise RunFormatError(
                     f"{path}:{lineno}: score {score_s} is not finite")
-            first_tag, pids, scores = columns.setdefault(
-                qid, (tag, [], array("d")))
+            if line_qid != qid:
+                qid = line_qid
+                first_tag, pids, scores = columns.setdefault(
+                    qid, (tag, [], array("d")))
             if tag != first_tag:
                 raise RunFormatError(f"{path}:{lineno}: tag {tag} differs "
                                      f"from qid {qid}'s tag {first_tag}")

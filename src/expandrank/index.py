@@ -125,7 +125,9 @@ class RankedList:
         return self._table[self._rows].tolist()
 
     def head(self, n: int) -> "RankedList":
-        """The first ``n`` entries."""
+        """The first ``n`` entries: the list itself when it has no more."""
+        if n >= len(self._rows):
+            return self
         return RankedList._of_rows(self._table, self._rows[:n],
                                    self.scores[:n])
 
@@ -270,7 +272,9 @@ class Index:
     def term_overlap(self, tokens, docs) -> np.ndarray:
         """For each of the internal doc ids ``docs``, the share of the
         distinct terms of the normalized ``tokens`` whose posting list holds
-        it; 0.0 when no token has a term.
+        it; 0.0 when no token has a term.  One ``bincount`` over those
+        terms' posting lists counts, for every document, how many of the
+        lists hold it, since a list holds a document at most once.
 
         The terms are the distinct term ids of the tokens in the vocabulary
         (``surface_terms``), plus one per distinct token outside it that is
@@ -289,17 +293,11 @@ class Index:
         n_terms = len(term_ids) + unseen
         if not n_terms:
             return np.zeros(len(docs))
-        offsets, post_docs = self.post_offsets, self.post_docs
-        docs = np.asarray(docs, dtype=post_docs.dtype)
-        hits = np.zeros(len(docs), dtype=np.intp)
-        for t in term_ids:
-            posting = post_docs[offsets[t]:offsets[t + 1]]
-            # a loaded index may hold a term on no document's list
-            if len(posting):
-                # posting lists ascend, so each doc is looked up by bisection
-                at = posting.searchsorted(docs)
-                hits += posting[np.minimum(at, len(posting) - 1)] == docs
-        return hits / n_terms
+        offset, post_docs = self.post_offsets.item, self.post_docs
+        held = np.concatenate([post_docs[offset(t):offset(t + 1)]
+                               for t in term_ids] or [post_docs[:0]])
+        hits = np.bincount(held, minlength=self.doc_count)
+        return hits[docs] / n_terms
 
     def docs_of(self, rl: RankedList) -> np.ndarray:
         """The internal doc id of each entry of ``rl``: its rows, when they
@@ -329,13 +327,16 @@ class Index:
         return self._pid_objs[docs].tolist()
 
     def score_all(self, term_ids) -> np.ndarray:
-        """Dense score vector over internal doc ids for a query's term ids."""
-        counts = Counter(term_ids)
-        tids = sorted(counts)
+        """Dense score vector over internal doc ids for a query's term ids:
+        the kernel takes the distinct ids ascending, and their counts only
+        when an id repeats."""
+        distinct = sorted(set(term_ids))
+        counts = None
+        if len(distinct) < len(term_ids):
+            counts = list(map(Counter(term_ids).__getitem__, distinct))
         return kernels.score_query(
-            np.array(tids, dtype=np.int64), list(map(counts.get, tids)),
-            self.post_offsets, self.post_docs, self._impact, self._counted,
-            self.doc_count)
+            np.array(distinct, dtype=np.int64), counts, self.post_offsets,
+            self.post_docs, self._impact, self._counted, self.doc_count)
 
     def search(self, query_text: str, k: int) -> RankedList:
         """Top-``k`` positively scoring passages for ``query_text``, ties to
@@ -357,22 +358,24 @@ class Index:
         A list of at most 2 (RD's, for every candidate of a set) takes k
         ``argmax`` passes, each the first maximum, so the smaller pid, and
         stops at the first that is not above 0.  The floor only bounds
-        where the top k lies, so this ignores it; each pick is set to -inf
-        for the next pass and restored after the last.  A vector of no
+        where the top k lies, so this ignores it; the first pick is set to
+        -inf for the second pass and restored after it.  A vector of no
         documents, which has no argmax, takes the general path.
         """
         if k <= 2 and len(scores):
-            at, top = [], []
-            for _ in range(k):
-                i = int(scores.argmax())
-                score = float(scores[i])
-                if not score > 0.0:
-                    break
-                at.append(i)
-                top.append(score)
+            i = int(scores.argmax())
+            first = float(scores[i])
+            if not first > 0.0:
+                at, top = [], []
+            elif k == 1:
+                at, top = [i], [first]
+            else:
                 scores[i] = -np.inf
-            for i, score in zip(at, top):
-                scores[i] = score
+                j = int(scores.argmax())
+                second = float(scores[j])
+                scores[i] = first
+                at, top = (([i, j], [first, second]) if second > 0.0
+                           else ([i], [first]))
             top = np.array(top, np.float64)
         else:
             pos = np.flatnonzero(scores >= floor if floor > 0.0
@@ -481,10 +484,12 @@ class Index:
         keys += np.repeat(np.arange(n, dtype=np.int64) * vocab_size, sizes)
         keys, weights = np.unique(keys, return_counts=True)
         term_row = keys // vocab_size
-        docs, contributions, counts = kernels.gather_postings(
-            keys - term_row * vocab_size, weights.tolist(),
-            self.post_offsets, self.post_docs, self._impact, self._counted)
-        row_of = np.repeat(term_row, counts)
+        term_ids = keys - term_row * vocab_size
+        offsets = self.post_offsets
+        docs, contributions = kernels.gather_postings(
+            term_ids, weights.tolist(), offsets, self.post_docs,
+            self._impact, self._counted)
+        row_of = np.repeat(term_row, offsets[term_ids + 1] - offsets[term_ids])
         # columns follow doc id, so a tie goes to the smaller pid
         cols, col_of = np.unique(docs, return_inverse=True)
         width = len(cols)

@@ -13,6 +13,11 @@ round differently.
 ``bincount`` adds in array order, so every document's score is summed in
 query-term order, exactly as a term-at-a-time loop would sum it.
 
+``Index.score_all`` passes the kernel a query's distinct term ids,
+ascending, as an int64 array, and a count list only when a term repeats:
+None says that every term is counted once, so a query of distinct terms
+takes no ``Counter`` and reads no count per term.
+
 An expanded query, "question + expansion", is scored by parts, by the
 rule ``Index.search_set`` states: each part is summed as above over
 its own terms.  Packed, the question is one more row of a single
@@ -28,37 +33,42 @@ USING_NUMBA = False
 
 
 def gather_postings(term_ids, term_counts, post_offsets, post_docs,
-                    contributions, counted) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]:
-    """The postings of ``term_ids``, term by term: their docs, their
-    contributions to the score, and each term's posting count.
+                    contributions, counted) -> tuple[np.ndarray, np.ndarray]:
+    """The postings of ``term_ids``, an int64 array, term by term: their
+    docs and their contributions to the score.
 
-    ``term_counts`` are the terms' query counts, ints.  ``contributions``
-    holds each posting's contribution for its term counted once; a term
-    counted c ≠ 1 times takes ``counted(span, term, c)``, the contributions
-    of its postings ``span`` for the term counted c times.  ``term_ids``
-    may hold several queries' terms one after the other; each query's
-    postings then come in that query's own term order.
+    ``term_counts`` are the terms' query counts, ints, or None when each
+    term is counted once.  ``contributions`` holds each posting's
+    contribution for its term counted once; a term counted c ≠ 1 times
+    takes ``counted(span, term, c)``, the contributions of its postings
+    ``span`` for the term counted c times.  ``term_ids`` may hold several
+    queries' terms one after the other; each query's postings then come
+    in that query's own term order.  Each term's list is sliced by its
+    two offsets, read as Python ints.
     """
-    starts, ends = post_offsets[term_ids], post_offsets[term_ids + 1]
-    spans = [slice(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
+    ids = term_ids.tolist()
+    offset = post_offsets.item
+    spans = [slice(offset(t), offset(t + 1)) for t in ids]
     docs = np.concatenate([post_docs[span] for span in spans]
                           or [post_docs[:0]])
-    weights = np.concatenate(
-        [contributions[span] if c == 1 else counted(span, t, c)
-         for span, t, c in zip(spans, term_ids.tolist(), term_counts)]
-        or [contributions[:0]])
-    return docs, weights, ends - starts
+    if term_counts is None:
+        weights = [contributions[span] for span in spans]
+    else:
+        weights = [contributions[span] if c == 1 else counted(span, t, c)
+                   for span, t, c in zip(spans, ids, term_counts)]
+    return docs, np.concatenate(weights or [contributions[:0]])
 
 
 def score_query(term_ids, term_counts, post_offsets, post_docs,
                 contributions, counted, doc_count) -> np.ndarray:
     """Dense BM25 score vector for one analyzed query.
 
-    ``term_ids`` are distinct; ``term_counts`` are their query counts.
+    ``term_ids`` is an int64 array of the query's distinct term ids,
+    ascending; ``term_counts`` is None when no term repeats, else each
+    term's query count, in the same order.
     """
-    docs, weights, _ = gather_postings(term_ids, term_counts, post_offsets,
-                                       post_docs, contributions, counted)
+    docs, weights = gather_postings(term_ids, term_counts, post_offsets,
+                                    post_docs, contributions, counted)
     # bincount of no postings counts, in int64, whatever the weights' type
     return np.bincount(docs, weights, minlength=doc_count).astype(
         np.float64, copy=False)

@@ -1,13 +1,27 @@
 """Independent brute-force checkers the fast paths are verified against."""
 
 import math
+import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
 
 from expandrank.index import Bm25Params, Index, IndexError_, RankedList
 from expandrank.reranker import select_best
-from expandrank.text import normalize
+
+
+def reference_normalize(raw):
+    """The tokenizer's definition: the maximal ``[0-9a-z]+`` runs of the
+    NFKC-normalized, lowercased text, found by a regex on every text."""
+    return re.findall(r"[0-9a-z]+", unicodedata.normalize("NFKC", raw).lower())
+
+
+def reference_analyze(analyzer, raw):
+    """``analyzer``'s terms of ``raw``: each token of
+    ``reference_normalize`` through ``Analyzer.term``, stopwords dropped."""
+    return [t for t in map(analyzer.term, reference_normalize(raw))
+            if t is not None]
 
 
 _analysis_cache = {}
@@ -28,7 +42,7 @@ def _analyze_store(store, params):
     docs = {}
     for p in sorted(store, key=lambda p: p.id):
         body = f"{p.title} {p.text}" if params.index_titles and p.title else p.text
-        docs[p.id] = Counter(analyzer(body))
+        docs[p.id] = Counter(reference_analyze(analyzer, body))
     _analysis_cache[key] = docs
     return docs
 
@@ -43,7 +57,7 @@ def brute_bm25_scores(store, params, query_text):
     if avgdl == 0:
         avgdl = 1.0
 
-    query_counts = Counter(analyzer(query_text))
+    query_counts = Counter(reference_analyze(analyzer, query_text))
     df = {t: sum(1 for c in docs.values() if t in c) for t in query_counts}
     k1, b = params.k1, params.b
     scores = {}
@@ -74,7 +88,8 @@ def brute_search(store, params, query_text, k):
 def reference_term_ids(index, text):
     """The term ids ``Index.term_ids`` must return: ``text`` analyzed whole,
     each term in the vocabulary looked up, in token order."""
-    return [index.vocab[t] for t in index.analyzer(text) if t in index.vocab]
+    return [index.vocab[t] for t in reference_analyze(index.analyzer, text)
+            if t in index.vocab]
 
 
 def reference_score_all(index, term_ids):
@@ -142,7 +157,7 @@ def reference_build_index(store, params=None):
     for doc, pid in enumerate(pids):
         p = store.get(pid)
         body = f"{p.title} {p.text}" if params.index_titles and p.title else p.text
-        tokens = analyzer(body)
+        tokens = reference_analyze(analyzer, body)
         doc_lengths[doc] = len(tokens)
         for term, tf in sorted(Counter(tokens).items()):
             term_postings.setdefault(term, []).append((doc, tf))
@@ -165,7 +180,7 @@ def brute_term_counts(store, params):
     analyzer = params.analyzer()
     out = {}
     for p in store:
-        for term, tf in Counter(analyzer(p.text)).items():
+        for term, tf in Counter(reference_analyze(analyzer, p.text)).items():
             out.setdefault(term, {})[p.id] = tf
     return out
 
@@ -173,9 +188,9 @@ def brute_term_counts(store, params):
 def reference_contains_answer(passage_text, answers):
     """True iff some answer's normalized tokens equal the passage's tokens at
     some position, compared one token window at a time."""
-    doc = normalize(passage_text)
+    doc = reference_normalize(passage_text)
     for answer in answers:
-        needle = normalize(answer)
+        needle = reference_normalize(answer)
         if not needle:
             continue
         n = len(needle)
@@ -227,10 +242,11 @@ def reference_passage_features(index, store, question, pid, retrieval_score):
     one by one in sorted order."""
     p = store.get(pid)
     titled = index.params.index_titles and p.title
-    terms = index.analyzer(f"{p.title} {p.text}" if titled else p.text)
+    terms = reference_analyze(index.analyzer,
+                              f"{p.title} {p.text}" if titled else p.text)
     known, unseen = set(), 0
-    for token in set(normalize(question)):
-        analyzed = index.analyzer(token)
+    for token in set(reference_normalize(question)):
+        analyzed = reference_analyze(index.analyzer, token)
         if not analyzed:
             continue
         if analyzed[0] in index.vocab:
@@ -251,7 +267,7 @@ def reference_passage_features(index, store, question, pid, retrieval_score):
 def reference_idf(index, token):
     """A candidate token's idf, from its own analysis: 0.0 for a stopword,
     and for a term outside the vocabulary the idf of a term with df 0."""
-    stemmed = index.analyzer(token)
+    stemmed = reference_analyze(index.analyzer, token)
     if not stemmed:
         return 0.0
     tid = index.vocab.get(stemmed[0])
@@ -274,13 +290,13 @@ def reference_char3(tokens):
 
 def reference_ri(featurizer, question, expansion):
     """One RI feature row, built from scratch for one candidate."""
-    qt = set(normalize(question))
-    et = normalize(expansion)
+    qt = set(reference_normalize(question))
+    et = reference_normalize(expansion)
     et_set = set(et)
     overlap = len(et_set & qt) / len(et_set) if et_set else 0.0
     novel = sorted(et_set - qt)
     novel_idfs = [reference_idf(featurizer.index, t) for t in novel]
-    qg, eg = reference_char3(normalize(question)), reference_char3(et)
+    qg, eg = reference_char3(reference_normalize(question)), reference_char3(et)
     union = len(qg | eg)
     return np.array([
         float(len(et)),
@@ -302,10 +318,10 @@ def reference_rd(featurizer, question, expansion, rl):
         return np.concatenate([base, np.zeros(5)])
     scores = rl.scores[:2].tolist()
     top_score = scores[0]
-    d_tokens = normalize(featurizer.store.get(rl.pids()[0]).text)
+    d_tokens = reference_normalize(featurizer.store.get(rl.pids()[0]).text)
     dt = set(d_tokens)
-    qt = set(normalize(question))
-    et_set = set(normalize(expansion))
+    qt = set(reference_normalize(question))
+    et_set = set(reference_normalize(expansion))
     novel = et_set - qt
     novel_overlap = len(novel & dt) / len(novel) if novel else 0.0
     q_overlap = len(qt & dt) / len(qt) if qt else 0.0

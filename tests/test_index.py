@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expandrank import index as index_module
+from expandrank import kernels
 from expandrank.corpus import Passage, PassageStore
 from expandrank.index import (Bm25Params, Index, IndexError_, RankedList,
                              build_index)
@@ -460,6 +461,51 @@ class TestKernelParity:
             slow = reference_score_all(index, tids)
             assert np.any(slow > 0)
             np.testing.assert_array_equal(index.score_all(tids), slow)
+
+    def test_score_query_calls_carry_what_the_tracer_reads(
+            self, small_corpus, monkeypatch):
+        """Every ``kernels.score_query`` call from ``search``, a dense
+        ``search_set`` and a dense ``SetSearch.top`` scores one part: its
+        ``args[0]`` is an int64 array of the part's distinct term ids,
+        ascending, whose ``post_offsets`` spans (``args[2]``) sum to the
+        postings of the part's terms, and a dense set of n expansions makes
+        n + 1 calls.  The benchmark's tracer counts postings from exactly
+        these arguments."""
+        store, index = small_corpus
+        df = {t: len(pids) for t, pids in
+              brute_term_counts(store, PARAMS).items()}
+        calls = []
+        score_query = kernels.score_query
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return score_query(*args, **kwargs)
+
+        def check(texts):
+            parts = [index.term_ids(t) for t in texts]
+            assert len(calls) == len(parts)
+            for args, ids in zip(calls, parts):
+                term_ids, offsets = args[0], args[2]
+                assert isinstance(term_ids, np.ndarray)
+                assert term_ids.dtype == np.int64
+                assert term_ids.tolist() == sorted(set(ids))
+                assert offsets is index.post_offsets
+                assert int((offsets[term_ids + 1] - offsets[term_ids]).sum()) \
+                    == sum(df[index.terms[t]] for t in set(ids))
+            calls.clear()
+
+        monkeypatch.setattr(kernels, "score_query", recording)
+        question, *expansions = make_random_queries(4, list(store), seed=5)
+        # a part whose terms repeat, and one with no terms
+        expansions += [f"{expansions[0]} {expansions[0]}", "the of"]
+        index.search(question, 10)
+        check([question])
+        for k in (2, 10):
+            search = index.search_set(question, expansions, k)
+            assert search._cols is None, "the set must take the dense path"
+            check([question, *expansions])
+            search.top(3, 50)
+            check([expansions[3]])
 
     def test_repeated_and_unknown_terms(self, small_corpus):
         _, index = small_corpus

@@ -1,5 +1,6 @@
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,8 +8,8 @@ from expandrank import synth
 from expandrank.corpus import Passage, PassageStore
 from expandrank.index import Bm25Params, build_index
 from expandrank.text import Analyzer, STOPWORDS, normalize, porter_stem
-from oracles import (reference_expanded_search, reference_porter_stem,
-                     reference_term_ids)
+from oracles import (reference_expanded_search, reference_normalize,
+                     reference_porter_stem, reference_term_ids)
 
 # Every suffix a Porter step tests for, plus "sion"/"tion" for step 4's "ion".
 PORTER_SUFFIXES = """sses ies eed ed ing ational tional enci anci izer abli
@@ -28,6 +29,23 @@ _QUERY_TEXT = st.lists(st.one_of(st.text(max_size=6), st.sampled_from([
 # A candidate may start with a combining mark, which in the expanded query
 # follows the separating space rather than the question's last letter.
 _LEADING_MARK = st.sampled_from(["", "\u0301", "\u0308", "\u0327"])
+# Characters where NFKC or lowercasing changes a text's tokens: a ligature,
+# fullwidth letters and digits, dotted capital I (which lowercases to i plus
+# a combining dot), the Kelvin sign, Roman numeral twelve, a circled digit,
+# capital sharp s, sigma in both final and medial form, a combining acute,
+# Arabic-Indic digits, no-break and ideographic spaces, the ASCII
+# separators \x0b and \x1c that ``str.split`` would also split on, and the
+# trade mark sign, which has no lowercase but folds to capitals, so only
+# NFKC before lowercasing reads it as "tm".
+_NFKC_EDGES = ["\ufb01", "\uff46", "\uff15", "\u0130", "\u212a", "\u216b",
+               "\u2464", "\u1e9e", "\u03a3", "\u03c2", "\u0301", "\u0660",
+               "\u0665", "\u00a0", "\u3000", "\x0b", "\x1c", "\u2122"]
+_TOKENIZER_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet=st.sampled_from(_NFKC_EDGES + list("aZ5_ -")),
+            max_size=24),
+    st.lists(st.one_of(st.text(max_size=4), st.sampled_from(_NFKC_EDGES)),
+             max_size=10).map("".join))
 
 
 @cache
@@ -56,6 +74,24 @@ class TestNormalize:
     def test_unicode_compatibility(self):
         # fullwidth digits and ligatures fold to their compatibility forms
         assert normalize("ﬁve ５") == ["five", "5"]
+
+    @given(_TOKENIZER_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_regex_definition(self, raw):
+        """The ASCII translate-and-split path and the regex path both give
+        the definition's tokens, whichever a text takes."""
+        assert normalize(raw) == reference_normalize(raw)
+
+    @pytest.mark.parametrize("raw, tokens", [
+        ("\ufb01ve \uff4d\uff49\uff4c\uff45\uff53", ["five", "miles"]),
+        ("\u212aelvin \u216b", ["kelvin", "xii"]),
+        ("\u0130stanbul", ["i", "stanbul"]),
+        ("snake_case\x0bTAB\x1cx", ["snake", "case", "tab", "x"]),
+        ("caf\u00e9 \u2464", ["caf", "5"]),
+        ("Caf\u00e9\u2122", ["caf", "tm"]),
+    ])
+    def test_edge_cases(self, raw, tokens):
+        assert normalize(raw) == tokens == reference_normalize(raw)
 
     @given(st.text(max_size=80))
     @settings(max_examples=100, deadline=None)
