@@ -95,7 +95,7 @@ def read_jsonl(path, parse):
                 if not isinstance(row, dict):
                     raise CorpusError("expected a JSON object")
                 value = parse(row)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from None
             except KeyError as exc:
                 raise CorpusError(f"{path}:{lineno}: missing field {exc}") from None
@@ -123,11 +123,18 @@ def id_text(value, key: str) -> str:
 
 def run_id(value, key: str) -> str:
     """A passage id or qid: ``id_text`` that is non-empty and holds no
-    whitespace, since a run file's columns are split on whitespace."""
+    whitespace, since a run file's columns are split on whitespace, and
+    that UTF-8 can encode, since run files are UTF-8."""
     text = id_text(value, key)
     if text.split() != [text]:
         raise ValueError(f"{key} must be non-empty with no whitespace, "
                          f"got {text!r}")
+    if not text.isascii():
+        try:
+            text.encode()
+        except UnicodeEncodeError:  # a lone surrogate
+            raise ValueError(f"{key} {text!r} cannot be encoded as "
+                             f"UTF-8") from None
     return text
 
 

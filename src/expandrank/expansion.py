@@ -12,7 +12,6 @@ import copy
 import hashlib
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .text import normalize
 log = logging.getLogger(__name__)
 
 GENERATOR_TAGS = ("answer", "sentence", "title", "stub", "external")
+_FLOAT_MAX = sys.float_info.max  # no larger number fits a float64
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,8 +243,9 @@ def save_training_set(examples, path) -> None:
 
 
 def finite_number(v) -> bool:
-    """True for a finite int or float parsed from JSON (bools excluded)."""
-    return type(v) in (int, float) and math.isfinite(v)
+    """True for an int or float parsed from JSON (bools excluded) that a
+    float64 holds as a finite value."""
+    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
 def _parse_example(obj, known_pids=None) -> TrainingExample:
@@ -262,7 +263,7 @@ def _parse_example(obj, known_pids=None) -> TrainingExample:
         raise ValueError(f"{len(cands)} candidates, {len(labels)} labels and "
                          f"{len(top2)} top-2 lists do not agree")
     for i, r in enumerate(labels):
-        if type(r) is not int or r < 1:
+        if type(r) is not int or not 1 <= r <= _FLOAT_MAX:
             raise ValueError(f"rank labels are 1-based integers, but "
                              f"labels[{i}] is {r!r}; re-run make-train")
     for i, entries in enumerate(top2):

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -53,7 +54,8 @@ class Bm25Params:
             if type(value) not in kinds:
                 raise IndexError_(f"{name} must be {what}, got "
                                   f"{type(value).__name__}")
-        if not math.isfinite(self.k1):
+        # false for nan, inf and an int that no float64 holds
+        if not abs(self.k1) <= sys.float_info.max:
             raise IndexError_(f"k1 must be finite, got {self.k1}")
         if self.k1 <= 0:
             raise IndexError_(f"k1 must be positive, got {self.k1}")
@@ -571,7 +573,7 @@ class Index:
                 pids, terms = header["pids"], header["terms"]
                 n_post = header["postings"]
                 params = Bm25Params(**header["params"])
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 fail(f"bad header ({exc})")
             if not (isinstance(pids, list) and isinstance(terms, list)
                     and set(map(type, pids)) | set(map(type, terms)) <= {str}):

@@ -16,8 +16,7 @@ import numpy as np
 
 from .corpus import AnswerMatcher, PassageStore
 from .index import Index, RankedList
-from .reranker import (check_schema, linear_model_columns, linear_scores,
-                       read_model_file, standardizer, write_model_file)
+from .reranker import LinearModel, standardizer
 from .text import normalize
 
 log = logging.getLogger(__name__)
@@ -83,32 +82,19 @@ class PRTrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
-class PassageScorer:
+class PassageScorer(LinearModel):
+    """The passage reranker's logistic scorer, over schema ``PR_SCHEMA``."""
+
+    kind = "passage_scorer"
+    schemas = {PR_SCHEMA: (None, PR_DIM)}
+
     def __init__(self, weights: np.ndarray, feature_mean: np.ndarray,
                  feature_std: np.ndarray):
-        self.weights, self.feature_mean, self.feature_std = \
-            linear_model_columns(PR_SCHEMA, None, {PR_SCHEMA: PR_DIM},
-                                 weights, feature_mean, feature_std)
+        super().__init__(None, PR_SCHEMA, weights, feature_mean, feature_std)
 
     def probability(self, features: np.ndarray) -> np.ndarray:
         """One probability per row of a reranked list's feature matrix."""
-        scores = linear_scores(features, self.weights, self.feature_mean,
-                               self.feature_std)
-        return np.array([_sigmoid(t) for t in scores.tolist()])
-
-    def save(self, path) -> None:
-        write_model_file(path, "passage_scorer", PR_SCHEMA, self.weights,
-                         self.feature_mean, self.feature_std)
-
-    @classmethod
-    def load(cls, path) -> "PassageScorer":
-        def make(doc):
-            # the file names its schema; the constructor assumes it
-            check_schema(doc.get("schema_id"), {PR_SCHEMA: PR_DIM})
-            return cls(doc["weights"], doc["feature_mean"],
-                       doc["feature_std"])
-
-        return read_model_file(path, "passage_scorer", make)
+        return np.array([_sigmoid(t) for t in self.linear(features).tolist()])
 
 
 def train_passage_reranker(index: Index, store: PassageStore, qa_train,

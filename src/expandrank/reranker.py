@@ -27,7 +27,6 @@ RI_SCHEMA = "ri-v2"   # 8 features
 RD_SCHEMA = "rd-v2"   # RI block + 5 retrieval-dependent features
 SCHEMA_DIMS = {RI_SCHEMA: 8, RD_SCHEMA: 13}
 VARIANT_SCHEMA = {"RI": RI_SCHEMA, "RD": RD_SCHEMA}
-_SCHEMA_VARIANT = {schema: variant for variant, schema in VARIANT_SCHEMA.items()}
 
 
 # _GRAM_SLICES[n] slices every character 3-gram out of a token of length
@@ -153,133 +152,122 @@ class TrainConfig:
 MODEL_FORMAT_VERSION = 1
 
 
-def write_model_file(path, kind: str, schema_id: str, weights: np.ndarray,
-                     feature_mean: np.ndarray, feature_std: np.ndarray,
-                     **fields) -> None:
-    """Write the model file that ``read_model_file`` reads: a linear model of
-    ``kind`` over schema ``schema_id``, plus any kind-specific ``fields``.
-    Keys are sorted, so equal models give equal bytes."""
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": kind,
-        "schema_id": schema_id,
-        "weights": weights.tolist(),
-        "feature_mean": feature_mean.tolist(),
-        "feature_std": feature_std.tolist(),
-        **fields,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+class LinearModel:
+    """A linear scorer over standardized features, and its model file.
 
-
-def linear_scores(features, weights: np.ndarray, feature_mean: np.ndarray,
-                  feature_std: np.ndarray) -> np.ndarray:
-    """``weights`` dotted with each standardized row of ``features``, each
-    row summed on its own: a BLAS matvec may score equal rows unequally."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] != len(weights):
-        raise ValueError(f"feature matrix of shape {f.shape} does not have "
-                         f"{len(weights)} columns")
-    return ((f - feature_mean) / feature_std * weights).sum(axis=1)
-
-
-def check_schema(schema_id, dims: dict[str, int]) -> None:
-    """Raise ValueError "schema_id: why" unless ``schema_id`` is one of
-    ``dims``.  A model of any other schema, an older version's included,
-    is not read: it must be trained again."""
-    if type(schema_id) is not str or schema_id not in dims:
-        raise ValueError(f"schema_id: unknown schema {schema_id!r}; "
-                         f"re-train the model")
-
-
-def linear_model_columns(schema_id: str, variant: str | None,
-                         dims: dict[str, int], weights, feature_mean,
-                         feature_std) -> list[np.ndarray]:
-    """The weights, feature means and feature stds of a linear model over
-    schema ``schema_id``, one of ``dims`` (schema id -> feature count), as
-    float64 arrays.
-
-    The rules every model keeps, trained, built or loaded: ``variant`` is
-    the one the schema scores (None for a schema no expansion variant
-    scores), each column holds one finite value per feature of the schema,
-    and every std is positive.  Raises ValueError "field: why".
+    A subclass names its file ``kind`` and the ``schemas`` it scores:
+    schema id -> (the expansion variant scoring it, or None; feature
+    count).  The constructor raises ValueError "field: why" unless the
+    schema is one of them (an older one must be trained again), the
+    variant is the schema's, weights, mean and std are finite, one per
+    feature, and std > 0: so any model made can be saved and loaded.
     """
-    check_schema(schema_id, dims)
-    if variant != _SCHEMA_VARIANT.get(schema_id):
-        raise ValueError(f"variant: {variant!r} does not match schema "
-                         f"{schema_id}")
-    columns = []
-    for field, values in (("weights", weights), ("feature_mean", feature_mean),
-                          ("feature_std", feature_std)):
-        column = np.asarray(values, dtype=np.float64)
-        if column.shape != (dims[schema_id],):
-            raise ValueError(f"{field}: expected {dims[schema_id]} values "
-                             f"for {schema_id}")
-        if not np.all(np.isfinite(column)):
-            raise ValueError(f"{field}: values must be finite")
-        columns.append(column)
-    if np.any(columns[2] <= 0):
-        raise ValueError("feature_std: values must be positive")
-    return columns
 
+    kind: str
+    schemas: dict[str, tuple[str | None, int]]
 
-def read_model_file(path, kind: str, make):
-    """``make(doc)`` of the model file ``doc`` of ``kind``.  The file's
-    weights and standardization are lists of numbers; ``make``, which
-    builds the model through ``linear_model_columns``, checks the rest.
-
-    Raises ValueError naming the path and the field that is wrong.
-    """
-    def fail(field: str, why: str):
-        raise ValueError(f"{path}: {field}: {why}")
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            fail("json", str(exc))
-    if not isinstance(doc, dict) or doc.get("kind") != kind:
-        fail("kind", f"not a {kind} model")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        fail("format_version", f"{doc.get('format_version')!r} is not "
-                               f"{MODEL_FORMAT_VERSION}")
-    for field in ("weights", "feature_mean", "feature_std"):
-        values = doc.get(field)
-        # bools are ints to Python, but not numbers in a model file
-        if not (isinstance(values, list)
-                and all(type(v) in (int, float) for v in values)):
-            fail(field, "expected a list of numbers")
-    try:
-        return make(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-class ScorerModel:
-    def __init__(self, variant: str, schema_id: str, weights: np.ndarray,
-                 feature_mean: np.ndarray, feature_std: np.ndarray):
+    def __init__(self, variant: str | None, schema_id: str, weights,
+                 feature_mean, feature_std):
+        if type(schema_id) is not str or schema_id not in self.schemas:
+            raise ValueError(f"schema_id: unknown schema {schema_id!r}; "
+                             f"re-train the model")
+        schema_variant, dim = self.schemas[schema_id]
+        if variant != schema_variant:
+            raise ValueError(f"variant: {variant!r} does not match schema "
+                             f"{schema_id}")
         self.variant = variant
         self.schema_id = schema_id
-        self.weights, self.feature_mean, self.feature_std = \
-            linear_model_columns(schema_id, variant, SCHEMA_DIMS, weights,
-                                 feature_mean, feature_std)
+        columns = []
+        for field, values in (("weights", weights),
+                              ("feature_mean", feature_mean),
+                              ("feature_std", feature_std)):
+            try:
+                column = np.asarray(values, dtype=np.float64)
+            except OverflowError:  # an int that no float64 holds
+                raise ValueError(f"{field}: values must be finite") from None
+            if column.shape != (dim,):
+                raise ValueError(f"{field}: expected {dim} values "
+                                 f"for {schema_id}")
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"{field}: values must be finite")
+            columns.append(column)
+        if np.any(columns[2] <= 0):
+            raise ValueError("feature_std: values must be positive")
+        self.weights, self.feature_mean, self.feature_std = columns
+
+    def linear(self, features) -> np.ndarray:
+        """The weights dotted with each standardized row of ``features``,
+        each row summed on its own: a BLAS matvec may score equal rows
+        unequally."""
+        f = np.asarray(features, dtype=np.float64)
+        if f.ndim != 2 or f.shape[1] != len(self.weights):
+            raise ValueError(f"feature matrix of shape {f.shape} does not "
+                             f"have {len(self.weights)} columns")
+        return ((f - self.feature_mean) / self.feature_std
+                * self.weights).sum(axis=1)
+
+    def save(self, path) -> None:
+        """Write the file ``load`` reads.  Keys are sorted, so equal models
+        give equal bytes."""
+        doc = {
+            "format_version": MODEL_FORMAT_VERSION,
+            "kind": self.kind,
+            "schema_id": self.schema_id,
+            "weights": self.weights.tolist(),
+            "feature_mean": self.feature_mean.tolist(),
+            "feature_std": self.feature_std.tolist(),
+        }
+        if self.variant is not None:
+            doc["variant"] = self.variant
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        """The model of the file ``save`` writes, built by
+        ``LinearModel.__init__``, which checks the schema and variant the
+        file names (a subclass's constructor assumes them).  Raises
+        ValueError "path: field: why"."""
+        def fail(field: str, why: str):
+            raise ValueError(f"{path}: {field}: {why}")
+
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                fail("json", str(exc))
+        if not isinstance(doc, dict) or doc.get("kind") != cls.kind:
+            fail("kind", f"not a {cls.kind} model")
+        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+            fail("format_version", f"{doc.get('format_version')!r} is not "
+                                   f"{MODEL_FORMAT_VERSION}")
+        for field in ("weights", "feature_mean", "feature_std"):
+            values = doc.get(field)
+            # bools are ints to Python, but not numbers in a model file
+            if not (isinstance(values, list)
+                    and all(type(v) in (int, float) for v in values)):
+                fail(field, "expected a list of numbers")
+        model = cls.__new__(cls)
+        try:
+            LinearModel.__init__(model, doc.get("variant"),
+                                 doc.get("schema_id"), doc["weights"],
+                                 doc["feature_mean"], doc["feature_std"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return model
+
+
+class ScorerModel(LinearModel):
+    """An RI or RD expansion scorer: lower scores are better."""
+
+    kind = "expansion_scorer"
+    schemas = {schema: (variant, SCHEMA_DIMS[schema])
+               for variant, schema in VARIANT_SCHEMA.items()}
 
     def score(self, features: np.ndarray) -> np.ndarray:
         """One score per row of a candidate set's feature matrix."""
-        return linear_scores(features, self.weights, self.feature_mean,
-                             self.feature_std)
-
-    def save(self, path) -> None:
-        write_model_file(path, "expansion_scorer", self.schema_id,
-                         self.weights, self.feature_mean, self.feature_std,
-                         variant=self.variant)
-
-    @classmethod
-    def load(cls, path) -> "ScorerModel":
-        return read_model_file(path, "expansion_scorer", lambda doc: cls(
-            doc.get("variant"), doc.get("schema_id"), doc["weights"],
-            doc["feature_mean"], doc["feature_std"]))
+        return self.linear(features)
 
 
 def rank_loss(scores, ranks, alpha: float) -> tuple[float, np.ndarray]:

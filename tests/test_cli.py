@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import operator
 import os
 import re
 import signal
@@ -713,14 +715,23 @@ class TestLogging:
         assert capsys.readouterr().err == ""
 
 
-def _with_index_header(raw: bytes, **fields) -> bytes:
-    """The bytes of a saved index with ``fields`` set in its JSON header."""
+def _split_index(raw: bytes) -> tuple[dict, bytes]:
+    """The JSON header of a saved index and the bytes of its arrays."""
     magic = len(MAGIC)
     (hlen,) = struct.unpack("<Q", raw[magic:magic + 8])
-    header = json.loads(raw[magic + 8:magic + 8 + hlen])
-    blob = json.dumps({**header, **fields}).encode()
-    return (raw[:magic] + struct.pack("<Q", len(blob)) + blob
-            + raw[magic + 8 + hlen:])
+    return (json.loads(raw[magic + 8:magic + 8 + hlen]),
+            raw[magic + 8 + hlen:])
+
+
+def _index_bytes(header_text: str, arrays: bytes) -> bytes:
+    blob = header_text.encode()
+    return MAGIC + struct.pack("<Q", len(blob)) + blob + arrays
+
+
+def _with_index_header(raw: bytes, **fields) -> bytes:
+    """The bytes of a saved index with ``fields`` set in its JSON header."""
+    header, arrays = _split_index(raw)
+    return _index_bytes(json.dumps({**header, **fields}), arrays)
 
 
 class TestRejectedInputs:
@@ -810,6 +821,91 @@ class TestRejectedInputs:
             f"error: {old}: schema_id: unknown schema '{schema}'; "
             f"re-train the model\n")
         assert not (tmp_path / "never.trec").exists()
+
+
+# JSON that parses but that no reader may take, as raw text: an integer
+# no float64 holds, a value nested 1,000 deep, and an id holding a lone
+# surrogate, which UTF-8 cannot encode
+_RAW_DAMAGES = {"oversized": "1" + "0" * 400,
+                "nested": "[" * 1000 + "]" * 1000,
+                "surrogate": '"q\\udc00"'}
+
+# input -> [(key path of the damaged value in the input's first row or
+# document, damage)]: each numeric field, an id where the input has one,
+# and one nested value
+_JSON_DAMAGES = {
+    "corpus": [(("id",), "surrogate"), (("title",), "nested")],
+    "questions": [(("qid",), "surrogate"), (("answers",), "nested")],
+    "expansions": [(("qid",), "surrogate"), (("text",), "nested")],
+    "train": [(("qid",), "surrogate"), (("labels", 0), "oversized"),
+              (("top2", 0, 0, 1), "oversized"),
+              (("candidates",), "nested")],
+    **{model: [(("format_version",), "oversized"),
+               (("weights", 0), "oversized"),
+               (("feature_mean", 0), "oversized"),
+               (("feature_std", 0), "oversized"),
+               (("weights",), "nested")] for model in ("model", "pr_model")},
+    "index": [(("params", "k1"), "oversized"), (("params", "b"), "oversized"),
+              (("postings",), "oversized"), (("pids",), "nested")],
+}
+
+
+def _with_raw(doc, where, raw: str) -> str:
+    """The JSON text of ``doc`` with the value at key path ``where``
+    written as the JSON text ``raw``; ``doc`` is changed."""
+    *outer, last = where
+    functools.reduce(operator.getitem, outer, doc)[last] = "@damage@"
+    return json.dumps(doc).replace('"@damage@"', raw)
+
+
+class TestDamagedJson:
+    @pytest.mark.parametrize("name, where, damage", [
+        pytest.param(name, where, damage,
+                     id=f"{name}-{'.'.join(map(str, where))}-{damage}")
+        for name, cases in _JSON_DAMAGES.items()
+        for where, damage in cases])
+    def test_rejected_with_the_file_named_exit_1(self, workdir, models,
+                                                 tmp_path, capsys, name,
+                                                 where, damage):
+        """Each JSON input the CLI reads, damaged, fails the command that
+        reads it with exit code 1 and an error naming it, and no output."""
+        files = {"corpus": workdir / "corpus.jsonl",
+                 "questions": workdir / "questions.jsonl",
+                 "expansions": workdir / "expansions.jsonl",
+                 "train": models / "train.jsonl", "model": models / "RD.json",
+                 "pr_model": tmp_path / "pr.json", "index": models / "idx.bin"}
+        PassageScorer(np.ones(PR_DIM), np.zeros(PR_DIM),
+                      np.ones(PR_DIM)).save(files["pr_model"])
+        good, raw = files[name], _RAW_DAMAGES[damage]
+        bad = files[name] = tmp_path / f"bad_{good.name}"
+        if name == "index":
+            header, arrays = _split_index(good.read_bytes())
+            bad.write_bytes(_index_bytes(_with_raw(header, where, raw),
+                                         arrays))
+        elif good.suffix == ".json":
+            bad.write_text(_with_raw(json.loads(good.read_text()), where, raw))
+        else:
+            first, rest = good.read_text().split("\n", 1)
+            bad.write_text(_with_raw(json.loads(first), where, raw) + "\n"
+                           + rest)
+        out = tmp_path / "out"
+        inputs = ("--index", files["index"], "--corpus", files["corpus"])
+        retrieve = ("retrieve", *inputs, "--questions", files["questions"],
+                    "--out", out)
+        argv = {
+            "corpus": ("index", "--corpus", files["corpus"], "--out", out),
+            "expansions": (*retrieve, "--strategy", "greedy",
+                           "--expansions", files["expansions"]),
+            "train": ("train", "--train", files["train"], *inputs,
+                      "--out", out),
+            "model": (*retrieve, "--strategy", "ear_rd", "--expansions",
+                      files["expansions"], "--model", files["model"]),
+            "pr_model": (*retrieve, "--pr-model", files["pr_model"]),
+        }.get(name, retrieve)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}" in err
+        assert not out.exists()
 
 
 class TestTrainEpochs:

@@ -264,41 +264,67 @@ def _v1(doc):
                feature_std=doc["feature_std"] + [1.0])
 
 
-# case -> (field, damage, the message after "path: field: ")
-_SCORER_DAMAGES = {
-    "kind": ("kind", lambda d: _damage(d, "kind", "passage_scorer"),
-             "not a expansion_scorer model"),
+_OTHER_KIND = {"expansion_scorer": "passage_scorer",
+               "passage_scorer": "expansion_scorer"}
+
+# case -> (field, damage, the message after "path: field: ", in which
+# {kind}, {schema} and {dim} are the damaged model's), for both model kinds
+_MODEL_DAMAGES = {
+    "kind": ("kind", lambda d: _damage(d, "kind", _OTHER_KIND[d["kind"]]),
+             "not a {kind} model"),
     "format_version": ("format_version",
                        lambda d: _damage(d, "format_version", 2),
                        "2 is not 1"),
     "schema_id": ("schema_id", lambda d: _damage(d, "schema_id", "ri-v9"),
                   "unknown schema 'ri-v9'; re-train the model"),
-    "ri-v1": ("schema_id", _v1, "unknown schema 'ri-v1'; re-train the model"),
+    # no variant scores the passage scorer's schema, so a passage-scorer
+    # file that names one is rejected too
     "variant": ("variant", lambda d: _damage(d, "variant", "RD"),
-                f"'RD' does not match schema {RI_SCHEMA}"),
-    "weights": ("weights", lambda d: _damage(d, "weights", d["weights"][:5]),
-                f"expected 8 values for {RI_SCHEMA}"),
+                "'RD' does not match schema {schema}"),
+    "weights": ("weights", lambda d: _damage(d, "weights", d["weights"][:-1]),
+                "expected {dim} values for {schema}"),
     "feature_mean": ("feature_mean",
                      lambda d: d["feature_mean"].__setitem__(2, float("nan")),
                      "values must be finite"),
     "feature_std": ("feature_std",
                     lambda d: d["feature_std"].__setitem__(0, 0.0),
                     "values must be positive"),
+    # an integer no float64 holds
+    "oversized": ("weights", lambda d: d["weights"].__setitem__(0, 10 ** 400),
+                  "values must be finite"),
 }
+_SCORER_DAMAGES = {
+    **_MODEL_DAMAGES,
+    "ri-v1": ("schema_id", _v1, "unknown schema 'ri-v1'; re-train the model"),
+}
+
+
+def _assert_damage_rejected(model, path, damages, case):
+    """``model`` saved at ``path``, damaged by ``damages[case]``, fails to
+    load with the case's message."""
+    field, damage, why = damages[case]
+    why = why.format(kind=model.kind, schema=model.schema_id,
+                     dim=len(model.weights))
+    model.save(path)
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'{path}: {field}: {why}')}$"):
+        type(model).load(path)
 
 
 class TestModelFiles:
     @pytest.mark.parametrize("case", sorted(_SCORER_DAMAGES))
     def test_damaged_scorer_rejected(self, ri_model, tmp_path, case):
-        field, damage, why = _SCORER_DAMAGES[case]
-        path = tmp_path / "m.json"
-        ri_model.save(path)
-        doc = json.loads(path.read_text())
-        damage(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError,
-                           match=f"^{re.escape(f'{path}: {field}: {why}')}$"):
-            ScorerModel.load(path)
+        _assert_damage_rejected(ri_model, tmp_path / "m.json",
+                                _SCORER_DAMAGES, case)
+
+    @pytest.mark.parametrize("case", sorted(_MODEL_DAMAGES))
+    def test_passage_scorer_rejects_every_shared_damage(self, pr_scorer,
+                                                        tmp_path, case):
+        _assert_damage_rejected(pr_scorer, tmp_path / "pr.json",
+                                _MODEL_DAMAGES, case)
 
     @pytest.mark.parametrize("field, damage", [
         ("kind", lambda d: _damage(d, "kind", "expansion_scorer")),
@@ -360,6 +386,13 @@ class TestModelFiles:
         path.write_text("{")
         with pytest.raises(ValueError, match=re.escape(f"{path}: json: ")):
             ScorerModel.load(path)
+
+    @pytest.mark.parametrize("cls", [ScorerModel, PassageScorer])
+    def test_json_nested_too_deep_rejected(self, tmp_path, cls):
+        path = tmp_path / "m.json"
+        path.write_text('{"weights": ' + "[" * 1000 + "]" * 1000 + "}")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: json: ")):
+            cls.load(path)
 
 
 class TestRankLoss:
