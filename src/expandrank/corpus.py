@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -102,6 +103,14 @@ def read_jsonl(path, parse):
             except (TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from None
             yield lineno, value
+
+
+def brief(value) -> str:
+    """``repr(value)`` for an error message, each run of more than 20
+    digits cut to its first 6 and its length: a JSON integer no float64
+    holds would otherwise be echoed in full."""
+    return re.sub(r"\d{21,}", lambda m: f"{m[0][:6]}...({len(m[0])} digits)",
+                  repr(value))
 
 
 def typed_field(row: dict, key: str, kind: type, default=None):

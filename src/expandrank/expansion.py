@@ -15,8 +15,8 @@ import logging
 import sys
 from dataclasses import dataclass
 
-from .corpus import (AnswerMatcher, PassageStore, QAExample, read_jsonl,
-                     run_id, typed_field)
+from .corpus import (AnswerMatcher, PassageStore, QAExample, brief,
+                     read_jsonl, run_id, typed_field)
 from .index import Index, RankedList
 from .text import normalize
 
@@ -265,7 +265,7 @@ def _parse_example(obj, known_pids=None) -> TrainingExample:
     for i, r in enumerate(labels):
         if type(r) is not int or not 1 <= r <= _FLOAT_MAX:
             raise ValueError(f"rank labels are 1-based integers, but "
-                             f"labels[{i}] is {r!r}; re-run make-train")
+                             f"labels[{i}] is {brief(r)}; re-run make-train")
     for i, entries in enumerate(top2):
         if not isinstance(entries, list) or len(entries) > 2 or not all(
                 isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)

@@ -24,7 +24,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import kernels
-from .corpus import PassageStore
+from .corpus import PassageStore, brief
 from .text import Analyzer, normalize
 
 MAGIC = b"XRIDX001"
@@ -56,11 +56,11 @@ class Bm25Params:
                                   f"{type(value).__name__}")
         # false for nan, inf and an int that no float64 holds
         if not abs(self.k1) <= sys.float_info.max:
-            raise IndexError_(f"k1 must be finite, got {self.k1}")
+            raise IndexError_(f"k1 must be finite, got {brief(self.k1)}")
         if self.k1 <= 0:
             raise IndexError_(f"k1 must be positive, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
-            raise IndexError_(f"b must be in [0, 1], got {self.b}")
+            raise IndexError_(f"b must be in [0, 1], got {brief(self.b)}")
 
     def analyzer(self) -> Analyzer:
         return Analyzer(stemming=self.stemming, stopwords=self.stopwords)
@@ -564,7 +564,7 @@ class Index:
                 # read(size) allocates size bytes up front.
                 have = file_size - fh.tell()
                 if size > have:
-                    fail(f"{name} truncated ({have} of {size} bytes)")
+                    fail(f"{name} truncated ({have} of {brief(size)} bytes)")
                 return fh.read(size)
 
             (hlen,) = struct.unpack("<Q", section("header length", 8))
@@ -579,7 +579,8 @@ class Index:
                     and set(map(type, pids)) | set(map(type, terms)) <= {str}):
                 fail("pids and terms must be lists of strings")
             if type(n_post) is not int or n_post < 0:
-                fail(f"postings must be a non-negative int, got {n_post!r}")
+                fail(f"postings must be a non-negative int, got "
+                     f"{brief(n_post)}")
             n_terms, n_docs = len(terms), len(pids)
             offsets = np.frombuffer(section("offsets", 8 * (n_terms + 1)),
                                     dtype="<i8")

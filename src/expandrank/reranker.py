@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PassageStore
+from .corpus import PassageStore, brief
 from .expansion import CandidateSet
 from .index import Index, SetSearch
 from .text import normalize
@@ -169,12 +169,12 @@ class LinearModel:
     def __init__(self, variant: str | None, schema_id: str, weights,
                  feature_mean, feature_std):
         if type(schema_id) is not str or schema_id not in self.schemas:
-            raise ValueError(f"schema_id: unknown schema {schema_id!r}; "
+            raise ValueError(f"schema_id: unknown schema {brief(schema_id)}; "
                              f"re-train the model")
         schema_variant, dim = self.schemas[schema_id]
         if variant != schema_variant:
-            raise ValueError(f"variant: {variant!r} does not match schema "
-                             f"{schema_id}")
+            raise ValueError(f"variant: {brief(variant)} does not match "
+                             f"schema {schema_id}")
         self.variant = variant
         self.schema_id = schema_id
         columns = []
@@ -239,9 +239,10 @@ class LinearModel:
                 fail("json", str(exc))
         if not isinstance(doc, dict) or doc.get("kind") != cls.kind:
             fail("kind", f"not a {cls.kind} model")
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            fail("format_version", f"{doc.get('format_version')!r} is not "
-                                   f"{MODEL_FORMAT_VERSION}")
+        version = doc.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            fail("format_version",
+                 f"{brief(version)} is not {MODEL_FORMAT_VERSION}")
         for field in ("weights", "feature_mean", "feature_std"):
             values = doc.get(field)
             # bools are ints to Python, but not numbers in a model file

@@ -15,11 +15,14 @@ import pytest
 
 from expandrank import cli, evalbench, expansion, pipeline, reranker
 from expandrank.cli import main
-from expandrank.corpus import Passage, QAExample, load_corpus
-from expandrank.index import MAGIC, Index
+from expandrank.corpus import Passage, QAExample, load_corpus, load_questions
+from expandrank.expansion import CandidateSet, ExpansionCandidate
+from expandrank.index import MAGIC, Bm25Params, Index
 from expandrank.passage_reranker import PR_DIM, PassageScorer
 from expandrank.synth import (make_planted, write_corpus, write_expansions,
                               write_questions)
+from expandrank.text import normalize
+from oracles import reference_build_index
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,12 @@ def sha(path):
 def run_tags(path):
     """The distinct run names in the tag column of a run file."""
     return {line.split()[5] for line in path.read_text().splitlines()}
+
+
+def evaluates(run_file, questions, corpus):
+    """Whether ``eval`` reads ``run_file`` and exits 0."""
+    return run("eval", "--run", run_file, "--questions", questions,
+               "--corpus", corpus) == 0
 
 
 class Hung(Exception):
@@ -371,6 +380,8 @@ class TestPipelineCmds:
                  "--k", 50)
         assert rc == 0
         assert run_tags(workdir / "fused.trec") == {"fusion"}
+        assert evaluates(workdir / "fused.trec", workdir / "questions.jsonl",
+                         workdir / "corpus.jsonl")
 
     def test_retrieve_names_the_run_after_its_strategy(self, workdir, models):
         """The tag column holds the strategy, with "+pr" when passages are
@@ -391,6 +402,16 @@ class TestPipelineCmds:
         assert run("retrieve", *inputs, "--strategy", "bm25",
                    "--pr-model", pr, "--out", out) == 0
         assert run_tags(out) == {"bm25+pr"}
+        # each list is longer than 3, so the reranked entries score above
+        # the floor of the first one past the depth
+        out = workdir / "named_ear_rd_pr.trec"
+        assert run("retrieve", *inputs, "--expansions",
+                   workdir / "expansions.jsonl", "--strategy", "ear_rd",
+                   "--model", models / "RD.json", "--pr-model", pr,
+                   "--pr-depth", 3, "--out", out) == 0
+        assert run_tags(out) == {"ear_rd+pr"}
+        assert evaluates(out, workdir / "questions.jsonl",
+                         workdir / "corpus.jsonl")
 
     def test_cap_applies_after_dedup(self, tmp_path):
         """``--cap-n`` keeps the first n distinct candidates: of the rows
@@ -510,14 +531,17 @@ class TestPipelineCmds:
             "empty.trec (40 questions)\ntop-1     top-5   \n"
             "0.0000    0.0000  \n")
 
-    def test_bench_cmd(self, workdir, capsys):
-        rc = run("bench", "--corpus", workdir / "corpus.jsonl",
-                 "--questions", workdir / "questions.jsonl",
-                 "--strategy", "bm25", "--repetitions", 1)
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        payload = json.loads("\n".join(lines[lines.index("{"):]))
-        assert payload["queries_measured"] == 40
+    def test_bench_cmd(self, workdir, models, capsys):
+        for strategy in (("bm25",), ("oracle", "--n-samples", 10),
+                         ("ear_rd", "--model", models / "RD.json",
+                          "--n-samples", 10)):
+            rc = run("bench", "--corpus", workdir / "corpus.jsonl",
+                     "--questions", workdir / "questions.jsonl",
+                     "--strategy", *strategy, "--repetitions", 1)
+            assert rc == 0
+            lines = capsys.readouterr().out.splitlines()
+            payload = json.loads("\n".join(lines[lines.index("{"):]))
+            assert payload["queries_measured"] == 40
 
     def test_train_pr_cmd(self, workdir, models):
         rc = run("train-pr", "--index", models / "idx.bin",
@@ -831,8 +855,9 @@ _RAW_DAMAGES = {"oversized": "1" + "0" * 400,
                 "surrogate": '"q\\udc00"'}
 
 # input -> [(key path of the damaged value in the input's first row or
-# document, damage)]: each numeric field, an id where the input has one,
-# and one nested value
+# document, damage)]: each numeric field, a model's schema and variant
+# (whose errors echo the value), an id where the input has one, and one
+# nested value
 _JSON_DAMAGES = {
     "corpus": [(("id",), "surrogate"), (("title",), "nested")],
     "questions": [(("qid",), "surrogate"), (("answers",), "nested")],
@@ -841,6 +866,7 @@ _JSON_DAMAGES = {
               (("top2", 0, 0, 1), "oversized"),
               (("candidates",), "nested")],
     **{model: [(("format_version",), "oversized"),
+               (("schema_id",), "oversized"), (("variant",), "oversized"),
                (("weights", 0), "oversized"),
                (("feature_mean", 0), "oversized"),
                (("feature_std", 0), "oversized"),
@@ -905,7 +931,194 @@ class TestDamagedJson:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert f"error: {bad}" in err
+        assert not re.search(r"\d{40}", err), "echoes an oversized number"
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def echo(workdir):
+    """``echo_expansions.jsonl``: candidates that repeat the question,
+    so that, scored by parts, greedy's expansion counts each question term
+    twice and concat's 3 times; a stopword-only candidate, alone in every
+    other set, gives greedy and concat an empty expansion part."""
+    path = workdir / "echo_expansions.jsonl"
+    stop = ExpansionCandidate("the of and")
+    write_expansions({qa.qid: CandidateSet(qa.qid, [
+        ExpansionCandidate(f"{qa.question} {qa.question}"),
+        ExpansionCandidate(qa.question), stop] if i % 2 else [stop])
+        for i, qa in enumerate(load_questions(workdir / "questions.jsonl"))},
+        path)
+    return path
+
+
+# Answer passages that spell their answers only in compatibility forms (a
+# ligature, fullwidth letters and digits, the Kelvin sign, a Roman
+# numeral), beside accented passages that share a question term
+COMPATIBILITY_FORMS = {
+    "u0": "The harbour marathon course is ﬁve ｍｉｌｅｓ long.",
+    "u1": "At full heat the kiln can reach １２００ Kelvin.",
+    "u2": "The treaty of the valley is copied in Chapter Ⅻ of the annals.",
+    "u3": "Le café près du harbour sert une crème brûlée.",
+    "u4": "Die Straße nach Zürich führt zum kiln, ein naïves Résumé.",
+    "u5": "São Paulo é uma cidade do valley; Ελλάδα é outro país.",
+}
+COMPATIBILITY_QUESTIONS = [
+    QAExample("u0", "how long is the harbour marathon course",
+              ("five miles",)),
+    QAExample("u1", "what heat can the kiln reach", ("1200 kelvin",)),
+    QAExample("u2", "which chapter copies the treaty of the valley",
+              ("chapter xii",)),
+]
+
+
+def retrieve(workdir, models, out, *argv):
+    """``out``, written by ``retrieve`` over the planted workdir."""
+    assert run("retrieve", "--index", models / "idx.bin",
+               "--corpus", workdir / "corpus.jsonl",
+               "--questions", workdir / "questions.jsonl", *argv,
+               "--out", out) == 0
+    return out
+
+
+def model_argv(models, strategy):
+    """``--model`` and the file of the scorer ``strategy`` runs, if any."""
+    scorer = pipeline.STRATEGIES[strategy].scorer
+    return ("--model", models / f"{scorer}.json") if scorer else ()
+
+
+class TestEndToEnd:
+    """Runs that only the whole chain of stages makes: each strategy over
+    the planted candidates and over ``echo``'s, at several depths and
+    caps, the analyzer flags, the stub sampler, and a corpus of
+    compatibility forms."""
+
+    @pytest.mark.parametrize("strategy, cands", [
+        ("bm25", "expansions"),
+        *((strategy, cands) for strategy in ("concat", "greedy", "ear_ri",
+                                             "ear_rd")
+          for cands in ("expansions", "echo"))])
+    def test_shallow_run_is_the_head_of_the_deep_run(
+            self, workdir, models, echo, tmp_path, strategy, cands):
+        """A list of at most 2 is selected by argmax passes, a longer one
+        by a partial sort; greedy's and ear_ri's final list is a
+        one-expansion set search on a dense vector, and ear_rd's is cut
+        from the scores of its top-2 set search.  Each run at ``--k`` 1
+        and 2 is the ``--k 100`` run's lines of rank <= k, byte for byte,
+        and every run names its strategy and evaluates."""
+        argv = ("--strategy", strategy, *model_argv(models, strategy),
+                "--expansions",
+                echo if cands == "echo" else workdir / "expansions.jsonl")
+        deep = retrieve(workdir, models, tmp_path / "100.trec", *argv,
+                        "--k", 100)
+        lines = deep.read_text().splitlines(keepends=True)
+        for k in (1, 2):
+            shallow = retrieve(workdir, models, tmp_path / f"{k}.trec",
+                               *argv, "--k", k)
+            assert shallow.read_text() == "".join(
+                line for line in lines if int(line.split()[3]) <= k)
+        assert run_tags(deep) == {strategy}
+        assert evaluates(deep, workdir / "questions.jsonl",
+                         workdir / "corpus.jsonl")
+
+    def test_one_candidate_makes_ear_choose_greedys(self, workdir, models,
+                                                    tmp_path):
+        """Capped at one candidate, ear_rd and ear_ri choose greedy's:
+        ear_rd cuts its list from its own search of that candidate, and
+        ear_ri, whose selection searches nothing, searches it once chosen.
+        Every column but the tag equals greedy's."""
+        columns = {}
+        for strategy in ("greedy", "ear_ri", "ear_rd"):
+            out = retrieve(workdir, models, tmp_path / f"{strategy}.trec",
+                           "--expansions", workdir / "expansions.jsonl",
+                           "--strategy", strategy,
+                           *model_argv(models, strategy), "--cap-n", 1)
+            assert run_tags(out) == {strategy}
+            columns[strategy] = [line.split()[:5] for line in
+                                 out.read_text().splitlines()]
+        assert columns["ear_rd"] == columns["greedy"] == columns["ear_ri"]
+
+    def test_analyzer_flags(self, workdir, tmp_path):
+        """``index --no-stemming --no-stopwords --index-titles`` writes the
+        reference builder's index of those params, byte for byte, and the
+        stages after it read that index."""
+        corpus = workdir / "corpus.jsonl"
+        questions = workdir / "questions.jsonl"
+        raw = tmp_path / "raw.bin"
+        assert run("index", "--corpus", corpus, "--out", raw, "--no-stemming",
+                   "--no-stopwords", "--index-titles") == 0
+        reference_build_index(load_corpus(corpus), Bm25Params(
+            stemming=False, stopwords=False, index_titles=True),
+        ).save(tmp_path / "reference.bin")
+        assert raw.read_bytes() == (tmp_path / "reference.bin").read_bytes()
+        inputs = ("--index", raw, "--corpus", corpus, "--questions", questions)
+        assert run("make-train", *inputs, "--expansions",
+                   workdir / "expansions.jsonl",
+                   "--out", tmp_path / "train.jsonl") == 0
+        assert run("retrieve", *inputs, "--strategy", "bm25",
+                   "--out", tmp_path / "raw.trec") == 0
+        assert run_tags(tmp_path / "raw.trec") == {"bm25"}
+        assert evaluates(tmp_path / "raw.trec", questions, corpus)
+
+    def test_stub_sampler(self, workdir, models, tmp_path):
+        """Without ``--expansions``, make-train labels the stub sampler's
+        candidates for ``--n-samples`` and ``--seed``, and retrieve samples
+        the same ones: its run equals the run over those candidates read
+        from a file.  Another seed samples other candidates."""
+        corpus = workdir / "corpus.jsonl"
+        questions = workdir / "questions.jsonl"
+        store, index = load_corpus(corpus), Index.load(models / "idx.bin")
+        qas = load_questions(questions)
+        stub, other = ({qa.qid: expansion.sample_expansions_stub(
+            qa.question, 8, seed, index, store) for qa in qas}
+            for seed in (3, 4))
+        assert stub != other
+        write_expansions(stub, tmp_path / "stub.jsonl")
+        inputs = ("--index", models / "idx.bin", "--corpus", corpus)
+        sampled = ("--n-samples", 8, "--seed", 3)
+        assert run("make-train", *inputs, "--questions", questions, *sampled,
+                   "--out", tmp_path / "train.jsonl") == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "train.jsonl").read_text().splitlines()]
+        assert {row["qid"]: [ExpansionCandidate(**c) for c in
+                             row["candidates"]] for row in rows} == {
+            qid: cs.candidates for qid, cs in stub.items()}
+        assert run("train", "--train", tmp_path / "train.jsonl", *inputs,
+                   "--variant", "RD", "--out", tmp_path / "rd.json") == 0
+        runs = [retrieve(workdir, models, tmp_path / f"{name}.trec",
+                         "--strategy", "ear_rd", "--model",
+                         tmp_path / "rd.json", *source)
+                for name, source in (("sampled", sampled), ("read", (
+                    "--expansions", tmp_path / "stub.jsonl")))]
+        assert runs[0].read_bytes() == runs[1].read_bytes()
+        assert run_tags(runs[0]) == {"ear_rd"}
+        assert evaluates(runs[0], questions, corpus)
+
+    def test_compatibility_forms(self, tmp_path):
+        """With ASCII questions, bm25 ranks every answer passage first,
+        and its run equals, byte for byte, the run over the same corpus
+        with each text replaced by its normalized tokens, which the
+        tokenizer's ASCII path reads."""
+        questions = tmp_path / "questions.jsonl"
+        write_questions(COMPATIBILITY_QUESTIONS, questions)
+        for name, fold in (("forms", str),
+                           ("folded", lambda t: " ".join(normalize(t)))):
+            corpus = tmp_path / f"{name}.jsonl"
+            write_corpus([Passage(pid, "", fold(text)) for pid, text in
+                          COMPATIBILITY_FORMS.items()], corpus)
+            assert run("index", "--corpus", corpus,
+                       "--out", tmp_path / f"{name}.bin") == 0
+            assert run("retrieve", "--index", tmp_path / f"{name}.bin",
+                       "--corpus", corpus, "--questions", questions,
+                       "--strategy", "bm25",
+                       "--out", tmp_path / f"{name}.trec") == 0
+        assert (tmp_path / "forms.trec").read_bytes() == \
+            (tmp_path / "folded.trec").read_bytes()
+        assert run("eval", "--run", tmp_path / "forms.trec",
+                   "--questions", questions,
+                   "--corpus", tmp_path / "forms.jsonl",
+                   "--out", tmp_path / "eval.json") == 0
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert report["accuracies"]["1"] == 1.0
 
 
 class TestTrainEpochs:

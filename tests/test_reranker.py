@@ -266,29 +266,44 @@ def _v1(doc):
 
 _OTHER_KIND = {"expansion_scorer": "passage_scorer",
                "passage_scorer": "expansion_scorer"}
+# a model's variant -> one its schema does not take
+_OTHER_VARIANT = {"RI": "RD", "RD": "RI", None: "RD"}
 
 # case -> (field, damage, the message after "path: field: ", in which
-# {kind}, {schema} and {dim} are the damaged model's), for both model kinds
+# {kind}, {schema} and {dim} are the damaged model's and {other} is
+# _OTHER_VARIANT's for it), for both model kinds
 _MODEL_DAMAGES = {
     "kind": ("kind", lambda d: _damage(d, "kind", _OTHER_KIND[d["kind"]]),
              "not a {kind} model"),
     "format_version": ("format_version",
                        lambda d: _damage(d, "format_version", 2),
                        "2 is not 1"),
+    "format_version_missing": ("format_version",
+                               lambda d: d.pop("format_version"),
+                               "None is not 1"),
     "schema_id": ("schema_id", lambda d: _damage(d, "schema_id", "ri-v9"),
                   "unknown schema 'ri-v9'; re-train the model"),
     # no variant scores the passage scorer's schema, so a passage-scorer
     # file that names one is rejected too
-    "variant": ("variant", lambda d: _damage(d, "variant", "RD"),
-                "'RD' does not match schema {schema}"),
+    "variant": ("variant",
+                lambda d: _damage(d, "variant",
+                                  _OTHER_VARIANT[d.get("variant")]),
+                "{other!r} does not match schema {schema}"),
     "weights": ("weights", lambda d: _damage(d, "weights", d["weights"][:-1]),
                 "expected {dim} values for {schema}"),
     "feature_mean": ("feature_mean",
                      lambda d: d["feature_mean"].__setitem__(2, float("nan")),
                      "values must be finite"),
+    "feature_mean_string": ("feature_mean",
+                            lambda d: _damage(d, "feature_mean", "0"),
+                            "expected a list of numbers"),
     "feature_std": ("feature_std",
                     lambda d: d["feature_std"].__setitem__(0, 0.0),
                     "values must be positive"),
+    # a bool is an int to Python, but not a number in a model file
+    "feature_std_bool": ("feature_std",
+                         lambda d: d["feature_std"].__setitem__(1, True),
+                         "expected a list of numbers"),
     # an integer no float64 holds
     "oversized": ("weights", lambda d: d["weights"].__setitem__(0, 10 ** 400),
                   "values must be finite"),
@@ -304,7 +319,8 @@ def _assert_damage_rejected(model, path, damages, case):
     load with the case's message."""
     field, damage, why = damages[case]
     why = why.format(kind=model.kind, schema=model.schema_id,
-                     dim=len(model.weights))
+                     dim=len(model.weights),
+                     other=_OTHER_VARIANT[model.variant])
     model.save(path)
     doc = json.loads(path.read_text())
     damage(doc)
@@ -316,9 +332,11 @@ def _assert_damage_rejected(model, path, damages, case):
 
 class TestModelFiles:
     @pytest.mark.parametrize("case", sorted(_SCORER_DAMAGES))
-    def test_damaged_scorer_rejected(self, ri_model, tmp_path, case):
-        _assert_damage_rejected(ri_model, tmp_path / "m.json",
-                                _SCORER_DAMAGES, case)
+    def test_damaged_scorer_rejected(self, ri_model, rd_model, tmp_path,
+                                     case):
+        for model in (ri_model, rd_model):
+            _assert_damage_rejected(model, tmp_path / "m.json",
+                                    _SCORER_DAMAGES, case)
 
     @pytest.mark.parametrize("case", sorted(_MODEL_DAMAGES))
     def test_passage_scorer_rejects_every_shared_damage(self, pr_scorer,
